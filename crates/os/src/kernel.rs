@@ -196,6 +196,10 @@ pub struct Kernel {
     pub(crate) quotas: Quotas,
     #[cfg(feature = "fault-injection")]
     pub(crate) failpoints: Failpoints,
+    /// Undo bytes the last finished syscall recorded (see
+    /// [`Kernel::last_undo_bytes_for_test`]).
+    #[cfg(feature = "fault-injection")]
+    pub(crate) last_undo_bytes: AtomicU64,
     tcb_tag: Tag,
     admin_tag: Tag,
 }
@@ -260,6 +264,8 @@ impl Kernel {
             quotas,
             #[cfg(feature = "fault-injection")]
             failpoints: Failpoints::default(),
+            #[cfg(feature = "fault-injection")]
+            last_undo_bytes: AtomicU64::new(0),
             tcb_tag,
             admin_tag,
         };
@@ -355,7 +361,7 @@ impl Kernel {
             }));
             match outcome {
                 Ok(Ok(v)) => {
-                    txn.flush_hooks();
+                    txn.flush_counters();
                     let ticket = self.commit_ticket(tid);
                     drop(txn);
                     if let Some(span) = span {
@@ -371,7 +377,7 @@ impl Kernel {
                     if attempts > SHARD_COUNT + 8 {
                         // Should be unreachable: the footprint only grows
                         // and there are SHARD_COUNT shards. Fail closed.
-                        txn.flush_hooks();
+                        txn.flush_counters();
                         let ticket = self.commit_ticket(tid);
                         drop(txn);
                         crate::stats::note_syscall_rolled_back();
@@ -387,7 +393,7 @@ impl Kernel {
                 }
                 Ok(Err(e)) => {
                     txn.rollback();
-                    txn.flush_hooks();
+                    txn.flush_counters();
                     let ticket = self.commit_ticket(tid);
                     drop(txn);
                     // A typed denial is a final, visible outcome: its
@@ -400,7 +406,7 @@ impl Kernel {
                 }
                 Err(_panic) => {
                     txn.rollback();
-                    txn.flush_hooks();
+                    txn.flush_counters();
                     let ticket = self.commit_ticket(tid);
                     drop(txn);
                     crate::stats::note_syscall_rolled_back();
@@ -529,6 +535,17 @@ impl Kernel {
     #[cfg(feature = "fault-injection")]
     pub fn take_failpoint_fired(self: &Arc<Self>) -> bool {
         self.failpoints.take_fired()
+    }
+
+    /// Bytes of undo records the most recently finished syscall on this
+    /// kernel pushed in its final attempt, whether it committed or rolled
+    /// back (each record's size plus the heap it owns). The cost-regime
+    /// tests use it to check that no syscall's journal grows with state
+    /// that other principals own.
+    #[cfg(feature = "fault-injection")]
+    #[must_use]
+    pub fn last_undo_bytes_for_test(self: &Arc<Self>) -> u64 {
+        self.last_undo_bytes.load(Ordering::Relaxed)
     }
 
     /// The special `tcb` integrity tag (§4.4): only a task whose

@@ -19,9 +19,11 @@
 use crate::error::{OsError, OsResult};
 use crate::kernel::TaskHandle;
 use crate::lsm::{Access, DeliveryVerdict};
-use crate::task::{ProcessId, Signal, TaskId, TaskSec, TaskStruct, UserId, VmArea};
+use crate::task::{
+    ProcImage, ProcessId, Signal, TaskId, TaskSec, TaskStruct, UserId, VmArea,
+};
 use crate::vfs::file::{Fd, OpenFile, OpenMode, PipeEnd, SocketEnd};
-use crate::vfs::inode::{InodeId, InodeKind, Metadata};
+use crate::vfs::inode::{Buf, InodeId, InodeKind, Metadata};
 use crate::vfs::pipe::PipeBuffer;
 use laminar_difc::{
     check_pair_change, CapSet, Capability, Label, LabelType, SecPair, Tag,
@@ -51,7 +53,7 @@ impl TaskHandle {
             // The allocator lives outside the journal: a tag id minted by
             // an aborted transaction is simply never used (ids are opaque).
             let tag = st.fresh_tag();
-            st.task_mut(self.tid)?.security.caps_mut().grant_both(tag);
+            st.caps_mut(self.tid)?.grant_both(tag);
             Ok(tag)
         })
     }
@@ -119,7 +121,7 @@ impl TaskHandle {
                     }
                 }
             }
-            st.task_mut(self.tid)?.security.labels = new_pair;
+            st.set_labels(self.tid, new_pair)?;
             Ok(())
         })
     }
@@ -166,7 +168,7 @@ impl TaskHandle {
             } else {
                 SecPair::unlabeled()
             };
-            st.task_mut(target)?.security.labels = new;
+            st.set_labels(target, new)?;
             Ok(())
         })
     }
@@ -197,7 +199,7 @@ impl TaskHandle {
                     "set_task_labels_tcb is limited to the caller's address space",
                 ));
             }
-            st.task_mut(target)?.security.labels = labels.clone();
+            st.set_labels(target, labels.clone())?;
             Ok(())
         })
     }
@@ -212,9 +214,9 @@ impl TaskHandle {
     pub fn drop_capabilities(&self, caps: &[Capability]) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "drop_capabilities", |st| {
             st.task_alive(self.tid)?;
-            let t = st.task_mut(self.tid)?;
+            let held = st.caps_mut(self.tid)?;
             for &c in caps {
-                t.security.caps_mut().revoke(c);
+                held.revoke(c);
             }
             Ok(())
         })
@@ -242,8 +244,8 @@ impl TaskHandle {
                     "grant_capabilities_tcb is limited to the caller's address space",
                 ));
             }
-            let t = st.task_mut(target)?;
-            t.security.caps = Arc::new(t.security.caps.union(caps));
+            let held = st.caps_mut(target)?;
+            *held = held.union(caps);
             Ok(())
         })
     }
@@ -301,13 +303,9 @@ impl TaskHandle {
             st.count_hook();
             match self.kernel.module.cap_transfer(&sec, &pipe_labels) {
                 DeliveryVerdict::Deliver => {
-                    if let InodeKind::Pipe { buffer } =
-                        &mut st.inode_mut(file.inode)?.kind
-                    {
-                        if !buffer.push_cap(cap) {
-                            // Queue ceiling reached ⇒ silent drop.
-                            obs_drop(laminar_obs::DropChannel::Cap);
-                        }
+                    if !st.buffer_push_cap(file.inode, cap)? {
+                        // Queue ceiling reached ⇒ silent drop.
+                        obs_drop(laminar_obs::DropChannel::Cap);
                     }
                     Ok(())
                 }
@@ -336,12 +334,9 @@ impl TaskHandle {
             let pipe_labels = st.inode_labels(file.inode)?;
             st.count_hook();
             self.kernel.module.cap_receive(&sec, &pipe_labels)?;
-            let cap = match &mut st.inode_mut(file.inode)?.kind {
-                InodeKind::Pipe { buffer } => buffer.pop_cap(),
-                _ => None,
-            };
+            let cap = st.buffer_pop_cap(file.inode)?;
             if let Some(c) = cap {
-                st.task_mut(self.tid)?.security.caps_mut().grant(c);
+                st.caps_mut(self.tid)?.grant(c);
             }
             Ok(cap)
         })
@@ -421,9 +416,7 @@ impl TaskHandle {
                 InodeKind::File { data: Vec::new() }
             };
             let id = st.alloc_inode(kind, labels.clone())?;
-            if let InodeKind::Dir { entries } = &mut st.inode_mut(parent)?.kind {
-                entries.insert(r.name, id);
-            }
+            st.dir_insert(parent, r.name, id)?;
             if dir {
                 return Ok(Fd(u32::MAX)); // sentinel, discarded by mkdir_labeled
             }
@@ -484,16 +477,9 @@ impl TaskHandle {
     pub fn close(&self, fd: Fd) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "close", |st| {
             let pid = st.task_alive(self.tid)?.process;
-            let file = st.proc_mut(pid)?.fds.remove(fd).ok_or(OsError::BadFd)?;
+            let file = st.fd_remove(pid, fd)?;
             if let Some(end) = file.pipe_end {
-                if let Some(inode) = st.inode_mut_opt(file.inode)? {
-                    if let InodeKind::Pipe { buffer } = &mut inode.kind {
-                        match end {
-                            PipeEnd::Read => buffer.drop_reader(),
-                            PipeEnd::Write => buffer.drop_writer(),
-                        }
-                    }
-                }
+                st.pipe_end_closed(file.inode, end)?;
             }
             Ok(())
         })
@@ -517,30 +503,18 @@ impl TaskHandle {
             }
             let labels = st.inode_labels(file.inode)?;
             st.count_hook();
-            match file.pipe_end {
-                Some(PipeEnd::Read) => {
+            match (file.pipe_end, file.socket_end) {
+                (Some(PipeEnd::Read), _) => {
                     self.kernel.module.pipe_read(&sec, &labels)?;
-                    let data = match &mut st.inode_mut(file.inode)?.kind {
-                        InodeKind::Pipe { buffer } => buffer.pop_bytes(max),
-                        _ => Vec::new(),
-                    };
-                    Ok(data)
+                    st.buffer_pop_bytes(file.inode, Buf::Pipe, max)
                 }
-                Some(PipeEnd::Write) => Err(OsError::BadFd),
-                None if file.socket_end.is_some() => {
+                (Some(PipeEnd::Write), _) => Err(OsError::BadFd),
+                (None, Some(end)) => {
                     // Socket read: nonblocking, label-mediated like a pipe.
                     self.kernel.module.pipe_read(&sec, &labels)?;
-                    let data =
-                        match (&mut st.inode_mut(file.inode)?.kind, file.socket_end) {
-                            (InodeKind::Socket { ab, ba }, Some(end)) => match end {
-                                SocketEnd::A => ba.pop_bytes(max),
-                                SocketEnd::B => ab.pop_bytes(max),
-                            },
-                            _ => Vec::new(),
-                        };
-                    Ok(data)
+                    st.buffer_pop_bytes(file.inode, Buf::socket_rx(end), max)
                 }
-                None => {
+                (None, None) => {
                     self.kernel.module.file_permission(&sec, &labels, Access::Read)?;
                     let inode = st.inode_opt(file.inode)?.ok_or(OsError::BadFd)?;
                     let data = match &inode.kind {
@@ -589,45 +563,28 @@ impl TaskHandle {
             }
             let labels = st.inode_labels(file.inode)?;
             st.count_hook();
-            match file.pipe_end {
-                Some(PipeEnd::Write) => {
-                    match self.kernel.module.pipe_write(&sec, &labels) {
-                        DeliveryVerdict::Deliver => {
-                            if let InodeKind::Pipe { buffer } =
-                                &mut st.inode_mut(file.inode)?.kind
-                            {
-                                if !buffer.push_bytes(data) {
-                                    // Full ⇒ silent drop (audited kernel-side).
-                                    obs_drop(laminar_obs::DropChannel::Pipe);
-                                }
-                            }
-                        }
-                        DeliveryVerdict::SilentDrop => {
-                            obs_drop(laminar_obs::DropChannel::Pipe);
-                        }
-                    }
-                    Ok(data.len())
+            // Pipe and socket writes deliver or silently drop (§5.2): a
+            // full buffer looks the same as a label veto.
+            let channel = match (file.pipe_end, file.socket_end) {
+                (Some(PipeEnd::Write), _) => {
+                    Some((Buf::Pipe, laminar_obs::DropChannel::Pipe))
                 }
-                Some(PipeEnd::Read) => Err(OsError::BadFd),
-                None if file.socket_end.is_some() => {
-                    // Socket write: deliver or silently drop (pipe semantics).
-                    match self.kernel.module.pipe_write(&sec, &labels) {
+                (Some(PipeEnd::Read), _) => return Err(OsError::BadFd),
+                (None, Some(end)) => {
+                    Some((Buf::socket_tx(end), laminar_obs::DropChannel::Socket))
+                }
+                (None, None) => None,
+            };
+            match channel {
+                Some((which, drop_channel)) => {
+                    let delivered = match self.kernel.module.pipe_write(&sec, &labels) {
                         DeliveryVerdict::Deliver => {
-                            if let (InodeKind::Socket { ab, ba }, Some(end)) =
-                                (&mut st.inode_mut(file.inode)?.kind, file.socket_end)
-                            {
-                                let queued = match end {
-                                    SocketEnd::A => ab.push_bytes(data),
-                                    SocketEnd::B => ba.push_bytes(data),
-                                };
-                                if !queued {
-                                    obs_drop(laminar_obs::DropChannel::Socket);
-                                }
-                            }
+                            st.buffer_push_bytes(file.inode, which, data)?
                         }
-                        DeliveryVerdict::SilentDrop => {
-                            obs_drop(laminar_obs::DropChannel::Socket);
-                        }
+                        DeliveryVerdict::SilentDrop => false,
+                    };
+                    if !delivered {
+                        obs_drop(drop_channel);
                     }
                     Ok(data.len())
                 }
@@ -845,9 +802,7 @@ impl TaskHandle {
             let victim_labels = st.inode_labels(ino)?;
             st.count_hook();
             self.kernel.module.inode_unlink(&sec, &parent_labels, &victim_labels)?;
-            if let InodeKind::Dir { entries } = &mut st.inode_mut(parent)?.kind {
-                entries.remove(&r.name);
-            }
+            st.dir_remove(parent, &r.name)?;
             st.remove_inode(ino)?;
             Ok(())
         })
@@ -883,7 +838,7 @@ impl TaskHandle {
                 return Err(OsError::NotADirectory);
             }
             let pid = st.task(self.tid)?.process;
-            st.proc_mut(pid)?.cwd = ino;
+            st.set_cwd(pid, ino)?;
             Ok(())
         })
     }
@@ -999,9 +954,7 @@ impl TaskHandle {
                 InodeKind::Symlink { target: target.to_string() },
                 sec.labels.clone(),
             )?;
-            if let InodeKind::Dir { entries } = &mut st.inode_mut(parent)?.kind {
-                entries.insert(r.name, id);
-            }
+            st.dir_insert(parent, r.name, id)?;
             Ok(())
         })
     }
@@ -1076,6 +1029,22 @@ impl TaskHandle {
         }
     }
 
+    /// The `(readers, writers)` counts of the pipe behind `fd` — a test
+    /// affordance like [`Self::pipe_queued_for_test`], for checking that
+    /// an aborted `close`, `fork` or `exit` restores them exactly.
+    ///
+    /// # Errors
+    /// [`OsError::BadFd`] if `fd` is not a pipe.
+    #[cfg(feature = "fault-injection")]
+    pub fn pipe_ends_for_test(&self, fd: Fd) -> OsResult<(u32, u32)> {
+        let (_, ino) = self.fd_inode_readonly(fd)?;
+        let shard = self.kernel.tables.inodes_for(ino);
+        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
+            InodeKind::Pipe { buffer } => Ok(buffer.refs()),
+            _ => Err(OsError::BadFd),
+        }
+    }
+
     /// Sequential single-shard lookup of the inode behind one of the
     /// caller's fds (read-only paths; locks one shard at a time).
     fn fd_inode_readonly(&self, fd: Fd) -> OsResult<(ProcessId, InodeId)> {
@@ -1125,29 +1094,17 @@ impl TaskHandle {
             let (user, my_pid) = (me.user, me.process);
             let parent = st.proc(my_pid)?;
             let (cwd, fds, binary) =
-                (parent.cwd, parent.fds.clone_for_fork(), parent.binary.clone());
+                (parent.cwd, parent.fds.clone_for_fork(), parent.image.binary.clone());
             // Duplicated pipe ends gain reader/writer references.
             let pipe_refs: Vec<(InodeId, PipeEnd)> = fds
                 .iter()
                 .filter_map(|(_, f)| f.pipe_end.map(|e| (f.inode, e)))
                 .collect();
             for (ino, end) in pipe_refs {
-                if let Some(inode) = st.inode_mut_opt(ino)? {
-                    if let InodeKind::Pipe { buffer } = &mut inode.kind {
-                        match end {
-                            PipeEnd::Read => buffer.add_reader(),
-                            PipeEnd::Write => buffer.add_writer(),
-                        }
-                    }
-                }
+                st.pipe_end_opened(ino, end)?;
             }
-            let (tid, new_pid) = st.spawn_process(user, cwd, child_caps)?;
-            {
-                let p = st.proc_mut(new_pid)?;
-                p.fds = fds;
-                p.binary = binary;
-            }
-            st.task_mut(tid)?.security.labels = sec.labels.clone();
+            let child_sec = TaskSec::new(sec.labels.clone(), child_caps);
+            let (tid, _) = st.spawn_process(user, child_sec, cwd, fds, binary)?;
             Ok(tid)
         })?;
         Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid })
@@ -1183,7 +1140,7 @@ impl TaskHandle {
                 user,
                 TaskSec::new(sec.labels.clone(), thread_caps),
             ))?;
-            st.proc_mut(pid)?.tasks.push(tid);
+            st.proc_tasks_mut(pid)?.push(tid);
             Ok(tid)
         })?;
         Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid })
@@ -1203,10 +1160,7 @@ impl TaskHandle {
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             let pid = st.task(self.tid)?.process;
-            let p = st.proc_mut(pid)?;
-            p.vm_areas.clear();
-            p.next_mmap_page = 0x1000;
-            p.binary = r.name;
+            *st.proc_image_mut(pid)? = ProcImage::new(r.name);
             Ok(())
         })
     }
@@ -1223,31 +1177,18 @@ impl TaskHandle {
             // table) once its last task exits, so fork-heavy workloads do
             // not grow the kernel tables without bound.
             st.remove_task(self.tid)?;
-            let last_task_fds = {
-                let p = st.proc_mut(pid)?;
-                p.tasks.retain(|&x| x != self.tid);
-                if p.tasks.is_empty() {
-                    Some(
-                        p.fds
-                            .iter()
-                            .filter_map(|(_, f)| f.pipe_end.map(|e| (f.inode, e)))
-                            .collect::<Vec<(InodeId, PipeEnd)>>(),
-                    )
-                } else {
-                    None
-                }
-            };
-            if let Some(fds) = last_task_fds {
+            let tasks = st.proc_tasks_mut(pid)?;
+            tasks.retain(|&x| x != self.tid);
+            if tasks.is_empty() {
+                let pipe_ends: Vec<(InodeId, PipeEnd)> = st
+                    .proc(pid)?
+                    .fds
+                    .iter()
+                    .filter_map(|(_, f)| f.pipe_end.map(|e| (f.inode, e)))
+                    .collect();
                 st.remove_process(pid)?;
-                for (ino, end) in fds {
-                    if let Some(inode) = st.inode_mut_opt(ino)? {
-                        if let InodeKind::Pipe { buffer } = &mut inode.kind {
-                            match end {
-                                PipeEnd::Read => buffer.drop_reader(),
-                                PipeEnd::Write => buffer.drop_writer(),
-                            }
-                        }
-                    }
+                for (ino, end) in pipe_ends {
+                    st.pipe_end_closed(ino, end)?;
                 }
             }
             Ok(())
@@ -1270,7 +1211,7 @@ impl TaskHandle {
             if self.kernel.module.task_kill(&sender, &target_sec)
                 == DeliveryVerdict::Deliver
             {
-                st.task_mut(target)?.pending_signals.push_back(sig);
+                st.signal_push(target, sig)?;
             } else {
                 obs_drop(laminar_obs::DropChannel::Signal);
             }
@@ -1285,7 +1226,7 @@ impl TaskHandle {
     pub fn next_signal(&self) -> OsResult<Option<Signal>> {
         self.kernel.syscall_on(self.tid, "next_signal", |st| {
             st.task_alive(self.tid)?;
-            Ok(st.task_mut(self.tid)?.pending_signals.pop_front())
+            st.signal_pop(self.tid)
         })
     }
 
@@ -1339,10 +1280,10 @@ impl TaskHandle {
             };
             st.count_hook();
             self.kernel.module.file_mmap(&sec, backing_labels.as_ref())?;
-            let p = st.proc_mut(pid)?;
-            let start = p.next_mmap_page;
-            p.next_mmap_page += pages;
-            p.vm_areas.push(VmArea { start, pages, read: true, write: true });
+            let image = st.proc_image_mut(pid)?;
+            let start = image.next_mmap_page;
+            image.next_mmap_page += pages;
+            image.vm_areas.push(VmArea { start, pages, read: true, write: true });
             Ok(start)
         })
     }
@@ -1354,10 +1295,10 @@ impl TaskHandle {
     pub fn munmap(&self, start: u64) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "munmap", |st| {
             let pid = st.task_alive(self.tid)?.process;
-            let p = st.proc_mut(pid)?;
-            let before = p.vm_areas.len();
-            p.vm_areas.retain(|a| a.start != start);
-            if p.vm_areas.len() == before {
+            let areas = &mut st.proc_image_mut(pid)?.vm_areas;
+            let before = areas.len();
+            areas.retain(|a| a.start != start);
+            if areas.len() == before {
                 return Err(OsError::Fault);
             }
             Ok(())
@@ -1371,9 +1312,9 @@ impl TaskHandle {
     pub fn mprotect(&self, start: u64, read: bool, write: bool) -> OsResult<()> {
         self.kernel.syscall_on(self.tid, "mprotect", |st| {
             let pid = st.task_alive(self.tid)?.process;
-            let p = st.proc_mut(pid)?;
+            let areas = &mut st.proc_image_mut(pid)?.vm_areas;
             let area =
-                p.vm_areas.iter_mut().find(|a| a.start == start).ok_or(OsError::Fault)?;
+                areas.iter_mut().find(|a| a.start == start).ok_or(OsError::Fault)?;
             area.read = read;
             area.write = write;
             Ok(())
@@ -1398,7 +1339,7 @@ impl TaskHandle {
         };
         let shard = self.kernel.tables.procs_for(pid);
         let p = shard.get(&pid).ok_or(OsError::Internal)?;
-        for a in &p.vm_areas {
+        for a in &p.image.vm_areas {
             if page >= a.start && page < a.start + a.pages {
                 let ok = if is_write { a.write } else { a.read };
                 return if ok { Ok(()) } else { Err(OsError::Fault) };

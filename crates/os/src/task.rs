@@ -86,8 +86,8 @@ pub struct VmArea {
 
 /// Kernel-side task state.
 ///
-/// `Clone` exists so the syscall undo journal ([`crate::txn`]) can
-/// snapshot an entry before the first in-transaction mutation.
+/// `Clone` exists so the syscall undo journal ([`crate::txn`]) can keep
+/// the pre-image of a task a syscall destroys.
 #[derive(Clone, Debug)]
 pub(crate) struct TaskStruct {
     #[allow(dead_code)] // kept for parity with task_struct; shown in Debug dumps
@@ -118,6 +118,24 @@ impl TaskStruct {
     }
 }
 
+/// The part of a process that `exec` replaces: its memory maps and the
+/// binary name. The undo journal saves it whole, since it belongs to
+/// the calling process alone.
+#[derive(Clone, Debug)]
+pub(crate) struct ProcImage {
+    pub vm_areas: Vec<VmArea>,
+    pub next_mmap_page: u64,
+    /// Name of the binary last `exec`ed; purely informational.
+    pub binary: String,
+}
+
+impl ProcImage {
+    /// A fresh image running `binary` with no mappings.
+    pub(crate) fn new(binary: String) -> Self {
+        ProcImage { vm_areas: Vec::new(), next_mmap_page: 0x1000, binary }
+    }
+}
+
 /// Kernel-side process state.
 ///
 /// `Clone` exists for the syscall undo journal (see [`TaskStruct`]).
@@ -131,10 +149,7 @@ pub(crate) struct ProcessStruct {
     /// Set for processes running a trusted VM: allows heterogeneous
     /// per-thread labels within one address space (§4.1).
     pub trusted_vm: bool,
-    pub vm_areas: Vec<VmArea>,
-    pub next_mmap_page: u64,
-    /// Name of the binary last `exec`ed; purely informational.
-    pub binary: String,
+    pub image: ProcImage,
 }
 
 impl ProcessStruct {
@@ -146,9 +161,7 @@ impl ProcessStruct {
             fds: FdTable::default(),
             cwd,
             trusted_vm: false,
-            vm_areas: Vec::new(),
-            next_mmap_page: 0x1000,
-            binary: String::from("init"),
+            image: ProcImage::new(String::from("init")),
         }
     }
 }

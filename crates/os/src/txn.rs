@@ -3,15 +3,23 @@
 //! Every syscall body runs against a [`Txn`]. The transaction owns the
 //! set of shard locks the syscall has acquired so far (two-phase
 //! locking: shards are added in ascending [`ShardKey`] order and held
-//! until commit/rollback) and an undo journal: the *first* mutation of
-//! any table entry snapshots that entry. The dispatch loop in
-//! [`crate::kernel::Kernel::syscall_on`] then either commits (drops the
-//! journal) or rolls back — on an internal panic caught at the syscall
-//! boundary *or* on an error return — restoring every journalled entry
-//! in reverse order, so a failed or faulted syscall is a byte-for-byte
-//! no-op on the security state. Rollback only ever touches entries in
-//! shards the transaction holds: journalling happens strictly after the
-//! corresponding shard lock is acquired.
+//! until commit/rollback) and an undo journal: every mutation goes
+//! through a narrow mutator (`dir_insert`, `fd_remove`, `buffer_push_bytes`,
+//! …) that applies one change and pushes its inverse. A record is sized
+//! by the change, never by the entry it touches, so a syscall's cost does
+//! not grow with a directory, a pipe queue or an fd table that other
+//! principals fill. Whole-entry pre-images exist only for entries a
+//! syscall creates (`None`: rollback deletes them) or destroys
+//! (`Some`: rollback puts them back).
+//!
+//! The dispatch loop in [`crate::kernel::Kernel::syscall_on`] then either
+//! commits (drops the journal) or rolls back — on an internal panic
+//! caught at the syscall boundary *or* on an error return — replaying the
+//! records in reverse order, so a failed or faulted syscall is a
+//! byte-for-byte no-op on the security state. Reverse replay needs no
+//! deduplication: two records for one entry undo in turn. Rollback only
+//! ever touches entries in shards the transaction holds: every record is
+//! pushed strictly after the corresponding shard lock is acquired.
 //!
 //! If a body needs a shard *below* the highest one it already holds, the
 //! accessor returns the internal [`OsError::Retry`] sentinel; the
@@ -41,12 +49,18 @@
 use crate::error::{OsError, OsResult};
 use crate::kernel::Kernel;
 use crate::shard::{HeldShard, ShardGuard, ShardKey};
-use crate::task::{ProcessId, ProcessStruct, TaskId, TaskSec, TaskStruct, UserId};
-use crate::vfs::file::{Fd, OpenFile};
-use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
-use laminar_difc::{CapSet, SecPair, Tag};
-use std::collections::{BTreeSet, HashMap};
+use crate::task::{
+    ProcImage, ProcessId, ProcessStruct, Signal, TaskId, TaskSec, TaskStruct, UserId,
+    VmArea,
+};
+use crate::vfs::file::{Fd, FdTable, OpenFile, PipeEnd};
+use crate::vfs::inode::{Buf, Inode, InodeId, InodeKind, Xattrs};
+use crate::vfs::pipe::{PipeBuffer, Popped};
+use laminar_difc::{CapSet, Capability, SecPair, Tag};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::mem::size_of;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Resource limits enforced per kernel instance (fixed at boot).
 ///
@@ -148,25 +162,97 @@ impl IdCache {
     }
 }
 
-/// One undo record: the state of an entry before its first mutation in
-/// this transaction (`None` = the entry did not exist).
+/// One undo record: the inverse of one mutation (see the module docs).
 enum Undo {
-    Task(TaskId, Option<TaskStruct>),
-    Proc(ProcessId, Option<ProcessStruct>),
-    Inode(InodeId, Option<Inode>),
-    /// Fine-grained record for regular-file writes: restoring `old_len`
-    /// and the overwritten byte range avoids cloning whole files on the
-    /// write hot path.
+    /// A task this transaction created (`None`) or destroyed (`Some`).
+    Task(TaskId, Option<Box<TaskStruct>>),
+    Proc(ProcessId, Option<Box<ProcessStruct>>),
+    Inode(InodeId, Option<Box<Inode>>),
+    /// Regular-file write: the old length and the overwritten range.
     FileRange {
         ino: InodeId,
         offset: usize,
         old_len: usize,
         old_bytes: Vec<u8>,
     },
-    /// Fine-grained record for fd offset bumps on the read/write paths.
+    /// A directory entry added, with the entry it replaced (if any).
+    DirInsert {
+        dir: InodeId,
+        name: String,
+        prev: Option<InodeId>,
+    },
+    DirRemove {
+        dir: InodeId,
+        name: String,
+        ino: InodeId,
+    },
+    /// One message appended to a pipe or socket buffer.
+    PipePush(InodeId, Buf),
+    /// What one read took off a buffer's head.
+    PipePop(InodeId, Buf, Popped),
+    /// A pipe's `(readers, writers)` before an end was opened or closed.
+    PipeRefs(InodeId, (u32, u32)),
+    /// An fd installed (it was the fd counter's value before).
+    FdInsert(ProcessId, Fd),
+    FdRemove(ProcessId, Fd, OpenFile),
     FdOffset(ProcessId, Fd, u64),
+    Cwd(ProcessId, InodeId),
+    /// The process's own thread list and image, saved whole.
+    ProcTasks(ProcessId, Vec<TaskId>),
+    ProcImage(ProcessId, ProcImage),
+    Labels(TaskId, SecPair),
+    /// The old capability set: an `Arc` clone, not a copy.
+    Caps(TaskId, Arc<CapSet>),
+    SignalPush(TaskId),
+    SignalPop(TaskId, Signal),
     PersistentCaps(UserId, Option<CapSet>),
     TagsMinted(UserId, Option<u64>),
+}
+
+impl Undo {
+    /// Bytes the record occupies: itself plus the heap it owns.
+    fn bytes(&self) -> usize {
+        size_of::<Undo>()
+            + match self {
+                Undo::Task(_, Some(t)) => {
+                    size_of::<TaskStruct>()
+                        + t.pending_signals.len() * size_of::<Signal>()
+                }
+                Undo::Proc(_, Some(p)) => {
+                    size_of::<ProcessStruct>()
+                        + p.fds.len() * size_of::<(Fd, OpenFile)>()
+                        + p.tasks.len() * size_of::<TaskId>()
+                        + image_heap(&p.image)
+                }
+                Undo::Inode(_, Some(i)) => size_of::<Inode>() + inode_heap(&i.kind),
+                Undo::FileRange { old_bytes, .. } => old_bytes.len(),
+                Undo::DirInsert { name, .. } | Undo::DirRemove { name, .. } => name.len(),
+                Undo::PipePop(_, _, popped) => popped.heap_bytes(),
+                Undo::ProcTasks(_, tasks) => tasks.len() * size_of::<TaskId>(),
+                Undo::ProcImage(_, image) => image_heap(image),
+                Undo::PersistentCaps(_, Some(caps)) => {
+                    caps.len() * size_of::<Capability>()
+                }
+                _ => 0,
+            }
+    }
+}
+
+fn image_heap(image: &ProcImage) -> usize {
+    image.vm_areas.len() * size_of::<VmArea>() + image.binary.len()
+}
+
+fn inode_heap(kind: &InodeKind) -> usize {
+    match kind {
+        InodeKind::File { data } => data.len(),
+        InodeKind::Dir { entries } => {
+            entries.keys().map(|name| size_of::<(String, InodeId)>() + name.len()).sum()
+        }
+        InodeKind::Pipe { buffer } => buffer.heap_bytes(),
+        InodeKind::Socket { ab, ba } => ab.heap_bytes() + ba.heap_bytes(),
+        InodeKind::Symlink { target } => target.len(),
+        InodeKind::NullDevice => 0,
+    }
 }
 
 /// An in-flight syscall transaction (see the module docs).
@@ -175,6 +261,8 @@ pub(crate) struct Txn<'a> {
     /// Held shard locks, sorted ascending by key (the total lock order).
     guards: Vec<HeldShard<'a>>,
     journal: Vec<Undo>,
+    /// Bytes of every record pushed this attempt (see [`Undo::bytes`]).
+    undo_bytes: u64,
     ids: &'a mut IdCache,
     /// LSM hook invocations this attempt; flushed by the dispatcher.
     hooks: u64,
@@ -193,7 +281,7 @@ impl<'a> Txn<'a> {
         for &key in footprint {
             guards.push(kernel.tables.lock(key));
         }
-        Txn { kernel, guards, journal: Vec::new(), ids, hooks: 0 }
+        Txn { kernel, guards, journal: Vec::new(), undo_bytes: 0, ids, hooks: 0 }
     }
 
     /// Ensures the shard for `key` is held, acquiring it if it is above
@@ -213,6 +301,12 @@ impl<'a> Txn<'a> {
         }
         self.guards.push(self.kernel.tables.lock(key));
         Ok(self.guards.len() - 1)
+    }
+
+    /// Pushes one undo record. Callers hold the record's shard.
+    fn record(&mut self, undo: Undo) {
+        self.undo_bytes += undo.bytes() as u64;
+        self.journal.push(undo);
     }
 
     // --- held-shard map access ----------------------------------------------
@@ -293,35 +387,54 @@ impl<'a> Txn<'a> {
         }
     }
 
-    /// Restores every journalled entry (reverse order), making the
-    /// transaction a no-op on kernel state. Only touches held shards.
+    fn held_task(&mut self, id: TaskId) -> Option<&mut TaskStruct> {
+        self.held_tasks(id)?.get_mut(&id)
+    }
+
+    fn held_proc(&mut self, id: ProcessId) -> Option<&mut ProcessStruct> {
+        self.held_procs(id)?.get_mut(&id)
+    }
+
+    fn held_inode(&mut self, id: InodeId) -> Option<&mut Inode> {
+        self.held_inodes(id)?.get_mut(&id)
+    }
+
+    fn held_dir(&mut self, id: InodeId) -> Option<&mut BTreeMap<String, InodeId>> {
+        match &mut self.held_inode(id)?.kind {
+            InodeKind::Dir { entries } => Some(entries),
+            _ => None,
+        }
+    }
+
+    fn held_buffer(&mut self, id: InodeId, which: Buf) -> Option<&mut PipeBuffer> {
+        self.held_inode(id)?.kind.buffer_mut(which)
+    }
+
+    /// Replays the journal in reverse, making the transaction a no-op on
+    /// kernel state. Only touches held shards.
     pub(crate) fn rollback(&mut self) {
         let kernel = self.kernel;
         while let Some(entry) = self.journal.pop() {
             match entry {
-                Undo::Task(id, Some(t)) => {
+                Undo::Task(id, prev) => {
                     if let Some(m) = self.held_tasks(id) {
-                        m.insert(id, t);
+                        match prev {
+                            Some(t) => m.insert(id, *t),
+                            None => m.remove(&id),
+                        };
                     }
                 }
-                Undo::Task(id, None) => {
-                    if let Some(m) = self.held_tasks(id) {
-                        m.remove(&id);
-                    }
-                }
-                Undo::Proc(id, Some(p)) => {
+                Undo::Proc(id, prev) => {
                     if let Some(m) = self.held_procs(id) {
-                        m.insert(id, p);
-                    }
-                }
-                Undo::Proc(id, None) => {
-                    if let Some(m) = self.held_procs(id) {
-                        m.remove(&id);
+                        match prev {
+                            Some(p) => m.insert(id, *p),
+                            None => m.remove(&id),
+                        };
                     }
                 }
                 Undo::Inode(id, Some(i)) => {
                     if let Some(m) = self.held_inodes(id) {
-                        if m.insert(id, i).is_none() {
+                        if m.insert(id, *i).is_none() {
                             kernel.inode_count.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -334,44 +447,108 @@ impl<'a> Txn<'a> {
                     }
                 }
                 Undo::FileRange { ino, offset, old_len, old_bytes } => {
-                    if let Some(m) = self.held_inodes(ino) {
-                        if let Some(InodeKind::File { data }) =
-                            m.get_mut(&ino).map(|i| &mut i.kind)
-                        {
-                            data.truncate(old_len);
-                            let end = (offset + old_bytes.len()).min(data.len());
-                            if offset <= end {
-                                data[offset..end]
-                                    .copy_from_slice(&old_bytes[..end - offset]);
-                            }
+                    if let Some(InodeKind::File { data }) =
+                        self.held_inode(ino).map(|i| &mut i.kind)
+                    {
+                        data.truncate(old_len);
+                        let end = (offset + old_bytes.len()).min(data.len());
+                        if offset <= end {
+                            data[offset..end].copy_from_slice(&old_bytes[..end - offset]);
                         }
+                    }
+                }
+                Undo::DirInsert { dir, name, prev } => {
+                    if let Some(entries) = self.held_dir(dir) {
+                        match prev {
+                            Some(ino) => entries.insert(name, ino),
+                            None => entries.remove(&name),
+                        };
+                    }
+                }
+                Undo::DirRemove { dir, name, ino } => {
+                    if let Some(entries) = self.held_dir(dir) {
+                        entries.insert(name, ino);
+                    }
+                }
+                Undo::PipePush(ino, which) => {
+                    if let Some(b) = self.held_buffer(ino, which) {
+                        b.unpush();
+                    }
+                }
+                Undo::PipePop(ino, which, popped) => {
+                    if let Some(b) = self.held_buffer(ino, which) {
+                        b.unpop(popped);
+                    }
+                }
+                Undo::PipeRefs(ino, refs) => {
+                    if let Some(b) = self.held_buffer(ino, Buf::Pipe) {
+                        b.set_refs(refs);
+                    }
+                }
+                Undo::FdInsert(pid, fd) => {
+                    if let Some(p) = self.held_proc(pid) {
+                        p.fds.uninsert(fd);
+                    }
+                }
+                Undo::FdRemove(pid, fd, file) => {
+                    if let Some(p) = self.held_proc(pid) {
+                        p.fds.unremove(fd, file);
                     }
                 }
                 Undo::FdOffset(pid, fd, off) => {
-                    if let Some(m) = self.held_procs(pid) {
-                        if let Some(f) = m.get_mut(&pid).and_then(|p| p.fds.get_mut(fd)) {
-                            f.offset = off;
-                        }
+                    if let Some(f) = self.held_proc(pid).and_then(|p| p.fds.get_mut(fd)) {
+                        f.offset = off;
                     }
                 }
-                Undo::PersistentCaps(user, Some(c)) => {
-                    if let Some(r) = self.held_registry() {
-                        r.persistent_caps.insert(user, c);
+                Undo::Cwd(pid, ino) => {
+                    if let Some(p) = self.held_proc(pid) {
+                        p.cwd = ino;
                     }
                 }
-                Undo::PersistentCaps(user, None) => {
-                    if let Some(r) = self.held_registry() {
-                        r.persistent_caps.remove(&user);
+                Undo::ProcTasks(pid, tasks) => {
+                    if let Some(p) = self.held_proc(pid) {
+                        p.tasks = tasks;
                     }
                 }
-                Undo::TagsMinted(user, Some(n)) => {
-                    if let Some(r) = self.held_registry() {
-                        r.tags_minted.insert(user, n);
+                Undo::ProcImage(pid, image) => {
+                    if let Some(p) = self.held_proc(pid) {
+                        p.image = image;
                     }
                 }
-                Undo::TagsMinted(user, None) => {
+                Undo::Labels(tid, labels) => {
+                    if let Some(t) = self.held_task(tid) {
+                        t.security.labels = labels;
+                    }
+                }
+                Undo::Caps(tid, caps) => {
+                    if let Some(t) = self.held_task(tid) {
+                        t.security.caps = caps;
+                    }
+                }
+                Undo::SignalPush(tid) => {
+                    if let Some(t) = self.held_task(tid) {
+                        t.pending_signals.pop_back();
+                    }
+                }
+                Undo::SignalPop(tid, sig) => {
+                    if let Some(t) = self.held_task(tid) {
+                        t.pending_signals.push_front(sig);
+                    }
+                }
+                Undo::PersistentCaps(user, prev) => {
                     if let Some(r) = self.held_registry() {
-                        r.tags_minted.remove(&user);
+                        match prev {
+                            Some(c) => r.persistent_caps.insert(user, c),
+                            None => r.persistent_caps.remove(&user),
+                        };
+                    }
+                }
+                Undo::TagsMinted(user, prev) => {
+                    if let Some(r) = self.held_registry() {
+                        match prev {
+                            Some(n) => r.tags_minted.insert(user, n),
+                            None => r.tags_minted.remove(&user),
+                        };
                     }
                 }
             }
@@ -386,14 +563,18 @@ impl<'a> Txn<'a> {
         self.kernel.failpoints.fire_panic_at_hook();
     }
 
-    /// Adds this attempt's hook count to the kernel's monotonic counter.
-    /// Called by the dispatcher on every exit except a footprint restart
-    /// (so restarts do not inflate the count).
-    pub(crate) fn flush_hooks(&mut self) {
+    /// Publishes this attempt's counters: adds its hook count to the
+    /// kernel's monotonic counter and, in fault-injection builds, stores
+    /// its undo bytes for [`Kernel::last_undo_bytes_for_test`]. Called by
+    /// the dispatcher on every exit except a footprint restart (so
+    /// restarts do not inflate the count).
+    pub(crate) fn flush_counters(&mut self) {
         if self.hooks > 0 {
             self.kernel.hook_counter.fetch_add(self.hooks, Ordering::Relaxed);
             self.hooks = 0;
         }
+        #[cfg(feature = "fault-injection")]
+        self.kernel.last_undo_bytes.store(self.undo_bytes, Ordering::Relaxed);
     }
 
     // --- read accessors ------------------------------------------------------
@@ -418,11 +599,6 @@ impl<'a> Txn<'a> {
         Ok(self.task_alive(id)?.security.clone())
     }
 
-    /// The process entry, if present.
-    pub(crate) fn proc_opt(&mut self, id: ProcessId) -> OsResult<Option<&ProcessStruct>> {
-        Ok(self.procs_map(id)?.get(&id))
-    }
-
     /// The process entry; a missing process for a live task is an
     /// internal invariant failure.
     pub(crate) fn proc(&mut self, id: ProcessId) -> OsResult<&ProcessStruct> {
@@ -439,74 +615,228 @@ impl<'a> Txn<'a> {
         self.inodes_map(id)?.get(&id).map(|i| i.labels().clone()).ok_or(OsError::NotFound)
     }
 
-    // --- journalled mutators -------------------------------------------------
+    // --- journalled mutators: one inverse record per change -------------------
+    //
+    // Each mutator locks the entry's shard, applies one change and then
+    // records its inverse. The entry lookups below are private: a body
+    // cannot reach a mutable entry without going through a mutator.
 
-    fn save_task(&mut self, id: TaskId) -> OsResult<()> {
-        if self.journal.iter().any(|u| matches!(u, Undo::Task(t, _) if *t == id)) {
-            return Ok(());
-        }
-        let prev = self.tasks_map(id)?.get(&id).cloned();
-        self.journal.push(Undo::Task(id, prev));
-        Ok(())
-    }
-
-    fn save_proc(&mut self, id: ProcessId) -> OsResult<()> {
-        if self.journal.iter().any(|u| matches!(u, Undo::Proc(p, _) if *p == id)) {
-            return Ok(());
-        }
-        let prev = self.procs_map(id)?.get(&id).cloned();
-        self.journal.push(Undo::Proc(id, prev));
-        Ok(())
-    }
-
-    fn save_inode(&mut self, id: InodeId) -> OsResult<()> {
-        if self.journal.iter().any(|u| matches!(u, Undo::Inode(i, _) if *i == id)) {
-            return Ok(());
-        }
-        let prev = self.inodes_map(id)?.get(&id).cloned();
-        self.journal.push(Undo::Inode(id, prev));
-        Ok(())
-    }
-
-    pub(crate) fn task_mut(&mut self, id: TaskId) -> OsResult<&mut TaskStruct> {
-        self.save_task(id)?;
+    fn task_entry(&mut self, id: TaskId) -> OsResult<&mut TaskStruct> {
         self.tasks_map(id)?.get_mut(&id).ok_or(OsError::NoSuchTask)
     }
 
-    pub(crate) fn proc_mut(&mut self, id: ProcessId) -> OsResult<&mut ProcessStruct> {
-        self.save_proc(id)?;
+    fn proc_entry(&mut self, id: ProcessId) -> OsResult<&mut ProcessStruct> {
         self.procs_map(id)?.get_mut(&id).ok_or(OsError::Internal)
     }
 
-    pub(crate) fn inode_mut(&mut self, id: InodeId) -> OsResult<&mut Inode> {
-        self.save_inode(id)?;
+    fn inode_entry(&mut self, id: InodeId) -> OsResult<&mut Inode> {
         self.inodes_map(id)?.get_mut(&id).ok_or(OsError::NotFound)
     }
 
-    /// Like [`Txn::inode_mut`] but yields `None` for a genuinely missing
-    /// inode while still propagating lock-order restarts — callers that
-    /// tolerate absence must not swallow [`OsError::Retry`].
-    pub(crate) fn inode_mut_opt(&mut self, id: InodeId) -> OsResult<Option<&mut Inode>> {
-        self.save_inode(id)?;
-        Ok(self.inodes_map(id)?.get_mut(&id))
+    /// Replaces a task's labels.
+    pub(crate) fn set_labels(&mut self, tid: TaskId, labels: SecPair) -> OsResult<()> {
+        let old = std::mem::replace(&mut self.task_entry(tid)?.security.labels, labels);
+        self.record(Undo::Labels(tid, old));
+        Ok(())
     }
 
+    /// Mutable access to a task's capability set; the record keeps the
+    /// old set's `Arc`, so the first change copies the set on write.
+    pub(crate) fn caps_mut(&mut self, tid: TaskId) -> OsResult<&mut CapSet> {
+        let old = Arc::clone(&self.task_entry(tid)?.security.caps);
+        self.record(Undo::Caps(tid, old));
+        Ok(self.task_entry(tid)?.security.caps_mut())
+    }
+
+    /// Queues a signal at the back of a task's pending queue.
+    pub(crate) fn signal_push(&mut self, tid: TaskId, sig: Signal) -> OsResult<()> {
+        self.task_entry(tid)?.pending_signals.push_back(sig);
+        self.record(Undo::SignalPush(tid));
+        Ok(())
+    }
+
+    /// Dequeues the signal at the front of a task's pending queue.
+    pub(crate) fn signal_pop(&mut self, tid: TaskId) -> OsResult<Option<Signal>> {
+        let sig = self.task_entry(tid)?.pending_signals.pop_front();
+        if let Some(sig) = sig {
+            self.record(Undo::SignalPop(tid, sig));
+        }
+        Ok(sig)
+    }
+
+    /// Sets a process's working directory.
+    pub(crate) fn set_cwd(&mut self, pid: ProcessId, cwd: InodeId) -> OsResult<()> {
+        let old = std::mem::replace(&mut self.proc_entry(pid)?.cwd, cwd);
+        self.record(Undo::Cwd(pid, old));
+        Ok(())
+    }
+
+    /// Mutable access to a process's thread list (saved whole: it holds
+    /// only that process's own threads).
+    pub(crate) fn proc_tasks_mut(
+        &mut self,
+        pid: ProcessId,
+    ) -> OsResult<&mut Vec<TaskId>> {
+        let old = self.proc_entry(pid)?.tasks.clone();
+        self.record(Undo::ProcTasks(pid, old));
+        Ok(&mut self.proc_entry(pid)?.tasks)
+    }
+
+    /// Mutable access to a process's image (maps and binary; saved
+    /// whole, like the thread list).
+    pub(crate) fn proc_image_mut(&mut self, pid: ProcessId) -> OsResult<&mut ProcImage> {
+        let old = self.proc_entry(pid)?.image.clone();
+        self.record(Undo::ProcImage(pid, old));
+        Ok(&mut self.proc_entry(pid)?.image)
+    }
+
+    /// The entry map of a directory inode.
+    fn dir_entries(&mut self, dir: InodeId) -> OsResult<&mut BTreeMap<String, InodeId>> {
+        match &mut self.inode_entry(dir)?.kind {
+            InodeKind::Dir { entries } => Ok(entries),
+            _ => Err(OsError::NotADirectory),
+        }
+    }
+
+    /// Links `name` to `ino` in directory `dir`.
+    pub(crate) fn dir_insert(
+        &mut self,
+        dir: InodeId,
+        name: String,
+        ino: InodeId,
+    ) -> OsResult<()> {
+        let prev = self.dir_entries(dir)?.insert(name.clone(), ino);
+        self.record(Undo::DirInsert { dir, name, prev });
+        Ok(())
+    }
+
+    /// Unlinks `name` from directory `dir` (a missing name is a no-op).
+    pub(crate) fn dir_remove(&mut self, dir: InodeId, name: &str) -> OsResult<()> {
+        if let Some((name, ino)) = self.dir_entries(dir)?.remove_entry(name) {
+            self.record(Undo::DirRemove { dir, name, ino });
+        }
+        Ok(())
+    }
+
+    /// A pipe or socket buffer; a pipe end naming anything else is an
+    /// internal invariant failure.
+    fn buffer(&mut self, ino: InodeId, which: Buf) -> OsResult<&mut PipeBuffer> {
+        self.inode_entry(ino)?.kind.buffer_mut(which).ok_or(OsError::Internal)
+    }
+
+    /// Appends a byte message; `Ok(false)` means the buffer was full and
+    /// the message was dropped (the caller must keep that silent).
+    pub(crate) fn buffer_push_bytes(
+        &mut self,
+        ino: InodeId,
+        which: Buf,
+        data: &[u8],
+    ) -> OsResult<bool> {
+        let delivered = self.buffer(ino, which)?.push_bytes(data);
+        // A zero-byte write reports success without queueing anything.
+        if delivered && !data.is_empty() {
+            self.record(Undo::PipePush(ino, which));
+        }
+        Ok(delivered)
+    }
+
+    /// Appends a capability message to a pipe; `Ok(false)` on a drop.
+    pub(crate) fn buffer_push_cap(
+        &mut self,
+        ino: InodeId,
+        cap: Capability,
+    ) -> OsResult<bool> {
+        let delivered = self.buffer(ino, Buf::Pipe)?.push_cap(cap);
+        if delivered {
+            self.record(Undo::PipePush(ino, Buf::Pipe));
+        }
+        Ok(delivered)
+    }
+
+    /// Reads up to `max` bytes off a buffer's head.
+    pub(crate) fn buffer_pop_bytes(
+        &mut self,
+        ino: InodeId,
+        which: Buf,
+        max: usize,
+    ) -> OsResult<Vec<u8>> {
+        let (data, popped) = self.buffer(ino, which)?.pop_bytes(max);
+        if !data.is_empty() {
+            self.record(Undo::PipePop(ino, which, popped));
+        }
+        Ok(data)
+    }
+
+    /// Takes the capability message at a pipe's head, if there is one.
+    pub(crate) fn buffer_pop_cap(
+        &mut self,
+        ino: InodeId,
+    ) -> OsResult<Option<Capability>> {
+        let cap = self.buffer(ino, Buf::Pipe)?.pop_cap();
+        if let Some(c) = cap {
+            self.record(Undo::PipePop(ino, Buf::Pipe, Popped::cap(c)));
+        }
+        Ok(cap)
+    }
+
+    /// Counts one more reference to a pipe end (`fork` duplicates it).
+    pub(crate) fn pipe_end_opened(&mut self, ino: InodeId, end: PipeEnd) -> OsResult<()> {
+        self.update_pipe_refs(ino, |b| match end {
+            PipeEnd::Read => b.add_reader(),
+            PipeEnd::Write => b.add_writer(),
+        })
+    }
+
+    /// Counts one reference to a pipe end gone (`close`, `exit`).
+    pub(crate) fn pipe_end_closed(&mut self, ino: InodeId, end: PipeEnd) -> OsResult<()> {
+        self.update_pipe_refs(ino, |b| match end {
+            PipeEnd::Read => b.drop_reader(),
+            PipeEnd::Write => b.drop_writer(),
+        })
+    }
+
+    /// Applies `f` to a pipe's reference counts. A missing inode is
+    /// tolerated, but lock-order restarts still propagate.
+    fn update_pipe_refs(
+        &mut self,
+        ino: InodeId,
+        f: impl FnOnce(&mut PipeBuffer),
+    ) -> OsResult<()> {
+        let Some(buffer) = self
+            .inodes_map(ino)?
+            .get_mut(&ino)
+            .and_then(|i| i.kind.buffer_mut(Buf::Pipe))
+        else {
+            return Ok(());
+        };
+        let old = buffer.refs();
+        f(buffer);
+        self.record(Undo::PipeRefs(ino, old));
+        Ok(())
+    }
+
+    /// Destroys a task entry, keeping its pre-image for rollback.
     pub(crate) fn remove_task(&mut self, id: TaskId) -> OsResult<()> {
-        self.save_task(id)?;
-        self.tasks_map(id)?.remove(&id);
+        if let Some(t) = self.tasks_map(id)?.remove(&id) {
+            self.record(Undo::Task(id, Some(Box::new(t))));
+        }
         Ok(())
     }
 
+    /// Destroys a process entry (with its fd table), keeping its
+    /// pre-image for rollback.
     pub(crate) fn remove_process(&mut self, id: ProcessId) -> OsResult<()> {
-        self.save_proc(id)?;
-        self.procs_map(id)?.remove(&id);
+        if let Some(p) = self.procs_map(id)?.remove(&id) {
+            self.record(Undo::Proc(id, Some(Box::new(p))));
+        }
         Ok(())
     }
 
+    /// Destroys an inode, keeping its pre-image for rollback.
     pub(crate) fn remove_inode(&mut self, id: InodeId) -> OsResult<()> {
-        self.save_inode(id)?;
-        if self.inodes_map(id)?.remove(&id).is_some() {
+        if let Some(i) = self.inodes_map(id)?.remove(&id) {
             self.kernel.inode_count.fetch_sub(1, Ordering::Relaxed);
+            self.record(Undo::Inode(id, Some(Box::new(i))));
         }
         Ok(())
     }
@@ -527,59 +857,55 @@ impl<'a> Txn<'a> {
             return Err(quota_denied("inodes"));
         }
         let id = self.ids.next_inode(self.kernel);
-        // Lock (and possibly restart) *before* journalling, so rollback
-        // never needs a shard the transaction does not hold.
-        self.require(ShardKey::inode(id))?;
-        self.journal.push(Undo::Inode(id, None));
         self.inodes_map(id)?
             .insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
         self.kernel.inode_count.fetch_add(1, Ordering::Relaxed);
+        self.record(Undo::Inode(id, None));
         Ok(id)
     }
 
     /// Inserts an open file into a process's fd table, enforcing the
     /// per-process fd quota (which counts *open* descriptors, so closing
-    /// frees quota even though fd numbers are never reused).
+    /// frees quota even though fd numbers are never reused). Once the
+    /// `u32` fd numbers are spent the insert fails closed the same way.
     pub(crate) fn fd_insert(&mut self, pid: ProcessId, file: OpenFile) -> OsResult<Fd> {
         #[cfg(feature = "fault-injection")]
         if self.kernel.failpoints.take_quota() {
             return Err(quota_denied("injected allocation failure"));
         }
-        let open = match self.proc_opt(pid)? {
-            Some(p) => p.fds.len(),
-            None => 0,
-        };
-        if open >= self.kernel.quotas.max_fds_per_process {
+        let max = self.kernel.quotas.max_fds_per_process;
+        let fds = &mut self.proc_entry(pid)?.fds;
+        if fds.len() >= max {
             return Err(quota_denied("file descriptors"));
         }
-        Ok(self.proc_mut(pid)?.fds.insert(file))
+        let fd = fds.insert(file).ok_or_else(|| quota_denied("file descriptors"))?;
+        self.record(Undo::FdInsert(pid, fd));
+        Ok(fd)
     }
 
-    /// Sets an fd's offset via a fine-grained undo record (avoids
-    /// snapshotting the whole process on the read/write hot paths).
+    /// Removes an fd from a process's table, returning its open file.
+    pub(crate) fn fd_remove(&mut self, pid: ProcessId, fd: Fd) -> OsResult<OpenFile> {
+        let file = self.proc_entry(pid)?.fds.remove(fd).ok_or(OsError::BadFd)?;
+        self.record(Undo::FdRemove(pid, fd, file.clone()));
+        Ok(file)
+    }
+
+    /// Sets an fd's offset.
     pub(crate) fn fd_set_offset(
         &mut self,
         pid: ProcessId,
         fd: Fd,
         offset: u64,
     ) -> OsResult<()> {
-        let old = {
-            let f = self
-                .procs_map(pid)?
-                .get_mut(&pid)
-                .and_then(|p| p.fds.get_mut(fd))
-                .ok_or(OsError::BadFd)?;
-            let old = f.offset;
-            f.offset = offset;
-            old
-        };
-        self.journal.push(Undo::FdOffset(pid, fd, old));
+        let f = self.proc_entry(pid)?.fds.get_mut(fd).ok_or(OsError::BadFd)?;
+        let old = std::mem::replace(&mut f.offset, offset);
+        self.record(Undo::FdOffset(pid, fd, old));
         Ok(())
     }
 
-    /// Journalled in-place write to a regular file's contents: records
-    /// only the overwritten range plus the old length, then applies the
-    /// write (extending the file if needed).
+    /// In-place write to a regular file's contents: records only the
+    /// overwritten range plus the old length, then applies the write
+    /// (extending the file if needed).
     ///
     /// The resulting file length is bounded by [`Quotas::max_file_size`]
     /// and the offset arithmetic is checked: a sparse write past the
@@ -597,22 +923,19 @@ impl<'a> Txn<'a> {
             Some(end) if end <= self.kernel.quotas.max_file_size => end,
             _ => return Err(quota_denied("file size")),
         };
-        let undo = {
-            let data = match self.inodes_map(ino)?.get_mut(&ino).map(|i| &mut i.kind) {
-                Some(InodeKind::File { data }) => data,
-                _ => return Err(OsError::Internal),
-            };
-            let old_len = data.len();
-            let end = new_end.min(old_len);
-            let old_bytes =
-                if offset < end { data[offset..end].to_vec() } else { Vec::new() };
-            if new_end > data.len() {
-                data.resize(new_end, 0);
-            }
-            data[offset..new_end].copy_from_slice(buf);
-            Undo::FileRange { ino, offset, old_len, old_bytes }
+        let data = match &mut self.inode_entry(ino)?.kind {
+            InodeKind::File { data } => data,
+            _ => return Err(OsError::Internal),
         };
-        self.journal.push(undo);
+        let old_len = data.len();
+        let end = new_end.min(old_len);
+        let old_bytes =
+            if offset < end { data[offset..end].to_vec() } else { Vec::new() };
+        if new_end > data.len() {
+            data.resize(new_end, 0);
+        }
+        data[offset..new_end].copy_from_slice(buf);
+        self.record(Undo::FileRange { ino, offset, old_len, old_bytes });
         Ok(())
     }
 
@@ -622,15 +945,8 @@ impl<'a> Txn<'a> {
         user: UserId,
         caps: CapSet,
     ) -> OsResult<()> {
-        let prev = self.registry_map()?.persistent_caps.get(&user).cloned();
-        if !self
-            .journal
-            .iter()
-            .any(|u| matches!(u, Undo::PersistentCaps(w, _) if *w == user))
-        {
-            self.journal.push(Undo::PersistentCaps(user, prev));
-        }
-        self.registry_map()?.persistent_caps.insert(user, caps);
+        let prev = self.registry_map()?.persistent_caps.insert(user, caps);
+        self.record(Undo::PersistentCaps(user, prev));
         Ok(())
     }
 
@@ -641,15 +957,14 @@ impl<'a> Txn<'a> {
         if self.kernel.failpoints.take_quota() {
             return Err(quota_denied("injected allocation failure"));
         }
-        let minted = self.registry_map()?.tags_minted.get(&user).copied();
-        if minted.unwrap_or(0) >= self.kernel.quotas.max_tags_per_user {
+        let max = self.kernel.quotas.max_tags_per_user;
+        let minted = &mut self.registry_map()?.tags_minted;
+        let prev = minted.get(&user).copied();
+        if prev.unwrap_or(0) >= max {
             return Err(quota_denied("tags"));
         }
-        if !self.journal.iter().any(|u| matches!(u, Undo::TagsMinted(w, _) if *w == user))
-        {
-            self.journal.push(Undo::TagsMinted(user, minted));
-        }
-        *self.registry_map()?.tags_minted.entry(user).or_insert(0) += 1;
+        minted.insert(user, prev.unwrap_or(0) + 1);
+        self.record(Undo::TagsMinted(user, prev));
         Ok(())
     }
 
@@ -658,26 +973,28 @@ impl<'a> Txn<'a> {
         self.ids.next_tag(self.kernel)
     }
 
-    /// Spawns a fresh single-task process (journalled); used by `fork`.
-    /// Returns `(task, process)` ids.
+    /// Spawns a fresh single-task process (used by `fork`) running as
+    /// `user` with security context `sec`, the given cwd, fd table and
+    /// binary name. Returns `(task, process)` ids.
     pub(crate) fn spawn_process(
         &mut self,
         user: UserId,
+        sec: TaskSec,
         cwd: InodeId,
-        caps: CapSet,
+        fds: FdTable,
+        binary: String,
     ) -> OsResult<(TaskId, ProcessId)> {
         let tid = self.ids.next_task(self.kernel);
         let pid = self.ids.next_proc(self.kernel);
         // Ascending domains: task shards rank below process shards.
         self.require(ShardKey::task(tid))?;
-        self.require(ShardKey::proc(pid))?;
-        self.journal.push(Undo::Proc(pid, None));
-        self.procs_map(pid)?.insert(pid, ProcessStruct::fresh(pid, tid, cwd));
-        self.journal.push(Undo::Task(tid, None));
-        self.tasks_map(tid)?.insert(
-            tid,
-            TaskStruct::fresh(tid, pid, user, TaskSec::new(SecPair::unlabeled(), caps)),
-        );
+        let mut proc = ProcessStruct::fresh(pid, tid, cwd);
+        proc.fds = fds;
+        proc.image = ProcImage::new(binary);
+        self.procs_map(pid)?.insert(pid, proc);
+        self.record(Undo::Proc(pid, None));
+        self.tasks_map(tid)?.insert(tid, TaskStruct::fresh(tid, pid, user, sec));
+        self.record(Undo::Task(tid, None));
         Ok((tid, pid))
     }
 
@@ -687,13 +1004,15 @@ impl<'a> Txn<'a> {
         self.ids.next_task(self.kernel)
     }
 
-    /// Records a task insertion (for `spawn_thread`).
+    /// Inserts a task under a fresh id (for `spawn_thread`).
     pub(crate) fn insert_task(&mut self, task: TaskStruct) -> OsResult<()> {
         let id = task.id;
-        self.require(ShardKey::task(id))?;
-        let prev = self.tasks_map(id)?.get(&id).cloned();
-        self.journal.push(Undo::Task(id, prev));
-        self.tasks_map(id)?.insert(id, task);
+        let tasks = self.tasks_map(id)?;
+        if tasks.contains_key(&id) {
+            return Err(OsError::Internal);
+        }
+        tasks.insert(id, task);
+        self.record(Undo::Task(id, None));
         Ok(())
     }
 }

@@ -67,10 +67,10 @@ pub(crate) struct OpenFile {
     pub socket_end: Option<SocketEnd>,
 }
 
-/// A process's table of open files.
+/// A process's table of open files. Fd numbers are never reused.
 ///
-/// `Clone` exists so the syscall undo journal can snapshot a process
-/// entry before mutating it.
+/// `Clone` exists for `fork` and for the undo journal's pre-image of a
+/// process that a syscall destroys.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FdTable {
     files: BTreeMap<Fd, OpenFile>,
@@ -78,11 +78,25 @@ pub(crate) struct FdTable {
 }
 
 impl FdTable {
-    pub(crate) fn insert(&mut self, file: OpenFile) -> Fd {
+    /// Installs `file` under the next fd number, or returns `None` once
+    /// the numbers are spent: wrapping would silently replace open fd 0.
+    pub(crate) fn insert(&mut self, file: OpenFile) -> Option<Fd> {
         let fd = Fd(self.next);
-        self.next += 1;
+        self.next = self.next.checked_add(1)?;
         self.files.insert(fd, file);
-        fd
+        Some(fd)
+    }
+
+    /// Undoes the [`Self::insert`] that returned `fd`: drops it and
+    /// rewinds the counter so the number is handed out again.
+    pub(crate) fn uninsert(&mut self, fd: Fd) {
+        self.files.remove(&fd);
+        self.next = fd.0;
+    }
+
+    /// Undoes a [`Self::remove`]: puts `file` back under its old number.
+    pub(crate) fn unremove(&mut self, fd: Fd, file: OpenFile) {
+        self.files.insert(fd, file);
     }
 
     pub(crate) fn get(&self, fd: Fd) -> Option<&OpenFile> {
@@ -127,48 +141,75 @@ mod tests {
     #[test]
     fn fd_table_alloc_and_remove() {
         let mut t = FdTable::default();
-        let f0 = t.insert(OpenFile {
-            inode: InodeId(1),
-            mode: OpenMode::Read,
-            offset: 0,
-            pipe_end: None,
-            socket_end: None,
-        });
-        let f1 = t.insert(OpenFile {
-            inode: InodeId(2),
-            mode: OpenMode::Write,
-            offset: 0,
-            pipe_end: None,
-            socket_end: None,
-        });
+        let f0 = t.insert(file(1)).unwrap();
+        let f1 = t.insert(file(2)).unwrap();
         assert_ne!(f0, f1);
         assert_eq!(t.len(), 2);
         assert!(t.remove(f0).is_some());
         assert!(t.get(f0).is_none());
         assert!(t.get(f1).is_some());
         // Fds are not reused.
-        let f2 = t.insert(OpenFile {
-            inode: InodeId(3),
-            mode: OpenMode::Read,
-            offset: 0,
-            pipe_end: None,
-            socket_end: None,
-        });
+        let f2 = t.insert(file(3)).unwrap();
         assert_ne!(f2, f0);
     }
 
     #[test]
     fn fork_copies_table() {
         let mut t = FdTable::default();
-        let fd = t.insert(OpenFile {
-            inode: InodeId(1),
-            mode: OpenMode::ReadWrite,
-            offset: 5,
-            pipe_end: None,
-            socket_end: None,
-        });
+        let fd = t
+            .insert(OpenFile {
+                inode: InodeId(1),
+                mode: OpenMode::ReadWrite,
+                offset: 5,
+                pipe_end: None,
+                socket_end: None,
+            })
+            .unwrap();
         let copy = t.clone_for_fork();
         assert_eq!(copy.get(fd).unwrap().offset, 5);
         assert_eq!(copy.len(), 1);
+    }
+
+    fn file(ino: u64) -> OpenFile {
+        OpenFile {
+            inode: InodeId(ino),
+            mode: OpenMode::Read,
+            offset: 0,
+            pipe_end: None,
+            socket_end: None,
+        }
+    }
+
+    /// Regression: `next += 1` wrapped to 0 in release builds, and the
+    /// following insert silently replaced open fd 0.
+    #[test]
+    fn fd_numbers_fail_closed_instead_of_wrapping() {
+        let mut t = FdTable::default();
+        let zero = t.insert(file(1)).unwrap();
+        t.next = u32::MAX - 2;
+        let a = t.insert(file(2)).unwrap();
+        assert_eq!(a, Fd(u32::MAX - 2));
+        let b = t.insert(file(3)).unwrap();
+        assert_eq!(b, Fd(u32::MAX - 1));
+        assert!(t.insert(file(4)).is_none(), "the number space is spent");
+        assert!(t.insert(file(5)).is_none());
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.get(zero).unwrap().inode, InodeId(1), "fd 0 is untouched");
+        // Closing frees quota but not numbers.
+        t.remove(a);
+        assert!(t.insert(file(6)).is_none());
+    }
+
+    #[test]
+    fn insert_and_remove_undo_exactly() {
+        let mut t = FdTable::default();
+        let f0 = t.insert(file(1)).unwrap();
+        let f1 = t.insert(file(2)).unwrap();
+        t.uninsert(f1);
+        assert_eq!(t.insert(file(3)).unwrap(), f1, "the number is handed out again");
+        let gone = t.remove(f0).unwrap();
+        t.unremove(f0, gone);
+        assert_eq!(t.get(f0).unwrap().inode, InodeId(1));
+        assert_eq!(t.len(), 2);
     }
 }

@@ -7,6 +7,7 @@
 //! *name* and the *label itself* are protected by the label of the parent
 //! directory.
 
+use crate::vfs::file::SocketEnd;
 use crate::vfs::pipe::PipeBuffer;
 use laminar_difc::SecPair;
 use std::collections::BTreeMap;
@@ -44,9 +45,47 @@ pub(crate) enum InodeKind {
     NullDevice,
 }
 
+/// Names one message buffer inside a pipe or socket inode.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) enum Buf {
+    Pipe,
+    /// Written by socket end A, read by end B.
+    SocketAb,
+    /// Written by socket end B, read by end A.
+    SocketBa,
+}
+
+impl Buf {
+    /// The buffer a socket end writes to.
+    pub(crate) fn socket_tx(end: SocketEnd) -> Self {
+        match end {
+            SocketEnd::A => Buf::SocketAb,
+            SocketEnd::B => Buf::SocketBa,
+        }
+    }
+
+    /// The buffer a socket end reads from.
+    pub(crate) fn socket_rx(end: SocketEnd) -> Self {
+        match end {
+            SocketEnd::A => Buf::SocketBa,
+            SocketEnd::B => Buf::SocketAb,
+        }
+    }
+}
+
 impl InodeKind {
     pub(crate) fn is_dir(&self) -> bool {
         matches!(self, InodeKind::Dir { .. })
+    }
+
+    /// The named message buffer, if this inode has it.
+    pub(crate) fn buffer_mut(&mut self, which: Buf) -> Option<&mut PipeBuffer> {
+        match (self, which) {
+            (InodeKind::Pipe { buffer }, Buf::Pipe) => Some(buffer),
+            (InodeKind::Socket { ab, .. }, Buf::SocketAb) => Some(ab),
+            (InodeKind::Socket { ba, .. }, Buf::SocketBa) => Some(ba),
+            _ => None,
+        }
     }
 }
 

@@ -30,6 +30,37 @@ pub(crate) enum PipeMsg {
     Cap(Capability),
 }
 
+impl PipeMsg {
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<PipeMsg>()
+            + match self {
+                PipeMsg::Bytes(b) => b.len(),
+                PipeMsg::Cap(_) => 0,
+            }
+    }
+}
+
+/// What one pop took off a buffer: the fully consumed messages, in
+/// order, and the prefix drained from a partly read head message. Its
+/// size follows the read, not the queue.
+#[derive(Debug, Default)]
+pub(crate) struct Popped {
+    msgs: Vec<PipeMsg>,
+    head: Vec<u8>,
+}
+
+impl Popped {
+    /// The record of one capability message taken off the head.
+    pub(crate) fn cap(cap: Capability) -> Self {
+        Popped { msgs: vec![PipeMsg::Cap(cap)], head: Vec::new() }
+    }
+
+    /// Heap bytes held by the record.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.msgs.iter().map(PipeMsg::heap_bytes).sum::<usize>() + self.head.len()
+    }
+}
+
 /// The kernel-side message buffer of a pipe inode.
 #[derive(Clone, Debug)]
 pub(crate) struct PipeBuffer {
@@ -87,25 +118,27 @@ impl PipeBuffer {
     /// Nonblocking read of at most `max` bytes. Skips over capability
     /// messages is not allowed — byte reads only consume byte messages at
     /// the head; a capability at the head yields "no data" until it is
-    /// claimed with [`Self::pop_cap`].
-    pub(crate) fn pop_bytes(&mut self, max: usize) -> Vec<u8> {
+    /// claimed with [`Self::pop_cap`]. Also returns what was consumed, so
+    /// the syscall journal can put it back with [`Self::unpop`].
+    pub(crate) fn pop_bytes(&mut self, max: usize) -> (Vec<u8>, Popped) {
         let mut out = Vec::new();
+        let mut popped = Popped::default();
         while out.len() < max {
             match self.msgs.front_mut() {
                 Some(PipeMsg::Bytes(b)) => {
                     let take = (max - out.len()).min(b.len());
                     out.extend_from_slice(&b[..take]);
-                    if take == b.len() {
-                        self.msgs.pop_front();
-                    } else {
-                        b.drain(..take);
-                    }
                     self.bytes_queued -= take;
+                    if take == b.len() {
+                        popped.msgs.extend(self.msgs.pop_front());
+                    } else {
+                        popped.head = b.drain(..take).collect();
+                    }
                 }
                 _ => break,
             }
         }
-        out
+        (out, popped)
     }
 
     /// Nonblocking receive of a capability message at the head of the
@@ -118,6 +151,45 @@ impl PipeBuffer {
             },
             _ => None,
         }
+    }
+
+    /// Undoes the most recent successful push (journal rollback).
+    pub(crate) fn unpush(&mut self) {
+        if let Some(PipeMsg::Bytes(b)) = self.msgs.pop_back() {
+            self.bytes_queued -= b.len();
+        }
+    }
+
+    /// Undoes a pop: puts the drained prefix back on the head message,
+    /// then the fully consumed messages in front of it.
+    pub(crate) fn unpop(&mut self, popped: Popped) {
+        if !popped.head.is_empty() {
+            if let Some(PipeMsg::Bytes(b)) = self.msgs.front_mut() {
+                self.bytes_queued += popped.head.len();
+                b.splice(0..0, popped.head);
+            }
+        }
+        for m in popped.msgs.into_iter().rev() {
+            if let PipeMsg::Bytes(b) = &m {
+                self.bytes_queued += b.len();
+            }
+            self.msgs.push_front(m);
+        }
+    }
+
+    /// `(readers, writers)` reference counts.
+    pub(crate) fn refs(&self) -> (u32, u32) {
+        (self.readers, self.writers)
+    }
+
+    pub(crate) fn set_refs(&mut self, (readers, writers): (u32, u32)) {
+        self.readers = readers;
+        self.writers = writers;
+    }
+
+    /// Heap bytes held by queued messages (undo-size accounting).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.msgs.iter().map(PipeMsg::heap_bytes).sum()
     }
 
     pub(crate) fn add_reader(&mut self) {
@@ -153,9 +225,9 @@ mod tests {
     fn bytes_round_trip() {
         let mut p = PipeBuffer::new(16);
         assert!(p.push_bytes(b"hello"));
-        assert_eq!(p.pop_bytes(3), b"hel");
-        assert_eq!(p.pop_bytes(10), b"lo");
-        assert_eq!(p.pop_bytes(10), b"");
+        assert_eq!(p.pop_bytes(3).0, b"hel");
+        assert_eq!(p.pop_bytes(10).0, b"lo");
+        assert_eq!(p.pop_bytes(10).0, b"");
         assert_eq!(p.queued(), 0);
     }
 
@@ -165,7 +237,7 @@ mod tests {
         assert!(p.push_bytes(b"abcd"));
         // Over capacity: dropped, not partially written.
         assert!(!p.push_bytes(b"e"));
-        assert_eq!(p.pop_bytes(16), b"abcd");
+        assert_eq!(p.pop_bytes(16).0, b"abcd");
     }
 
     #[test]
@@ -176,8 +248,8 @@ mod tests {
         assert!(p.push_cap(c));
         // Byte read stops at the capability boundary only after draining
         // preceding bytes.
-        assert_eq!(p.pop_bytes(8), b"x");
-        assert_eq!(p.pop_bytes(8), b"");
+        assert_eq!(p.pop_bytes(8).0, b"x");
+        assert_eq!(p.pop_bytes(8).0, b"");
         assert_eq!(p.pop_cap(), Some(c));
         assert_eq!(p.pop_cap(), None);
     }
@@ -188,9 +260,9 @@ mod tests {
         let c = Capability::minus(Tag::from_raw(2));
         assert!(p.push_cap(c));
         assert!(p.push_bytes(b"later"));
-        assert_eq!(p.pop_bytes(8), b"");
+        assert_eq!(p.pop_bytes(8).0, b"");
         assert_eq!(p.pop_cap(), Some(c));
-        assert_eq!(p.pop_bytes(8), b"later");
+        assert_eq!(p.pop_bytes(8).0, b"later");
     }
 
     /// Regression: zero-byte writes used to enqueue a fresh empty
@@ -207,7 +279,7 @@ mod tests {
         // Even on a full buffer a zero-byte write succeeds (no drop).
         assert!(p.push_bytes(b"abcd"));
         assert!(p.push_bytes(b""));
-        assert_eq!(p.pop_bytes(8), b"abcd");
+        assert_eq!(p.pop_bytes(8).0, b"abcd");
     }
 
     /// Regression: the message-count ceiling applies to byte messages
@@ -235,6 +307,30 @@ mod tests {
         assert_eq!(p.msg_count(), PIPE_MSG_LIMIT);
         assert!(!p.push_cap(c), "cap {PIPE_MSG_LIMIT} must drop, not be admitted");
         assert_eq!(p.msg_count(), PIPE_MSG_LIMIT);
+    }
+
+    /// A pop undone by `unpop` and a push undone by `unpush` leave the
+    /// queue exactly as before, including a partly drained head.
+    #[test]
+    fn pops_and_pushes_undo_exactly() {
+        let mut p = PipeBuffer::new(64);
+        let c = Capability::plus(Tag::from_raw(4));
+        assert!(p.push_bytes(b"abc"));
+        assert!(p.push_bytes(b"defg"));
+        assert!(p.push_cap(c));
+        let (out, popped) = p.pop_bytes(5);
+        assert_eq!(out, b"abcde");
+        assert_eq!(p.queued(), 2);
+        p.unpop(popped);
+        assert_eq!((p.queued(), p.msg_count()), (7, 3));
+        assert!(p.push_bytes(b"hi"));
+        p.unpush();
+        assert_eq!(p.pop_bytes(3).0, b"abc");
+        assert_eq!(p.pop_bytes(64).0, b"defg");
+        assert_eq!(p.pop_cap(), Some(c));
+        p.unpop(Popped::cap(c));
+        assert_eq!(p.pop_cap(), Some(c));
+        assert_eq!(p.msg_count(), 0);
     }
 
     #[test]

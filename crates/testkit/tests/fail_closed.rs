@@ -138,3 +138,97 @@ fn pipe_overflow_drops_silently_and_drains_to_recover() {
     assert_eq!(alice.write(w, b"third!").unwrap(), 6);
     assert_eq!(alice.read(r, 64).unwrap(), b"third!");
 }
+
+/// Arms a late abort, runs `op`, and checks it failed closed.
+fn abort_late<T: std::fmt::Debug>(
+    k: &Arc<Kernel>,
+    op: impl FnOnce() -> Result<T, OsError>,
+) {
+    k.arm_failpoint_for_test(SyscallFailpoint::AbortLate);
+    let err = op().unwrap_err();
+    assert!(matches!(err, OsError::Internal), "got {err:?}");
+    assert!(k.take_failpoint_fired());
+}
+
+// The cases below cover rollback paths the trace generator never emits.
+
+#[test]
+fn late_abort_of_a_partial_socket_read_restores_the_drained_prefix() {
+    let (k, alice) = boot();
+    let (a, b) = alice.socketpair().unwrap();
+    alice.write(a, b"abcdefghij").unwrap();
+    alice.write(a, b"klm").unwrap();
+    assert_eq!(alice.read(b, 3).unwrap(), b"abc");
+    // Takes all of "defghij" and the "k" of the next message.
+    abort_late(&k, || alice.read(b, 8));
+    assert_eq!(alice.read(b, 64).unwrap(), b"defghijklm");
+    // The reverse direction was never touched.
+    assert_eq!(alice.read(a, 64).unwrap(), b"");
+}
+
+#[test]
+fn late_abort_of_a_pipe_end_close_keeps_the_end_open() {
+    let (k, alice) = boot();
+    let (r, w) = alice.pipe().unwrap();
+    abort_late(&k, || alice.close(w));
+    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+    alice.write(w, b"still open").unwrap();
+    assert_eq!(alice.read(r, 64).unwrap(), b"still open");
+    alice.close(w).unwrap();
+    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 0));
+}
+
+#[test]
+fn late_abort_of_fork_and_of_the_last_exit_restores_pipe_references() {
+    let (k, alice) = boot();
+    let (r, _w) = alice.pipe().unwrap();
+    abort_late(&k, || alice.fork(None));
+    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+
+    let child = alice.fork(None).unwrap();
+    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (2, 2));
+    // The child's only task exits: the process and its pipe ends go.
+    abort_late(&k, || child.exit());
+    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (2, 2));
+    assert!(child.current_labels().is_ok(), "the aborted exit left the child alive");
+    assert_eq!(child.pipe_ends_for_test(r).unwrap(), (2, 2));
+    child.exit().unwrap();
+    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+}
+
+#[test]
+fn late_abort_of_spawn_thread_leaves_no_phantom_thread() {
+    let (k, alice) = boot();
+    let (r, _w) = alice.pipe().unwrap();
+    let child = alice.fork(None).unwrap();
+    abort_late(&k, || child.spawn_thread(None));
+    // Had the aborted thread stayed in the child's thread list, this
+    // exit would not be the last one and the pipe ends would stay.
+    child.exit().unwrap();
+    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+}
+
+#[test]
+fn late_abort_of_symlink_and_chdir_changes_nothing() {
+    let (k, alice) = boot();
+    let home = alice.stat(".").unwrap().inode;
+    abort_late(&k, || alice.symlink("/tmp", "/home/alice/link"));
+    assert!(matches!(alice.lstat("/home/alice/link"), Err(OsError::NotFound)));
+    assert!(alice.readdir("/home/alice").unwrap().is_empty());
+    abort_late(&k, || alice.chdir("/tmp"));
+    assert_eq!(alice.stat(".").unwrap().inode, home);
+    alice.symlink("/tmp", "/home/alice/link").unwrap();
+    alice.chdir("link").unwrap();
+    assert_eq!(alice.stat(".").unwrap().inode, alice.stat("/tmp").unwrap().inode);
+}
+
+/// The oracle diff compares fd numbers, so an aborted `open` must not
+/// use one up.
+#[test]
+fn late_abort_of_open_leaves_the_next_fd_number_unchanged() {
+    let (k, alice) = boot();
+    let first = alice.open("/dev/null", OpenMode::Read).unwrap();
+    abort_late(&k, || alice.open("/dev/null", OpenMode::Read));
+    let next = alice.open("/dev/null", OpenMode::Read).unwrap();
+    assert_eq!(next.0, first.0 + 1);
+}
