@@ -1,5 +1,6 @@
 //! Errno-style error type for the simulated kernel.
 
+use crate::shard::{ShardKey, ShardMode};
 use laminar_difc::{FlowError, LabelChangeError};
 use std::error::Error;
 use std::fmt;
@@ -49,14 +50,13 @@ pub enum OsError {
     /// effect on any security state.
     Internal,
     /// Internal control-flow sentinel: the syscall body needs a shard
-    /// lock (identified by the raw [`ShardKey`] payload) that cannot be
-    /// acquired without violating the total lock order. The dispatcher
-    /// rolls back, widens the lock footprint, and restarts the syscall.
-    /// Never escapes the kernel: user-visible results never carry it.
-    ///
-    /// [`ShardKey`]: https://docs.rs/laminar-os
+    /// lock in a mode that it cannot take without violating the total
+    /// lock order, or exclusive mode on a shard it holds shared. The
+    /// dispatcher rolls back, adds the shard and mode to the lock
+    /// footprint, and restarts the syscall. Never escapes the kernel:
+    /// user-visible results never carry it.
     #[doc(hidden)]
-    Retry(u16),
+    Retry(ShardKey, ShardMode),
 }
 
 impl OsError {
@@ -82,7 +82,7 @@ impl OsError {
             OsError::SymlinkLoop => "symlink_loop",
             OsError::QuotaExceeded(_) => "quota",
             OsError::Internal => "internal",
-            OsError::Retry(_) => "retry",
+            OsError::Retry(..) => "retry",
         }
     }
 }
@@ -113,8 +113,8 @@ impl fmt::Display for OsError {
             OsError::Internal => {
                 f.write_str("internal kernel fault (syscall rolled back)")
             }
-            OsError::Retry(shard) => {
-                write!(f, "kernel-internal restart for shard {shard:#x}")
+            OsError::Retry(shard, mode) => {
+                write!(f, "kernel-internal restart for shard {:#x} ({mode:?})", shard.0)
             }
         }
     }

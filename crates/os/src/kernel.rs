@@ -9,24 +9,26 @@
 //! baseline) or [`crate::laminar_lsm::LaminarModule`] — which is exactly
 //! how Table 2 of the paper compares unmodified Linux against Laminar.
 //!
-//! Since PR 4 the kernel has no big lock: state lives in the sharded
-//! tables of [`crate::shard`], syscalls lock only the shards they touch
-//! (in the total order), and syscalls from distinct tasks on disjoint
-//! shards run in parallel. Each committing syscall takes an atomic
+//! The kernel has no big lock: state lives in the sharded tables of
+//! [`crate::shard`], syscalls lock only the shards they touch (in the
+//! total order, shared where they only read), and syscalls from
+//! distinct tasks run in parallel unless one of them needs exclusive
+//! mode on a shard the other holds. Each committing syscall takes an atomic
 //! *commit ticket* while still holding its shard locks; the resulting
 //! ticket order is a linearization witness the conformance testkit
 //! replays through its single-threaded oracle.
 
 use crate::error::{OsError, OsResult};
 use crate::lsm::{Access, SecurityModule};
-use crate::shard::{ShardKey, Tables, SHARD_COUNT};
+use crate::shard::{Footprint, InodeIds, ShardKey, ShardMode, Tables, SHARD_COUNT};
 use crate::task::{ProcessId, ProcessStruct, TaskId, TaskSec, TaskStruct, UserId};
-use crate::txn::{IdCache, Quotas, Txn};
+use crate::txn::{IdCache, Intent, Quotas, Txn};
 use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
 use laminar_difc::{CapSet, Label, SecPair, Tag, TagAllocator};
 use laminar_util::sync::Mutex;
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -175,14 +177,18 @@ pub struct Kernel {
     pub(crate) tables: Tables,
     /// The root inode id — fixed at boot, so reads need no lock.
     pub(crate) root: InodeId,
+    /// The `/dev/null` inode id, fixed at boot: the one inode an fd
+    /// write leaves unchanged, so its shard is taken shared.
+    pub(crate) null_dev: InodeId,
     pub(crate) next_task: AtomicU64,
     pub(crate) next_proc: AtomicU64,
-    pub(crate) next_inode: AtomicU64,
-    /// Live-inode count for the quota (approximate under races by at
-    /// most the number of in-flight transactions; exact when quiescent).
-    pub(crate) inode_count: AtomicU64,
+    /// Inode id minting and live-inode counts (the inode quota).
+    pub(crate) inode_ids: InodeIds,
     /// Monotonic count of LSM hook invocations.
     pub(crate) hook_counter: AtomicU64,
+    /// Syscall attempts rolled back and rerun with a wider lock
+    /// footprint (see [`Kernel::footprint_restarts`]).
+    restarts: AtomicU64,
     /// Commit-ticket source (see [`CommitRecord`]).
     commit_seq: AtomicU64,
     commit_log_on: AtomicBool,
@@ -208,7 +214,7 @@ impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("module", &self.module.name())
-            .field("inodes", &self.inode_count.load(Ordering::Relaxed))
+            .field("inodes", &self.inode_ids.live())
             .field("commits", &self.commit_seq.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -223,6 +229,9 @@ impl std::fmt::Debug for Kernel {
 pub struct TaskHandle {
     pub(crate) kernel: Arc<Kernel>,
     pub(crate) tid: TaskId,
+    /// The task's process, which never changes: every syscall pre-locks
+    /// its shard without looking the task up first.
+    pub(crate) pid: ProcessId,
 }
 
 impl Kernel {
@@ -249,11 +258,12 @@ impl Kernel {
         let kernel = Kernel {
             tables: Tables::new(),
             root: InodeId(1),
+            null_dev: InodeId(6),
             next_task: AtomicU64::new(1),
             next_proc: AtomicU64::new(1),
-            next_inode: AtomicU64::new(7),
-            inode_count: AtomicU64::new(0),
+            inode_ids: InodeIds::new(7),
             hook_counter: AtomicU64::new(0),
+            restarts: AtomicU64::new(0),
             commit_seq: AtomicU64::new(0),
             commit_log_on: AtomicBool::new(false),
             commit_log: Mutex::new(Vec::new()),
@@ -309,14 +319,16 @@ impl Kernel {
     /// with two-phase shard locking and footprint restart.
     ///
     /// The body runs against a [`Txn`] that pre-locks the calling task's
-    /// shard and acquires further shards on demand in ascending key
-    /// order. If the body needs a shard below one it already holds, the
-    /// accessor returns the internal [`OsError::Retry`] sentinel; the
-    /// journal is rolled back, the shard joins the lock footprint, and
-    /// the body reruns with the whole footprint pre-locked — ids minted
+    /// and process's shards in the modes `intent` declares and acquires
+    /// further shards on demand in ascending key order. If the body needs
+    /// a shard below one it already holds, or exclusive mode on a shard
+    /// it holds shared, the accessor returns the internal
+    /// [`OsError::Retry`] sentinel; the journal is rolled back, the shard
+    /// joins the lock footprint in the mode it needs, and the body reruns
+    /// with the whole footprint pre-locked — ids minted
     /// by the attempt replay positionally (see [`IdCache`]), so the
     /// footprint converges and the loop terminates within
-    /// `SHARD_COUNT + 8` attempts (fail-closed [`OsError::Internal`]
+    /// `2 * SHARD_COUNT + 8` attempts (fail-closed [`OsError::Internal`]
     /// otherwise).
     ///
     /// On `Ok` the transaction commits; on `Err` *or* a caught panic the
@@ -326,8 +338,9 @@ impl Kernel {
     /// commit ticket while the shard locks are still held.
     pub(crate) fn syscall_on<T>(
         &self,
-        tid: TaskId,
+        (tid, pid): (TaskId, ProcessId),
         name: &'static str,
+        intent: Intent,
         mut f: impl FnMut(&mut Txn<'_>) -> OsResult<T>,
     ) -> OsResult<T> {
         // Audit span: `None` (one atomic load) while tracing is
@@ -342,15 +355,16 @@ impl Kernel {
         } else {
             None
         };
-        let mut footprint: BTreeSet<ShardKey> = BTreeSet::new();
-        footprint.insert(ShardKey::task(tid));
+        let mut footprint = Footprint::default();
+        footprint.add(ShardKey::task(tid), intent.task);
+        footprint.add(ShardKey::proc(pid), intent.proc);
         let mut ids = IdCache::default();
         let mut attempts = 0usize;
         loop {
             attempts += 1;
             #[cfg(feature = "fault-injection")]
             let fp_snapshot = self.failpoints.snapshot();
-            let mut txn = Txn::begin(self, &footprint, &mut ids);
+            let mut txn = Txn::begin(self, footprint, &mut ids, intent);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let r = f(&mut txn);
                 #[cfg(feature = "fault-injection")]
@@ -369,14 +383,15 @@ impl Kernel {
                     }
                     return Ok(v);
                 }
-                Ok(Err(OsError::Retry(k))) => {
+                Ok(Err(OsError::Retry(key, mode))) => {
                     txn.rollback();
                     if let Some(span) = &span {
                         span.retry();
                     }
-                    if attempts > SHARD_COUNT + 8 {
-                        // Should be unreachable: the footprint only grows
-                        // and there are SHARD_COUNT shards. Fail closed.
+                    if attempts > 2 * SHARD_COUNT + 8 {
+                        // Should be unreachable: every restart adds a
+                        // shard or upgrades one to exclusive, and there
+                        // are SHARD_COUNT shards. Fail closed.
                         txn.flush_counters();
                         let ticket = self.commit_ticket(tid);
                         drop(txn);
@@ -389,7 +404,8 @@ impl Kernel {
                     drop(txn);
                     #[cfg(feature = "fault-injection")]
                     self.failpoints.restore(fp_snapshot);
-                    footprint.insert(ShardKey(k));
+                    self.restarts.fetch_add(1, Ordering::Relaxed);
+                    footprint.add(key, mode);
                 }
                 Ok(Err(e)) => {
                     txn.rollback();
@@ -574,18 +590,36 @@ impl Kernel {
         self.hook_counter.load(Ordering::Relaxed)
     }
 
+    /// Number of syscall attempts this kernel rolled back and reran with
+    /// a wider lock footprint: a shard below one already held, or
+    /// exclusive mode on a shard held shared. Only restarts count; a
+    /// syscall that runs once adds nothing. **Trusted API**, like
+    /// [`Kernel::audit_snapshot`]: no syscall exposes it, since a
+    /// subject could otherwise time its own restarts against another's
+    /// lock footprint.
+    #[must_use]
+    pub fn footprint_restarts(&self) -> u64 {
+        self.restarts.load(Ordering::Relaxed)
+    }
+
     /// Inserts a fully formed inode outside any transaction (boot and
     /// install-time administration; locks exactly one shard).
     fn insert_inode_direct(&self, id: InodeId, kind: InodeKind, labels: SecPair) {
         self.tables
-            .inodes_for(id)
+            .inodes_write(id)
             .insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
-        self.inode_count.fetch_add(1, Ordering::Relaxed);
+        self.inode_ids.inserted(id);
     }
 
-    /// Allocates and inserts a fresh inode outside any transaction.
-    fn alloc_inode_direct(&self, kind: InodeKind, labels: SecPair) -> InodeId {
-        let id = InodeId(self.next_inode.fetch_add(1, Ordering::Relaxed));
+    /// Allocates and inserts a fresh inode outside any transaction, in a
+    /// shard above `parent`'s (see [`InodeIds`]).
+    fn alloc_inode_direct(
+        &self,
+        parent: InodeId,
+        kind: InodeKind,
+        labels: SecPair,
+    ) -> InodeId {
+        let id = self.inode_ids.mint(Some(ShardKey::inode(parent)));
         self.insert_inode_direct(id, kind, labels);
         id
     }
@@ -594,26 +628,27 @@ impl Kernel {
     /// `/home/<name>` (unlabeled, so the user does not need the
     /// administrator's integrity tag to use it).
     pub fn add_user(self: &Arc<Self>, user: UserId, name: &str) {
-        let id = self.alloc_inode_direct(
-            InodeKind::Dir { entries: BTreeMap::new() },
-            SecPair::unlabeled(),
-        );
         let home = {
-            let root_shard = self.tables.inodes_for(self.root);
+            let root_shard = self.tables.inodes_read(self.root);
             match root_shard.get(&self.root).map(|n| &n.kind) {
                 Some(InodeKind::Dir { entries }) => entries.get("home").copied(),
                 _ => None,
             }
         };
+        let id = self.alloc_inode_direct(
+            home.unwrap_or(self.root),
+            InodeKind::Dir { entries: BTreeMap::new() },
+            SecPair::unlabeled(),
+        );
         if let Some(h) = home {
-            let mut shard = self.tables.inodes_for(h);
+            let mut shard = self.tables.inodes_write(h);
             if let Some(InodeKind::Dir { entries }) =
                 shard.get_mut(&h).map(|n| &mut n.kind)
             {
                 entries.insert(name.to_string(), id);
             }
         }
-        let mut reg = self.tables.registry();
+        let mut reg = self.tables.registry_write();
         reg.homes.insert(user, id);
         reg.persistent_caps.entry(user).or_default();
     }
@@ -653,7 +688,7 @@ impl Kernel {
     ) -> OsResult<()> {
         let (parent, name) = self.admin_resolve(path)?;
         {
-            let shard = self.tables.inodes_for(parent);
+            let shard = self.tables.inodes_read(parent);
             match shard.get(&parent).map(|n| &n.kind) {
                 Some(InodeKind::Dir { entries }) => {
                     if entries.contains_key(&name) {
@@ -665,15 +700,15 @@ impl Kernel {
         }
         // The parent guard is dropped before allocating: the child may
         // hash to the same (or a lower-ranked) inode shard.
-        let id = self.alloc_inode_direct(kind, labels);
-        let mut shard = self.tables.inodes_for(parent);
+        let id = self.alloc_inode_direct(parent, kind, labels);
+        let mut shard = self.tables.inodes_write(parent);
         match shard.get_mut(&parent).map(|n| &mut n.kind) {
             Some(InodeKind::Dir { entries }) => {
                 if entries.contains_key(&name) {
                     // Lost an install race; undo the allocation.
                     drop(shard);
-                    self.tables.inodes_for(id).remove(&id);
-                    self.inode_count.fetch_sub(1, Ordering::Relaxed);
+                    self.tables.inodes_write(id).remove(&id);
+                    self.inode_ids.removed(id);
                     return Err(OsError::Exists);
                 }
                 entries.insert(name, id);
@@ -685,7 +720,7 @@ impl Kernel {
 
     /// Reads one directory entry, locking only that directory's shard.
     fn admin_lookup_child(&self, dir: InodeId, name: &str) -> OsResult<InodeId> {
-        let shard = self.tables.inodes_for(dir);
+        let shard = self.tables.inodes_read(dir);
         match shard.get(&dir).map(|n| &n.kind) {
             Some(InodeKind::Dir { entries }) => {
                 entries.get(name).copied().ok_or(OsError::NotFound)
@@ -728,7 +763,7 @@ impl Kernel {
     ) -> OsResult<(SecPair, Option<Vec<u8>>)> {
         let (parent, name) = self.admin_resolve(path)?;
         let id = self.admin_lookup_child(parent, &name)?;
-        let shard = self.tables.inodes_for(id);
+        let shard = self.tables.inodes_read(id);
         let inode = shard.get(&id).ok_or(OsError::NotFound)?;
         let data = match &inode.kind {
             InodeKind::File { data } => Some(data.clone()),
@@ -782,25 +817,19 @@ impl Kernel {
     /// Fails with [`OsError::NoSuchTask`] if the user was never added.
     pub fn login(self: &Arc<Self>, user: UserId) -> OsResult<TaskHandle> {
         let (cwd, caps) = {
-            let reg = self.tables.registry();
+            let reg = self.tables.registry_read();
             let cwd = *reg.homes.get(&user).ok_or(OsError::NoSuchTask)?;
             let caps = reg.persistent_caps.get(&user).cloned().unwrap_or_default();
             (cwd, caps)
         };
-        let tid = self.spawn_process_direct(user, cwd, caps);
-        Ok(TaskHandle { kernel: Arc::clone(self), tid })
-    }
-
-    /// Spawns a process outside any transaction (login/boot path).
-    fn spawn_process_direct(&self, user: UserId, cwd: InodeId, caps: CapSet) -> TaskId {
         let pid = ProcessId(self.next_proc.fetch_add(1, Ordering::Relaxed));
         let tid = TaskId(self.next_task.fetch_add(1, Ordering::Relaxed));
-        self.tables.procs_for(pid).insert(pid, ProcessStruct::fresh(pid, tid, cwd));
-        self.tables.tasks_for(tid).insert(
+        self.tables.procs_write(pid).insert(pid, ProcessStruct::fresh(pid, tid, cwd));
+        self.tables.tasks_write(tid).insert(
             tid,
             TaskStruct::fresh(tid, pid, user, TaskSec::new(SecPair::unlabeled(), caps)),
         );
-        tid
+        Ok(TaskHandle { kernel: Arc::clone(self), tid, pid })
     }
 
     /// Grants the calling runtime the privileges of a trusted VM: marks
@@ -817,12 +846,12 @@ impl Kernel {
     pub fn bless_vm_process(self: &Arc<Self>, task: &TaskHandle) -> OsResult<()> {
         let tcb = self.tcb_tag;
         let pid = {
-            let mut shard = self.tables.tasks_for(task.tid);
+            let mut shard = self.tables.tasks_write(task.tid);
             let t = shard.get_mut(&task.tid).ok_or(OsError::NoSuchTask)?;
             t.security.caps_mut().grant_both(tcb);
             t.process
         };
-        self.tables.procs_for(pid).get_mut(&pid).ok_or(OsError::Internal)?.trusted_vm =
+        self.tables.procs_write(pid).get_mut(&pid).ok_or(OsError::Internal)?.trusted_vm =
             true;
         Ok(())
     }
@@ -830,13 +859,18 @@ impl Kernel {
     /// Sets the persistent capabilities stored for a user (the on-disk
     /// capability file of §4.4). Takes effect at the next login.
     pub fn set_persistent_caps(self: &Arc<Self>, user: UserId, caps: CapSet) {
-        self.tables.registry().persistent_caps.insert(user, caps);
+        self.tables.registry_write().persistent_caps.insert(user, caps);
     }
 
     /// Reads back a user's persistent capabilities.
     #[must_use]
     pub fn persistent_caps(self: &Arc<Self>, user: UserId) -> CapSet {
-        self.tables.registry().persistent_caps.get(&user).cloned().unwrap_or_default()
+        self.tables
+            .registry_read()
+            .persistent_caps
+            .get(&user)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Invokes the `inode_permission` hook, counting it.
@@ -861,87 +895,105 @@ impl Kernel {
     /// concern).
     ///
     /// Returns the parent directory, the final component name, and the
-    /// target inode if it exists.
-    pub(crate) fn resolve(
+    /// target inode if it exists. The walk takes the final parent and
+    /// the target in the modes the syscall's [`Intent`] declares, the
+    /// first time it touches them; every other directory it takes
+    /// shared.
+    pub(crate) fn resolve<'p>(
         &self,
         st: &mut Txn<'_>,
         tid: TaskId,
-        path: &str,
-    ) -> OsResult<Resolved> {
+        path: &'p str,
+    ) -> OsResult<Resolved<'p>> {
         self.resolve_full(st, tid, path, true)
     }
 
     /// Like [`Kernel::resolve`] but does not follow a symlink in the
     /// final component (for `readlink`/`lstat`).
-    pub(crate) fn resolve_nofollow(
+    pub(crate) fn resolve_nofollow<'p>(
         &self,
         st: &mut Txn<'_>,
         tid: TaskId,
-        path: &str,
-    ) -> OsResult<Resolved> {
+        path: &'p str,
+    ) -> OsResult<Resolved<'p>> {
         self.resolve_full(st, tid, path, false)
     }
 
-    fn resolve_full(
+    fn resolve_full<'p>(
         &self,
         st: &mut Txn<'_>,
         tid: TaskId,
-        path: &str,
+        path: &'p str,
         follow_final: bool,
-    ) -> OsResult<Resolved> {
+    ) -> OsResult<Resolved<'p>> {
         let task = st.task_sec(tid)?;
         if path.is_empty() {
             return Err(OsError::InvalidArgument("empty path"));
         }
-        let (start, rel): (InodeId, &str) = if let Some(stripped) = path.strip_prefix('/')
-        {
+        let (start, rel) = if let Some(stripped) = path.strip_prefix('/') {
             (self.root, stripped)
         } else {
             let proc_id = st.task(tid)?.process;
             (st.proc(proc_id)?.cwd, path)
         };
-        let comps: Vec<String> = rel
-            .split('/')
-            .filter(|c| !c.is_empty() && *c != ".")
-            .map(str::to_string)
-            .collect();
-        self.walk(st, &task, start, comps, follow_final, 0)
+        self.walk(st, &task, start, rel, follow_final, 0)
     }
 
-    fn walk(
+    /// Walks the components of `rel` from `start`. Components are
+    /// slices of `rel`; only a symlink expansion allocates (one string:
+    /// the link target followed by the components still to walk).
+    fn walk<'p>(
         &self,
         st: &mut Txn<'_>,
         task: &TaskSec,
         start: InodeId,
-        comps: Vec<String>,
+        rel: &'p str,
         follow_final: bool,
         depth: u32,
-    ) -> OsResult<Resolved> {
+    ) -> OsResult<Resolved<'p>> {
         if depth > 8 {
             return Err(OsError::SymlinkLoop);
         }
-        if comps.is_empty() {
+        let n = components(rel).count();
+        let intent = st.intent();
+        // The mode for the inode component `i` leads to: the target for
+        // the last component, the final parent for the one before it.
+        let mode_after = |i: usize| {
+            if i + 1 == n {
+                intent.target
+            } else if i + 2 == n {
+                intent.parent
+            } else {
+                ShardMode::Shared
+            }
+        };
+        if n == 0 {
+            st.hold(ShardKey::inode(start), intent.target)?;
             return Ok(Resolved {
                 parent: None,
-                name: String::new(),
+                name: Cow::Borrowed(""),
                 inode: Some(start),
             });
         }
-        let mut stack: Vec<InodeId> = vec![start];
+        st.hold(
+            ShardKey::inode(start),
+            if n == 1 { intent.parent } else { ShardMode::Shared },
+        )?;
+        // Directories walked so far, for `..`; only kept when the path
+        // has a `..` component.
+        let mut stack: Vec<InodeId> = Vec::new();
+        let track = components(rel).any(|c| c == "..");
         let mut cur = start;
-        for (i, comp) in comps.iter().enumerate() {
-            let last = i + 1 == comps.len();
+        for (i, comp) in components(rel).enumerate() {
+            let last = i + 1 == n;
             // Looking up a name inside `cur` reads `cur`.
             self.hook_inode_permission(st, task, cur, Access::Read)?;
             if comp == ".." {
-                if stack.len() > 1 {
-                    stack.pop();
-                }
-                cur = *stack.last().ok_or(OsError::Internal)?;
+                cur = stack.pop().unwrap_or(start);
                 if last {
                     return Ok(Resolved {
                         parent: None,
-                        name: String::new(),
+                        name: Cow::Borrowed(""),
                         inode: Some(cur),
                     });
                 }
@@ -950,78 +1002,56 @@ impl Kernel {
             let child = {
                 let node = st.inode_opt(cur)?.ok_or(OsError::NotFound)?;
                 match &node.kind {
-                    InodeKind::Dir { entries } => entries.get(comp.as_str()).copied(),
+                    InodeKind::Dir { entries } => entries.get(comp).copied(),
                     _ => return Err(OsError::NotADirectory),
                 }
             };
-            match child {
-                Some(child) => {
-                    // Symlink in the path: follow it (mediated).
-                    let link_target = match st.inode_opt(child)?.map(|n| &n.kind) {
-                        Some(InodeKind::Symlink { target }) => Some(target.clone()),
-                        _ => None,
-                    };
-                    if let Some(target) = link_target {
-                        if last && !follow_final {
-                            return Ok(Resolved {
-                                parent: Some(cur),
-                                name: comp.clone(),
-                                inode: Some(child),
-                            });
-                        }
-                        // Following reads the link inode itself.
-                        self.hook_inode_permission(st, task, child, Access::Read)?;
-                        let (nstart, mut ncomps): (InodeId, Vec<String>) =
-                            if let Some(strip) = target.strip_prefix('/') {
-                                (
-                                    self.root,
-                                    strip
-                                        .split('/')
-                                        .filter(|c| !c.is_empty() && *c != ".")
-                                        .map(str::to_string)
-                                        .collect(),
-                                )
-                            } else {
-                                (
-                                    cur,
-                                    target
-                                        .split('/')
-                                        .filter(|c| !c.is_empty() && *c != ".")
-                                        .map(str::to_string)
-                                        .collect(),
-                                )
-                            };
-                        ncomps.extend(comps[i + 1..].iter().cloned());
-                        return self.walk(
-                            st,
-                            task,
-                            nstart,
-                            ncomps,
-                            follow_final,
-                            depth + 1,
-                        );
-                    }
-                    if last {
-                        return Ok(Resolved {
-                            parent: Some(cur),
-                            name: comp.clone(),
-                            inode: Some(child),
-                        });
-                    }
-                    stack.push(child);
-                    cur = child;
+            let Some(child) = child else {
+                if last {
+                    return Ok(Resolved {
+                        parent: Some(cur),
+                        name: Cow::Borrowed(comp),
+                        inode: None,
+                    });
                 }
-                None => {
-                    if last {
-                        return Ok(Resolved {
-                            parent: Some(cur),
-                            name: comp.clone(),
-                            inode: None,
-                        });
-                    }
-                    return Err(OsError::NotFound);
+                return Err(OsError::NotFound);
+            };
+            // Symlink in the path: follow it (mediated). This is the
+            // first touch of `child`, so it takes the declared mode.
+            let link_target = match st.inode_in(child, mode_after(i))?.map(|n| &n.kind) {
+                Some(InodeKind::Symlink { target }) => Some(target.clone()),
+                _ => None,
+            };
+            if let Some(mut target) = link_target {
+                if last && !follow_final {
+                    return Ok(Resolved {
+                        parent: Some(cur),
+                        name: Cow::Borrowed(comp),
+                        inode: Some(child),
+                    });
                 }
+                // Following reads the link inode itself.
+                self.hook_inode_permission(st, task, child, Access::Read)?;
+                let nstart = if target.starts_with('/') { self.root } else { cur };
+                for c in components(rel).skip(i + 1) {
+                    target.push('/');
+                    target.push_str(c);
+                }
+                let rel = target.strip_prefix('/').unwrap_or(&target);
+                let r = self.walk(st, task, nstart, rel, follow_final, depth + 1)?;
+                return Ok(r.into_owned());
             }
+            if last {
+                return Ok(Resolved {
+                    parent: Some(cur),
+                    name: Cow::Borrowed(comp),
+                    inode: Some(child),
+                });
+            }
+            if track {
+                stack.push(cur);
+            }
+            cur = child;
         }
         // The loop always returns on the last component; reaching here
         // would be an internal invariant failure, reported fail-closed.
@@ -1029,11 +1059,28 @@ impl Kernel {
     }
 }
 
-pub(crate) struct Resolved {
+/// The components of a relative path, skipping empty and `.` ones.
+fn components(rel: &str) -> impl Iterator<Item = &str> + Clone {
+    rel.split('/').filter(|c| !c.is_empty() && *c != ".")
+}
+
+pub(crate) struct Resolved<'p> {
     /// Parent directory (None when the path names the root / cwd itself).
     pub parent: Option<InodeId>,
-    pub name: String,
+    /// The final component, borrowed from the path unless a symlink
+    /// expansion produced it.
+    pub name: Cow<'p, str>,
     pub inode: Option<InodeId>,
+}
+
+impl Resolved<'_> {
+    fn into_owned(self) -> Resolved<'static> {
+        Resolved {
+            parent: self.parent,
+            name: Cow::Owned(self.name.into_owned()),
+            inode: self.inode,
+        }
+    }
 }
 
 impl TaskHandle {

@@ -65,7 +65,9 @@ pub use kernel::SyscallFailpoint;
 pub use kernel::{last_syscall_seq, CommitRecord, Kernel, TaskHandle};
 pub use laminar_lsm::LaminarModule;
 pub use lsm::{Access, DeliveryVerdict, NullModule, SecurityModule};
-pub use shard::{ShardKey, INODE_SHARDS, PROC_SHARDS, SHARD_COUNT, TASK_SHARDS};
+pub use shard::{
+    ShardKey, ShardMode, INODE_SHARDS, PROC_SHARDS, SHARD_COUNT, TASK_SHARDS,
+};
 pub use stats::{reset_syscalls_rolled_back, syscalls_rolled_back};
 pub use task::{ProcessId, Signal, TaskId, TaskSec, UserId, VmArea};
 pub use txn::Quotas;

@@ -19,9 +19,12 @@
 use crate::error::{OsError, OsResult};
 use crate::kernel::TaskHandle;
 use crate::lsm::{Access, DeliveryVerdict};
+use crate::shard::ShardKey;
+use crate::shard::ShardMode::{Exclusive, Shared};
 use crate::task::{
     ProcImage, ProcessId, Signal, TaskId, TaskSec, TaskStruct, UserId, VmArea,
 };
+use crate::txn::{Intent, Txn};
 use crate::vfs::file::{Fd, OpenFile, OpenMode, PipeEnd, SocketEnd};
 use crate::vfs::inode::{Buf, InodeId, InodeKind, Metadata};
 use crate::vfs::pipe::PipeBuffer;
@@ -37,7 +40,36 @@ fn obs_drop(channel: laminar_obs::DropChannel) {
     laminar_obs::emit(laminar_obs::Event::SilentDrop { channel });
 }
 
+// The intents syscalls declare (see [`Intent`]): which shards a syscall
+// mutates among the caller's own task and process shards and the final
+// parent and target of its path walk. Everything else starts shared.
+
+/// Mutates the caller's task (labels, capabilities, signals).
+const OWN_TASK: Intent = Intent { task: Exclusive, ..Intent::READ };
+/// Mutates the caller's process (fd table, cwd, image).
+const OWN_PROC: Intent = Intent { proc: Exclusive, ..Intent::READ };
+const OWN_TASK_PROC: Intent = Intent { task: Exclusive, proc: Exclusive, ..Intent::READ };
+/// Links a new name into the final parent.
+const LINK: Intent = Intent { parent: Exclusive, ..Intent::READ };
+/// Links a new name into the final parent and opens it.
+const CREATE: Intent = Intent { proc: Exclusive, parent: Exclusive, ..Intent::READ };
+/// Removes a name from the final parent, and its inode.
+const UNLINK: Intent = Intent { parent: Exclusive, target: Exclusive, ..Intent::READ };
+/// Writes the inode a path names.
+const WRITE_TARGET: Intent = Intent { target: Exclusive, ..Intent::READ };
+
 impl TaskHandle {
+    /// Runs one syscall body for this task (see
+    /// [`Kernel::syscall_on`](crate::kernel::Kernel::syscall_on)).
+    fn syscall<T>(
+        &self,
+        name: &'static str,
+        intent: Intent,
+        f: impl FnMut(&mut Txn<'_>) -> OsResult<T>,
+    ) -> OsResult<T> {
+        self.kernel.syscall_on((self.tid, self.pid), name, intent, f)
+    }
+
     // ----- labels & capabilities (Fig. 3) --------------------------------
 
     /// `alloc_tag`: returns a fresh tag and grants the caller both its
@@ -47,7 +79,7 @@ impl TaskHandle {
     /// Fails if the task has exited; [`OsError::QuotaExceeded`] once the
     /// per-user tag quota is spent.
     pub fn alloc_tag(&self) -> OsResult<Tag> {
-        self.kernel.syscall_on(self.tid, "alloc_tag", |st| {
+        self.syscall("alloc_tag", OWN_TASK, |st| {
             let user = st.task_alive(self.tid)?.user;
             st.mint_tag(user)?;
             // The allocator lives outside the journal: a tag id minted by
@@ -68,7 +100,7 @@ impl TaskHandle {
     /// [`OsError::LabelChangeDenied`] if a capability is missing;
     /// [`OsError::PermissionDenied`] for the multithreading restriction.
     pub fn set_task_label(&self, ty: LabelType, new: Label) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "set_task_label", |st| {
+        self.syscall("set_task_label", OWN_TASK, |st| {
             let sec = st.task_sec(self.tid)?;
             let new_pair = sec.labels.with_label(ty, new.clone());
             if new_pair == sec.labels {
@@ -98,7 +130,7 @@ impl TaskHandle {
                     declassify,
                 });
             }
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let (trusted_vm, ptasks) = {
                 let proc = st.proc(pid)?;
                 (proc.trusted_vm, proc.tasks.clone())
@@ -146,14 +178,15 @@ impl TaskHandle {
     /// [`OsError::PermissionDenied`] without the `tcb` tag or across
     /// address spaces.
     pub fn drop_label_tcb(&self, target: TaskId) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "drop_label_tcb", |st| {
+        self.syscall("drop_label_tcb", OWN_TASK, |st| {
             let sec = st.task_sec(self.tid)?;
             if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
                 return Err(OsError::PermissionDenied(
                     "drop_label_tcb requires the tcb integrity tag",
                 ));
             }
-            let my_pid = st.task(self.tid)?.process;
+            let my_pid = self.pid;
+            st.hold(ShardKey::task(target), Exclusive)?;
             let t = st.task(target)?;
             if t.process != my_pid {
                 return Err(OsError::PermissionDenied(
@@ -185,14 +218,15 @@ impl TaskHandle {
     /// [`OsError::PermissionDenied`] without the `tcb` tag or across
     /// address spaces.
     pub fn set_task_labels_tcb(&self, target: TaskId, labels: SecPair) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "set_task_labels_tcb", |st| {
+        self.syscall("set_task_labels_tcb", OWN_TASK, |st| {
             let sec = st.task_sec(self.tid)?;
             if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
                 return Err(OsError::PermissionDenied(
                     "set_task_labels_tcb requires the tcb integrity tag",
                 ));
             }
-            let my_pid = st.task(self.tid)?.process;
+            let my_pid = self.pid;
+            st.hold(ShardKey::task(target), Exclusive)?;
             let t = st.task(target)?;
             if t.process != my_pid {
                 return Err(OsError::PermissionDenied(
@@ -212,7 +246,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn drop_capabilities(&self, caps: &[Capability]) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "drop_capabilities", |st| {
+        self.syscall("drop_capabilities", OWN_TASK, |st| {
             st.task_alive(self.tid)?;
             let held = st.caps_mut(self.tid)?;
             for &c in caps {
@@ -230,14 +264,15 @@ impl TaskHandle {
     /// [`OsError::PermissionDenied`] without the `tcb` tag or across
     /// address spaces.
     pub fn grant_capabilities_tcb(&self, target: TaskId, caps: &CapSet) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "grant_capabilities_tcb", |st| {
+        self.syscall("grant_capabilities_tcb", OWN_TASK, |st| {
             let sec = st.task_sec(self.tid)?;
             if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
                 return Err(OsError::PermissionDenied(
                     "grant_capabilities_tcb requires the tcb integrity tag",
                 ));
             }
-            let my_pid = st.task(self.tid)?.process;
+            let my_pid = self.pid;
+            st.hold(ShardKey::task(target), Exclusive)?;
             let t = st.task(target)?;
             if t.process != my_pid {
                 return Err(OsError::PermissionDenied(
@@ -256,7 +291,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn current_labels(&self) -> OsResult<SecPair> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
+        let shard = self.kernel.tables.tasks_read(self.tid);
         shard
             .get(&self.tid)
             .filter(|t| t.alive)
@@ -270,7 +305,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn current_caps(&self) -> OsResult<CapSet> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
+        let shard = self.kernel.tables.tasks_read(self.tid);
         shard
             .get(&self.tid)
             .filter(|t| t.alive)
@@ -287,18 +322,19 @@ impl TaskHandle {
     /// [`OsError::BadFd`] if `fd` is not a writable pipe end;
     /// [`OsError::PermissionDenied`] if the sender lacks the capability.
     pub fn write_capability(&self, cap: Capability, fd: Fd) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "write_capability", |st| {
+        self.syscall("write_capability", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
             if !sec.caps.has(cap) {
                 return Err(OsError::PermissionDenied(
                     "cannot send a capability the sender does not hold",
                 ));
             }
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if file.pipe_end != Some(PipeEnd::Write) {
                 return Err(OsError::BadFd);
             }
+            st.hold(ShardKey::inode(file.inode), Exclusive)?;
             let pipe_labels = st.inode_labels(file.inode)?;
             st.count_hook();
             match self.kernel.module.cap_transfer(&sec, &pipe_labels) {
@@ -324,13 +360,14 @@ impl TaskHandle {
     /// [`OsError::BadFd`] if `fd` is not a readable pipe end; a flow
     /// error if the pipe's labels may not flow to the receiver.
     pub fn read_capability(&self, fd: Fd) -> OsResult<Option<Capability>> {
-        self.kernel.syscall_on(self.tid, "read_capability", |st| {
+        self.syscall("read_capability", OWN_TASK, |st| {
             let sec = st.task_sec(self.tid)?;
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if file.pipe_end != Some(PipeEnd::Read) {
                 return Err(OsError::BadFd);
             }
+            st.hold(ShardKey::inode(file.inode), Exclusive)?;
             let pipe_labels = st.inode_labels(file.inode)?;
             st.count_hook();
             self.kernel.module.cap_receive(&sec, &pipe_labels)?;
@@ -348,7 +385,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn save_persistent_caps(&self) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "save_persistent_caps", |st| {
+        self.syscall("save_persistent_caps", Intent::READ, |st| {
             let t = st.task_alive(self.tid)?;
             let user = t.user;
             let caps = (*t.security.caps).clone();
@@ -399,7 +436,7 @@ impl TaskHandle {
     }
 
     fn create_inode(&self, path: &str, labels: SecPair, dir: bool) -> OsResult<Fd> {
-        self.kernel.syscall_on(self.tid, "create_inode", |st| {
+        self.syscall("create_inode", CREATE, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             if r.inode.is_some() {
@@ -416,11 +453,11 @@ impl TaskHandle {
                 InodeKind::File { data: Vec::new() }
             };
             let id = st.alloc_inode(kind, labels.clone())?;
-            st.dir_insert(parent, r.name, id)?;
+            st.dir_insert(parent, r.name.into_owned(), id)?;
             if dir {
                 return Ok(Fd(u32::MAX)); // sentinel, discarded by mkdir_labeled
             }
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             st.fd_insert(
                 pid,
                 OpenFile {
@@ -443,7 +480,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; [`OsError::IsADirectory`]; hook vetoes.
     pub fn open(&self, path: &str, mode: OpenMode) -> OsResult<Fd> {
-        self.kernel.syscall_on(self.tid, "open", |st| {
+        self.syscall("open", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -456,7 +493,7 @@ impl TaskHandle {
                 OpenMode::ReadWrite => Access::ReadWrite,
             };
             self.kernel.hook_inode_permission(st, &sec, ino, mask)?;
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             st.fd_insert(
                 pid,
                 OpenFile {
@@ -475,7 +512,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::BadFd`] if not open.
     pub fn close(&self, fd: Fd) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "close", |st| {
+        self.syscall("close", OWN_PROC, |st| {
             let pid = st.task_alive(self.tid)?.process;
             let file = st.fd_remove(pid, fd)?;
             if let Some(end) = file.pipe_end {
@@ -494,12 +531,16 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::BadFd`]; flow vetoes from `file_permission`.
     pub fn read(&self, fd: Fd, max: usize) -> OsResult<Vec<u8>> {
-        self.kernel.syscall_on(self.tid, "read", |st| {
+        self.syscall("read", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if !file.mode.readable() {
                 return Err(OsError::BadFd);
+            }
+            // A pipe or socket read takes messages off the buffer.
+            if file.pipe_end.is_some() || file.socket_end.is_some() {
+                st.hold(ShardKey::inode(file.inode), Exclusive)?;
             }
             let labels = st.inode_labels(file.inode)?;
             st.count_hook();
@@ -554,13 +595,16 @@ impl TaskHandle {
     /// [`OsError::BadFd`]; flow vetoes from `file_permission` (regular
     /// files only — pipe label failures drop silently).
     pub fn write(&self, fd: Fd, data: &[u8]) -> OsResult<usize> {
-        self.kernel.syscall_on(self.tid, "write", |st| {
+        self.syscall("write", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if !file.mode.writable() {
                 return Err(OsError::BadFd);
             }
+            let mode =
+                if file.inode == self.kernel.null_dev { Shared } else { Exclusive };
+            st.hold(ShardKey::inode(file.inode), mode)?;
             let labels = st.inode_labels(file.inode)?;
             st.count_hook();
             // Pipe and socket writes deliver or silently drop (§5.2): a
@@ -629,7 +673,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; [`OsError::IsADirectory`]; flow vetoes.
     pub fn read_file_at(&self, path: &str, max: usize) -> OsResult<Vec<u8>> {
-        self.kernel.syscall_on(self.tid, "read_file_at", |st| {
+        self.syscall("read_file_at", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -653,7 +697,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; [`OsError::IsADirectory`]; flow vetoes.
     pub fn write_file_at(&self, path: &str, data: &[u8]) -> OsResult<usize> {
-        self.kernel.syscall_on(self.tid, "write_file_at", |st| {
+        self.syscall("write_file_at", WRITE_TARGET, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -687,7 +731,7 @@ impl TaskHandle {
         offset: u64,
         data: &[u8],
     ) -> OsResult<usize> {
-        self.kernel.syscall_on(self.tid, "write_file_at_off", |st| {
+        self.syscall("write_file_at_off", WRITE_TARGET, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -719,7 +763,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; hook vetoes.
     pub fn stat(&self, path: &str) -> OsResult<Metadata> {
-        self.kernel.syscall_on(self.tid, "stat", |st| {
+        self.syscall("stat", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -744,7 +788,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; hook vetoes.
     pub fn lstat(&self, path: &str) -> OsResult<Metadata> {
-        self.kernel.syscall_on(self.tid, "lstat", |st| {
+        self.syscall("lstat", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve_nofollow(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -772,7 +816,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; traversal vetoes.
     pub fn get_labels(&self, path: &str) -> OsResult<SecPair> {
-        self.kernel.syscall_on(self.tid, "get_labels", |st| {
+        self.syscall("get_labels", Intent::READ, |st| {
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             st.inode_labels(ino)
@@ -786,7 +830,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; [`OsError::NotEmpty`]; hook vetoes.
     pub fn unlink(&self, path: &str) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "unlink", |st| {
+        self.syscall("unlink", UNLINK, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -813,7 +857,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotADirectory`]; hook vetoes.
     pub fn readdir(&self, path: &str) -> OsResult<Vec<String>> {
-        self.kernel.syscall_on(self.tid, "readdir", |st| {
+        self.syscall("readdir", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -831,13 +875,13 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotADirectory`]; traversal vetoes.
     pub fn chdir(&self, path: &str) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "chdir", |st| {
+        self.syscall("chdir", OWN_PROC, |st| {
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             if !st.inode_opt(ino)?.map(|i| i.kind.is_dir()).unwrap_or(false) {
                 return Err(OsError::NotADirectory);
             }
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             st.set_cwd(pid, ino)?;
             Ok(())
         })
@@ -853,14 +897,14 @@ impl TaskHandle {
     /// inode/fd exhaustion (the whole call rolls back — no half-made
     /// pipe is left behind).
     pub fn pipe(&self) -> OsResult<(Fd, Fd)> {
-        self.kernel.syscall_on(self.tid, "pipe", |st| {
+        self.syscall("pipe", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             let capacity = self.kernel.quotas.pipe_capacity;
             let ino = st.alloc_inode(
                 InodeKind::Pipe { buffer: PipeBuffer::new(capacity) },
                 sec.labels.clone(),
             )?;
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let r = st.fd_insert(
                 pid,
                 OpenFile {
@@ -893,7 +937,7 @@ impl TaskHandle {
     /// Fails if the task has exited; [`OsError::QuotaExceeded`] on
     /// inode/fd exhaustion (atomic, like [`Self::pipe`]).
     pub fn socketpair(&self) -> OsResult<(Fd, Fd)> {
-        self.kernel.syscall_on(self.tid, "socketpair", |st| {
+        self.syscall("socketpair", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             let capacity = self.kernel.quotas.pipe_capacity;
             let ino = st.alloc_inode(
@@ -903,7 +947,7 @@ impl TaskHandle {
                 },
                 sec.labels.clone(),
             )?;
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let a = st.fd_insert(
                 pid,
                 OpenFile {
@@ -938,7 +982,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::Exists`]; creation-rule vetoes.
     pub fn symlink(&self, target: &str, linkpath: &str) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "symlink", |st| {
+        self.syscall("symlink", LINK, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, linkpath)?;
             if r.inode.is_some() {
@@ -954,7 +998,7 @@ impl TaskHandle {
                 InodeKind::Symlink { target: target.to_string() },
                 sec.labels.clone(),
             )?;
-            st.dir_insert(parent, r.name, id)?;
+            st.dir_insert(parent, r.name.into_owned(), id)?;
             Ok(())
         })
     }
@@ -964,7 +1008,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::InvalidArgument`] if the path is not a symlink.
     pub fn readlink(&self, path: &str) -> OsResult<String> {
-        self.kernel.syscall_on(self.tid, "readlink", |st| {
+        self.syscall("readlink", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve_nofollow(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
@@ -982,7 +1026,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::BadFd`] for pipes/sockets/devices.
     pub fn seek(&self, fd: Fd, offset: u64) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "seek", |st| {
+        self.syscall("seek", OWN_PROC, |st| {
             let pid = st.task_alive(self.tid)?.process;
             let (pipe_end, socket_end) = {
                 let file = st.proc(pid)?.fds.get(fd).ok_or(OsError::BadFd)?;
@@ -1004,7 +1048,7 @@ impl TaskHandle {
     pub fn pipe_queued_for_test(&self, fd: Fd) -> OsResult<usize> {
         let (pid, ino) = self.fd_inode_readonly(fd)?;
         let _ = pid;
-        let shard = self.kernel.tables.inodes_for(ino);
+        let shard = self.kernel.tables.inodes_read(ino);
         match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
             InodeKind::Pipe { buffer } => Ok(buffer.queued()),
             _ => Err(OsError::BadFd),
@@ -1022,7 +1066,7 @@ impl TaskHandle {
     pub fn pipe_msgs_for_test(&self, fd: Fd) -> OsResult<usize> {
         let (pid, ino) = self.fd_inode_readonly(fd)?;
         let _ = pid;
-        let shard = self.kernel.tables.inodes_for(ino);
+        let shard = self.kernel.tables.inodes_read(ino);
         match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
             InodeKind::Pipe { buffer } => Ok(buffer.msg_count()),
             _ => Err(OsError::BadFd),
@@ -1038,7 +1082,7 @@ impl TaskHandle {
     #[cfg(feature = "fault-injection")]
     pub fn pipe_ends_for_test(&self, fd: Fd) -> OsResult<(u32, u32)> {
         let (_, ino) = self.fd_inode_readonly(fd)?;
-        let shard = self.kernel.tables.inodes_for(ino);
+        let shard = self.kernel.tables.inodes_read(ino);
         match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
             InodeKind::Pipe { buffer } => Ok(buffer.refs()),
             _ => Err(OsError::BadFd),
@@ -1049,11 +1093,11 @@ impl TaskHandle {
     /// caller's fds (read-only paths; locks one shard at a time).
     fn fd_inode_readonly(&self, fd: Fd) -> OsResult<(ProcessId, InodeId)> {
         let pid = {
-            let shard = self.kernel.tables.tasks_for(self.tid);
+            let shard = self.kernel.tables.tasks_read(self.tid);
             shard.get(&self.tid).ok_or(OsError::NoSuchTask)?.process
         };
         let ino = {
-            let shard = self.kernel.tables.procs_for(pid);
+            let shard = self.kernel.tables.procs_read(pid);
             shard
                 .get(&pid)
                 .ok_or(OsError::Internal)?
@@ -1077,7 +1121,7 @@ impl TaskHandle {
     /// [`OsError::PermissionDenied`] if `caps` is not a subset of the
     /// caller's capabilities.
     pub fn fork(&self, caps: Option<CapSet>) -> OsResult<TaskHandle> {
-        let tid = self.kernel.syscall_on(self.tid, "fork", |st| {
+        let (tid, pid) = self.syscall("fork", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
             let child_caps = match &caps {
                 Some(c) => {
@@ -1104,10 +1148,9 @@ impl TaskHandle {
                 st.pipe_end_opened(ino, end)?;
             }
             let child_sec = TaskSec::new(sec.labels.clone(), child_caps);
-            let (tid, _) = st.spawn_process(user, child_sec, cwd, fds, binary)?;
-            Ok(tid)
+            st.spawn_process(user, child_sec, cwd, fds, binary)
         })?;
-        Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid })
+        Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid, pid })
     }
 
     /// Creates a new *thread* in the caller's process with a subset of
@@ -1118,7 +1161,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::PermissionDenied`] on a capability superset.
     pub fn spawn_thread(&self, caps: Option<CapSet>) -> OsResult<TaskHandle> {
-        let tid = self.kernel.syscall_on(self.tid, "spawn_thread", |st| {
+        let tid = self.syscall("spawn_thread", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             let thread_caps = match &caps {
                 Some(c) => {
@@ -1143,7 +1186,7 @@ impl TaskHandle {
             st.proc_tasks_mut(pid)?.push(tid);
             Ok(tid)
         })?;
-        Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid })
+        Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid, pid: self.pid })
     }
 
     /// `exec`: replaces the process image with the named binary file.
@@ -1154,13 +1197,13 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; flow vetoes.
     pub fn exec(&self, path: &str) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "exec", |st| {
+        self.syscall("exec", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            let pid = st.task(self.tid)?.process;
-            *st.proc_image_mut(pid)? = ProcImage::new(r.name);
+            let pid = self.pid;
+            *st.proc_image_mut(pid)? = ProcImage::new(r.name.into_owned());
             Ok(())
         })
     }
@@ -1171,7 +1214,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if already exited.
     pub fn exit(&self) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "exit", |st| {
+        self.syscall("exit", OWN_TASK_PROC, |st| {
             let pid = st.task_alive(self.tid)?.process;
             // Reap: drop the task entry, and the whole process (with its fd
             // table) once its last task exits, so fork-heavy workloads do
@@ -1201,10 +1244,11 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NoSuchTask`] only when the target id was never valid.
     pub fn kill(&self, target: TaskId, sig: Signal) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "kill", |st| {
+        self.syscall("kill", Intent::READ, |st| {
             let sender = st.task_sec(self.tid)?;
+            st.hold(ShardKey::task(target), Exclusive)?;
             let target_sec = st.task_sec(target).map_err(|e| match e {
-                OsError::Retry(k) => OsError::Retry(k),
+                e @ OsError::Retry(..) => e,
                 _ => OsError::NoSuchTask,
             })?;
             st.count_hook();
@@ -1224,7 +1268,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn next_signal(&self) -> OsResult<Option<Signal>> {
-        self.kernel.syscall_on(self.tid, "next_signal", |st| {
+        self.syscall("next_signal", OWN_TASK, |st| {
             st.task_alive(self.tid)?;
             st.signal_pop(self.tid)
         })
@@ -1236,7 +1280,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn user(&self) -> OsResult<UserId> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
+        let shard = self.kernel.tables.tasks_read(self.tid);
         shard
             .get(&self.tid)
             .filter(|t| t.alive)
@@ -1250,7 +1294,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn process(&self) -> OsResult<ProcessId> {
-        let shard = self.kernel.tables.tasks_for(self.tid);
+        let shard = self.kernel.tables.tasks_read(self.tid);
         shard
             .get(&self.tid)
             .filter(|t| t.alive)
@@ -1267,9 +1311,9 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::BadFd`] for a bad backing fd; hook vetoes.
     pub fn mmap(&self, pages: u64, backing: Option<Fd>) -> OsResult<u64> {
-        self.kernel.syscall_on(self.tid, "mmap", |st| {
+        self.syscall("mmap", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let pid = st.task(self.tid)?.process;
+            let pid = self.pid;
             let backing_labels = match backing {
                 Some(fd) => {
                     let file =
@@ -1293,7 +1337,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::Fault`] if no such mapping exists.
     pub fn munmap(&self, start: u64) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "munmap", |st| {
+        self.syscall("munmap", OWN_PROC, |st| {
             let pid = st.task_alive(self.tid)?.process;
             let areas = &mut st.proc_image_mut(pid)?.vm_areas;
             let before = areas.len();
@@ -1310,7 +1354,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::Fault`] if no such mapping exists.
     pub fn mprotect(&self, start: u64, read: bool, write: bool) -> OsResult<()> {
-        self.kernel.syscall_on(self.tid, "mprotect", |st| {
+        self.syscall("mprotect", OWN_PROC, |st| {
             let pid = st.task_alive(self.tid)?.process;
             let areas = &mut st.proc_image_mut(pid)?.vm_areas;
             let area =
@@ -1330,14 +1374,14 @@ impl TaskHandle {
     /// [`OsError::Fault`] on an illegal access.
     pub fn page_access(&self, page: u64, is_write: bool) -> OsResult<()> {
         let pid = {
-            let shard = self.kernel.tables.tasks_for(self.tid);
+            let shard = self.kernel.tables.tasks_read(self.tid);
             shard
                 .get(&self.tid)
                 .filter(|t| t.alive)
                 .map(|t| t.process)
                 .ok_or(OsError::NoSuchTask)?
         };
-        let shard = self.kernel.tables.procs_for(pid);
+        let shard = self.kernel.tables.procs_read(pid);
         let p = shard.get(&pid).ok_or(OsError::Internal)?;
         for a in &p.image.vm_areas {
             if page >= a.start && page < a.start + a.pages {

@@ -21,9 +21,17 @@
 //! ever touches entries in shards the transaction holds: every record is
 //! pushed strictly after the corresponding shard lock is acquired.
 //!
-//! If a body needs a shard *below* the highest one it already holds, the
-//! accessor returns the internal [`OsError::Retry`] sentinel; the
-//! dispatcher rolls back, widens its lock footprint and restarts the
+//! Every accessor names the [`ShardMode`] it needs: the read accessors
+//! (`task*`, `proc`, `inode_opt`, `inode_labels`) take a shard shared,
+//! every mutator takes it exclusive. A syscall declares up front, in its
+//! [`Intent`], the mode of its own task and process shards (pre-locked)
+//! and of the final parent and target of its path walk, so each shard is
+//! taken in the mode it needs the first time it is touched.
+//!
+//! If a body needs a shard *below* the highest one it already holds, or
+//! exclusive mode on a shard it holds shared, the accessor returns the
+//! internal [`OsError::Retry`] sentinel; the dispatcher rolls back,
+//! records the shard and mode in its lock [`Footprint`] and restarts the
 //! body with every needed shard pre-locked in ascending order. The
 //! [`IdCache`] keeps restarts deterministic: the nth id allocation of a
 //! kind returns the same id on every attempt, so the footprint converges
@@ -48,7 +56,10 @@
 
 use crate::error::{OsError, OsResult};
 use crate::kernel::Kernel;
-use crate::shard::{HeldShard, ShardGuard, ShardKey};
+use crate::shard::{
+    Footprint, HeldShard, InodeMap, ProcMap, Registry, ShardGuard, ShardKey, ShardMode,
+    TaskMap,
+};
 use crate::task::{
     ProcImage, ProcessId, ProcessStruct, Signal, TaskId, TaskSec, TaskStruct, UserId,
     VmArea,
@@ -57,7 +68,7 @@ use crate::vfs::file::{Fd, FdTable, OpenFile, PipeEnd};
 use crate::vfs::inode::{Buf, Inode, InodeId, InodeKind, Xattrs};
 use crate::vfs::pipe::{PipeBuffer, Popped};
 use laminar_difc::{CapSet, Capability, SecPair, Tag};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::mem::size_of;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -143,11 +154,12 @@ impl IdCache {
         ProcessId(self.procs[i])
     }
 
-    fn next_inode(&mut self, k: &Kernel) -> InodeId {
+    /// See [`crate::shard::InodeIds::mint`] for `above`.
+    fn next_inode(&mut self, k: &Kernel, above: Option<ShardKey>) -> InodeId {
         let i = self.cur.2;
         self.cur.2 += 1;
         if i == self.inodes.len() {
-            self.inodes.push(k.next_inode.fetch_add(1, Ordering::Relaxed));
+            self.inodes.push(k.inode_ids.mint(above).0);
         }
         InodeId(self.inodes[i])
     }
@@ -160,6 +172,28 @@ impl IdCache {
         }
         self.tags[i]
     }
+}
+
+/// The shard modes a syscall declares before its body runs (see the
+/// module docs): `task` and `proc` for the caller's own shards, which
+/// every attempt pre-locks, and `parent` and `target` for the final
+/// parent directory and the inode its path walk names.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Intent {
+    pub task: ShardMode,
+    pub proc: ShardMode,
+    pub parent: ShardMode,
+    pub target: ShardMode,
+}
+
+impl Intent {
+    /// Everything shared: a syscall that only reads.
+    pub(crate) const READ: Intent = Intent {
+        task: ShardMode::Shared,
+        proc: ShardMode::Shared,
+        parent: ShardMode::Shared,
+        target: ShardMode::Shared,
+    };
 }
 
 /// One undo record: the inverse of one mutation (see the module docs).
@@ -266,41 +300,62 @@ pub(crate) struct Txn<'a> {
     ids: &'a mut IdCache,
     /// LSM hook invocations this attempt; flushed by the dispatcher.
     hooks: u64,
+    intent: Intent,
 }
 
 impl<'a> Txn<'a> {
     /// Starts a transaction with every shard in `footprint` pre-locked
-    /// in ascending order.
+    /// in ascending order, each in its recorded mode.
     pub(crate) fn begin(
         kernel: &'a Kernel,
-        footprint: &BTreeSet<ShardKey>,
+        footprint: Footprint,
         ids: &'a mut IdCache,
+        intent: Intent,
     ) -> Self {
         ids.reset_cursors();
         let mut guards = Vec::with_capacity(footprint.len() + 4);
-        for &key in footprint {
-            guards.push(kernel.tables.lock(key));
+        for (key, mode) in footprint.iter() {
+            guards.push(kernel.tables.lock(key, mode));
         }
-        Txn { kernel, guards, journal: Vec::new(), undo_bytes: 0, ids, hooks: 0 }
+        Txn { kernel, guards, journal: Vec::new(), undo_bytes: 0, ids, hooks: 0, intent }
     }
 
-    /// Ensures the shard for `key` is held, acquiring it if it is above
-    /// every held shard; returns its index in the guard list.
+    /// The modes this syscall declared.
+    pub(crate) fn intent(&self) -> Intent {
+        self.intent
+    }
+
+    /// Ensures the shard for `key` is held in `mode` (exclusive also
+    /// serves shared), acquiring it if it is above every held shard;
+    /// returns its index in the guard list.
     ///
     /// # Errors
     /// [`OsError::Retry`] if acquiring would violate the total lock
-    /// order — the dispatcher widens the footprint and restarts.
-    fn require(&mut self, key: ShardKey) -> OsResult<usize> {
+    /// order, or `mode` is exclusive and the shard is held shared — the
+    /// dispatcher widens the footprint and restarts.
+    fn require(&mut self, key: ShardKey, mode: ShardMode) -> OsResult<usize> {
         if let Some(i) = self.guards.iter().position(|g| g.key == key) {
+            if mode > self.guards[i].mode() {
+                return Err(OsError::Retry(key, mode));
+            }
             return Ok(i);
         }
         if let Some(last) = self.guards.last() {
             if last.key > key {
-                return Err(OsError::Retry(key.0));
+                return Err(OsError::Retry(key, mode));
             }
         }
-        self.guards.push(self.kernel.tables.lock(key));
+        self.guards.push(self.kernel.tables.lock(key, mode));
         Ok(self.guards.len() - 1)
+    }
+
+    /// Takes `key` in `mode` now, before the first access to it, so a
+    /// later mutation does not find the shard held shared.
+    ///
+    /// # Errors
+    /// [`OsError::Retry`], as [`Txn::require`].
+    pub(crate) fn hold(&mut self, key: ShardKey, mode: ShardMode) -> OsResult<()> {
+        self.require(key, mode).map(|_| ())
     }
 
     /// Pushes one undo record. Callers hold the record's shard.
@@ -311,80 +366,68 @@ impl<'a> Txn<'a> {
 
     // --- held-shard map access ----------------------------------------------
 
-    fn tasks_map(&mut self, id: TaskId) -> OsResult<&mut HashMap<TaskId, TaskStruct>> {
-        let i = self.require(ShardKey::task(id))?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Tasks(g) => Ok(&mut **g),
-            _ => Err(OsError::Internal),
-        }
+    fn guard(&mut self, key: ShardKey, mode: ShardMode) -> OsResult<&mut ShardGuard<'a>> {
+        let i = self.require(key, mode)?;
+        Ok(&mut self.guards[i].guard)
     }
 
-    fn procs_map(
-        &mut self,
-        id: ProcessId,
-    ) -> OsResult<&mut HashMap<ProcessId, ProcessStruct>> {
-        let i = self.require(ShardKey::proc(id))?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Procs(g) => Ok(&mut **g),
-            _ => Err(OsError::Internal),
-        }
+    fn tasks_map(&mut self, id: TaskId) -> OsResult<&TaskMap> {
+        self.guard(ShardKey::task(id), ShardMode::Shared)?
+            .tasks()
+            .ok_or(OsError::Internal)
     }
 
-    fn inodes_map(&mut self, id: InodeId) -> OsResult<&mut HashMap<InodeId, Inode>> {
-        let i = self.require(ShardKey::inode(id))?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Inodes(g) => Ok(&mut **g),
-            _ => Err(OsError::Internal),
-        }
+    fn tasks_mut(&mut self, id: TaskId) -> OsResult<&mut TaskMap> {
+        let g = self.guard(ShardKey::task(id), ShardMode::Exclusive)?;
+        g.tasks_mut().ok_or(OsError::Internal)
     }
 
-    fn registry_map(&mut self) -> OsResult<&mut crate::shard::Registry> {
-        let i = self.require(ShardKey::registry())?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Registry(g) => Ok(&mut **g),
-            _ => Err(OsError::Internal),
-        }
+    fn procs_map(&mut self, id: ProcessId) -> OsResult<&ProcMap> {
+        self.guard(ShardKey::proc(id), ShardMode::Shared)?
+            .procs()
+            .ok_or(OsError::Internal)
+    }
+
+    fn procs_mut(&mut self, id: ProcessId) -> OsResult<&mut ProcMap> {
+        let g = self.guard(ShardKey::proc(id), ShardMode::Exclusive)?;
+        g.procs_mut().ok_or(OsError::Internal)
+    }
+
+    fn inodes_map(&mut self, id: InodeId, mode: ShardMode) -> OsResult<&InodeMap> {
+        self.guard(ShardKey::inode(id), mode)?.inodes().ok_or(OsError::Internal)
+    }
+
+    fn inodes_mut(&mut self, id: InodeId) -> OsResult<&mut InodeMap> {
+        let g = self.guard(ShardKey::inode(id), ShardMode::Exclusive)?;
+        g.inodes_mut().ok_or(OsError::Internal)
+    }
+
+    fn registry_mut(&mut self) -> OsResult<&mut Registry> {
+        let g = self.guard(ShardKey::registry(), ShardMode::Exclusive)?;
+        g.registry_mut().ok_or(OsError::Internal)
     }
 
     /// Already-held shard lookup for rollback (never locks, never fails:
-    /// journalled entries always live in held shards).
-    fn held_tasks(&mut self, id: TaskId) -> Option<&mut HashMap<TaskId, TaskStruct>> {
-        let key = ShardKey::task(id);
+    /// journalled entries always live in shards held exclusive).
+    fn held(&mut self, key: ShardKey) -> Option<&mut ShardGuard<'a>> {
         let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Tasks(g) => Some(&mut **g),
-            _ => None,
-        }
+        Some(&mut self.guards[i].guard)
     }
 
-    fn held_procs(
-        &mut self,
-        id: ProcessId,
-    ) -> Option<&mut HashMap<ProcessId, ProcessStruct>> {
-        let key = ShardKey::proc(id);
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Procs(g) => Some(&mut **g),
-            _ => None,
-        }
+    fn held_tasks(&mut self, id: TaskId) -> Option<&mut TaskMap> {
+        self.held(ShardKey::task(id))?.tasks_mut()
     }
 
-    fn held_inodes(&mut self, id: InodeId) -> Option<&mut HashMap<InodeId, Inode>> {
-        let key = ShardKey::inode(id);
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Inodes(g) => Some(&mut **g),
-            _ => None,
-        }
+    fn held_procs(&mut self, id: ProcessId) -> Option<&mut ProcMap> {
+        self.held(ShardKey::proc(id))?.procs_mut()
     }
 
-    fn held_registry(&mut self) -> Option<&mut crate::shard::Registry> {
-        let key = ShardKey::registry();
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        match &mut self.guards[i].guard {
-            ShardGuard::Registry(g) => Some(&mut **g),
-            _ => None,
-        }
+    fn held_inodes(&mut self, id: InodeId) -> Option<&mut InodeMap> {
+        self.held(ShardKey::inode(id))?.inodes_mut()
+    }
+
+    fn held_registry(&mut self) -> Option<&mut Registry> {
+        self.held(ShardKey::registry())?.registry_mut()
     }
 
     fn held_task(&mut self, id: TaskId) -> Option<&mut TaskStruct> {
@@ -435,14 +478,14 @@ impl<'a> Txn<'a> {
                 Undo::Inode(id, Some(i)) => {
                     if let Some(m) = self.held_inodes(id) {
                         if m.insert(id, *i).is_none() {
-                            kernel.inode_count.fetch_add(1, Ordering::Relaxed);
+                            kernel.inode_ids.inserted(id);
                         }
                     }
                 }
                 Undo::Inode(id, None) => {
                     if let Some(m) = self.held_inodes(id) {
                         if m.remove(&id).is_some() {
-                            kernel.inode_count.fetch_sub(1, Ordering::Relaxed);
+                            kernel.inode_ids.removed(id);
                         }
                     }
                 }
@@ -607,12 +650,23 @@ impl<'a> Txn<'a> {
 
     /// The inode entry, if present.
     pub(crate) fn inode_opt(&mut self, id: InodeId) -> OsResult<Option<&Inode>> {
-        Ok(self.inodes_map(id)?.get(&id))
+        self.inode_in(id, ShardMode::Shared)
+    }
+
+    /// The inode entry, if present, with its shard taken in `mode`
+    /// (path walks take a shard in the mode the syscall declared for it).
+    pub(crate) fn inode_in(
+        &mut self,
+        id: InodeId,
+        mode: ShardMode,
+    ) -> OsResult<Option<&Inode>> {
+        Ok(self.inodes_map(id, mode)?.get(&id))
     }
 
     /// The inode's labels; [`OsError::NotFound`] if missing.
     pub(crate) fn inode_labels(&mut self, id: InodeId) -> OsResult<SecPair> {
-        self.inodes_map(id)?.get(&id).map(|i| i.labels().clone()).ok_or(OsError::NotFound)
+        let inodes = self.inodes_map(id, ShardMode::Shared)?;
+        inodes.get(&id).map(|i| i.labels().clone()).ok_or(OsError::NotFound)
     }
 
     // --- journalled mutators: one inverse record per change -------------------
@@ -622,15 +676,15 @@ impl<'a> Txn<'a> {
     // cannot reach a mutable entry without going through a mutator.
 
     fn task_entry(&mut self, id: TaskId) -> OsResult<&mut TaskStruct> {
-        self.tasks_map(id)?.get_mut(&id).ok_or(OsError::NoSuchTask)
+        self.tasks_mut(id)?.get_mut(&id).ok_or(OsError::NoSuchTask)
     }
 
     fn proc_entry(&mut self, id: ProcessId) -> OsResult<&mut ProcessStruct> {
-        self.procs_map(id)?.get_mut(&id).ok_or(OsError::Internal)
+        self.procs_mut(id)?.get_mut(&id).ok_or(OsError::Internal)
     }
 
     fn inode_entry(&mut self, id: InodeId) -> OsResult<&mut Inode> {
-        self.inodes_map(id)?.get_mut(&id).ok_or(OsError::NotFound)
+        self.inodes_mut(id)?.get_mut(&id).ok_or(OsError::NotFound)
     }
 
     /// Replaces a task's labels.
@@ -803,7 +857,7 @@ impl<'a> Txn<'a> {
         f: impl FnOnce(&mut PipeBuffer),
     ) -> OsResult<()> {
         let Some(buffer) = self
-            .inodes_map(ino)?
+            .inodes_mut(ino)?
             .get_mut(&ino)
             .and_then(|i| i.kind.buffer_mut(Buf::Pipe))
         else {
@@ -817,7 +871,7 @@ impl<'a> Txn<'a> {
 
     /// Destroys a task entry, keeping its pre-image for rollback.
     pub(crate) fn remove_task(&mut self, id: TaskId) -> OsResult<()> {
-        if let Some(t) = self.tasks_map(id)?.remove(&id) {
+        if let Some(t) = self.tasks_mut(id)?.remove(&id) {
             self.record(Undo::Task(id, Some(Box::new(t))));
         }
         Ok(())
@@ -826,7 +880,7 @@ impl<'a> Txn<'a> {
     /// Destroys a process entry (with its fd table), keeping its
     /// pre-image for rollback.
     pub(crate) fn remove_process(&mut self, id: ProcessId) -> OsResult<()> {
-        if let Some(p) = self.procs_map(id)?.remove(&id) {
+        if let Some(p) = self.procs_mut(id)?.remove(&id) {
             self.record(Undo::Proc(id, Some(Box::new(p))));
         }
         Ok(())
@@ -834,14 +888,17 @@ impl<'a> Txn<'a> {
 
     /// Destroys an inode, keeping its pre-image for rollback.
     pub(crate) fn remove_inode(&mut self, id: InodeId) -> OsResult<()> {
-        if let Some(i) = self.inodes_map(id)?.remove(&id) {
-            self.kernel.inode_count.fetch_sub(1, Ordering::Relaxed);
+        if let Some(i) = self.inodes_mut(id)?.remove(&id) {
+            self.kernel.inode_ids.removed(id);
             self.record(Undo::Inode(id, Some(Box::new(i))));
         }
         Ok(())
     }
 
-    /// Allocates a fresh inode, enforcing the inode quota.
+    /// Allocates a fresh inode, enforcing the inode quota. Its id is
+    /// minted in a shard above every shard this transaction holds (see
+    /// [`crate::shard::InodeIds`]), so locking it does not restart
+    /// unless no shard sorts above them.
     pub(crate) fn alloc_inode(
         &mut self,
         kind: InodeKind,
@@ -851,15 +908,14 @@ impl<'a> Txn<'a> {
         if self.kernel.failpoints.take_quota() {
             return Err(quota_denied("injected allocation failure"));
         }
-        if self.kernel.inode_count.load(Ordering::Relaxed) as usize
-            >= self.kernel.quotas.max_inodes
-        {
+        if self.kernel.inode_ids.live() as usize >= self.kernel.quotas.max_inodes {
             return Err(quota_denied("inodes"));
         }
-        let id = self.ids.next_inode(self.kernel);
-        self.inodes_map(id)?
+        let above = self.guards.last().map(|g| g.key);
+        let id = self.ids.next_inode(self.kernel, above);
+        self.inodes_mut(id)?
             .insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
-        self.kernel.inode_count.fetch_add(1, Ordering::Relaxed);
+        self.kernel.inode_ids.inserted(id);
         self.record(Undo::Inode(id, None));
         Ok(id)
     }
@@ -945,7 +1001,7 @@ impl<'a> Txn<'a> {
         user: UserId,
         caps: CapSet,
     ) -> OsResult<()> {
-        let prev = self.registry_map()?.persistent_caps.insert(user, caps);
+        let prev = self.registry_mut()?.persistent_caps.insert(user, caps);
         self.record(Undo::PersistentCaps(user, prev));
         Ok(())
     }
@@ -958,7 +1014,7 @@ impl<'a> Txn<'a> {
             return Err(quota_denied("injected allocation failure"));
         }
         let max = self.kernel.quotas.max_tags_per_user;
-        let minted = &mut self.registry_map()?.tags_minted;
+        let minted = &mut self.registry_mut()?.tags_minted;
         let prev = minted.get(&user).copied();
         if prev.unwrap_or(0) >= max {
             return Err(quota_denied("tags"));
@@ -987,13 +1043,13 @@ impl<'a> Txn<'a> {
         let tid = self.ids.next_task(self.kernel);
         let pid = self.ids.next_proc(self.kernel);
         // Ascending domains: task shards rank below process shards.
-        self.require(ShardKey::task(tid))?;
+        self.hold(ShardKey::task(tid), ShardMode::Exclusive)?;
         let mut proc = ProcessStruct::fresh(pid, tid, cwd);
         proc.fds = fds;
         proc.image = ProcImage::new(binary);
-        self.procs_map(pid)?.insert(pid, proc);
+        self.procs_mut(pid)?.insert(pid, proc);
         self.record(Undo::Proc(pid, None));
-        self.tasks_map(tid)?.insert(tid, TaskStruct::fresh(tid, pid, user, sec));
+        self.tasks_mut(tid)?.insert(tid, TaskStruct::fresh(tid, pid, user, sec));
         self.record(Undo::Task(tid, None));
         Ok((tid, pid))
     }
@@ -1007,7 +1063,7 @@ impl<'a> Txn<'a> {
     /// Inserts a task under a fresh id (for `spawn_thread`).
     pub(crate) fn insert_task(&mut self, task: TaskStruct) -> OsResult<()> {
         let id = task.id;
-        let tasks = self.tasks_map(id)?;
+        let tasks = self.tasks_mut(id)?;
         if tasks.contains_key(&id) {
             return Err(OsError::Internal);
         }

@@ -156,6 +156,52 @@ pub fn generate_concurrent_trace(seed: u64, len: usize, tasks: usize) -> Vec<Op>
     ops
 }
 
+/// Generates a read-heavy concurrent trace: three ops in five `stat`,
+/// `read_file_at`, `get_labels` or `readdir` two files in the home
+/// directory and `/tmp` (and, one time in five, in the secret
+/// `/tmp/s0`), while the rest create, write and unlink those same files
+/// or raise the issuing task's secrecy. So readers holding a directory's
+/// shard shared meet writers that need it, or a file's shard,
+/// exclusive. Labels are secrecy-only, so most reads succeed.
+/// Deterministic in `(seed, len, tasks)`.
+#[must_use]
+pub fn generate_read_heavy_trace(seed: u64, len: usize, tasks: usize) -> Vec<Op> {
+    let mut rng = SplitMix64::new(seed);
+    let sparse = |rng: &mut SplitMix64| {
+        (rng.below(1 << SETUP_TAGS) & rng.below(1 << SETUP_TAGS)) as u8
+    };
+    (0..len)
+        .map(|_| {
+            let task = rng.below(tasks as u64) as u8;
+            let dir = if rng.below(5) == 0 { 2 } else { rng.below(2) as u8 };
+            let slot = rng.below(2) as u8;
+            match rng.below(20) {
+                0..=5 => Op::Stat { task, dir, slot },
+                6..=9 => Op::ReadFile { task, dir, slot },
+                10 => Op::GetLabels { task, dir, slot },
+                11 => Op::Readdir { task, dir },
+                12 => Op::WriteFile { task, dir, slot, len: rng.gen_range(1..9) as u8 },
+                13 => Op::WriteFileAt {
+                    task,
+                    dir,
+                    slot,
+                    offset: rng.below(16) as u16,
+                    len: rng.gen_range(1..9) as u8,
+                },
+                14..=17 => Op::CreateFile {
+                    task,
+                    dir,
+                    slot,
+                    s_mask: sparse(&mut rng),
+                    i_mask: 0,
+                },
+                18 => Op::Unlink { task, dir, slot },
+                _ => Op::SetLabel { task, secrecy: true, mask: sparse(&mut rng) },
+            }
+        })
+        .collect()
+}
+
 /// The task that *issues* an op's syscall (its lane).
 fn op_task(op: &Op) -> u8 {
     match *op {
@@ -172,6 +218,7 @@ fn op_task(op: &Op) -> u8 {
         | Op::WriteFileAt { task, .. }
         | Op::ReadFile { task, .. }
         | Op::GetLabels { task, .. }
+        | Op::Stat { task, .. }
         | Op::Unlink { task, .. }
         | Op::Rmdir { task, .. }
         | Op::Readdir { task, .. }
@@ -324,6 +371,15 @@ pub fn run_linearized(lin: &[(usize, Op)], threads: usize) -> Result<(), Diverge
     Ok(())
 }
 
+/// Which generator a concurrent exploration draws its traces from.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum TraceMix {
+    /// [`generate_concurrent_trace`]: the whole concurrent vocabulary.
+    Full,
+    /// [`generate_read_heavy_trace`]: mostly reads of a few hot files.
+    ReadHeavy,
+}
+
 /// Configuration of one concurrent exploration run.
 #[derive(Clone, Debug)]
 pub struct ConcurrentConfig {
@@ -335,6 +391,8 @@ pub struct ConcurrentConfig {
     pub ops_per_trace: usize,
     /// Worker threads (= tasks); at least 3.
     pub threads: usize,
+    /// The trace generator.
+    pub mix: TraceMix,
 }
 
 impl ConcurrentConfig {
@@ -374,6 +432,7 @@ impl ConcurrentConfig {
             threads: env_u64("TESTKIT_CONC_THREADS")
                 .map_or(Self::DEFAULT_THREADS, |n| n as usize)
                 .max(3),
+            mix: TraceMix::Full,
         }
     }
 }
@@ -394,8 +453,11 @@ pub fn explore_concurrent(
         let mut derive = SplitMix64::new(seed);
         for _ in 0..cfg.traces_per_seed {
             let trace_seed = derive.next_u64();
-            let ops =
-                generate_concurrent_trace(trace_seed, cfg.ops_per_trace, cfg.threads);
+            let generate = match cfg.mix {
+                TraceMix::Full => generate_concurrent_trace,
+                TraceMix::ReadHeavy => generate_read_heavy_trace,
+            };
+            let ops = generate(trace_seed, cfg.ops_per_trace, cfg.threads);
             if let Err(mut cex) = run_concurrent_trace(&ops, cfg.threads) {
                 cex.seed = trace_seed;
                 if run_linearized(&cex.lin, cfg.threads).is_err() {
@@ -460,6 +522,25 @@ mod tests {
             Op::AllocTag { .. } | Op::VmBarrier { .. } | Op::RegionEnter { .. }
         )));
         assert!(a.iter().any(|op| matches!(op, Op::Kill { .. })));
+    }
+
+    #[test]
+    fn read_heavy_generation_is_deterministic_and_mostly_reads() {
+        let a = generate_read_heavy_trace(7, 400, 4);
+        assert_eq!(a, generate_read_heavy_trace(7, 400, 4));
+        let reads = a
+            .iter()
+            .filter(|op| {
+                matches!(
+                    op,
+                    Op::Stat { .. }
+                        | Op::ReadFile { .. }
+                        | Op::GetLabels { .. }
+                        | Op::Readdir { .. }
+                )
+            })
+            .count();
+        assert!((200..280).contains(&reads), "{reads} reads in 400 ops");
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub mod trace;
 pub use audit::{assert_audit_completeness, run_audit_trace, AuditTally};
 pub use concurrent::{
     assert_concurrent_conformance, explore_concurrent, generate_concurrent_trace,
-    run_concurrent_trace, run_linearized, ConcurrentConfig, ConcurrentCounterexample,
-    WitnessedOp,
+    generate_read_heavy_trace, run_concurrent_trace, run_linearized, ConcurrentConfig,
+    ConcurrentCounterexample, TraceMix, WitnessedOp,
 };
 pub use explore::{
     assert_conformance, explore, render_regression_test, run_trace, shrink, shrink_with,

@@ -155,6 +155,13 @@ pub enum Outcome {
     Sig(Option<u8>),
     /// Labels observed.
     Labels(MPair),
+    /// A file's labels and size, as `stat` reports them.
+    Meta {
+        /// The file's labels.
+        labels: MPair,
+        /// The file's length in bytes.
+        size: u64,
+    },
     /// Directory listing (sorted).
     Names(Vec<String>),
     /// The operation was denied.
@@ -649,6 +656,24 @@ impl Oracle {
                 match self.dirs[d].files.get(&slot) {
                     Some(f) => Outcome::Labels(f.labels.clone()),
                     None => Outcome::Denied(DenyKind::NotFound),
+                }
+            }
+            Op::Stat { task, dir, slot } => {
+                let (d, slot) = (dir as usize % DIRS, slot % FILE_SLOTS);
+                let task = &self.tasks[task as usize % nt];
+                if let Err(k) = self.traverse_into(&task.labels, d) {
+                    return Outcome::Denied(k);
+                }
+                let Some(file) = self.dirs[d].files.get(&slot) else {
+                    return Outcome::Denied(DenyKind::NotFound);
+                };
+                // The size is protected by the file's own label.
+                if !file.labels.flows_to(&task.labels) {
+                    return Outcome::Denied(DenyKind::Flow);
+                }
+                Outcome::Meta {
+                    labels: file.labels.clone(),
+                    size: file.data.len() as u64,
                 }
             }
             Op::Unlink { task, dir, slot } => {

@@ -455,6 +455,16 @@ impl KernelReplay {
                     Err(e) => deny(&e),
                 }
             }
+            Op::Stat { task, dir, slot } => {
+                let (d, slot) = (dir as usize % DIRS, slot % FILE_SLOTS);
+                match self.tasks[task as usize % nt].stat(&Self::file_path(d, slot)) {
+                    Ok(md) => Outcome::Meta {
+                        labels: self.pair_model(&md.labels),
+                        size: md.size,
+                    },
+                    Err(e) => deny(&e),
+                }
+            }
             Op::Unlink { task, dir, slot } => {
                 let (d, slot) = (dir as usize % DIRS, slot % FILE_SLOTS);
                 match self.tasks[task as usize % nt].unlink(&Self::file_path(d, slot)) {

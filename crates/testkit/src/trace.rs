@@ -90,6 +90,9 @@ pub enum Op {
     ReadFile { task: u8, dir: u8, slot: u8 },
     /// `get_labels` on a file path.
     GetLabels { task: u8, dir: u8, slot: u8 },
+    /// `stat` on a file path: its labels and size. Only the concurrent
+    /// read-heavy mix draws it.
+    Stat { task: u8, dir: u8, slot: u8 },
     /// `unlink` of a file.
     Unlink { task: u8, dir: u8, slot: u8 },
     /// `unlink` of a (possibly nonempty) directory slot 2..=5.

@@ -9,7 +9,7 @@
 //! [`ConcurrentConfig::from_env`]); the defaults replay 4 seeds × 2000
 //! traces × 24 ops at 4 worker threads — the 8k-trace CI floor.
 
-use laminar_testkit::{explore_concurrent, ConcurrentConfig};
+use laminar_testkit::{explore_concurrent, ConcurrentConfig, TraceMix};
 
 fn run(cfg: &ConcurrentConfig, regime: &str) {
     match explore_concurrent(cfg) {
@@ -59,6 +59,24 @@ fn concurrent_commit_orders_conform_at_eight_threads() {
         traces_per_seed: 150,
         ops_per_trace: 48,
         threads: 8,
+        mix: TraceMix::Full,
     };
     run(&cfg, "8-thread");
+}
+
+/// The read-heavy seed set: every lane mostly `stat`s and reads the same
+/// few files, so `/`, `/tmp` and the hot directories are held shared by
+/// several lanes at once, while other ops write, create and unlink in
+/// those directories. Shared holders commute, so the commit tickets must
+/// still be a linearization the oracle explains.
+#[test]
+fn read_heavy_commit_orders_conform() {
+    let cfg = ConcurrentConfig {
+        seeds: vec![0x4EAD_0001, 0x4EAD_0002, 0x4EAD_0003, 0x4EAD_0004],
+        traces_per_seed: 300,
+        ops_per_trace: 32,
+        threads: 4,
+        mix: TraceMix::ReadHeavy,
+    };
+    run(&cfg, "read-heavy");
 }

@@ -145,6 +145,27 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
+#[cfg(feature = "fault-injection")]
+impl<T: ?Sized + Send + Sync> RwLock<T> {
+    /// Fault injection, as [`Mutex::poison_for_test`]: a helper thread
+    /// panics while holding the *write* guard (a panicking reader does
+    /// not poison a `std` rwlock), so the next `read()` or `write()`
+    /// takes the poison-recovery path. Data is untouched.
+    pub fn poison_for_test(&self) {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard =
+                    self.0.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+                panic!("injected lock poison");
+            })
+            .join()
+        });
+        std::panic::set_hook(prev);
+    }
+}
+
 impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0.try_read() {
@@ -260,6 +281,18 @@ mod tests {
         let before = poison_recoveries();
         *m.lock() += 1; // recovery path, not a panic
         assert_eq!(*m.lock(), 42);
+        assert!(poison_recoveries() > before, "recovery must be counted");
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn injected_rwlock_poison_is_recovered_by_readers_and_writers() {
+        let l = RwLock::new(41);
+        l.poison_for_test();
+        let before = poison_recoveries();
+        assert_eq!(*l.read(), 41); // a shared acquisition recovers too
+        *l.write() += 1;
+        assert_eq!(*l.read(), 42);
         assert!(poison_recoveries() > before, "recovery must be counted");
     }
 
