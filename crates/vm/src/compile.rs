@@ -19,11 +19,11 @@
 //!
 //! The [`crate::opt`] pass removes barriers proven redundant.
 
-use crate::absint::analyze;
 use crate::bytecode::Instr;
 use crate::error::VmResult;
 use crate::opt::plan_barriers;
 use crate::program::Program;
+use crate::verify::verify_function;
 
 /// Barrier-compilation strategy (the Figure 8 sweep variable).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -107,6 +107,15 @@ pub(crate) struct CompiledFunction {
     // recorded for diagnostics; the mismatch check keys off Vm::static_choice
     pub ctx: Ctx,
     pub code: Vec<CInstr>,
+    /// Parameter count: the first `params` local slots.
+    pub params: usize,
+    /// Local slots, parameters included.
+    pub locals: usize,
+    /// Does `Return` pop a result?
+    pub returns: bool,
+    /// The deepest the operand stack gets, from the verifier's abstract
+    /// stacks: a frame needs `locals + max_stack` value slots.
+    pub max_stack: usize,
     /// Abstract compile cost: instructions emitted plus inlined-barrier
     /// bloat. Figure 8 reports compile-time ratios from this.
     pub cost: u64,
@@ -116,6 +125,11 @@ pub(crate) struct CompiledFunction {
 
 /// Compiles `func` for a context. `optimize` toggles redundant-barrier
 /// elimination (the ablation knob).
+///
+/// The function is verified first ([`verify_function`]), so code the
+/// interpreter runs never names an out-of-range local, function, class,
+/// static, string or spec, even when the [`Program`]'s public fields
+/// were edited after [`crate::ProgramBuilder::finish`].
 pub(crate) fn compile(
     program: &Program,
     func_id: u32,
@@ -123,8 +137,11 @@ pub(crate) fn compile(
     optimize: bool,
 ) -> VmResult<CompiledFunction> {
     let func = &program.functions[func_id as usize];
-    let abs = analyze(program, func)?;
+    let abs = verify_function(program, func)?;
     let plan = plan_barriers(func, &abs, optimize && ctx != Ctx::NoBarriers);
+    // Every state an instruction leaves is the state before a successor,
+    // so the deepest state before any instruction is the deepest overall.
+    let max_stack = abs.before.iter().flatten().map(Vec::len).max().unwrap_or(0);
 
     let mut code = Vec::with_capacity(func.body.len());
     let mut cost = 0u64;
@@ -202,7 +219,16 @@ pub(crate) fn compile(
         code.push(CInstr { barrier, instr });
     }
 
-    Ok(CompiledFunction { ctx, code, cost, eliminated })
+    Ok(CompiledFunction {
+        ctx,
+        code,
+        params: usize::from(func.params),
+        locals: usize::from(func.locals),
+        returns: func.returns,
+        max_stack,
+        cost,
+        eliminated,
+    })
 }
 
 #[cfg(test)]

@@ -46,6 +46,12 @@ pub enum VmError {
     },
     /// Arithmetic fault (division by zero).
     DivideByZero,
+    /// A call would nest deeper than the interpreter's fixed bound
+    /// (the limit is carried): plain calls beyond
+    /// [`crate::MAX_CALL_DEPTH`] or security regions beyond
+    /// [`crate::MAX_REGION_DEPTH`]. Raised at run time like a Java
+    /// `StackOverflowError`, so a region suppresses it (§4.3.3).
+    CallDepthExceeded(usize),
     /// A region exit was requested with no matching region entry — an
     /// interpreter-invariant failure that must surface as a typed error
     /// (fail-closed), never as an unwind.
@@ -82,6 +88,9 @@ impl fmt::Display for VmError {
                 write!(f, "index {index} out of bounds for length {len}")
             }
             VmError::DivideByZero => f.write_str("division by zero"),
+            VmError::CallDepthExceeded(limit) => {
+                write!(f, "call depth exceeds the limit of {limit}")
+            }
             VmError::RegionUnderflow => {
                 f.write_str("security region exit without a matching entry")
             }

@@ -90,12 +90,21 @@ impl Heap {
         r
     }
 
+    // Both accessors build their error only on the miss: an eager
+    // `ok_or(VmError::..)` costs a drop of the unused error on every hit,
+    // and every field and element access comes through here.
     pub(crate) fn get(&self, r: ObjRef) -> VmResult<&HeapObject> {
-        self.objects.get(r.0 as usize).ok_or(VmError::Malformed("dangling reference"))
+        match self.objects.get(r.0 as usize) {
+            Some(o) => Ok(o),
+            None => Err(VmError::Malformed("dangling reference")),
+        }
     }
 
     pub(crate) fn get_mut(&mut self, r: ObjRef) -> VmResult<&mut HeapObject> {
-        self.objects.get_mut(r.0 as usize).ok_or(VmError::Malformed("dangling reference"))
+        match self.objects.get_mut(r.0 as usize) {
+            Some(o) => Ok(o),
+            None => Err(VmError::Malformed("dangling reference")),
+        }
     }
 
     /// The labels of an object (`None` for the ordinary space).

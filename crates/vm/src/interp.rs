@@ -19,6 +19,46 @@ use laminar_difc::{CapKind, CapSet, Capability, Label, SecPair, Tag};
 
 use std::sync::Arc;
 
+/// The most callers a thread may have suspended in plain calls at once:
+/// `down(n) = n == 0 ? 0 : down(n - 1)` runs for `n <= MAX_CALL_DEPTH`.
+/// A `Call` past it raises [`VmError::CallDepthExceeded`] instead of
+/// growing the value stack further. A plain call uses no host stack, so
+/// the bound is the same in debug and release builds and on any thread.
+pub const MAX_CALL_DEPTH: usize = 1 << 14;
+
+/// The most security regions a thread may have entered at once. Each
+/// region runs its body (and catch block) in a nested dispatch loop, so
+/// this bounds the host stack the interpreter uses: 16 nested regions
+/// need under 640 KiB in a debug build and under 64 KiB in a release
+/// build on x86-64, well inside a Rust thread's default 2 MiB. A
+/// `CallSecure` past it raises [`VmError::CallDepthExceeded`].
+pub const MAX_REGION_DEPTH: usize = 16;
+
+/// A suspended caller: the code it runs, the instruction it resumes at
+/// and where its frame starts in the value stack. The frame's locals are
+/// `values[base..base + code.locals]`; its operands sit above them.
+#[derive(Debug)]
+struct Frame {
+    code: Arc<CompiledFunction>,
+    pc: usize,
+    base: usize,
+}
+
+/// The thread's frame stack: one value stack shared by every
+/// activation, plus the suspended callers of the running one.
+#[derive(Debug, Default)]
+struct Stack {
+    values: Vec<Value>,
+    frames: Vec<Frame>,
+}
+
+/// How the dispatch loop leaves the running frame.
+enum Transfer {
+    Call(FuncId),
+    CallSecure(FuncId, RegionSpecId),
+    Return(Option<Value>),
+}
+
 /// One entry of the thread's region stack.
 #[derive(Debug)]
 struct RegionFrame {
@@ -68,11 +108,23 @@ pub struct Vm {
     bridge: Option<Box<dyn OsBridge>>,
     /// Labels currently pushed to the kernel task (`None` = unlabeled).
     kernel_labels: Option<SecPair>,
+    /// Value and frame stacks, reused from call to call. Taken out of the
+    /// `Vm` while a host call runs.
+    stack: Stack,
+    /// Why the program's spec tables are unusable with this tag table,
+    /// if they are: every host call then fails with it.
+    invalid: Option<VmError>,
 }
 
 impl Vm {
     /// Creates a VM for `program` with the given runtime tag table and
     /// barrier strategy. Redundant-barrier elimination is on by default.
+    ///
+    /// The program is not trusted to be the one
+    /// [`crate::ProgramBuilder::finish`] verified: its spec tables are
+    /// checked here and each function body when it is first compiled, so
+    /// an invalid program fails with [`VmError::Verify`] before any of
+    /// the offending code runs.
     ///
     /// # Panics
     ///
@@ -86,19 +138,20 @@ impl Vm {
             program.tags_used,
             tags.len()
         );
+        let invalid = crate::verify::verify_tables(&program, tags.len()).err();
         let statics = vec![Value::Null; program.statics.len()];
         let static_labels: Vec<SecPair> = program
             .statics
             .iter()
             .map(|st| match st.labels {
-                Some(spec) => {
+                Some(spec) if invalid.is_none() => {
                     let ps = &program.pair_specs[spec.0 as usize];
                     SecPair::new(
                         Label::from_tags(ps.secrecy.iter().map(|&i| tags[i as usize])),
                         Label::from_tags(ps.integrity.iter().map(|&i| tags[i as usize])),
                     )
                 }
-                None => SecPair::unlabeled(),
+                _ => SecPair::unlabeled(),
             })
             .collect();
         let nfuncs = program.functions.len();
@@ -119,6 +172,8 @@ impl Vm {
             region_undo: Vec::new(),
             bridge: None,
             kernel_labels: None,
+            stack: Stack::default(),
+            invalid,
         }
     }
 
@@ -259,7 +314,9 @@ impl Vm {
     /// # Errors
     ///
     /// Any [`VmError`] the program raises outside a security region
-    /// (in-region exceptions are handled by catch blocks and suppressed).
+    /// (in-region exceptions are handled by catch blocks and suppressed),
+    /// including [`VmError::CallDepthExceeded`]; [`VmError::Verify`] if
+    /// the program, edited after it was built, fails verification.
     pub fn call(&mut self, f: FuncId, args: &[Value]) -> VmResult<Option<Value>> {
         let func = self
             .program
@@ -274,7 +331,18 @@ impl Vm {
         if args.len() != func.params as usize {
             return Err(VmError::Malformed("wrong argument count"));
         }
-        self.exec(f, args.to_vec())
+        if let Some(e) = &self.invalid {
+            return Err(e.clone());
+        }
+        // The stacks keep their capacity from call to call, never their
+        // contents: a failed call may leave values and frames behind.
+        let mut st = std::mem::take(&mut self.stack);
+        st.values.clear();
+        st.values.extend_from_slice(args);
+        let result = self.run(&mut st, f, 0);
+        st.frames.clear();
+        self.stack = st;
+        result
     }
 
     /// [`Self::call`] by function name.
@@ -543,7 +611,7 @@ impl Vm {
         &mut self,
         b: Barrier,
         instr: &Instr,
-        stack: &[Value],
+        operands: &[Value],
     ) -> VmResult<()> {
         let depth = match instr {
             Instr::GetField(_) | Instr::ArrayLen => 0,
@@ -552,11 +620,10 @@ impl Vm {
             _ => 0,
         };
         let obj_at = |d: usize| -> VmResult<ObjRef> {
-            stack
-                .get(stack.len().wrapping_sub(1 + d))
-                .copied()
-                .ok_or(VmError::Malformed("barrier operand missing"))?
-                .as_ref()
+            match operands.get(operands.len().wrapping_sub(1 + d)) {
+                Some(v) => v.as_ref(),
+                None => Err(VmError::Malformed("barrier operand missing")),
+            }
         };
         match b {
             Barrier::ReadIn => {
@@ -604,7 +671,7 @@ impl Vm {
                 self.stats.static_barriers += 1;
                 let pair = self.static_pair_of(instr)?;
                 // Unlabeled static: a secrecy region may not write it.
-                self.labels.can_flow_to_cached(&pair).map_err(VmError::from)
+                self.labels.can_flow_to_cached(pair).map_err(VmError::from)
             }
             Barrier::StaticReadOut | Barrier::StaticWriteOut => {
                 self.stats.static_barriers += 1;
@@ -616,17 +683,17 @@ impl Vm {
             Barrier::StaticReadDyn => {
                 self.stats.dynamic_dispatches += 1;
                 if self.in_region() {
-                    self.run_access_barrier(Barrier::StaticReadIn, instr, stack)
+                    self.run_access_barrier(Barrier::StaticReadIn, instr, operands)
                 } else {
-                    self.run_access_barrier(Barrier::StaticReadOut, instr, stack)
+                    self.run_access_barrier(Barrier::StaticReadOut, instr, operands)
                 }
             }
             Barrier::StaticWriteDyn => {
                 self.stats.dynamic_dispatches += 1;
                 if self.in_region() {
-                    self.run_access_barrier(Barrier::StaticWriteIn, instr, stack)
+                    self.run_access_barrier(Barrier::StaticWriteIn, instr, operands)
                 } else {
-                    self.run_access_barrier(Barrier::StaticWriteOut, instr, stack)
+                    self.run_access_barrier(Barrier::StaticWriteOut, instr, operands)
                 }
             }
             // Alloc barriers are folded into the allocation instructions.
@@ -635,13 +702,14 @@ impl Vm {
     }
 
     /// The labels of the static referenced by a Get/PutStatic instruction.
-    fn static_pair_of(&self, instr: &Instr) -> VmResult<SecPair> {
+    fn static_pair_of(&self, instr: &Instr) -> VmResult<&SecPair> {
         match instr {
-            Instr::GetStatic(s) | Instr::PutStatic(s) => self
-                .static_labels
-                .get(s.0 as usize)
-                .cloned()
-                .ok_or(VmError::Malformed("unknown static")),
+            Instr::GetStatic(s) | Instr::PutStatic(s) => {
+                match self.static_labels.get(s.0 as usize) {
+                    Some(pair) => Ok(pair),
+                    None => Err(VmError::Malformed("unknown static")),
+                }
+            }
             _ => Err(VmError::Malformed("static barrier on non-static op")),
         }
     }
@@ -699,364 +767,503 @@ impl Vm {
 
     // --- the interpreter loop ----------------------------------------------
 
-    #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, f: FuncId, args: Vec<Value>) -> VmResult<Option<Value>> {
-        let compiled = self.compiled_for_call(f)?;
-        let func = &self.program.functions[f.0 as usize];
-        let (nlocals, returns, params) =
-            (func.locals as usize, func.returns, func.params as usize);
-        debug_assert_eq!(args.len(), params);
-
-        let mut locals = vec![Value::Null; nlocals];
-        locals[..params].copy_from_slice(&args);
-        let mut stack: Vec<Value> = Vec::with_capacity(8);
-        let mut pc = 0usize;
-
-        macro_rules! pop {
-            () => {
-                stack.pop().ok_or(VmError::Malformed("operand stack underflow"))?
-            };
+    /// Makes room for a frame of `code` at `base` (its locals and its
+    /// deepest operand stack) and sets its non-parameter locals to null,
+    /// whatever an earlier frame left in those slots.
+    fn open_frame(values: &mut Vec<Value>, base: usize, code: &CompiledFunction) {
+        let top = base + code.locals + code.max_stack;
+        if values.len() < top {
+            values.resize(top, Value::Null);
         }
+        values[base + code.params..base + code.locals].fill(Value::Null);
+    }
 
-        while pc < compiled.code.len() {
-            let CInstr { barrier, instr } = compiled.code[pc];
-            self.stats.instructions += 1;
-            if let Some(b) = barrier {
-                if !matches!(b, Barrier::AllocIn | Barrier::AllocDyn) {
-                    self.run_access_barrier(b, &instr, &stack)?;
+    /// Runs `f`, whose arguments are the values at
+    /// `st.values[base..base + params]`, until it returns. Plain calls and
+    /// returns push and pop [`Frame`]s inside this loop; only a security
+    /// region's body and catch block run in a nested one
+    /// ([`Self::call_secure`]).
+    ///
+    /// The length of `st.values` is a high-water mark, not the stack
+    /// height: the running frame's height is `sp`, a local, and every
+    /// slot at or above it is dead. So a failed callee leaves nothing
+    /// its caller can see; the handler that catches the error only drops
+    /// the callee's suspended frames.
+    #[allow(clippy::too_many_lines)]
+    fn run(&mut self, st: &mut Stack, f: FuncId, base: usize) -> VmResult<Option<Value>> {
+        let floor = st.frames.len();
+        let code = self.compiled_for_call(f)?;
+        Self::open_frame(&mut st.values, base, &code);
+        let mut sp = base + code.locals;
+        let mut cur = Frame { code, pc: 0, base };
+
+        loop {
+            let code: &[CInstr] = &cur.code.code;
+            let (base, locals, returns) = (cur.base, cur.code.locals, cur.code.returns);
+            // The frame's operands start above its locals: popping below
+            // `ops` is an underflow, never a read of a local.
+            let ops = base + locals;
+            let values: &mut [Value] = &mut st.values;
+            let mut pc = cur.pc;
+
+            macro_rules! pop {
+                () => {{
+                    if sp <= ops {
+                        return Err(VmError::Malformed("operand stack underflow"));
+                    }
+                    sp -= 1;
+                    values[sp]
+                }};
+            }
+            macro_rules! push {
+                ($v:expr) => {{
+                    let v = $v;
+                    // The verifier bounds each function's operand depth
+                    // and `open_frame` reserved it; this cannot fire for
+                    // compiled code.
+                    let Some(slot) = values.get_mut(sp) else {
+                        return Err(VmError::Malformed("operand stack overflow"));
+                    };
+                    *slot = v;
+                    sp += 1;
+                }};
+            }
+            macro_rules! local {
+                ($l:expr) => {{
+                    let l = usize::from($l);
+                    if l >= locals {
+                        return Err(VmError::Malformed("local index out of range"));
+                    }
+                    base + l
+                }};
+            }
+            macro_rules! int_op {
+                (|$a:ident, $b:ident| $e:expr) => {{
+                    let $b = pop!().as_int()?;
+                    let $a = pop!().as_int()?;
+                    push!($e);
+                }};
+            }
+
+            let transfer = loop {
+                let Some(&CInstr { barrier, instr }) = code.get(pc) else {
+                    // Function bodies are terminated by Return (the
+                    // builder appends one), so falling off the end is
+                    // malformed.
+                    return Err(VmError::Malformed("control flow fell off function end"));
+                };
+                self.stats.instructions += 1;
+                if let Some(b) = barrier {
+                    if !matches!(b, Barrier::AllocIn | Barrier::AllocDyn) {
+                        self.run_access_barrier(b, &instr, &values[ops..sp])?;
+                    }
+                }
+                match instr {
+                    Instr::PushInt(v) => push!(Value::Int(v)),
+                    Instr::PushBool(v) => push!(Value::Bool(v)),
+                    Instr::PushNull => push!(Value::Null),
+                    Instr::Pop => {
+                        pop!();
+                    }
+                    Instr::Dup => {
+                        let Some(&v) = values[ops..sp].last() else {
+                            return Err(VmError::Malformed("dup on empty"));
+                        };
+                        push!(v);
+                    }
+                    Instr::Load(l) => {
+                        let v = values[local!(l)];
+                        push!(v);
+                    }
+                    Instr::Store(l) => {
+                        let slot = local!(l);
+                        values[slot] = pop!();
+                    }
+                    Instr::GetField(n) => {
+                        let obj = pop!().as_ref()?;
+                        match &self.heap.get(obj)?.kind {
+                            ObjKind::Object { fields, .. } => {
+                                let Some(&v) = fields.get(n as usize) else {
+                                    return Err(VmError::Malformed(
+                                        "field index out of range",
+                                    ));
+                                };
+                                push!(v);
+                            }
+                            ObjKind::Array { .. } => {
+                                return Err(VmError::TypeError("GetField on array"))
+                            }
+                        }
+                    }
+                    Instr::PutField(n) => {
+                        let val = pop!();
+                        let obj = pop!().as_ref()?;
+                        let journal = self.in_region();
+                        let ho = self.heap.get_mut(obj)?;
+                        let labeled = ho.labels.is_some();
+                        match &mut ho.kind {
+                            ObjKind::Object { fields, .. } => {
+                                let Some(slot) = fields.get_mut(n as usize) else {
+                                    return Err(VmError::Malformed(
+                                        "field index out of range",
+                                    ));
+                                };
+                                if journal && labeled {
+                                    self.region_undo
+                                        .push(RegionUndo::Field(obj, n as usize, *slot));
+                                }
+                                *slot = val;
+                            }
+                            ObjKind::Array { .. } => {
+                                return Err(VmError::TypeError("PutField on array"))
+                            }
+                        }
+                    }
+                    Instr::NewObject(c) => {
+                        let labels = self.alloc_labels(barrier);
+                        let nfields = self.program.classes[c.0 as usize].nfields as usize;
+                        let r = self.heap.alloc_object(c, nfields, labels);
+                        push!(Value::Ref(r));
+                    }
+                    Instr::NewObjectLabeled(c, spec) => {
+                        let labels = self.alloc_labels_explicit(barrier, spec)?;
+                        let nfields = self.program.classes[c.0 as usize].nfields as usize;
+                        let r = self.heap.alloc_object(c, nfields, labels);
+                        push!(Value::Ref(r));
+                    }
+                    Instr::NewArray => {
+                        let len = pop!().as_int()?;
+                        if len < 0 {
+                            return Err(VmError::Malformed("negative array length"));
+                        }
+                        let labels = self.alloc_labels(barrier);
+                        let r = self.heap.alloc_array(len as usize, labels);
+                        push!(Value::Ref(r));
+                    }
+                    Instr::NewArrayLabeled(spec) => {
+                        let len = pop!().as_int()?;
+                        if len < 0 {
+                            return Err(VmError::Malformed("negative array length"));
+                        }
+                        let labels = self.alloc_labels_explicit(barrier, spec)?;
+                        let r = self.heap.alloc_array(len as usize, labels);
+                        push!(Value::Ref(r));
+                    }
+                    Instr::ALoad => {
+                        let idx = pop!().as_int()?;
+                        let arr = pop!().as_ref()?;
+                        match &self.heap.get(arr)?.kind {
+                            ObjKind::Array { elems } => {
+                                let Some(&v) =
+                                    usize::try_from(idx).ok().and_then(|i| elems.get(i))
+                                else {
+                                    return Err(VmError::IndexOutOfBounds {
+                                        index: idx,
+                                        len: elems.len(),
+                                    });
+                                };
+                                push!(v);
+                            }
+                            ObjKind::Object { .. } => {
+                                return Err(VmError::TypeError("ALoad on object"))
+                            }
+                        }
+                    }
+                    Instr::AStore => {
+                        let val = pop!();
+                        let idx = pop!().as_int()?;
+                        let arr = pop!().as_ref()?;
+                        let journal = self.in_region();
+                        let ho = self.heap.get_mut(arr)?;
+                        let labeled = ho.labels.is_some();
+                        match &mut ho.kind {
+                            ObjKind::Array { elems } => {
+                                let len = elems.len();
+                                let Some(slot) = usize::try_from(idx)
+                                    .ok()
+                                    .and_then(|i| elems.get_mut(i))
+                                else {
+                                    return Err(VmError::IndexOutOfBounds {
+                                        index: idx,
+                                        len,
+                                    });
+                                };
+                                if journal && labeled {
+                                    self.region_undo.push(RegionUndo::Field(
+                                        arr,
+                                        idx as usize,
+                                        *slot,
+                                    ));
+                                }
+                                *slot = val;
+                            }
+                            ObjKind::Object { .. } => {
+                                return Err(VmError::TypeError("AStore on object"))
+                            }
+                        }
+                    }
+                    Instr::ArrayLen => {
+                        let arr = pop!().as_ref()?;
+                        match &self.heap.get(arr)?.kind {
+                            ObjKind::Array { elems } => {
+                                push!(Value::Int(elems.len() as i64));
+                            }
+                            ObjKind::Object { .. } => {
+                                return Err(VmError::TypeError("ArrayLen on object"))
+                            }
+                        }
+                    }
+                    Instr::GetStatic(s) => push!(self.statics[s.0 as usize]),
+                    Instr::PutStatic(s) => {
+                        let val = pop!();
+                        let idx = s.0 as usize;
+                        if self.in_region()
+                            && self
+                                .static_labels
+                                .get(idx)
+                                .is_some_and(|p| !p.is_unlabeled())
+                        {
+                            self.region_undo
+                                .push(RegionUndo::Static(idx, self.statics[idx]));
+                        }
+                        self.statics[idx] = val;
+                    }
+                    Instr::Add => int_op!(|a, b| Value::Int(a.wrapping_add(b))),
+                    Instr::Sub => int_op!(|a, b| Value::Int(a.wrapping_sub(b))),
+                    Instr::Mul => int_op!(|a, b| Value::Int(a.wrapping_mul(b))),
+                    Instr::Div | Instr::Mod => {
+                        let b = pop!().as_int()?;
+                        let a = pop!().as_int()?;
+                        if b == 0 {
+                            return Err(VmError::DivideByZero);
+                        }
+                        push!(Value::Int(if matches!(instr, Instr::Div) {
+                            a.wrapping_div(b)
+                        } else {
+                            a.wrapping_rem(b)
+                        }));
+                    }
+                    Instr::Neg => {
+                        let a = pop!().as_int()?;
+                        push!(Value::Int(a.wrapping_neg()));
+                    }
+                    Instr::Not => {
+                        let a = pop!().as_bool()?;
+                        push!(Value::Bool(!a));
+                    }
+                    Instr::And | Instr::Or => {
+                        let b = pop!().as_bool()?;
+                        let a = pop!().as_bool()?;
+                        push!(Value::Bool(if matches!(instr, Instr::And) {
+                            a && b
+                        } else {
+                            a || b
+                        }));
+                    }
+                    Instr::CmpEq => {
+                        let b = pop!();
+                        let a = pop!();
+                        push!(Value::Bool(a == b));
+                    }
+                    Instr::CmpLt => int_op!(|a, b| Value::Bool(a < b)),
+                    Instr::CmpLe => int_op!(|a, b| Value::Bool(a <= b)),
+                    Instr::Jump(t) => {
+                        pc = t as usize;
+                        continue;
+                    }
+                    Instr::JumpIfTrue(t) => {
+                        if pop!().as_bool()? {
+                            pc = t as usize;
+                            continue;
+                        }
+                    }
+                    Instr::JumpIfFalse(t) => {
+                        if !pop!().as_bool()? {
+                            pc = t as usize;
+                            continue;
+                        }
+                    }
+                    Instr::Call(callee) => break Transfer::Call(callee),
+                    Instr::CallSecure(callee, spec) => {
+                        break Transfer::CallSecure(callee, spec)
+                    }
+                    Instr::Return => {
+                        break Transfer::Return(if returns { Some(pop!()) } else { None })
+                    }
+                    Instr::CopyAndLabel(spec) => {
+                        if !self.in_region() && self.mode != BarrierMode::None {
+                            return Err(VmError::LabeledAccessOutsideRegion);
+                        }
+                        let obj = pop!().as_ref()?;
+                        let src = self.object_pair(obj)?;
+                        let dst = self.pair_from_spec(spec)?;
+                        laminar_difc::check_pair_change(&src, &dst, &self.caps)?;
+                        let labels = if dst.is_unlabeled() { None } else { Some(dst) };
+                        let copy = self.heap.copy_with_labels(obj, labels)?;
+                        self.stats.copy_and_label += 1;
+                        push!(Value::Ref(copy));
+                    }
+                    Instr::Throw => {
+                        let code = pop!().as_int()?;
+                        return Err(VmError::Thrown(code));
+                    }
+                    Instr::OsWriteByte(s) => {
+                        let byte = pop!().as_int()?;
+                        self.ensure_os_sync()?;
+                        let path = self.program.strings[s.0 as usize].clone();
+                        let bridge = self
+                            .bridge
+                            .as_mut()
+                            .ok_or(VmError::Os("no OS bridge attached".into()))?;
+                        bridge.write_byte(&path, byte as u8).map_err(VmError::Os)?;
+                    }
+                    Instr::OsReadByte(s) => {
+                        self.ensure_os_sync()?;
+                        let path = self.program.strings[s.0 as usize].clone();
+                        let bridge = self
+                            .bridge
+                            .as_mut()
+                            .ok_or(VmError::Os("no OS bridge attached".into()))?;
+                        let b = bridge.read_byte(&path).map_err(VmError::Os)?;
+                        push!(Value::Int(b.map_or(-1, i64::from)));
+                    }
+                    Instr::Nop => {}
+                }
+                pc += 1;
+            };
+
+            match transfer {
+                Transfer::Call(callee) => {
+                    if st.frames.len() >= MAX_CALL_DEPTH {
+                        return Err(VmError::CallDepthExceeded(MAX_CALL_DEPTH));
+                    }
+                    let code = self.compiled_for_call(callee)?;
+                    if sp - ops < code.params {
+                        return Err(VmError::Malformed("missing call arguments"));
+                    }
+                    // The arguments stay where they are and become the
+                    // callee's first locals.
+                    let callee_base = sp - code.params;
+                    Self::open_frame(&mut st.values, callee_base, &code);
+                    sp = callee_base + code.locals;
+                    cur.pc = pc + 1;
+                    let callee = Frame { code, pc: 0, base: callee_base };
+                    st.frames.push(std::mem::replace(&mut cur, callee));
+                }
+                Transfer::CallSecure(callee, spec) => {
+                    sp = self.call_secure(st, ops, sp, callee, spec)?;
+                    cur.pc = pc + 1;
+                }
+                Transfer::Return(result) => {
+                    if st.frames.len() == floor {
+                        return Ok(result);
+                    }
+                    let Some(caller) = st.frames.pop() else {
+                        return Err(VmError::Malformed("frame stack underflow"));
+                    };
+                    // The caller's height is where the callee's frame
+                    // began: its arguments are consumed.
+                    sp = base;
+                    cur = caller;
+                    if let Some(v) = result {
+                        let Some(slot) = st.values.get_mut(sp) else {
+                            return Err(VmError::Malformed("operand stack overflow"));
+                        };
+                        *slot = v;
+                        sp += 1;
+                    }
                 }
             }
-            match instr {
-                Instr::PushInt(v) => stack.push(Value::Int(v)),
-                Instr::PushBool(v) => stack.push(Value::Bool(v)),
-                Instr::PushNull => stack.push(Value::Null),
-                Instr::Pop => {
-                    pop!();
-                }
-                Instr::Dup => {
-                    let v = *stack.last().ok_or(VmError::Malformed("dup on empty"))?;
-                    stack.push(v);
-                }
-                Instr::Load(l) => stack.push(locals[l as usize]),
-                Instr::Store(l) => locals[l as usize] = pop!(),
-                Instr::GetField(n) => {
-                    let obj = pop!().as_ref()?;
-                    match &self.heap.get(obj)?.kind {
-                        ObjKind::Object { fields, .. } => {
-                            let v = fields
-                                .get(n as usize)
-                                .copied()
-                                .ok_or(VmError::Malformed("field index out of range"))?;
-                            stack.push(v);
+        }
+    }
+
+    /// Executes `CallSecure(callee, spec)` for a frame whose operands
+    /// span `ops..sp`: region entry, the body in a nested [`Self::run`],
+    /// suppression, the catch block, rollback and region exit. Returns
+    /// the frame's height with the arguments popped, whatever the
+    /// outcome.
+    fn call_secure(
+        &mut self,
+        st: &mut Stack,
+        ops: usize,
+        sp: usize,
+        callee: FuncId,
+        spec: RegionSpecId,
+    ) -> VmResult<usize> {
+        let nparams = self
+            .program
+            .functions
+            .get(callee.0 as usize)
+            .ok_or(VmError::Malformed("unknown function"))?
+            .params as usize;
+        if sp - ops < nparams {
+            return Err(VmError::Malformed("missing call arguments"));
+        }
+        if self.regions.len() >= MAX_REGION_DEPTH {
+            return Err(VmError::CallDepthExceeded(MAX_REGION_DEPTH));
+        }
+        // Entry failures terminate (propagate): §5.1 "the program
+        // terminates at L1".
+        self.enter_region(spec)?;
+        let args = sp - nparams;
+        let frames = st.frames.len();
+        let catch = self.program.region_specs[spec.0 as usize].catch;
+        // The body runs on its own copy of the arguments, above this
+        // frame's operands, so the catch block gets the values passed
+        // here, not whatever the body left in its slots.
+        Self::copy_args(&mut st.values, args, nparams, sp);
+        let result = self.run(st, callee, sp);
+        // A suppressed error may leave the body's callers suspended; the
+        // slots it used are above `sp` and so already dead.
+        st.frames.truncate(frames);
+        if let Err(e) = result {
+            if !Self::suppressible(&e) {
+                // Abort: undo the region's labeled writes, then unwind
+                // the region before propagating.
+                self.abort_region_writes();
+                self.exit_region()?;
+                return Err(e);
+            }
+            self.stats.exceptions_suppressed += 1;
+            // Run the catch block with the region's labels and the
+            // capabilities at exception time; suppress its exceptions too
+            // (§4.3.3). The catch sees the region's writes as-is — it
+            // exists to repair invariants, so the undo log does not fire.
+            if let Some(cfid) = catch {
+                let cparams = self.program.functions[cfid.0 as usize].params as usize;
+                if cparams <= nparams {
+                    Self::copy_args(&mut st.values, args, cparams, sp);
+                    let caught = self.run(st, cfid, sp);
+                    st.frames.truncate(frames);
+                    match caught {
+                        Ok(_) => {}
+                        Err(ce) if Self::suppressible(&ce) => {
+                            self.stats.exceptions_suppressed += 1;
                         }
-                        ObjKind::Array { .. } => {
-                            return Err(VmError::TypeError("GetField on array"))
-                        }
-                    }
-                }
-                Instr::PutField(n) => {
-                    let val = pop!();
-                    let obj = pop!().as_ref()?;
-                    let journal = self.in_region();
-                    let ho = self.heap.get_mut(obj)?;
-                    let labeled = ho.labels.is_some();
-                    match &mut ho.kind {
-                        ObjKind::Object { fields, .. } => {
-                            let slot = fields
-                                .get_mut(n as usize)
-                                .ok_or(VmError::Malformed("field index out of range"))?;
-                            if journal && labeled {
-                                self.region_undo
-                                    .push(RegionUndo::Field(obj, n as usize, *slot));
-                            }
-                            *slot = val;
-                        }
-                        ObjKind::Array { .. } => {
-                            return Err(VmError::TypeError("PutField on array"))
-                        }
-                    }
-                }
-                Instr::NewObject(c) => {
-                    let labels = self.alloc_labels(barrier);
-                    let nfields = self.program.classes[c.0 as usize].nfields as usize;
-                    let r = self.heap.alloc_object(c, nfields, labels);
-                    stack.push(Value::Ref(r));
-                }
-                Instr::NewObjectLabeled(c, spec) => {
-                    let labels = self.alloc_labels_explicit(barrier, spec)?;
-                    let nfields = self.program.classes[c.0 as usize].nfields as usize;
-                    let r = self.heap.alloc_object(c, nfields, labels);
-                    stack.push(Value::Ref(r));
-                }
-                Instr::NewArray => {
-                    let len = pop!().as_int()?;
-                    if len < 0 {
-                        return Err(VmError::Malformed("negative array length"));
-                    }
-                    let labels = self.alloc_labels(barrier);
-                    let r = self.heap.alloc_array(len as usize, labels);
-                    stack.push(Value::Ref(r));
-                }
-                Instr::NewArrayLabeled(spec) => {
-                    let len = pop!().as_int()?;
-                    if len < 0 {
-                        return Err(VmError::Malformed("negative array length"));
-                    }
-                    let labels = self.alloc_labels_explicit(barrier, spec)?;
-                    let r = self.heap.alloc_array(len as usize, labels);
-                    stack.push(Value::Ref(r));
-                }
-                Instr::ALoad => {
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref()?;
-                    match &self.heap.get(arr)?.kind {
-                        ObjKind::Array { elems } => {
-                            if idx < 0 || idx as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: idx,
-                                    len: elems.len(),
-                                });
-                            }
-                            stack.push(elems[idx as usize]);
-                        }
-                        ObjKind::Object { .. } => {
-                            return Err(VmError::TypeError("ALoad on object"))
-                        }
-                    }
-                }
-                Instr::AStore => {
-                    let val = pop!();
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref()?;
-                    let journal = self.in_region();
-                    let ho = self.heap.get_mut(arr)?;
-                    let labeled = ho.labels.is_some();
-                    match &mut ho.kind {
-                        ObjKind::Array { elems } => {
-                            if idx < 0 || idx as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: idx,
-                                    len: elems.len(),
-                                });
-                            }
-                            if journal && labeled {
-                                self.region_undo.push(RegionUndo::Field(
-                                    arr,
-                                    idx as usize,
-                                    elems[idx as usize],
-                                ));
-                            }
-                            elems[idx as usize] = val;
-                        }
-                        ObjKind::Object { .. } => {
-                            return Err(VmError::TypeError("AStore on object"))
-                        }
-                    }
-                }
-                Instr::ArrayLen => {
-                    let arr = pop!().as_ref()?;
-                    match &self.heap.get(arr)?.kind {
-                        ObjKind::Array { elems } => {
-                            stack.push(Value::Int(elems.len() as i64));
-                        }
-                        ObjKind::Object { .. } => {
-                            return Err(VmError::TypeError("ArrayLen on object"))
-                        }
-                    }
-                }
-                Instr::GetStatic(s) => stack.push(self.statics[s.0 as usize]),
-                Instr::PutStatic(s) => {
-                    let val = pop!();
-                    let idx = s.0 as usize;
-                    if self.in_region()
-                        && self.static_labels.get(idx).is_some_and(|p| !p.is_unlabeled())
-                    {
-                        self.region_undo.push(RegionUndo::Static(idx, self.statics[idx]));
-                    }
-                    self.statics[idx] = val;
-                }
-                Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Mod => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    let v = match instr {
-                        Instr::Add => a.wrapping_add(b),
-                        Instr::Sub => a.wrapping_sub(b),
-                        Instr::Mul => a.wrapping_mul(b),
-                        Instr::Div => {
-                            if b == 0 {
-                                return Err(VmError::DivideByZero);
-                            }
-                            a.wrapping_div(b)
-                        }
-                        Instr::Mod => {
-                            if b == 0 {
-                                return Err(VmError::DivideByZero);
-                            }
-                            a.wrapping_rem(b)
-                        }
-                        _ => unreachable!(),
-                    };
-                    stack.push(Value::Int(v));
-                }
-                Instr::Neg => {
-                    let a = pop!().as_int()?;
-                    stack.push(Value::Int(a.wrapping_neg()));
-                }
-                Instr::Not => {
-                    let a = pop!().as_bool()?;
-                    stack.push(Value::Bool(!a));
-                }
-                Instr::And | Instr::Or => {
-                    let b = pop!().as_bool()?;
-                    let a = pop!().as_bool()?;
-                    stack.push(Value::Bool(if matches!(instr, Instr::And) {
-                        a && b
-                    } else {
-                        a || b
-                    }));
-                }
-                Instr::CmpEq => {
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(Value::Bool(a == b));
-                }
-                Instr::CmpLt => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    stack.push(Value::Bool(a < b));
-                }
-                Instr::CmpLe => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    stack.push(Value::Bool(a <= b));
-                }
-                Instr::Jump(t) => {
-                    pc = t as usize;
-                    continue;
-                }
-                Instr::JumpIfTrue(t) => {
-                    if pop!().as_bool()? {
-                        pc = t as usize;
-                        continue;
-                    }
-                }
-                Instr::JumpIfFalse(t) => {
-                    if !pop!().as_bool()? {
-                        pc = t as usize;
-                        continue;
-                    }
-                }
-                Instr::Call(callee) => {
-                    let cf = &self.program.functions[callee.0 as usize];
-                    let (nparams, creturns) = (cf.params as usize, cf.returns);
-                    if stack.len() < nparams {
-                        return Err(VmError::Malformed("missing call arguments"));
-                    }
-                    let cargs = stack.split_off(stack.len() - nparams);
-                    let r = self.exec(callee, cargs)?;
-                    if creturns {
-                        stack.push(r.ok_or(VmError::Malformed("missing return value"))?);
-                    }
-                }
-                Instr::CallSecure(callee, spec) => {
-                    let cf = &self.program.functions[callee.0 as usize];
-                    let nparams = cf.params as usize;
-                    if stack.len() < nparams {
-                        return Err(VmError::Malformed("missing call arguments"));
-                    }
-                    let cargs = stack.split_off(stack.len() - nparams);
-                    // Entry failures terminate (propagate): §5.1 "the
-                    // program terminates at L1".
-                    self.enter_region(spec)?;
-                    let catch = self.program.region_specs[spec.0 as usize].catch;
-                    let result = self.exec(callee, cargs.clone());
-                    if let Err(e) = result {
-                        if !Self::suppressible(&e) {
-                            // Abort: undo the region's labeled writes,
-                            // then unwind the region before propagating.
+                        Err(ce) => {
                             self.abort_region_writes();
                             self.exit_region()?;
-                            return Err(e);
-                        }
-                        self.stats.exceptions_suppressed += 1;
-                        // Run the catch block with the region's labels and
-                        // the capabilities at exception time; suppress its
-                        // exceptions too (§4.3.3). The catch sees the
-                        // region's writes as-is — it exists to repair
-                        // invariants, so the undo log does not fire.
-                        if let Some(cfid) = catch {
-                            let cfunc = &self.program.functions[cfid.0 as usize];
-                            let catch_args = cargs
-                                [..(cfunc.params as usize).min(cargs.len())]
-                                .to_vec();
-                            if catch_args.len() == cfunc.params as usize {
-                                match self.exec(cfid, catch_args) {
-                                    Ok(_) => {}
-                                    Err(ce) if Self::suppressible(&ce) => {
-                                        self.stats.exceptions_suppressed += 1;
-                                    }
-                                    Err(ce) => {
-                                        self.abort_region_writes();
-                                        self.exit_region()?;
-                                        return Err(ce);
-                                    }
-                                }
-                            }
-                        } else {
-                            // No catch: secure termination rolls every
-                            // labeled write back to the entry snapshot.
-                            self.abort_region_writes();
+                            return Err(ce);
                         }
                     }
-                    self.exit_region()?;
                 }
-                Instr::Return => {
-                    return if returns { Ok(Some(pop!())) } else { Ok(None) };
-                }
-                Instr::CopyAndLabel(spec) => {
-                    if !self.in_region() && self.mode != BarrierMode::None {
-                        return Err(VmError::LabeledAccessOutsideRegion);
-                    }
-                    let obj = pop!().as_ref()?;
-                    let src = self.object_pair(obj)?;
-                    let dst = self.pair_from_spec(spec)?;
-                    laminar_difc::check_pair_change(&src, &dst, &self.caps)?;
-                    let labels = if dst.is_unlabeled() { None } else { Some(dst) };
-                    let copy = self.heap.copy_with_labels(obj, labels)?;
-                    self.stats.copy_and_label += 1;
-                    stack.push(Value::Ref(copy));
-                }
-                Instr::Throw => {
-                    let code = pop!().as_int()?;
-                    return Err(VmError::Thrown(code));
-                }
-                Instr::OsWriteByte(s) => {
-                    let byte = pop!().as_int()?;
-                    self.ensure_os_sync()?;
-                    let path = self.program.strings[s.0 as usize].clone();
-                    let bridge = self
-                        .bridge
-                        .as_mut()
-                        .ok_or(VmError::Os("no OS bridge attached".into()))?;
-                    bridge.write_byte(&path, byte as u8).map_err(VmError::Os)?;
-                }
-                Instr::OsReadByte(s) => {
-                    self.ensure_os_sync()?;
-                    let path = self.program.strings[s.0 as usize].clone();
-                    let bridge = self
-                        .bridge
-                        .as_mut()
-                        .ok_or(VmError::Os("no OS bridge attached".into()))?;
-                    let b = bridge.read_byte(&path).map_err(VmError::Os)?;
-                    stack.push(Value::Int(b.map_or(-1, i64::from)));
-                }
-                Instr::Nop => {}
+            } else {
+                // No catch: secure termination rolls every labeled write
+                // back to the entry snapshot.
+                self.abort_region_writes();
             }
-            pc += 1;
         }
-        // Function bodies are terminated by Return (the builder appends
-        // one), so falling off the end is malformed.
-        Err(VmError::Malformed("control flow fell off function end"))
+        self.exit_region()?;
+        Ok(args)
+    }
+
+    /// Copies the `n` values at `from` to `to`, growing the value stack
+    /// if the copy reaches past its end.
+    fn copy_args(values: &mut Vec<Value>, from: usize, n: usize, to: usize) {
+        if values.len() < to + n {
+            values.resize(to + n, Value::Null);
+        }
+        values.copy_within(from..from + n, to);
     }
 }
 
@@ -1092,5 +1299,108 @@ mod tests {
         vm.abort_region_writes();
         assert_eq!(vm.stats().regions_aborted, 0);
         assert!(vm.region_undo.is_empty());
+    }
+
+    /// A verified program, edited through `Program`'s public fields
+    /// after `finish`, on a fresh VM with one tag. `main()` returns
+    /// `helper(1)`, and `helper(x)` returns `x`.
+    fn edited_vm(edit: impl FnOnce(&mut Program)) -> Vm {
+        use laminar_difc::CapKind;
+        let mut pb = ProgramBuilder::new();
+        let g = pb.add_static("g");
+        let pair = pb.add_pair_spec(&[0], &[]);
+        let catch = pb.func("catch", 0, false, 0, |b| {
+            b.ret();
+        });
+        let _spec = pb.add_region_spec(pair, &[(0, CapKind::Plus)], Some(catch));
+        let helper = pb.func("helper", 1, true, 2, |b| {
+            b.load(0).ret();
+        });
+        pb.func("main", 0, true, 1, |b| {
+            b.get_static(g).pop();
+            b.push_int(1).call(helper).ret();
+        });
+        let mut program = pb.finish().unwrap();
+        edit(&mut program);
+        Vm::new(program, vec![Tag::from_raw(1)], BarrierMode::Cloning)
+    }
+
+    /// A named edit to a verified program.
+    type Edit = Box<dyn FnOnce(&mut Program)>;
+
+    fn body_of<'p>(p: &'p mut Program, name: &str) -> &'p mut Vec<Instr> {
+        let f = p.func_by_name(name).unwrap();
+        &mut p.functions[f.0 as usize].body
+    }
+
+    #[test]
+    fn the_unedited_program_runs() {
+        let mut vm = edited_vm(|_| {});
+        assert_eq!(vm.call_by_name("main", &[]), Ok(Some(Value::Int(1))));
+    }
+
+    #[test]
+    fn edits_after_finish_fail_verification_before_the_code_runs() {
+        use crate::bytecode::{FuncId, StaticId};
+        let edits: Vec<(&str, Edit)> = vec![
+            ("local out of range", Box::new(|p| body_of(p, "main")[0] = Instr::Load(7))),
+            (
+                "unknown function",
+                Box::new(|p| body_of(p, "main")[3] = Instr::Call(FuncId(99))),
+            ),
+            (
+                "unknown static",
+                Box::new(|p| body_of(p, "main")[0] = Instr::GetStatic(StaticId(9))),
+            ),
+        ];
+        for (what, edit) in edits {
+            let mut vm = edited_vm(edit);
+            let got = vm.call_by_name("main", &[]);
+            assert!(matches!(got, Err(VmError::Verify(_))), "{what}: {got:?}");
+            assert_eq!(vm.stats().instructions, 0, "{what}: main ran");
+        }
+    }
+
+    #[test]
+    fn an_edited_callee_fails_before_its_first_instruction() {
+        let edits: Vec<(&str, Edit)> = vec![
+            (
+                "local out of range",
+                Box::new(|p| body_of(p, "helper")[0] = Instr::Load(2)),
+            ),
+            (
+                "fewer locals than params",
+                Box::new(|p| {
+                    let f = p.func_by_name("helper").unwrap();
+                    p.functions[f.0 as usize].locals = 0;
+                }),
+            ),
+        ];
+        for (what, edit) in edits {
+            let mut vm = edited_vm(edit);
+            let got = vm.call_by_name("main", &[]);
+            assert!(matches!(got, Err(VmError::Verify(_))), "{what}: {got:?}");
+            // main's GetStatic, Pop, PushInt and Call ran; helper's Load
+            // did not.
+            assert_eq!(vm.stats().instructions, 4, "{what}");
+        }
+    }
+
+    #[test]
+    fn edited_spec_tables_fail_verification_instead_of_panicking() {
+        use crate::bytecode::{FuncId, PairSpecId};
+        let edits: Vec<(&str, Edit)> = vec![
+            ("static labels", Box::new(|p| p.statics[0].labels = Some(PairSpecId(9)))),
+            ("catch function", Box::new(|p| p.region_specs[0].catch = Some(FuncId(99)))),
+            ("region pair", Box::new(|p| p.region_specs[0].pair = PairSpecId(9))),
+            ("region capability tag", Box::new(|p| p.region_specs[0].caps[0].0 = 5)),
+            ("pair spec tag", Box::new(|p| p.pair_specs[0].secrecy = vec![5])),
+        ];
+        for (what, edit) in edits {
+            let mut vm = edited_vm(edit);
+            let got = vm.call_by_name("main", &[]);
+            assert!(matches!(got, Err(VmError::Verify(_))), "{what}: {got:?}");
+            assert_eq!(vm.stats().instructions, 0, "{what}");
+        }
     }
 }

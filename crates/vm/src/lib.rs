@@ -94,7 +94,7 @@ pub use bytecode::{
 pub use compile::BarrierMode;
 pub use error::{VmError, VmResult};
 pub use heap::{ClassId, Heap};
-pub use interp::Vm;
+pub use interp::{Vm, MAX_CALL_DEPTH, MAX_REGION_DEPTH};
 pub use program::{
     Class, CodeLabel, Function, FunctionBuilder, Program, ProgramBuilder, StaticDecl,
 };

@@ -14,7 +14,7 @@
 //!   parameters but never reads or writes the reference values
 //!   themselves (`obj.f` is allowed; `if (obj == null)` is not).
 
-use crate::absint::{analyze, AbsVal};
+use crate::absint::{analyze, AbsStacks, AbsVal};
 use crate::bytecode::Instr;
 use crate::error::{VmError, VmResult};
 use crate::program::{Function, Program};
@@ -25,10 +25,34 @@ use crate::program::{Function, Program};
 ///
 /// [`VmError::Verify`] describing the first violation found.
 pub fn verify(program: &Program) -> VmResult<()> {
+    verify_tables(program, usize::from(program.tags_used))?;
+    for func in &program.functions {
+        verify_function(program, func)?;
+    }
+    Ok(())
+}
+
+/// The program-wide half of [`verify`]: every region spec, static and
+/// pair spec names an existing pair spec, catch function and one of the
+/// first `ntags` runtime tags. [`crate::Vm::new`] runs this against the
+/// tag table it is given; function bodies are checked as they compile.
+pub(crate) fn verify_tables(program: &Program, ntags: usize) -> VmResult<()> {
+    for (i, spec) in program.pair_specs.iter().enumerate() {
+        if spec.secrecy.iter().chain(&spec.integrity).any(|&t| usize::from(t) >= ntags) {
+            return Err(VmError::Verify(format!(
+                "pair spec {i} references a missing tag"
+            )));
+        }
+    }
     for (spec_i, spec) in program.region_specs.iter().enumerate() {
         if spec.pair.0 as usize >= program.pair_specs.len() {
             return Err(VmError::Verify(format!(
                 "region spec {spec_i} references missing pair spec"
+            )));
+        }
+        if spec.caps.iter().any(|&(t, _)| usize::from(t) >= ntags) {
+            return Err(VmError::Verify(format!(
+                "region spec {spec_i} grants a capability for a missing tag"
             )));
         }
         if let Some(catch) = spec.catch {
@@ -53,13 +77,18 @@ pub fn verify(program: &Program) -> VmResult<()> {
             }
         }
     }
-    for func in &program.functions {
-        verify_function(program, func)?;
-    }
     Ok(())
 }
 
-fn verify_function(program: &Program, func: &Function) -> VmResult<()> {
+/// Verifies one function body and returns its abstract stacks (which
+/// the barrier planner reuses).
+pub(crate) fn verify_function(program: &Program, func: &Function) -> VmResult<AbsStacks> {
+    if func.locals < func.params {
+        return Err(VmError::Verify(format!(
+            "{} has fewer local slots than parameters",
+            func.name
+        )));
+    }
     if func.region && func.returns {
         // Rule (1) of §5.1: a region method does not return a value.
         return Err(VmError::Verify(format!(
@@ -136,7 +165,7 @@ fn verify_function(program: &Program, func: &Function) -> VmResult<()> {
     // the parameter-consumption rules inside region bodies.
     let abs = analyze(program, func)?;
     if !func.region {
-        return Ok(());
+        return Ok(abs);
     }
 
     let is_param = |v: AbsVal| matches!(v, AbsVal::Local(l) if l < func.params);
@@ -202,7 +231,7 @@ fn verify_function(program: &Program, func: &Function) -> VmResult<()> {
             _ => {}
         }
     }
-    Ok(())
+    Ok(abs)
 }
 
 #[cfg(test)]

@@ -609,3 +609,305 @@ fn region_entry_failure_propagates() {
     let err = vm.call_by_name("main", &[]).unwrap_err();
     assert!(matches!(err, VmError::RegionEntry(_)), "{err}");
 }
+
+// --- frame isolation and call depth on the shared value stack ------------
+
+/// A program whose `down(n)` recurses `n` plain calls deep:
+/// `down(n) = n == 0 ? 0 : down(n - 1)`.
+fn add_down(pb: &mut ProgramBuilder) -> laminar_vm::FuncId {
+    let down = pb.declare_func("down", 1, true);
+    pb.define_func(down, 1, |b| {
+        let base = b.new_label();
+        b.load(0).push_int(0).cmp_eq().jump_if_true(base);
+        b.load(0).push_int(1).sub().call(down).ret();
+        b.bind(base);
+        b.push_int(0).ret();
+    });
+    down
+}
+
+/// Runs `f` on a thread with a 2 MiB stack, the smallest a Rust worker
+/// thread gets by default: deep VM recursion must not need more.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new().stack_size(2 << 20).spawn(f).unwrap().join().unwrap()
+}
+
+/// Plain calls run in the interpreter's own frame stack, not on the host
+/// stack: recursion far past where a host-recursive interpreter aborts
+/// the process returns a typed error, and the VM keeps working.
+#[test]
+fn deep_recursion_is_a_typed_error_not_an_abort() {
+    on_small_stack(|| {
+        let mut pb = ProgramBuilder::new();
+        add_down(&mut pb);
+        let program = pb.finish().unwrap();
+        for mode in [BarrierMode::Cloning, BarrierMode::Dynamic] {
+            let mut vm = Vm::new(program.clone(), vec![], mode);
+            let depth = laminar_vm::MAX_CALL_DEPTH as i64;
+            assert_eq!(
+                vm.call_by_name("down", &[Value::Int(depth)]),
+                Ok(Some(Value::Int(0)))
+            );
+            for n in [depth + 1, 100_000] {
+                assert_eq!(
+                    vm.call_by_name("down", &[Value::Int(n)]),
+                    Err(VmError::CallDepthExceeded(laminar_vm::MAX_CALL_DEPTH)),
+                    "down({n}) under {mode:?}"
+                );
+            }
+            assert_eq!(
+                vm.call_by_name("down", &[Value::Int(3)]),
+                Ok(Some(Value::Int(0)))
+            );
+        }
+    });
+}
+
+/// Inside a region the depth error is a run-time exception like any
+/// other: suppressed at the region boundary, and the region's labeled
+/// writes are rolled back (§4.3.3).
+#[test]
+fn depth_error_in_a_region_is_suppressed_and_rolled_back() {
+    on_small_stack(|| {
+        let mut pb = ProgramBuilder::new();
+        let _state = pb.add_class("State", 1);
+        let down = add_down(&mut pb);
+        // body(state): state.x = 99; down(100000)
+        let body = pb.region("body", 1, 1, |b| {
+            b.load(0).push_int(99).put_field(0);
+            b.push_int(100_000).call(down).pop();
+            b.ret();
+        });
+        let pair_h = pb.add_pair_spec(&[0], &[]);
+        let spec = pb.add_region_spec(pair_h, &[(0, CapKind::Plus)], None);
+        pb.func("main", 1, true, 1, |b| {
+            b.push_int(5).load(0).call_secure(body, spec).push_int(1).add().ret();
+        });
+        let program = pb.finish().unwrap();
+
+        let h = fresh_tag(51);
+        let mut vm = Vm::new(program, vec![h], BarrierMode::Cloning);
+        let mut caps = CapSet::new();
+        caps.grant(Capability::plus(h));
+        vm.set_thread_caps(caps);
+        let lab = SecPair::secrecy_only(Label::singleton(h));
+        let state = vm.host_alloc_object(ClassId(0), Some(lab)).unwrap();
+        vm.host_put_field(state, 0, Value::Int(1)).unwrap();
+
+        let out = vm.call_by_name("main", &[Value::Ref(state)]);
+        assert_eq!(out, Ok(Some(Value::Int(6))), "the caller's operand survives");
+        assert_eq!(vm.stats().exceptions_suppressed, 1);
+        assert_eq!(vm.stats().regions_aborted, 1);
+        assert_eq!(vm.host_get_field(state, 0).unwrap(), Value::Int(1));
+    });
+}
+
+/// Nested `CallSecure` is bounded too: a region that enters itself
+/// forever stops at `MAX_REGION_DEPTH` with the depth error, which the
+/// enclosing region suppresses; only the refused level's write is undone.
+#[test]
+fn nested_regions_are_bounded() {
+    on_small_stack(|| {
+        let mut pb = ProgramBuilder::new();
+        let _counter = pb.add_class("Counter", 1);
+        let pair_h = pb.add_pair_spec(&[0], &[]);
+        let spec = pb.add_region_spec(pair_h, &[(0, CapKind::Plus)], None);
+        // again(c): c.n = c.n + 1; again(c) in a new region
+        let again = pb.declare_region("again", 1);
+        pb.define_func(again, 1, |b| {
+            b.load(0);
+            b.load(0).get_field(0).push_int(1).add();
+            b.put_field(0);
+            b.load(0).call_secure(again, spec);
+            b.ret();
+        });
+        pb.func("main", 1, false, 1, |b| {
+            b.load(0).call_secure(again, spec).ret();
+        });
+        let program = pb.finish().unwrap();
+
+        let h = fresh_tag(52);
+        for mode in [BarrierMode::Cloning, BarrierMode::Dynamic] {
+            let mut vm = Vm::new(program.clone(), vec![h], mode);
+            let mut caps = CapSet::new();
+            caps.grant(Capability::plus(h));
+            vm.set_thread_caps(caps);
+            let lab = SecPair::secrecy_only(Label::singleton(h));
+            let counter = vm.host_alloc_object(ClassId(0), Some(lab)).unwrap();
+            vm.host_put_field(counter, 0, Value::Int(0)).unwrap();
+
+            assert_eq!(vm.call_by_name("main", &[Value::Ref(counter)]), Ok(None));
+            let max = laminar_vm::MAX_REGION_DEPTH;
+            assert_eq!(vm.stats().regions_entered, max as u64);
+            assert_eq!(vm.stats().exceptions_suppressed, 1);
+            assert_eq!(vm.stats().regions_aborted, 1);
+            // The innermost region's increment was rolled back.
+            assert_eq!(
+                vm.host_get_field(counter, 0).unwrap(),
+                Value::Int(max as i64 - 1)
+            );
+            assert_eq!(vm.current_labels(), &SecPair::unlabeled());
+        }
+    });
+}
+
+/// A callee's non-parameter locals start as null even in slots an
+/// earlier, deeper frame used — including a region body that held a
+/// labeled object reference there.
+#[test]
+fn fresh_locals_never_see_an_earlier_frames_values() {
+    let mut pb = ProgramBuilder::new();
+    let cell = pb.add_class("Cell", 1);
+    let pair_h = pb.add_pair_spec(&[0], &[]);
+    let spec = pb.add_region_spec(pair_h, &[(0, CapKind::Plus)], None);
+    // stash(): two labeled objects and two ints in its locals.
+    let stash = pb.region("stash", 0, 4, |b| {
+        b.new_object(cell).store(0);
+        b.new_object(cell).store(1);
+        b.push_int(7).store(2);
+        b.push_int(8).store(3);
+        b.ret();
+    });
+    // fill(): six ints in its locals.
+    let fill = pb.func("fill", 0, false, 6, |b| {
+        for l in 0..6 {
+            b.push_int(100 + i64::from(l)).store(l);
+        }
+        b.ret();
+    });
+    // probe(x): are locals 1..6 all null?
+    let probe = pb.func("probe", 1, true, 6, |b| {
+        b.push_bool(true);
+        for l in 1..6 {
+            b.load(l).push_null().cmp_eq().and();
+        }
+        b.ret();
+    });
+    pb.func("main", 0, true, 0, |b| {
+        b.call_secure(stash, spec);
+        b.push_int(5).call(probe);
+        b.call(fill);
+        b.push_int(5).call(probe);
+        b.and().ret();
+    });
+    let program = pb.finish().unwrap();
+
+    let h = fresh_tag(53);
+    for mode in [BarrierMode::Cloning, BarrierMode::Dynamic, BarrierMode::None] {
+        let mut vm = Vm::new(program.clone(), vec![h], mode);
+        let mut caps = CapSet::new();
+        caps.grant(Capability::plus(h));
+        vm.set_thread_caps(caps);
+        assert_eq!(vm.call_by_name("main", &[]), Ok(Some(Value::Bool(true))), "{mode:?}");
+        if mode != BarrierMode::None {
+            assert_eq!(vm.stats().alloc_barriers, 2, "stash's objects were labeled");
+        }
+    }
+}
+
+/// A `Throw` three plain calls deep inside a region, with half-built
+/// operand stacks at every level, is suppressed; the caller continues
+/// with its own operands and locals intact, and the catch block gets the
+/// argument values passed at the `CallSecure` site.
+#[test]
+fn suppressed_throw_leaves_the_callers_frame_intact() {
+    let mut pb = ProgramBuilder::new();
+    let _cell = pb.add_class("Cell", 1);
+    // record(cell, v): cell.f = v
+    let record = pb.func("record", 2, false, 2, |b| {
+        b.load(0).load(1).put_field(0).ret();
+    });
+    let f3 = pb.func("f3", 1, true, 2, |b| {
+        b.push_int(9).store(1);
+        b.push_int(77).push_int(5);
+        b.load(0).throw();
+        b.push_int(0).ret();
+    });
+    let f2 = pb.func("f2", 1, true, 1, |b| {
+        b.push_int(6);
+        b.load(0).push_int(1).add().call(f3);
+        b.add().ret();
+    });
+    let f1 = pb.func("f1", 0, true, 1, |b| {
+        b.push_int(3).store(0);
+        b.push_int(4).load(0).call(f2);
+        b.add().ret();
+    });
+    let body = pb.region("body", 2, 3, |b| {
+        b.push_int(1).call(f1).store(2);
+        b.ret();
+    });
+    let pair = pb.add_pair_spec(&[], &[]);
+    let spec = pb.add_region_spec(pair, &[], Some(record));
+    // main(cell): 1 + 2 + l1 + l2 around a region call, where the
+    // operands 1 and 2 are pushed before the region and summed after.
+    pb.func("main", 1, true, 3, |b| {
+        b.push_int(100).store(1);
+        b.push_int(200).store(2);
+        b.push_int(1).push_int(2);
+        b.load(0).push_int(42).call_secure(body, spec);
+        b.add().load(1).add().load(2).add().ret();
+    });
+    let program = pb.finish().unwrap();
+
+    for mode in [BarrierMode::Cloning, BarrierMode::Dynamic] {
+        let mut vm = Vm::new(program.clone(), vec![], mode);
+        let cell = vm.host_alloc_object(ClassId(0), None).unwrap();
+        let out = vm.call_by_name("main", &[Value::Ref(cell)]);
+        assert_eq!(out, Ok(Some(Value::Int(303))), "{mode:?}");
+        assert_eq!(vm.stats().exceptions_suppressed, 1);
+        assert_eq!(vm.host_get_field(cell, 0).unwrap(), Value::Int(42), "{mode:?}");
+    }
+}
+
+/// After a host call fails part-way, with frames and operands left on
+/// the stacks, the next call gives the same result as on a fresh VM.
+#[test]
+fn a_failed_call_leaves_nothing_for_the_next() {
+    let mut pb = ProgramBuilder::new();
+    let down = add_down(&mut pb);
+    // dig(n): push junk, recurse, throw at the bottom.
+    let dig = pb.declare_func("dig", 1, true);
+    pb.define_func(dig, 3, |b| {
+        let bottom = b.new_label();
+        b.push_int(11).store(1).push_int(12).store(2);
+        b.push_int(13).push_int(14);
+        b.load(0).push_int(0).cmp_eq().jump_if_true(bottom);
+        b.load(0).push_int(1).sub().call(dig).ret();
+        b.bind(bottom);
+        b.push_int(9).throw();
+        b.push_int(0).ret();
+    });
+    // main(mode): 0 = throw 40 deep, 1 = overflow, else count null locals.
+    pb.func("main", 1, true, 4, |b| {
+        let not_dig = b.new_label();
+        let not_deep = b.new_label();
+        b.load(0).push_int(0).cmp_eq().jump_if_false(not_dig);
+        b.push_int(40).call(dig).ret();
+        b.bind(not_dig);
+        b.load(0).push_int(1).cmp_eq().jump_if_false(not_deep);
+        b.push_int(1_000_000).call(down).ret();
+        b.bind(not_deep);
+        b.push_int(0);
+        for l in 1..4 {
+            let skip = b.new_label();
+            b.load(l).push_null().cmp_eq().jump_if_false(skip);
+            b.push_int(1).add();
+            b.bind(skip);
+        }
+        b.ret();
+    });
+    let program = pb.finish().unwrap();
+    let fresh = Vm::new(program.clone(), vec![], BarrierMode::Cloning)
+        .call_by_name("main", &[Value::Int(2)]);
+    assert_eq!(fresh, Ok(Some(Value::Int(3))));
+
+    let mut vm = Vm::new(program, vec![], BarrierMode::Cloning);
+    assert_eq!(vm.call_by_name("main", &[Value::Int(0)]), Err(VmError::Thrown(9)));
+    assert_eq!(vm.call_by_name("main", &[Value::Int(2)]), fresh);
+    assert_eq!(
+        vm.call_by_name("main", &[Value::Int(1)]),
+        Err(VmError::CallDepthExceeded(laminar_vm::MAX_CALL_DEPTH))
+    );
+    assert_eq!(vm.call_by_name("main", &[Value::Int(2)]), fresh);
+}
