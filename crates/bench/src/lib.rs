@@ -11,7 +11,7 @@
 //! | `table3_apps` | Table 3: application characteristics incl. % time in security regions |
 //! | `table4_gradesheet_policy` | Table 4: the GradeSheet security sets, printed and probed |
 //! | `fig9_app_overhead` | Figure 9: per-application overhead with the cost breakdown |
-//! | `micro_criterion` | Microbenchmarks of the primitive operations, incl. cached vs uncached flow checks |
+//! | `micro_criterion` | Microbenchmarks of the primitive operations, incl. flow checks on wide labels |
 //!
 //! The library half hosts the DaCapo-like [`workloads`] and the timing
 //! utilities shared by the targets.

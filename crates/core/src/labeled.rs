@@ -70,7 +70,7 @@ impl<T> Labeled<T> {
     ) -> LaminarResult<R> {
         {
             let st = guard.state().lock();
-            self.labels.can_flow_to_cached(&st.labels)?;
+            self.labels.can_flow_to(&st.labels)?;
         }
         guard.stats_handle().lock().labeled_reads += 1;
         Ok(f(&self.cell.read()))
@@ -88,7 +88,7 @@ impl<T> Labeled<T> {
     ) -> LaminarResult<R> {
         {
             let st = guard.state().lock();
-            st.labels.can_flow_to_cached(&self.labels)?;
+            st.labels.can_flow_to(&self.labels)?;
         }
         guard.stats_handle().lock().labeled_writes += 1;
         Ok(f(&mut self.cell.write()))
@@ -110,7 +110,7 @@ impl<T> Labeled<T> {
                     s.labeled_reads += 1;
                 }
                 let st = state.lock();
-                self.labels.can_flow_to_cached(&st.labels)?;
+                self.labels.can_flow_to(&st.labels)?;
                 drop(st);
                 Ok(f(&self.cell.read()))
             }
@@ -137,7 +137,7 @@ impl<T> Labeled<T> {
                     s.labeled_writes += 1;
                 }
                 let st = state.lock();
-                st.labels.can_flow_to_cached(&self.labels)?;
+                st.labels.can_flow_to(&self.labels)?;
                 drop(st);
                 Ok(f(&mut self.cell.write()))
             }

@@ -563,7 +563,7 @@ impl RegionGuard<'_> {
         labels: SecPair,
     ) -> LaminarResult<Labeled<T>> {
         let st = self.principal.state.lock();
-        st.labels.can_flow_to_cached(&labels)?;
+        st.labels.can_flow_to(&labels)?;
         drop(st);
         self.principal.stats.lock().labeled_allocs += 1;
         Ok(Labeled::with_labels_unchecked(value, labels))

@@ -1,18 +1,15 @@
-//! Per-principal runtime statistics and the global flow-cache counters.
+//! Per-principal runtime statistics and the global interning counters.
 //!
 //! Table 3 reports the fraction of execution time spent inside security
 //! regions; Figure 9 decomposes application overhead into region
 //! start/end, allocation barriers and read/write barriers. These
 //! counters (and the region timer) are what the benchmark harness reads.
 //!
-//! The global label-interning and flow-check-cache counters of
-//! `laminar_difc` are re-exported here ([`flow_cache_stats`],
-//! [`intern_stats`], [`reset_flow_cache`]) so harnesses that only link
-//! `laminar` can observe hot-path hit rates.
+//! The global label-interning counters of `laminar_difc` are re-exported
+//! here ([`intern_stats`]) so harnesses that only link `laminar` can
+//! observe interner growth.
 
-pub use laminar_difc::{
-    flow_cache_stats, intern_stats, reset_flow_cache, FlowCacheStats, InternStats,
-};
+pub use laminar_difc::{intern_stats, InternStats};
 
 /// Snapshot of the process-global fail-closed fault counters across all
 /// three layers: lock-poison recoveries in the utility layer, syscall

@@ -1,12 +1,12 @@
 //! Global hash-consing of labels and label pairs.
 //!
 //! §5 of the paper: the JikesRVM prototype keeps its overheads low by
-//! sharing immutable `Labels` objects and memoizing comparisons between
-//! them. The enabling move is *interning*: each distinct tag-set exists
-//! once, behind one canonical `Arc`, and is named by a stable 32-bit
-//! [`LabelId`]. Label equality and hashing then cost one integer
-//! compare, and `(LabelId, LabelId)` keys make flow-check memoization
-//! (see [`crate::cache`]) possible at all.
+//! sharing immutable `Labels` objects. Interning goes one step further:
+//! each distinct tag-set exists once, behind one canonical `Arc`, and is
+//! named by a stable 32-bit [`LabelId`]. Label equality and hashing then
+//! cost one integer compare, a subset test between equal labels returns
+//! on that compare, the kernel's `set_task_label` skips the label-change
+//! rule for an identity change, and audit records name labels by id.
 //!
 //! Two process-global tables live here:
 //!
@@ -20,7 +20,7 @@
 //! miss takes one shard lock, a hit takes the same lock briefly. Tables
 //! only grow — labels are tiny, programs mint few distinct ones (the
 //! paper's applications use a handful of tags), and stable ids must
-//! never be reused while any cache entry mentions them.
+//! never be reused while an audit record may name them.
 
 use crate::tag::Tag;
 use std::collections::HashMap;
@@ -41,7 +41,7 @@ impl LabelId {
     /// The id of the empty label `{}`.
     pub const EMPTY: LabelId = LabelId(0);
 
-    /// The raw 32-bit value (for packing into cache keys).
+    /// The raw 32-bit value (as audit records carry it).
     #[must_use]
     pub fn as_u32(self) -> u32 {
         self.0
@@ -59,7 +59,7 @@ impl PairId {
     /// The id of the unlabeled `{S(), I()}` pair.
     pub const UNLABELED: PairId = PairId(0);
 
-    /// The raw 32-bit value (for packing into cache keys).
+    /// The raw 32-bit value (as audit records carry it).
     #[must_use]
     pub fn as_u32(self) -> u32 {
         self.0

@@ -15,10 +15,9 @@
 //! Labels are additionally *interned* (hash-consed, see
 //! [`crate::intern`]): each distinct tag-set has one canonical backing
 //! allocation and a stable 32-bit [`LabelId`], so equality and hashing
-//! are O(1) integer operations and subset verdicts can be memoized by
-//! id (see [`crate::cache`]) — the label-comparison caching of §5.
+//! are O(1) integer operations, and a subset test between two equal
+//! labels returns on the id compare without walking either tag array.
 
-use crate::cache;
 use crate::intern::{self, LabelId};
 use crate::tag::Tag;
 use std::fmt;
@@ -143,10 +142,9 @@ impl Label {
     /// Subset test: the paper's `isSubsetOf()` operation, and the order
     /// relation of the label lattice.
     ///
-    /// This is the *uncached* structural check (plus the trivial
-    /// id-equality and length fast paths) — the oracle that
-    /// [`Self::is_subset_of_cached`] memoizes. Enforcement hot paths
-    /// should prefer the cached variant.
+    /// A structural merge walk behind two fast paths: id-equal labels
+    /// (interning makes equality one integer compare) and a longer
+    /// left operand. Every enforcement point calls this directly.
     #[must_use]
     pub fn is_subset_of(&self, other: &Label) -> bool {
         if self.id == other.id {
@@ -173,24 +171,15 @@ impl Label {
         true
     }
 
-    /// Memoized subset test: consults the global flow-check cache (see
-    /// [`crate::cache`]), with inline fast paths for the empty label and
-    /// id-equal operands. Agrees with [`Self::is_subset_of`] on every
-    /// input; this is what the enforcement layers call.
-    #[must_use]
-    pub fn is_subset_of_cached(&self, other: &Label) -> bool {
-        cache::cached_subset(self, other)
-    }
-
     /// Least upper bound in the lattice: set union. Returns a new label
     /// (labels are immutable); if the union equals one operand, that
     /// operand's allocation is reused.
     #[must_use]
     pub fn union(&self, other: &Label) -> Label {
-        if self.is_subset_of_cached(other) {
+        if self.is_subset_of(other) {
             return other.clone();
         }
-        if other.is_subset_of_cached(self) {
+        if other.is_subset_of(self) {
             return self.clone();
         }
         let mut v = Vec::with_capacity(self.tags.len() + other.tags.len());
@@ -357,20 +346,5 @@ mod tests {
         assert!(std::ptr::eq(a.as_slice().as_ptr(), b.as_slice().as_ptr()));
         assert_ne!(a.id(), Label::singleton(t(31)).id());
         assert_eq!(Label::empty().id(), crate::LabelId::EMPTY);
-    }
-
-    #[test]
-    fn cached_subset_agrees_with_structural() {
-        let cases = [
-            Label::empty(),
-            Label::singleton(t(41)),
-            Label::from_tags([t(41), t(42)]),
-            Label::from_tags([t(42), t(43)]),
-        ];
-        for a in &cases {
-            for b in &cases {
-                assert_eq!(a.is_subset_of_cached(b), a.is_subset_of(b), "{a} vs {b}");
-            }
-        }
     }
 }

@@ -24,17 +24,17 @@
 //! The [`laminar-os`](https://docs.rs/laminar-os) and `laminar` crates
 //! build the enforcement machinery on top of it.
 //!
-//! ## The hot path: interning and the flow-check cache
+//! ## The hot path: interning
 //!
-//! Mirroring the §5 prototype's label-comparison memoization, labels
-//! and pairs are *interned* ([`intern`]): each distinct tag-set has one
+//! Mirroring the §5 prototype's shared immutable labels, labels and
+//! pairs are *interned* ([`intern`]): each distinct tag-set has one
 //! canonical allocation and a stable 32-bit id ([`LabelId`]/[`PairId`]),
-//! so equality and hashing are O(1). Subset and flow verdicts are
-//! memoized in a global sharded cache ([`cache`]) keyed on those ids —
-//! [`Label::is_subset_of_cached`], [`SecPair::flows_to_cached`] and
-//! [`SecPair::can_flow_to_cached`] are the entry points the VM
-//! barriers, LSM hooks and syscall checks use, with hit/miss/insert
-//! counters observable via [`flow_cache_stats`].
+//! so equality and hashing are O(1). Every enforcement point — VM
+//! barriers, LSM hooks, runtime cells and regions — calls the structural
+//! checks [`Label::is_subset_of`], [`SecPair::flows_to`] and
+//! [`SecPair::can_flow_to`] directly. On the one- and two-tag labels
+//! real applications carry, the merge walk costs a few nanoseconds, and
+//! id-equal operands return on one integer compare.
 //!
 //! ## Example: the calendar scenario of §3.3
 //!
@@ -67,7 +67,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 mod caps;
 mod error;
 pub mod intern;
@@ -75,10 +74,45 @@ mod label;
 mod pair;
 mod tag;
 
-pub use cache::{flow_cache_stats, reset_flow_cache, CheckKind, FlowCacheStats};
 pub use caps::{CapKind, CapSet, Capability};
 pub use error::{FlowError, LabelChangeError};
 pub use intern::{intern_stats, InternStats, LabelId, PairId};
 pub use label::{Label, LabelType};
 pub use pair::{check_label_change, check_pair_change, SecPair};
 pub use tag::{Tag, TagAllocator};
+
+// Benchmark compatibility only. The repository benchmark (`perfbench/`)
+// still reads these names for its `difc.cache_*` and
+// `difc.flows_to_cached_ns` metrics; they exist until the next benchmark
+// change removes those metrics. No enforcement code calls them.
+
+/// Counters of a flow-check memo cache that no longer exists: always
+/// zero.
+#[doc(hidden)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct FlowCacheStats {
+    /// Always zero.
+    pub hits: u64,
+    /// Always zero.
+    pub fast_hits: u64,
+    /// Always zero.
+    pub misses: u64,
+    /// Always zero.
+    pub evictions: u64,
+}
+
+/// Always [`FlowCacheStats::default`].
+#[doc(hidden)]
+#[must_use]
+pub fn flow_cache_stats() -> FlowCacheStats {
+    FlowCacheStats::default()
+}
+
+impl SecPair {
+    /// Alias of [`SecPair::flows_to`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn flows_to_cached(&self, to: &SecPair) -> bool {
+        self.flows_to(to)
+    }
+}

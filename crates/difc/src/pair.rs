@@ -8,7 +8,6 @@
 //!   down; and
 //! * **integrity rule** (Biba): `Iy ⊆ Ix` — no read down, no write up.
 
-use crate::cache;
 use crate::caps::CapSet;
 use crate::error::{FlowError, LabelChangeError};
 use crate::intern::{self, PairId};
@@ -37,7 +36,8 @@ pub struct SecPair {
     secrecy: Label,
     integrity: Label,
     // Interned identity of the (secrecy id, integrity id) combination:
-    // makes pair equality/hashing O(1) and keys the Flow memo cache.
+    // makes pair equality/hashing O(1) and names the pair in audit
+    // records.
     id: PairId,
 }
 
@@ -161,39 +161,11 @@ impl SecPair {
     }
 
     /// Boolean form of [`Self::can_flow_to`], for hot paths that do not
-    /// need the diagnostic payload (e.g. VM barriers).
-    ///
-    /// This is the *uncached* structural check — the oracle that
-    /// [`Self::flows_to_cached`] memoizes.
+    /// need the diagnostic payload (e.g. silent-drop hooks).
     #[must_use]
     pub fn flows_to(&self, to: &SecPair) -> bool {
         self.secrecy.is_subset_of(&to.secrecy)
             && to.integrity.is_subset_of(&self.integrity)
-    }
-
-    /// Memoized form of [`Self::flows_to`]: one lookup in the global
-    /// flow-check cache keyed on the two pair ids, with inline fast
-    /// paths for id-equal pairs and the unlabeled-source common case.
-    /// Agrees with [`Self::flows_to`] on every input; this is what the
-    /// enforcement layers (VM barriers, LSM hooks, syscalls) call.
-    #[must_use]
-    pub fn flows_to_cached(&self, to: &SecPair) -> bool {
-        cache::cached_flow(self, to)
-    }
-
-    /// Memoized form of [`Self::can_flow_to`]: answers the common
-    /// (allowed) case from the cache; only a *denied* flow pays for
-    /// building the diagnostic payload, via the uncached check.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Self::can_flow_to`].
-    pub fn can_flow_to_cached(&self, to: &SecPair) -> Result<(), FlowError> {
-        if self.flows_to_cached(to) {
-            Ok(())
-        } else {
-            self.can_flow_to(to)
-        }
     }
 
     /// Componentwise least upper bound for *data* combining two sources:

@@ -6,10 +6,14 @@
 //! subset order is a partial order, union/intersection are lattice
 //! join/meet, and the flow relation composes (transitivity of legal
 //! flows), which is what makes end-to-end guarantees out of per-edge
-//! checks.
+//! checks. Differential tests then hold the structural checks every
+//! enforcement point calls to a naive subset oracle, and interning to
+//! the equality and hash semantics of the tag sets it canonicalizes.
 
 use laminar_difc::{check_label_change, CapSet, Capability, Label, SecPair, Tag};
 use laminar_util::SplitMix64;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// Cases per property; the tag universe is small (1..12) so interesting
 /// subset/overlap relationships are common.
@@ -223,5 +227,77 @@ fn capset_union_monotonic() {
         if check_label_change(&from, &to, &a).is_ok() {
             assert!(check_label_change(&from, &to, &a.union(&b)).is_ok());
         }
+    }
+}
+
+/// A from-scratch subset oracle, independent of `Label::is_subset_of`'s
+/// own fast paths.
+fn naive_subset(a: &Label, b: &Label) -> bool {
+    a.iter().all(|t| b.iter().any(|u| u == t))
+}
+
+fn hash_of<T: Hash>(v: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+#[test]
+fn subset_matches_naive_oracle_on_random_pairs() {
+    let mut rng = SplitMix64::new(0xD1FC);
+    for _ in 0..2_000 {
+        let a = random_label(&mut rng);
+        let b = random_label(&mut rng);
+        assert_eq!(a.is_subset_of(&b), naive_subset(&a, &b), "{a} vs {b}");
+    }
+}
+
+#[test]
+fn flow_matches_naive_oracle_on_random_pairs() {
+    let mut rng = SplitMix64::new(0xF10);
+    for _ in 0..2_000 {
+        let x = random_pair(&mut rng);
+        let y = random_pair(&mut rng);
+        let oracle = naive_subset(x.secrecy(), y.secrecy())
+            && naive_subset(y.integrity(), x.integrity());
+        assert_eq!(x.flows_to(&y), oracle, "{x} -> {y}");
+        assert_eq!(x.can_flow_to(&y).is_ok(), oracle, "{x} -> {y}");
+    }
+}
+
+#[test]
+fn interning_preserves_equality_and_hash_semantics() {
+    let mut rng = SplitMix64::new(0x5EED);
+    for _ in 0..2_000 {
+        let tags: Vec<Tag> = {
+            let n = rng.gen_range(0..5);
+            (0..n).map(|_| Tag::from_raw(1 + rng.below(200))).collect()
+        };
+        let mut shuffled = tags.clone();
+        rng.shuffle(&mut shuffled);
+
+        // Two labels built independently (in different orders, possibly
+        // with duplicates) from the same tag multiset are equal, share a
+        // hash, share an id, and share the canonical allocation.
+        let a = Label::from_tags(tags.iter().copied());
+        let b = Label::from_tags(shuffled.iter().copied().chain(tags.first().copied()));
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_eq!(a.id(), b.id());
+        assert!(std::ptr::eq(a.as_slice().as_ptr(), b.as_slice().as_ptr()));
+
+        // And a label over a strictly different tag-set is unequal with
+        // a different id.
+        let c = Label::from_tags(tags.iter().copied().chain([Tag::from_raw(999)]));
+        assert_ne!(a, c);
+        assert_ne!(a.id(), c.id());
+
+        // Pairs inherit the same guarantees.
+        let p = SecPair::new(a.clone(), c.clone());
+        let q = SecPair::new(b.clone(), c.clone());
+        assert_eq!(p, q);
+        assert_eq!(hash_of(&p), hash_of(&q));
+        assert_eq!(p.id(), q.id());
+        assert_ne!(p, SecPair::new(c, a));
     }
 }

@@ -7,11 +7,10 @@
 //! monitor's decisions are invisible — to operators and auditors as well
 //! as to adversaries. This crate restores visibility **on the trusted
 //! side only**: a low-overhead, kernel-side decision trace that records
-//! what every enforcement layer (the `laminar-difc` check/cache path,
-//! the OS LSM hooks and syscall transaction boundary, the VM barriers
-//! and security regions) decided, correlated with the kernel's commit
-//! tickets so an audit trail can be replayed against the linearization
-//! witness.
+//! what every enforcement point (the OS LSM hooks and syscall
+//! transaction boundary, the VM barriers and security regions)
+//! decided, correlated with the kernel's commit tickets so an audit
+//! trail can be replayed against the linearization witness.
 //!
 //! ## Trust gating
 //!
@@ -50,16 +49,14 @@
 //! allocation per [`FLUSH_BATCH`]-sized batch, never per record. Clock
 //! reads are sampled (one dispatch in [`DEFAULT_LATENCY_SAMPLE_EVERY`]
 //! feeds the log2 latency histograms; the rest record no latency), and
-//! the layers emit *decisions*, not checks: the difc memo path records a
-//! verdict only when it is actually computed (a cache hit replays an
-//! already-recorded decision), LSM hooks record only denials, and a
-//! decision-free successful dispatch — no staged events, no typed error —
-//! leaves no records at all (only its sampled latency). Sequence
-//! numbers are allocated per flushed block, so cross-thread interleaving
-//! in a merged snapshot is flush-grained; within a thread, and between a
-//! syscall's staged events and its commit record, order is exact, and
-//! commit *tickets* remain the precise cross-thread linearization
-//! witness.
+//! the layers emit *decisions*, not checks: LSM hooks record only
+//! denials, and a decision-free successful dispatch — no staged events,
+//! no typed error — leaves no records at all (only its sampled
+//! latency). Sequence numbers are allocated per flushed block, so
+//! cross-thread interleaving in a merged snapshot is flush-grained;
+//! within a thread, and between a syscall's staged events and its
+//! commit record, order is exact, and commit *tickets* remain the
+//! precise cross-thread linearization witness.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -75,8 +72,6 @@ use std::time::Instant;
 /// Which enforcement layer produced an event.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Layer {
-    /// The `laminar-difc` label model: the memoized check/cache path.
-    Difc,
     /// The OS kernel: LSM hooks and the syscall transaction boundary.
     Os,
     /// The managed runtime: VM read/write barriers and security regions.
@@ -86,7 +81,6 @@ pub enum Layer {
 impl Layer {
     fn as_str(self) -> &'static str {
         match self {
-            Layer::Difc => "difc",
             Layer::Os => "os",
             Layer::Vm => "vm",
         }
@@ -132,14 +126,11 @@ pub enum Verdict {
 pub enum Event {
     /// One subset/flow decision. `subject`/`object` are interned label or
     /// pair ids (`laminar-difc` interning makes them stable process-wide
-    /// for the life of the run). `cache_hit` is meaningful only for
-    /// [`Layer::Difc`] events (the memo-table path); hook-level events
-    /// report `false`.
+    /// for the life of the run).
     FlowCheck {
         /// Layer that asked the question.
         layer: Layer,
-        /// Which check: `"subset"`/`"flow"` at the difc layer, the LSM
-        /// hook or barrier name above it.
+        /// Which check: the LSM hook or barrier name.
         op: &'static str,
         /// Interned id of the subject (task / source) label or pair.
         subject: u32,
@@ -147,8 +138,6 @@ pub enum Event {
         object: u32,
         /// The decision.
         verdict: Verdict,
-        /// Whether the memo table answered (difc layer only).
-        cache_hit: bool,
     },
     /// A message silently dropped on an unreliable channel (§5.2). The
     /// subject saw full success; only this trusted log records the drop.
@@ -494,11 +483,12 @@ impl SyscallSpan {
     /// typed denial — records `SyscallEnter`, the staged body events,
     /// then `SyscallCommit` (with `denied` naming the typed error, if
     /// any) contiguously in the thread's pending batch. A decision-free
-    /// success leaves no records at all: its cached allows were logged
-    /// when first computed, so an Enter/Commit pair would tell the
-    /// auditor nothing — and *not* logging it keeps enabled tracing
-    /// nearly free on the hot path. Either way, a sampled latency joins
-    /// the per-syscall histogram.
+    /// success leaves no records at all: the audit rule logs decisions
+    /// at enforcement points, and an allowed access decides nothing the
+    /// auditor needs, so an Enter/Commit pair would tell it nothing —
+    /// and *not* logging it keeps enabled tracing nearly free on the hot
+    /// path. Either way, a sampled latency joins the per-syscall
+    /// histogram.
     pub fn commit(self, ticket: u64, denied: Option<&'static str>) {
         let latency_ns = self.latency_ns();
         LOCAL.with(|l| {
@@ -602,9 +592,9 @@ fn json_str(s: &str) -> String {
 
 fn record_json(r: &Record) -> String {
     let body = match &r.event {
-        Event::FlowCheck { layer, op, subject, object, verdict, cache_hit } => format!(
+        Event::FlowCheck { layer, op, subject, object, verdict } => format!(
             "\"type\":\"flow_check\",\"layer\":\"{}\",\"op\":{},\"subject\":{subject},\
-             \"object\":{object},\"verdict\":\"{}\",\"cache_hit\":{cache_hit}",
+             \"object\":{object},\"verdict\":\"{}\"",
             layer.as_str(),
             json_str(op),
             if *verdict == Verdict::Allow { "allow" } else { "deny" },

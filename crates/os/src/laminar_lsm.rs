@@ -12,11 +12,9 @@
 //!   dropped** rather than rejected, because the error code would itself
 //!   be a channel.
 //!
-//! Every hook routes its subset/flow queries through the global
-//! flow-check cache (`laminar_difc::cache`, the §5 label-comparison
-//! memoization): hooks fire on every file access and signal, but real
-//! workloads repeat the same `(task label, object label)` pairs, so the
-//! verdict is a cache hit after first contact.
+//! Every hook calls the structural checks of `laminar_difc` directly:
+//! on the one- and two-tag labels real workloads carry a check costs a
+//! few nanoseconds, and an interned id compare answers equal labels.
 
 use crate::error::{OsError, OsResult};
 use crate::lsm::{Access, DeliveryVerdict, SecurityModule};
@@ -28,12 +26,12 @@ use laminar_difc::SecPair;
 pub struct LaminarModule;
 
 /// Stages an OS-layer `FlowCheck` audit event for a **denied** hook
-/// check (no-op while tracing is disabled). Allowed flows are not logged
-/// here: the difc layer records each verdict when it is first computed,
-/// and a dispatch that allows everything it checks is decision-free (it
-/// leaves no records at all) — re-logging every per-hook allow would put
-/// an emit on each path component of every traversal. Denials are the
-/// slow path and carry the subject/object detail the typed error cannot.
+/// check (no-op while tracing is disabled). Allowed flows are not
+/// logged: a dispatch that allows everything it checks is decision-free
+/// (it leaves no records at all), and logging every per-hook allow would
+/// put an emit on each path component of every traversal. Denials are
+/// the slow path and carry the subject/object detail the typed error
+/// cannot.
 fn trace_check(op: &'static str, subject: &SecPair, object: &SecPair, allowed: bool) {
     if allowed || !laminar_obs::enabled() {
         return;
@@ -43,24 +41,19 @@ fn trace_check(op: &'static str, subject: &SecPair, object: &SecPair, allowed: b
         op,
         subject: subject.id().as_u32(),
         object: object.id().as_u32(),
-        verdict: if allowed {
-            laminar_obs::Verdict::Allow
-        } else {
-            laminar_obs::Verdict::Deny
-        },
-        cache_hit: false,
+        verdict: laminar_obs::Verdict::Deny,
     });
 }
 
 impl LaminarModule {
     fn check_read(task: &TaskSec, obj: &SecPair) -> OsResult<()> {
-        let r = obj.can_flow_to_cached(&task.labels).map_err(OsError::from);
+        let r = obj.can_flow_to(&task.labels).map_err(OsError::from);
         trace_check("read", &task.labels, obj, r.is_ok());
         r
     }
 
     fn check_write(task: &TaskSec, obj: &SecPair) -> OsResult<()> {
-        let r = task.labels.can_flow_to_cached(obj).map_err(OsError::from);
+        let r = task.labels.can_flow_to(obj).map_err(OsError::from);
         trace_check("write", &task.labels, obj, r.is_ok());
         r
     }
@@ -110,12 +103,12 @@ impl SecurityModule for LaminarModule {
         new: &SecPair,
     ) -> OsResult<()> {
         // Condition 1.
-        if !task.labels.secrecy().is_subset_of_cached(new.secrecy()) {
+        if !task.labels.secrecy().is_subset_of(new.secrecy()) {
             return Err(OsError::PermissionDenied(
                 "new file's secrecy label must include the creator's taint",
             ));
         }
-        if !new.integrity().is_subset_of_cached(task.labels.integrity()) {
+        if !new.integrity().is_subset_of(task.labels.integrity()) {
             return Err(OsError::PermissionDenied(
                 "new file's integrity label exceeds the creator's endorsements",
             ));
@@ -168,7 +161,7 @@ impl SecurityModule for LaminarModule {
     /// silently dropped (a visible error would notify the sender of the
     /// target's labels — a channel).
     fn task_kill(&self, sender: &TaskSec, target: &TaskSec) -> DeliveryVerdict {
-        let ok = sender.labels.flows_to_cached(&target.labels);
+        let ok = sender.labels.flows_to(&target.labels);
         trace_check("kill", &sender.labels, &target.labels, ok);
         if ok {
             DeliveryVerdict::Deliver
@@ -186,7 +179,7 @@ impl SecurityModule for LaminarModule {
     }
 
     fn pipe_write(&self, task: &TaskSec, pipe: &SecPair) -> DeliveryVerdict {
-        let ok = task.labels.flows_to_cached(pipe);
+        let ok = task.labels.flows_to(pipe);
         trace_check("pipe_write", &task.labels, pipe, ok);
         if ok {
             DeliveryVerdict::Deliver

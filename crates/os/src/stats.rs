@@ -4,8 +4,7 @@
 //! and were undone at the dispatch boundary — each one returned
 //! [`crate::OsError::Internal`] after the transaction journal restored
 //! every mutated entry. The counter is process-global (the kernel is a
-//! library, not a process) and resettable, mirroring the flow-cache
-//! counters in `laminar_difc`.
+//! library, not a process) and resettable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

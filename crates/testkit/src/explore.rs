@@ -13,7 +13,7 @@
 //! the exact trace forever, and `TESTKIT_SEED=<seed> cargo test -p
 //! laminar-testkit` re-runs just that seed.
 
-use crate::fault::{CacheFaultGuard, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::oracle::{DenyKind, Oracle, Outcome};
 use crate::replay::KernelReplay;
 use crate::trace::{generate_trace, Op};
@@ -51,7 +51,6 @@ pub struct Counterexample {
 /// # Errors
 /// The first [`Divergence`] found.
 pub fn run_trace(ops: &[Op], plan: &FaultPlan) -> Result<(), Divergence> {
-    let _guard = CacheFaultGuard::arm(plan.cache);
     let mut oracle = Oracle::new();
     let mut kernel = KernelReplay::new();
     let failpoint = plan.syscall_failpoint();

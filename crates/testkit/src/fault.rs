@@ -1,15 +1,10 @@
 //! Fault plans: which injected faults a conformance run executes under.
 //!
 //! Laminar's enforcement must be *semantically invisible* to its own
-//! performance machinery: the flow-check cache and the lock wrappers
-//! are allowed to change timing, never verdicts. A [`FaultPlan`] names
-//! a hostile regime — cache disabled, cache thrashing, epoch churn,
-//! periodic lock poisoning — and the explorer asserts that every trace
-//! produces bit-identical outcomes and states under it.
-//!
-//! Fault modes are process-global (they model global cache state), so
-//! tests that arm them must serialize; [`CacheFaultGuard`] disarms on
-//! drop even if the test panics.
+//! lock machinery: a poisoned lock shard may change timing, never
+//! verdicts. A [`FaultPlan`] with periodic lock poisoning makes the
+//! explorer assert that every trace produces bit-identical outcomes and
+//! states under it.
 //!
 //! Syscall failpoints are sharper: a plan may arm a one-shot
 //! [`SyscallFailpoint`] before every `n`th op — a panic inside the next
@@ -19,14 +14,11 @@
 //! security state is byte-for-byte what it was before the op, and the
 //! kernel keeps serving the rest of the trace.
 
-pub use laminar_difc::cache::fault::{fault_mode, set_fault_mode, FaultMode};
 pub use laminar_os::SyscallFailpoint;
 
 /// The fault regime for one conformance run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultPlan {
-    /// Cache fault mode armed for the whole run.
-    pub cache: FaultMode,
     /// If set, poison one kernel lock shard before every `n`th op
     /// (rotating through the shard map over the trace).
     pub poison_every: Option<usize>,
@@ -47,12 +39,6 @@ impl FaultPlan {
     #[must_use]
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// A cache fault regime with no lock poisoning.
-    #[must_use]
-    pub fn cache(mode: FaultMode) -> Self {
-        FaultPlan { cache: mode, ..FaultPlan::default() }
     }
 
     /// Adds periodic lock poisoning to this plan.
@@ -118,23 +104,4 @@ pub fn silence_injected_panics() {
             }
         }));
     });
-}
-
-/// Arms a cache fault mode; disarms on drop (panic-safe).
-#[derive(Debug)]
-pub struct CacheFaultGuard(());
-
-impl CacheFaultGuard {
-    /// Arms `mode` process-wide until the guard drops.
-    #[must_use]
-    pub fn arm(mode: FaultMode) -> Self {
-        set_fault_mode(mode);
-        CacheFaultGuard(())
-    }
-}
-
-impl Drop for CacheFaultGuard {
-    fn drop(&mut self) {
-        set_fault_mode(FaultMode::None);
-    }
 }

@@ -2,11 +2,11 @@
 //!
 //! The enforcement stack under test spans three layers — LSM hooks in
 //! the simulated kernel, the Fig. 3 syscall surface, and the VM's
-//! read/write barriers — all routed through the interned, cached,
-//! sharded flow-check machinery of `laminar-difc`. This crate checks
-//! the whole stack against a **reference oracle**: an independent,
-//! dependency-free re-implementation of the paper's security state
-//! machine over plain `BTreeSet`s ([`Oracle`]).
+//! read/write barriers — all bottoming out in the interned label checks
+//! of `laminar-difc`. This crate checks the whole stack against a
+//! **reference oracle**: an independent, dependency-free
+//! re-implementation of the paper's security state machine over plain
+//! `BTreeSet`s ([`Oracle`]).
 //!
 //! The pieces:
 //!
@@ -19,11 +19,10 @@
 //! * [`explore`] — the conformance loop: replay both sides in
 //!   lockstep, diff outcomes and states, shrink failures to minimal
 //!   committed regression tests.
-//! * [`fault`] — fault regimes (cache disabled / thrashing / epoch
-//!   churn, lock poisoning) under which every verdict must still be
-//!   bit-identical, plus syscall failpoints (mid-hook panic, post-body
-//!   abort, quota exhaustion) under which every faulted op must be a
-//!   security-state no-op.
+//! * [`fault`] — periodic lock poisoning, under which every verdict
+//!   must still be bit-identical, plus syscall failpoints (mid-hook
+//!   panic, post-body abort, quota exhaustion) under which every
+//!   faulted op must be a security-state no-op.
 //! * [`concurrent`] — the commit-order-witness regime: lanes of ops run
 //!   in parallel over disjoint task sets, then the kernel's witnessed
 //!   commit order is replayed through the single-threaded oracle.
@@ -60,7 +59,7 @@ pub use explore::{
     assert_conformance, explore, render_regression_test, run_trace, shrink, shrink_with,
     Counterexample, Divergence, ExploreConfig, ExploreReport,
 };
-pub use fault::{CacheFaultGuard, FaultMode, FaultPlan, SyscallFailpoint};
+pub use fault::{FaultPlan, SyscallFailpoint};
 pub use oracle::{DenyKind, MCaps, MDrop, MLabel, MPair, Oracle, Outcome};
 pub use replay::KernelReplay;
 pub use trace::{generate_trace, payload, Op};

@@ -822,7 +822,7 @@ mod tests {
     use laminar_util::SplitMix64;
 
     // Cross-validation: the oracle's pure set arithmetic must agree
-    // with the interned/cached `laminar-difc` implementation on random
+    // with the interned `laminar-difc` implementation on random
     // labels. Tags here are offset so they never collide with other
     // tests' interned labels.
     const BASE: u64 = 770_000;

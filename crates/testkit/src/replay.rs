@@ -1,5 +1,5 @@
 //! Replays traces against the real stack: the simulated kernel with the
-//! Laminar LSM, the DIFC crate's interned/cached checks underneath it,
+//! Laminar LSM, the DIFC crate's interned label checks underneath it,
 //! and the VM barrier/region entry points.
 //!
 //! [`KernelReplay::new`] builds the same fixture the oracle models (see

@@ -1,25 +1,14 @@
 //! The conformance matrix: the seeded explorer run as `#[test]`s, once
 //! per fault regime.
 //!
-//! Fault modes and the flow-check cache are process-global, so every
-//! test here takes a shared lock — regimes must not bleed into each
-//! other. Volume is controlled by `TESTKIT_*` environment variables
-//! (see [`ExploreConfig::from_env`]); the defaults replay
-//! 8 seeds × 500 traces × 28 ops per regime.
+//! Every regime arms its faults on the kernels it boots, so the tests
+//! share no state and may run in parallel. Volume is controlled by
+//! `TESTKIT_*` environment variables (see [`ExploreConfig::from_env`]);
+//! the defaults replay 8 seeds × 500 traces × 28 ops per regime.
 
-use laminar_testkit::{explore, ExploreConfig, FaultMode, FaultPlan};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn serialize() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use laminar_testkit::{explore, ExploreConfig, FaultPlan};
 
 fn run(plan: FaultPlan, regime: &str) {
-    let _guard = serialize();
-    laminar_difc::reset_flow_cache();
     let cfg = ExploreConfig::from_env(plan);
     match explore(&cfg) {
         Ok(report) => {
@@ -53,18 +42,8 @@ fn baseline_conformance() {
 }
 
 #[test]
-fn conformance_with_cache_disabled() {
-    run(FaultPlan::cache(FaultMode::ForceMiss), "force-miss");
-}
-
-#[test]
-fn conformance_under_eviction_storm() {
-    run(FaultPlan::cache(FaultMode::EvictionStorm), "eviction-storm");
-}
-
-#[test]
-fn conformance_under_epoch_churn_with_lock_poisoning() {
-    run(FaultPlan::cache(FaultMode::EpochChurn).with_poison(8), "churn+poison");
+fn conformance_with_lock_poisoning() {
+    run(FaultPlan::none().with_poison(8), "poison");
 }
 
 // The fail-closed regimes: a one-shot syscall failpoint is armed before

@@ -26,7 +26,6 @@ fn trace_barrier(op: &'static str, subject: &SecPair, object: &SecPair, allowed:
         } else {
             laminar_obs::Verdict::Deny
         },
-        cache_hit: false,
     });
 }
 
@@ -37,7 +36,7 @@ fn trace_barrier(op: &'static str, subject: &SecPair, object: &SecPair, allowed:
 /// # Errors
 /// [`VmError::Flow`] naming the violated component.
 pub fn barrier_read_check(obj: &SecPair, thread: &SecPair) -> VmResult<()> {
-    let r = obj.can_flow_to_cached(thread).map_err(VmError::from);
+    let r = obj.can_flow_to(thread).map_err(VmError::from);
     if laminar_obs::enabled() {
         trace_barrier("barrier_read", thread, obj, r.is_ok());
     }
@@ -50,7 +49,7 @@ pub fn barrier_read_check(obj: &SecPair, thread: &SecPair) -> VmResult<()> {
 /// # Errors
 /// [`VmError::Flow`] naming the violated component.
 pub fn barrier_write_check(thread: &SecPair, obj: &SecPair) -> VmResult<()> {
-    let r = thread.can_flow_to_cached(obj).map_err(VmError::from);
+    let r = thread.can_flow_to(obj).map_err(VmError::from);
     if laminar_obs::enabled() {
         trace_barrier("barrier_write", thread, obj, r.is_ok());
     }

@@ -665,13 +665,13 @@ impl Vm {
                 let pair = self.static_pair_of(instr)?;
                 // For an unlabeled static this is exactly the prototype's
                 // rule: an integrity region may not read it (I_thr ⊄ {}).
-                pair.can_flow_to_cached(&self.labels).map_err(VmError::from)
+                pair.can_flow_to(&self.labels).map_err(VmError::from)
             }
             Barrier::StaticWriteIn => {
                 self.stats.static_barriers += 1;
                 let pair = self.static_pair_of(instr)?;
                 // Unlabeled static: a secrecy region may not write it.
-                self.labels.can_flow_to_cached(pair).map_err(VmError::from)
+                self.labels.can_flow_to(pair).map_err(VmError::from)
             }
             Barrier::StaticReadOut | Barrier::StaticWriteOut => {
                 self.stats.static_barriers += 1;
@@ -760,7 +760,7 @@ impl Vm {
         }
         if b.is_some() {
             self.stats.alloc_barriers += 1;
-            self.labels.can_flow_to_cached(&pair)?;
+            self.labels.can_flow_to(&pair)?;
         }
         Ok(if pair.is_unlabeled() { None } else { Some(pair) })
     }

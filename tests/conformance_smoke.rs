@@ -7,7 +7,6 @@ use laminar_testkit::{explore, ExploreConfig, FaultPlan, Op};
 
 #[test]
 fn a_small_fixed_exploration_finds_no_divergence() {
-    laminar_difc::reset_flow_cache();
     let cfg = ExploreConfig {
         seeds: vec![0xD1FC_0001],
         traces_per_seed: 25,

@@ -1,22 +1,9 @@
 //! Edge cases of `set_task_label`/`set_task_labels`: the capability
 //! rule's corner cases, partial application of combined changes, and
-//! the O(1) identity fast path added in PR 1.
-//!
-//! The flow-check cache counters are process-global, so every test here
-//! serializes on one lock and the counter-sensitive test resets the
-//! cache first.
+//! the O(1) identity fast path.
 
-use laminar::stats::{flow_cache_stats, reset_flow_cache};
 use laminar_difc::{Capability, Label, LabelType, SecPair};
 use laminar_os::{Kernel, LaminarModule, OsError, UserId};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn serialize() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn boot_alice() -> (std::sync::Arc<Kernel>, laminar_os::TaskHandle) {
     let k = Kernel::boot(LaminarModule);
@@ -27,7 +14,6 @@ fn boot_alice() -> (std::sync::Arc<Kernel>, laminar_os::TaskHandle) {
 
 #[test]
 fn declassify_needs_a_minus_capability_per_tag() {
-    let _g = serialize();
     let (_k, alice) = boot_alice();
     let a = alice.alloc_tag().unwrap();
     let b = alice.alloc_tag().unwrap();
@@ -50,7 +36,6 @@ fn declassify_needs_a_minus_capability_per_tag() {
 
 #[test]
 fn raising_secrecy_needs_a_plus_capability() {
-    let _g = serialize();
     let (_k, alice) = boot_alice();
     let a = alice.alloc_tag().unwrap();
     alice.drop_capabilities(&[Capability::plus(a)]).unwrap();
@@ -65,7 +50,6 @@ fn raising_secrecy_needs_a_plus_capability() {
 
 #[test]
 fn simultaneous_secrecy_raise_and_integrity_drop() {
-    let _g = serialize();
     let (_k, alice) = boot_alice();
     let s = alice.alloc_tag().unwrap();
     let i = alice.alloc_tag().unwrap();
@@ -81,7 +65,6 @@ fn simultaneous_secrecy_raise_and_integrity_drop() {
 
 #[test]
 fn combined_change_applies_components_in_order() {
-    let _g = serialize();
     let (_k, alice) = boot_alice();
     let s = alice.alloc_tag().unwrap();
     let i = alice.alloc_tag().unwrap();
@@ -103,8 +86,7 @@ fn combined_change_applies_components_in_order() {
 }
 
 #[test]
-fn identity_label_change_skips_rule_hook_and_cache() {
-    let _g = serialize();
+fn identity_label_change_skips_rule_and_hook() {
     let (k, alice) = boot_alice();
     let a = alice.alloc_tag().unwrap();
     alice.set_task_label(LabelType::Secrecy, Label::singleton(a)).unwrap();
@@ -113,21 +95,13 @@ fn identity_label_change_skips_rule_hook_and_cache() {
     // short-circuit lets it pass.
     alice.drop_capabilities(&[Capability::plus(a), Capability::minus(a)]).unwrap();
 
-    reset_flow_cache();
     let hooks_before = k.hook_calls();
-    let cache_before = flow_cache_stats();
 
     // Same label again: succeeds despite the empty capability set.
     alice.set_task_label(LabelType::Secrecy, Label::singleton(a)).unwrap();
     alice.set_task_labels(SecPair::secrecy_only(Label::singleton(a))).unwrap();
 
-    // O(1) fast path: no LSM hook ran and the flow cache saw no probe,
-    // no fast-path hit, no insert — the interned-pair equality answered
-    // before enforcement was consulted at all.
+    // O(1) fast path: no LSM hook ran — the interned-pair equality
+    // answered before enforcement was consulted at all.
     assert_eq!(k.hook_calls(), hooks_before, "identity change must not reach the hook");
-    assert_eq!(
-        flow_cache_stats(),
-        cache_before,
-        "identity change must not touch the flow cache"
-    );
 }

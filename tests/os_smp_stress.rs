@@ -15,10 +15,7 @@
 //!   [`OsError::Internal`] corresponds to exactly one journal rollback,
 //!   and with no failpoints armed both counts are zero;
 //! * conservation on the shared pipe: bytes read never exceed bytes
-//!   written, and the residue queued in the buffer is within capacity;
-//! * the flow-check cache is semantically invisible even after a
-//!   storm of concurrent label changes: every cached verdict over the
-//!   final labels equals the uncached structural recomputation.
+//!   written, and the residue queued in the buffer is within capacity.
 
 use laminar_difc::{CapSet, Capability, Label, LabelType, SecPair};
 use laminar_os::{Kernel, LaminarModule, OsError, TaskHandle, UserId, PIPE_CAPACITY};
@@ -191,23 +188,4 @@ fn conflicting_syscalls_hammering_shared_objects_stay_consistent() {
         total.pipe_read,
         total.pipe_written
     );
-
-    // Cache invisibility after the storm: for the final label of every
-    // task and of the hot file, the memoized verdict must equal the
-    // uncached structural recomputation, both directions, all pairs.
-    let mut pairs: Vec<SecPair> = vec![root.current_labels().expect("root labels")];
-    pairs.push(kernel.inspect_node_for_test("/tmp/vault/hot").expect("hot").0);
-    // (Worker handles moved into run_parallel's task sets; their final
-    // labels are one of the two values raced over — add both.)
-    pairs.push(SecPair::secrecy_only(Label::singleton(tag)));
-    pairs.push(SecPair::default());
-    for a in &pairs {
-        for b in &pairs {
-            assert_eq!(
-                a.flows_to_cached(b),
-                a.flows_to(b),
-                "cached verdict diverged from recomputation for {a:?} -> {b:?}"
-            );
-        }
-    }
 }
