@@ -12,16 +12,13 @@
 //! shared between data objects, security regions and threads with no
 //! synchronisation.
 //!
-//! Labels are additionally *interned* (hash-consed, see
-//! [`crate::intern`]): each distinct tag-set has one canonical backing
-//! allocation and a stable 32-bit [`LabelId`], so equality and hashing
-//! are O(1) integer operations, and a subset test between two equal
-//! labels returns on the id compare without walking either tag array.
+//! A label is a lattice value with no identity of its own: two labels
+//! are equal iff they hold the same tags, whichever allocation backs
+//! them. Equality and hashing follow the sorted tag slice; a compare of
+//! two clones of one label returns on pointer equality.
 
-use crate::intern::{self, LabelId};
 use crate::tag::Tag;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Whether a label is a secrecy label or an integrity label.
@@ -63,40 +60,30 @@ impl fmt::Display for LabelType {
 /// assert!(la.is_subset_of(&lab));
 /// assert_eq!(la.union(&Label::from_tags([b])), lab);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Label {
-    // Sorted, deduplicated, hash-consed: every label with the same
-    // tag-set shares this one canonical allocation, and `id` is its
-    // stable process-global name. Equality and hashing use only `id`.
-    tags: Arc<[Tag]>,
-    id: LabelId,
-}
-
-impl PartialEq for Label {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-
-impl Eq for Label {}
-
-impl Hash for Label {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
-    }
+    // Sorted and deduplicated, so equal tag-sets are equal slices.
+    // `Arc`'s equality returns early when both sides share one
+    // allocation. `None` is the empty label, never an empty `Some`,
+    // so the derived equality stays structural; cloning it touches no
+    // reference count shared by every unlabeled resource.
+    tags: Option<Arc<[Tag]>>,
 }
 
 impl Label {
     fn from_sorted(sorted: Vec<Tag>) -> Self {
-        let (id, tags) = intern::intern_label(sorted);
-        Label { tags, id }
+        if sorted.is_empty() {
+            return Label::empty();
+        }
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "unsorted tags");
+        Label { tags: Some(Arc::from(sorted)) }
     }
 
     /// The empty label `{}` — the implicit label of every unlabeled
     /// resource, and the bottom of the secrecy lattice (top of integrity).
     #[must_use]
-    pub fn empty() -> Self {
-        Label { tags: intern::empty_tags(), id: LabelId::EMPTY }
+    pub const fn empty() -> Self {
+        Label { tags: None }
     }
 
     /// Builds a label from any collection of tags, deduplicating.
@@ -111,53 +98,49 @@ impl Label {
     /// A label containing a single tag.
     #[must_use]
     pub fn singleton(tag: Tag) -> Self {
-        Label::from_sorted(vec![tag])
-    }
-
-    /// The stable intern id of this label's tag-set: equal labels have
-    /// equal ids, and vice versa, for the life of the process.
-    #[must_use]
-    pub fn id(&self) -> LabelId {
-        self.id
+        Label { tags: Some(Arc::from([tag])) }
     }
 
     /// Returns `true` if this is the empty label.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.tags.is_none()
     }
 
     /// Number of tags in the label.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.as_slice().len()
     }
 
     /// Returns `true` if `tag` is a member of this label.
     #[must_use]
     pub fn contains(&self, tag: Tag) -> bool {
-        self.tags.binary_search(&tag).is_ok()
+        self.as_slice().binary_search(&tag).is_ok()
     }
 
     /// Subset test: the paper's `isSubsetOf()` operation, and the order
     /// relation of the label lattice.
     ///
-    /// A structural merge walk behind two fast paths: id-equal labels
-    /// (interning makes equality one integer compare) and a longer
-    /// left operand. Every enforcement point calls this directly.
+    /// A structural merge walk behind two fast paths: two clones of one
+    /// label (one pointer compare) and a longer left operand. Every
+    /// enforcement point calls this directly.
     #[must_use]
     pub fn is_subset_of(&self, other: &Label) -> bool {
-        if self.id == other.id {
-            return true;
+        if let (Some(a), Some(b)) = (&self.tags, &other.tags) {
+            if Arc::ptr_eq(a, b) {
+                return true;
+            }
         }
-        if self.tags.len() > other.tags.len() {
+        let (sub, sup) = (self.as_slice(), other.as_slice());
+        if sub.len() > sup.len() {
             return false;
         }
         // Both sorted: single merge pass.
         let mut oi = 0;
-        'outer: for t in self.tags.iter() {
-            while oi < other.tags.len() {
-                match other.tags[oi].cmp(t) {
+        'outer: for t in sub {
+            while oi < sup.len() {
+                match sup[oi].cmp(t) {
                     std::cmp::Ordering::Less => oi += 1,
                     std::cmp::Ordering::Equal => {
                         oi += 1;
@@ -182,9 +165,9 @@ impl Label {
         if other.is_subset_of(self) {
             return self.clone();
         }
-        let mut v = Vec::with_capacity(self.tags.len() + other.tags.len());
-        v.extend_from_slice(&self.tags);
-        v.extend_from_slice(&other.tags);
+        let mut v = Vec::with_capacity(self.len() + other.len());
+        v.extend_from_slice(self.as_slice());
+        v.extend_from_slice(other.as_slice());
         v.sort_unstable();
         v.dedup();
         Label::from_sorted(v)
@@ -193,8 +176,7 @@ impl Label {
     /// Greatest lower bound in the lattice: set intersection.
     #[must_use]
     pub fn intersection(&self, other: &Label) -> Label {
-        let v: Vec<Tag> =
-            self.tags.iter().copied().filter(|t| other.contains(*t)).collect();
+        let v: Vec<Tag> = self.iter().filter(|t| other.contains(*t)).collect();
         Label::from_sorted(v)
     }
 
@@ -205,20 +187,19 @@ impl Label {
     /// `L1 - L2`.
     #[must_use]
     pub fn difference(&self, other: &Label) -> Label {
-        let v: Vec<Tag> =
-            self.tags.iter().copied().filter(|t| !other.contains(*t)).collect();
+        let v: Vec<Tag> = self.iter().filter(|t| !other.contains(*t)).collect();
         Label::from_sorted(v)
     }
 
     /// Iterates over the tags in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Tag> + '_ {
-        self.tags.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// The tags as a sorted slice.
     #[must_use]
     pub fn as_slice(&self) -> &[Tag] {
-        &self.tags
+        self.tags.as_deref().unwrap_or(&[])
     }
 }
 
@@ -237,7 +218,7 @@ impl FromIterator<Tag> for Label {
 impl fmt::Debug for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, t) in self.tags.iter().enumerate() {
+        for (i, t) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -334,17 +315,5 @@ mod tests {
     fn collect_from_iterator() {
         let l: Label = [t(4), t(2)].into_iter().collect();
         assert_eq!(l.as_slice(), &[t(2), t(4)]);
-    }
-
-    #[test]
-    fn interning_shares_one_allocation() {
-        let a = Label::from_tags([t(31), t(32)]);
-        let b = Label::from_tags([t(32), t(31), t(31)]);
-        assert_eq!(a, b);
-        assert_eq!(a.id(), b.id());
-        // Hash-consed: equal labels point at the same canonical slice.
-        assert!(std::ptr::eq(a.as_slice().as_ptr(), b.as_slice().as_ptr()));
-        assert_ne!(a.id(), Label::singleton(t(31)).id());
-        assert_eq!(Label::empty().id(), crate::LabelId::EMPTY);
     }
 }

@@ -24,17 +24,17 @@
 //! The [`laminar-os`](https://docs.rs/laminar-os) and `laminar` crates
 //! build the enforcement machinery on top of it.
 //!
-//! ## The hot path: interning
+//! ## The hot path: structural checks on shared labels
 //!
-//! Mirroring the §5 prototype's shared immutable labels, labels and
-//! pairs are *interned* ([`intern`]): each distinct tag-set has one
-//! canonical allocation and a stable 32-bit id ([`LabelId`]/[`PairId`]),
-//! so equality and hashing are O(1). Every enforcement point — VM
+//! Mirroring the §5 prototype's shared immutable labels, a [`Label`] is
+//! a sorted tag slice behind an `Arc`: cloning it shares the slice, and
+//! equality and hashing follow its tags. Every enforcement point — VM
 //! barriers, LSM hooks, runtime cells and regions — calls the structural
 //! checks [`Label::is_subset_of`], [`SecPair::flows_to`] and
 //! [`SecPair::can_flow_to`] directly. On the one- and two-tag labels
 //! real applications carry, the merge walk costs a few nanoseconds, and
-//! id-equal operands return on one integer compare.
+//! two clones of one label return on a pointer compare. Audit records
+//! name a pair by its content, [`SecPair::fingerprint`].
 //!
 //! ## Example: the calendar scenario of §3.3
 //!
@@ -69,20 +69,18 @@
 
 mod caps;
 mod error;
-pub mod intern;
 mod label;
 mod pair;
 mod tag;
 
 pub use caps::{CapKind, CapSet, Capability};
 pub use error::{FlowError, LabelChangeError};
-pub use intern::{intern_stats, InternStats, LabelId, PairId};
 pub use label::{Label, LabelType};
 pub use pair::{check_label_change, check_pair_change, SecPair};
 pub use tag::{Tag, TagAllocator};
 
 // Benchmark compatibility only. The repository benchmark (`perfbench/`)
-// still reads these names for its `difc.cache_*` and
+// still reads these names for its `difc.cache_*`, `difc.interned_*` and
 // `difc.flows_to_cached_ns` metrics; they exist until the next benchmark
 // change removes those metrics. No enforcement code calls them.
 
@@ -106,6 +104,23 @@ pub struct FlowCacheStats {
 #[must_use]
 pub fn flow_cache_stats() -> FlowCacheStats {
     FlowCacheStats::default()
+}
+
+/// Sizes of label intern tables that no longer exist: always zero.
+#[doc(hidden)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct InternStats {
+    /// Always zero.
+    pub labels: usize,
+    /// Always zero.
+    pub pairs: usize,
+}
+
+/// Always [`InternStats::default`].
+#[doc(hidden)]
+#[must_use]
+pub fn intern_stats() -> InternStats {
+    InternStats::default()
 }
 
 impl SecPair {

@@ -10,10 +10,8 @@
 
 use crate::caps::CapSet;
 use crate::error::{FlowError, LabelChangeError};
-use crate::intern::{self, PairId};
 use crate::label::{Label, LabelType};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A `{S(..), I(..)}` pair: the complete DIFC labeling of one data object
 /// or principal.
@@ -31,28 +29,10 @@ use std::hash::{Hash, Hasher};
 /// // ...but a public source may flow to a secret sink.
 /// assert!(public.can_flow_to(&secret).is_ok());
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct SecPair {
     secrecy: Label,
     integrity: Label,
-    // Interned identity of the (secrecy id, integrity id) combination:
-    // makes pair equality/hashing O(1) and names the pair in audit
-    // records.
-    id: PairId,
-}
-
-impl PartialEq for SecPair {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-
-impl Eq for SecPair {}
-
-impl Hash for SecPair {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
-    }
 }
 
 impl Default for SecPair {
@@ -65,25 +45,39 @@ impl SecPair {
     /// Creates a pair from explicit secrecy and integrity labels.
     #[must_use]
     pub fn new(secrecy: Label, integrity: Label) -> Self {
-        let id = intern::intern_pair(secrecy.id(), integrity.id());
-        SecPair { secrecy, integrity, id }
+        SecPair { secrecy, integrity }
     }
 
     /// The implicit `{S(), I()}` pair of every unlabeled resource.
     #[must_use]
     pub fn unlabeled() -> Self {
-        SecPair {
-            secrecy: Label::empty(),
-            integrity: Label::empty(),
-            id: PairId::UNLABELED,
-        }
+        SecPair::new(Label::empty(), Label::empty())
     }
 
-    /// The stable intern id of this pair: equal pairs have equal ids,
-    /// and vice versa, for the life of the process.
+    /// A 64-bit name for this pair's content, for audit records only.
+    ///
+    /// A fixed mix of the pair's tags with no per-process seed: equal
+    /// pairs get equal fingerprints in every kernel and every process,
+    /// and a fingerprint reveals nothing beyond the pair's own tags.
+    /// Distinct pairs may collide, so no flow decision may use it.
     #[must_use]
-    pub fn id(&self) -> PairId {
-        self.id
+    pub fn fingerprint(&self) -> u64 {
+        // Each word passes through the SplitMix64 finalizer; the label
+        // lengths keep `{S(a), I()}` and `{S(), I(a)}` apart.
+        fn mix(h: u64, word: u64) -> u64 {
+            let mut z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let mut h = 0;
+        for label in [&self.secrecy, &self.integrity] {
+            h = mix(h, label.len() as u64);
+            for t in label.iter() {
+                h = mix(h, t.as_raw());
+            }
+        }
+        h
     }
 
     /// A pair with only a secrecy label.

@@ -120,22 +120,23 @@ pub enum Verdict {
     Deny,
 }
 
-/// One audit event. All payloads are plain ids and static strings so
+/// One audit event. All payloads are plain integers and static strings so
 /// events are `Copy` and recording never allocates per-event payloads.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// One subset/flow decision. `subject`/`object` are interned label or
-    /// pair ids (`laminar-difc` interning makes them stable process-wide
-    /// for the life of the run).
+    /// One subset/flow decision. `subject`/`object` are pair
+    /// fingerprints (`SecPair::fingerprint` in `laminar-difc`): a fixed
+    /// mix of the pair's tags, equal for equal pairs in every kernel and
+    /// every process.
     FlowCheck {
         /// Layer that asked the question.
         layer: Layer,
         /// Which check: the LSM hook or barrier name.
         op: &'static str,
-        /// Interned id of the subject (task / source) label or pair.
-        subject: u32,
-        /// Interned id of the object (target) label or pair.
-        object: u32,
+        /// Fingerprint of the subject (task / source) pair.
+        subject: u64,
+        /// Fingerprint of the object (target) pair.
+        object: u64,
         /// The decision.
         verdict: Verdict,
     },
@@ -153,10 +154,10 @@ pub enum Event {
         task: u64,
         /// `"secrecy"` or `"integrity"`.
         ty: &'static str,
-        /// Interned label id before the change.
-        before: u32,
-        /// Interned label id after the change.
-        after: u32,
+        /// Fingerprint of the task's whole pair before the change.
+        before: u64,
+        /// Fingerprint of the task's whole pair after the change.
+        after: u64,
         /// Whether the transition released information (secrecy shrank
         /// or integrity grew) — the §4.3 declassification direction.
         declassify: bool,

@@ -14,7 +14,8 @@
 //!
 //! Every hook calls the structural checks of `laminar_difc` directly:
 //! on the one- and two-tag labels real workloads carry a check costs a
-//! few nanoseconds, and an interned id compare answers equal labels.
+//! few nanoseconds, and a pointer compare answers two clones of one
+//! label.
 
 use crate::error::{OsError, OsResult};
 use crate::lsm::{Access, DeliveryVerdict, SecurityModule};
@@ -39,8 +40,8 @@ fn trace_check(op: &'static str, subject: &SecPair, object: &SecPair, allowed: b
     laminar_obs::emit(laminar_obs::Event::FlowCheck {
         layer: laminar_obs::Layer::Os,
         op,
-        subject: subject.id().as_u32(),
-        object: object.id().as_u32(),
+        subject: subject.fingerprint(),
+        object: object.fingerprint(),
         verdict: laminar_obs::Verdict::Deny,
     });
 }

@@ -104,8 +104,10 @@ impl TaskHandle {
             let sec = st.task_sec(self.tid)?;
             let new_pair = sec.labels.with_label(ty, new.clone());
             if new_pair == sec.labels {
-                // O(1) by interned pair id: an identity change always passes
-                // both the capability rule and the LSM hook, so skip both.
+                // Equal pairs (tag-slice compares, or pointer compares when
+                // the new label is a clone of the old): an identity change
+                // always passes the capability rule and the LSM hook, so
+                // skip both.
                 return Ok(());
             }
             check_pair_change(&sec.labels, &new_pair, &sec.caps)?;
@@ -125,8 +127,8 @@ impl TaskHandle {
                 laminar_obs::emit(laminar_obs::Event::LabelChange {
                     task: self.tid.0,
                     ty,
-                    before: sec.labels.id().as_u32(),
-                    after: new_pair.id().as_u32(),
+                    before: sec.labels.fingerprint(),
+                    after: new_pair.fingerprint(),
                     declassify,
                 });
             }

@@ -2,8 +2,8 @@
 //!
 //! The enforcement stack under test spans three layers — LSM hooks in
 //! the simulated kernel, the Fig. 3 syscall surface, and the VM's
-//! read/write barriers — all bottoming out in the interned label checks
-//! of `laminar-difc`. This crate checks the whole stack against a
+//! read/write barriers — all bottoming out in the structural label
+//! checks of `laminar-difc`. This crate checks the whole stack against a
 //! **reference oracle**: an independent, dependency-free
 //! re-implementation of the paper's security state machine over plain
 //! `BTreeSet`s ([`Oracle`]).

@@ -6,7 +6,7 @@
 //! three labeled-create conditions (§5.2), silent-drop delivery for
 //! pipes/signals/capability transfers (§5.2), and the region-entry rule
 //! (§4.3.2) — over plain `BTreeSet`s of small integers. There is **no
-//! interning, no caching, no sharing** with the implementation under
+//! caching and no sharing** with the implementation under
 //! test: the only thing the oracle and the kernel have in common is the
 //! paper. A divergence between the two is therefore a bug in one of
 //! them, never a shared blind spot.
@@ -822,9 +822,8 @@ mod tests {
     use laminar_util::SplitMix64;
 
     // Cross-validation: the oracle's pure set arithmetic must agree
-    // with the interned `laminar-difc` implementation on random
-    // labels. Tags here are offset so they never collide with other
-    // tests' interned labels.
+    // with the `laminar-difc` implementation on random labels. Oracle
+    // tag numbers start at 0, which `Tag` reserves, so they are offset.
     const BASE: u64 = 770_000;
 
     fn dif_label(l: &MLabel) -> Label {

@@ -5,10 +5,11 @@
 //!
 //! The test replays one committed trace twice, each time on a freshly
 //! booted fixture kernel. Both kernels mint the same tags in the same
-//! order, so their tasks end up with the same interned labels and every
-//! check of the second replay repeats one of the first. The two logs
-//! must agree event by event on kind, layer, op and verdict (sequence
-//! numbers, tickets, latencies and task ids are per-run and ignored).
+//! order, so their tasks end up with the same labels and every check of
+//! the second replay repeats one of the first. The two logs must agree
+//! event by event on kind, layer, op, verdict and the label names
+//! (pair fingerprints) a record carries; sequence numbers, tickets,
+//! latencies and task ids are per-run and ignored.
 
 use laminar_obs::{self as obs, Event};
 use laminar_testkit::{KernelReplay, Op};
@@ -16,7 +17,7 @@ use laminar_testkit::{KernelReplay, Op};
 /// Tasks 0 (all capabilities of both fixture tags), 1 (`t0+` only) and
 /// 2 (none) exercise label changes, silent drops on a pipe and a
 /// signal, denied file accesses and VM barrier verdicts both ways, with
-/// labels that are not id-equal to each other.
+/// labels that differ from each other.
 const TRACE: &[Op] = &[
     Op::CreateFile { task: 0, dir: 1, slot: 0, s_mask: 0b01, i_mask: 0 },
     Op::SetLabel { task: 0, secrecy: true, mask: 0b01 },
@@ -39,12 +40,12 @@ const TRACE: &[Op] = &[
 /// The run-independent part of one event.
 fn shape(e: &Event) -> String {
     match *e {
-        Event::FlowCheck { layer, op, verdict, .. } => {
-            format!("flow_check {layer:?} {op} {verdict:?}")
+        Event::FlowCheck { layer, op, subject, object, verdict } => {
+            format!("flow_check {layer:?} {op} {subject:#x}->{object:#x} {verdict:?}")
         }
         Event::SilentDrop { channel } => format!("silent_drop {channel:?}"),
-        Event::LabelChange { ty, declassify, .. } => {
-            format!("label_change {ty} declassify={declassify}")
+        Event::LabelChange { ty, before, after, declassify, .. } => {
+            format!("label_change {ty} {before:#x}->{after:#x} declassify={declassify}")
         }
         Event::RegionEnter { layer, verdict } => {
             format!("region_enter {layer:?} {verdict:?}")

@@ -19,8 +19,8 @@ fn trace_barrier(op: &'static str, subject: &SecPair, object: &SecPair, allowed:
     laminar_obs::emit(laminar_obs::Event::FlowCheck {
         layer: laminar_obs::Layer::Vm,
         op,
-        subject: subject.id().as_u32(),
-        object: object.id().as_u32(),
+        subject: subject.fingerprint(),
+        object: object.fingerprint(),
         verdict: if allowed {
             laminar_obs::Verdict::Allow
         } else {

@@ -101,7 +101,7 @@ fn identity_label_change_skips_rule_and_hook() {
     alice.set_task_label(LabelType::Secrecy, Label::singleton(a)).unwrap();
     alice.set_task_labels(SecPair::secrecy_only(Label::singleton(a))).unwrap();
 
-    // O(1) fast path: no LSM hook ran — the interned-pair equality
-    // answered before enforcement was consulted at all.
+    // Identity fast path: no LSM hook ran — the pair equality (a tag
+    // compare) answered before enforcement was consulted at all.
     assert_eq!(k.hook_calls(), hooks_before, "identity change must not reach the hook");
 }
