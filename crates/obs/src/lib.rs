@@ -475,6 +475,15 @@ impl SyscallSpan {
         LOCAL.with(|l| l.borrow_mut().staged.clear());
     }
 
+    /// Whether the attempt in flight has staged an event, i.e. whether
+    /// committing it as a success would record a `SyscallCommit`. The
+    /// kernel takes a commit ticket for a success only when one will be
+    /// recorded.
+    #[must_use]
+    pub fn has_staged(&self) -> bool {
+        LOCAL.with(|l| !l.borrow().staged.is_empty())
+    }
+
     fn latency_ns(&self) -> Option<u64> {
         self.start.map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
@@ -778,6 +787,36 @@ mod tests {
             recs.last().map(|r| r.event),
             Some(Event::SyscallCommit { name: "write", ticket: 7, denied: None, .. })
         ));
+        set_enabled(false);
+    }
+
+    #[test]
+    fn has_staged_tracks_the_attempt_in_flight() {
+        let _g = serial();
+        set_enabled(true);
+        reset();
+        let _ = take_local();
+        let span = syscall_begin("write").expect("enabled");
+        assert!(!span.has_staged());
+        emit(drop_event());
+        assert!(span.has_staged());
+        span.retry();
+        assert!(!span.has_staged(), "a restart discards the stage");
+        emit(drop_event());
+        assert!(span.has_staged());
+        span.commit(4, None);
+        // Committing empties the stage for the next span.
+        let span = syscall_begin("read").expect("enabled");
+        assert!(!span.has_staged());
+        span.commit(5, None);
+        let commits: Vec<u64> = take_local()
+            .iter()
+            .filter_map(|r| match r.event {
+                Event::SyscallCommit { ticket, .. } => Some(ticket),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(commits, vec![4], "only the span that staged records a commit");
         set_enabled(false);
     }
 

@@ -13,10 +13,15 @@
 //! [`crate::shard`], syscalls lock only the shards they touch (in the
 //! total order, shared where they only read), and syscalls from
 //! distinct tasks run in parallel unless one of them needs exclusive
-//! mode on a shard the other holds. Each committing syscall takes an atomic
-//! *commit ticket* while still holding its shard locks; the resulting
-//! ticket order is a linearization witness the conformance testkit
-//! replays through its single-threaded oracle.
+//! mode on a shard the other holds. A syscall whose outcome something
+//! records takes an atomic *commit ticket* while still holding its
+//! shard locks: every syscall while the commit log is on, and otherwise
+//! denials, rollbacks and successes whose audit span recorded a
+//! decision. With the commit log on, the ticket order is a
+//! linearization witness the conformance testkit replays through its
+//! single-threaded oracle. A success nothing records takes no ticket,
+//! so it writes no kernel-wide cache line: its hook count goes to a
+//! per-thread stripe of the kernel's hook counter.
 
 use crate::error::{OsError, OsResult};
 use crate::lsm::{Access, SecurityModule};
@@ -30,7 +35,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One entry of the commit-order log: syscall `seq` (the commit ticket)
@@ -40,7 +45,10 @@ use std::sync::Arc;
 /// effects were applied — the log is a valid linearization witness.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct CommitRecord {
-    /// Global commit ticket (1-based, dense across all threads).
+    /// Kernel-wide commit ticket (1-based). While the commit log is on
+    /// every syscall takes one, so the log's tickets are dense across
+    /// all threads; with it off only recorded outcomes take one (see
+    /// [`Kernel::syscall_on`]).
     pub seq: u64,
     /// Task the syscall ran as.
     pub task: TaskId,
@@ -50,9 +58,11 @@ thread_local! {
     static LAST_SEQ: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The commit ticket of the most recent syscall dispatched *on this
-/// thread* (0 before any). Lets a test thread pair each syscall's
-/// outcome with its position in the kernel-wide commit order.
+/// The commit ticket of the most recent syscall *on this thread* that
+/// took one (0 before any). While the commit log is on every syscall
+/// takes a ticket, so a test thread can pair each syscall's outcome with
+/// its position in the kernel-wide commit order; with it off, a success
+/// that nothing records leaves this value unchanged.
 #[must_use]
 pub fn last_syscall_seq() -> u64 {
     LAST_SEQ.with(Cell::get)
@@ -152,6 +162,39 @@ impl Failpoints {
     }
 }
 
+/// Hook-count stripes per kernel. Threads pick a stripe round-robin, so
+/// up to this many threads count hooks without sharing a cache line.
+const HOOK_STRIPES: usize = 8;
+
+/// One stripe of [`HookCounter`], alone on its cache line (128 bytes:
+/// the adjacent-line prefetcher pairs 64-byte lines).
+#[derive(Default)]
+#[repr(align(128))]
+struct Stripe(AtomicU64);
+
+/// The kernel's count of LSM hook invocations, striped per thread: a
+/// syscall adds to its thread's stripe, and [`HookCounter::sum`] adds
+/// the stripes. Every addition lands in some stripe, so the sum is exact
+/// once the adding threads are done.
+#[derive(Default)]
+pub(crate) struct HookCounter([Stripe; HOOK_STRIPES]);
+
+impl HookCounter {
+    /// Adds `n` to the calling thread's stripe.
+    pub(crate) fn add(&self, n: u64) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % HOOK_STRIPES;
+        }
+        self.0[STRIPE.with(|s| *s)].0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The total over all stripes.
+    fn sum(&self) -> u64 {
+        self.0.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+    }
+}
+
 /// The simulated kernel. Create one with [`Kernel::boot`], obtain task
 /// handles with [`Kernel::login`], and issue syscalls through
 /// [`TaskHandle`] methods.
@@ -185,7 +228,7 @@ pub struct Kernel {
     /// Inode id minting and live-inode counts (the inode quota).
     pub(crate) inode_ids: InodeIds,
     /// Monotonic count of LSM hook invocations.
-    pub(crate) hook_counter: AtomicU64,
+    pub(crate) hook_counter: HookCounter,
     /// Syscall attempts rolled back and rerun with a wider lock
     /// footprint (see [`Kernel::footprint_restarts`]).
     restarts: AtomicU64,
@@ -215,7 +258,7 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("module", &self.module.name())
             .field("inodes", &self.inode_ids.live())
-            .field("commits", &self.commit_seq.load(Ordering::Relaxed))
+            .field("last_ticket", &self.commit_seq.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -262,7 +305,7 @@ impl Kernel {
             next_task: AtomicU64::new(1),
             next_proc: AtomicU64::new(1),
             inode_ids: InodeIds::new(7),
-            hook_counter: AtomicU64::new(0),
+            hook_counter: HookCounter::default(),
             restarts: AtomicU64::new(0),
             commit_seq: AtomicU64::new(0),
             commit_log_on: AtomicBool::new(false),
@@ -334,8 +377,12 @@ impl Kernel {
     /// On `Ok` the transaction commits; on `Err` *or* a caught panic the
     /// undo journal restores every mutated entry — touching only held
     /// shards — and the caller sees a typed error, while the kernel
-    /// keeps serving every other task. Every non-restart exit takes a
-    /// commit ticket while the shard locks are still held.
+    /// keeps serving every other task.
+    ///
+    /// A denial or rollback takes a commit ticket while the shard locks
+    /// are still held. A success takes one only when something records
+    /// it: the commit log, or an audit span that staged a decision (and
+    /// so will record a `SyscallCommit`).
     pub(crate) fn syscall_on<T>(
         &self,
         (tid, pid): (TaskId, ProcessId),
@@ -376,7 +423,13 @@ impl Kernel {
             match outcome {
                 Ok(Ok(v)) => {
                     txn.flush_counters();
-                    let ticket = self.commit_ticket(tid);
+                    let recorded = self.commit_log_on.load(Ordering::Relaxed)
+                        || span
+                            .as_ref()
+                            .is_some_and(laminar_obs::SyscallSpan::has_staged);
+                    // Without a ticket the span records nothing, so 0
+                    // never reaches the log.
+                    let ticket = if recorded { self.commit_ticket(tid) } else { 0 };
                     drop(txn);
                     if let Some(span) = span {
                         span.commit(ticket, None);
@@ -585,9 +638,10 @@ impl Kernel {
     }
 
     /// Number of LSM hook invocations so far (for tests and benches).
+    /// Exact for every syscall that has returned.
     #[must_use]
     pub fn hook_calls(&self) -> u64 {
-        self.hook_counter.load(Ordering::Relaxed)
+        self.hook_counter.sum()
     }
 
     /// Number of syscall attempts this kernel rolled back and reran with
@@ -883,7 +937,7 @@ impl Kernel {
     ) -> OsResult<()> {
         st.count_hook();
         let labels = st.inode_labels(ino)?;
-        self.module.inode_permission(task, &labels, mask)
+        self.module.inode_permission(task, labels, mask)
     }
 
     /// Resolves `path` for task `tid`, checking a read permission on

@@ -4,12 +4,12 @@
 //! tables so syscalls from distinct tasks can execute in parallel (the
 //! structure Laminar's per-object LSM hooks admit, §4). The shard map:
 //!
-//! | domain            | shards | key space          | rank range      |
-//! |-------------------|--------|--------------------|-----------------|
-//! | task table        | 8      | `TaskId % 8`       | `0x000..=0x007` |
-//! | process table     | 8      | `ProcessId % 8`    | `0x100..=0x107` |
-//! | inode/VFS table   | 16     | `InodeId % 16`     | `0x200..=0x20f` |
-//! | registry          | 1      | (singleton)        | `0x300`         |
+//! | domain            | shards | key space          | ranks (ordinals) |
+//! |-------------------|--------|--------------------|------------------|
+//! | task table        | 8      | `TaskId % 8`       | `0..=7`          |
+//! | process table     | 8      | `ProcessId % 8`    | `8..=15`         |
+//! | inode/VFS table   | 16     | `InodeId % 16`     | `16..=31`        |
+//! | registry          | 1      | (singleton)        | `32`             |
 //!
 //! Pipe and socket buffers live inside their inodes, so they are covered
 //! by the inode shards; the registry shard holds the per-user persistent
@@ -21,9 +21,10 @@
 //! syscall that may mutate it. Every mutation needs exclusive mode.
 //!
 //! **Total lock order:** locks must be acquired in strictly ascending
-//! numeric [`ShardKey`] order (task shards before process shards before
+//! [`ShardKey`] order (task shards before process shards before
 //! inode shards before the registry), in either mode. The order is
-//! enforced at runtime by [`laminar_util::sync::lock_order`]; a syscall
+//! enforced at runtime by [`laminar_util::sync::lock_order`], with each
+//! shard's flat ordinal as its rank; a syscall
 //! body that discovers it needs a shard *below* one it already holds, or
 //! exclusive mode on a shard it holds shared, returns the internal
 //! [`OsError::Retry`](crate::OsError) sentinel, and the dispatcher rolls
@@ -34,12 +35,19 @@
 //! [`InodeIds`] mints each new inode's id in a shard above every shard
 //! its creator holds, so a path walk from `/` to a file normally meets
 //! its shards in ascending order and never restarts.
+//!
+//! The task, process and inode maps hash their keys with [`IdHasher`],
+//! a multiply-and-fold hash, not the default SipHash: the keys are ids
+//! the kernel mints, which no subject chooses, so there is no flooding
+//! attack for a keyed hash to stop. The registry's maps, keyed by
+//! [`UserId`], keep the default hasher.
 
 use crate::task::{ProcessId, ProcessStruct, TaskId, TaskStruct, UserId};
 use crate::vfs::inode::{Inode, InodeId};
 use laminar_difc::CapSet;
 use laminar_util::sync::{lock_order, RwLock};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
@@ -52,6 +60,9 @@ pub const PROC_SHARDS: usize = 8;
 pub const INODE_SHARDS: usize = 16;
 /// Total number of kernel lock shards (all domains plus the registry).
 pub const SHARD_COUNT: usize = TASK_SHARDS + PROC_SHARDS + INODE_SHARDS + 1;
+
+// Every shard ordinal is a lock-order rank and a footprint bit.
+const _: () = assert!(SHARD_COUNT <= lock_order::MAX_RANKS as usize);
 
 const DOM_TASK: u16 = 0x000;
 const DOM_PROC: u16 = 0x100;
@@ -120,10 +131,11 @@ impl ShardKey {
     }
 
     /// The shard's position in the total lock order (used as the
-    /// [`lock_order`] rank).
+    /// [`lock_order`] rank): its ordinal, which orders shards exactly as
+    /// their keys do.
     #[must_use]
     pub fn rank(self) -> u32 {
-        u32::from(self.0)
+        self.ordinal() as u32
     }
 }
 
@@ -187,9 +199,35 @@ pub(crate) struct Registry {
     pub tags_minted: HashMap<UserId, u64>,
 }
 
-pub(crate) type TaskMap = HashMap<TaskId, TaskStruct>;
-pub(crate) type ProcMap = HashMap<ProcessId, ProcessStruct>;
-pub(crate) type InodeMap = HashMap<InodeId, Inode>;
+/// Hashes one kernel-minted id (see the module docs): a multiply by an
+/// odd 64-bit constant, then the high half folded into the low bits.
+/// `HashMap` picks buckets from the low bits, and the ids of one inode
+/// shard are all `n * 16 + s`: without the fold the product's low bits
+/// keep that stride and the shard's ids crowd into a sixteenth of the
+/// buckets.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+pub(crate) type TaskMap = IdMap<TaskId, TaskStruct>;
+pub(crate) type ProcMap = IdMap<ProcessId, ProcessStruct>;
+pub(crate) type InodeMap = IdMap<InodeId, Inode>;
 
 /// The sharded kernel tables. Each map fragment has its own rwlock;
 /// [`Tables::lock`] enforces the total order via [`lock_order`].
@@ -370,9 +408,9 @@ fn idx(key: ShardKey) -> usize {
 impl Tables {
     pub(crate) fn new() -> Self {
         Tables {
-            tasks: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            procs: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            inodes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            tasks: std::array::from_fn(|_| RwLock::default()),
+            procs: std::array::from_fn(|_| RwLock::default()),
+            inodes: std::array::from_fn(|_| RwLock::default()),
             registry: RwLock::new(Registry::default()),
         }
     }
@@ -531,6 +569,30 @@ mod tests {
         let r = ShardKey::registry();
         assert!(t < p && p < i && i < r);
         assert!(t.rank() < p.rank() && i.rank() < r.rank());
+    }
+
+    #[test]
+    fn ranks_are_ordinals_in_key_order() {
+        let keys: Vec<ShardKey> = (0..SHARD_COUNT).map(ShardKey::from_ordinal).collect();
+        for (n, w) in keys.windows(2).enumerate() {
+            assert!(w[0] < w[1]);
+            assert_eq!((w[0].rank(), w[1].rank()), (n as u32, n as u32 + 1));
+        }
+    }
+
+    #[test]
+    fn id_hasher_spreads_one_shards_ids_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        // 4,096 ids of one inode shard, as a 8,192-bucket table would
+        // index them: by the low 13 bits of the hash. The product alone
+        // leaves 512 distinct values; a random hash gives about 3,200.
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for s in [0, 5, 15] {
+            let buckets: std::collections::HashSet<u64> = (0..4096u64)
+                .map(|n| build.hash_one(InodeId(n * INODE_SHARDS as u64 + s)) & 0x1FFF)
+                .collect();
+            assert!(buckets.len() >= 2048, "shard {s}: {} buckets", buckets.len());
+        }
     }
 
     #[test]

@@ -337,9 +337,9 @@ impl TaskHandle {
                 return Err(OsError::BadFd);
             }
             st.hold(ShardKey::inode(file.inode), Exclusive)?;
-            let pipe_labels = st.inode_labels(file.inode)?;
             st.count_hook();
-            match self.kernel.module.cap_transfer(&sec, &pipe_labels) {
+            let pipe_labels = st.inode_labels(file.inode)?;
+            match self.kernel.module.cap_transfer(&sec, pipe_labels) {
                 DeliveryVerdict::Deliver => {
                     if !st.buffer_push_cap(file.inode, cap)? {
                         // Queue ceiling reached ⇒ silent drop.
@@ -370,9 +370,9 @@ impl TaskHandle {
                 return Err(OsError::BadFd);
             }
             st.hold(ShardKey::inode(file.inode), Exclusive)?;
-            let pipe_labels = st.inode_labels(file.inode)?;
             st.count_hook();
-            self.kernel.module.cap_receive(&sec, &pipe_labels)?;
+            let pipe_labels = st.inode_labels(file.inode)?;
+            self.kernel.module.cap_receive(&sec, pipe_labels)?;
             let cap = st.buffer_pop_cap(file.inode)?;
             if let Some(c) = cap {
                 st.caps_mut(self.tid)?.grant(c);
@@ -446,9 +446,9 @@ impl TaskHandle {
             }
             let parent =
                 r.parent.ok_or(OsError::InvalidArgument("path names a directory"))?;
-            let parent_labels = st.inode_labels(parent)?;
             st.count_hook();
-            self.kernel.module.inode_create(&sec, &parent_labels, &labels)?;
+            let parent_labels = st.inode_labels(parent)?;
+            self.kernel.module.inode_create(&sec, parent_labels, &labels)?;
             let kind = if dir {
                 InodeKind::Dir { entries: BTreeMap::new() }
             } else {
@@ -544,21 +544,21 @@ impl TaskHandle {
             if file.pipe_end.is_some() || file.socket_end.is_some() {
                 st.hold(ShardKey::inode(file.inode), Exclusive)?;
             }
-            let labels = st.inode_labels(file.inode)?;
             st.count_hook();
+            let labels = st.inode_labels(file.inode)?;
             match (file.pipe_end, file.socket_end) {
                 (Some(PipeEnd::Read), _) => {
-                    self.kernel.module.pipe_read(&sec, &labels)?;
+                    self.kernel.module.pipe_read(&sec, labels)?;
                     st.buffer_pop_bytes(file.inode, Buf::Pipe, max)
                 }
                 (Some(PipeEnd::Write), _) => Err(OsError::BadFd),
                 (None, Some(end)) => {
                     // Socket read: nonblocking, label-mediated like a pipe.
-                    self.kernel.module.pipe_read(&sec, &labels)?;
+                    self.kernel.module.pipe_read(&sec, labels)?;
                     st.buffer_pop_bytes(file.inode, Buf::socket_rx(end), max)
                 }
                 (None, None) => {
-                    self.kernel.module.file_permission(&sec, &labels, Access::Read)?;
+                    self.kernel.module.file_permission(&sec, labels, Access::Read)?;
                     let inode = st.inode_opt(file.inode)?.ok_or(OsError::BadFd)?;
                     let data = match &inode.kind {
                         InodeKind::File { data } => {
@@ -607,8 +607,8 @@ impl TaskHandle {
             let mode =
                 if file.inode == self.kernel.null_dev { Shared } else { Exclusive };
             st.hold(ShardKey::inode(file.inode), mode)?;
-            let labels = st.inode_labels(file.inode)?;
             st.count_hook();
+            let labels = st.inode_labels(file.inode)?;
             // Pipe and socket writes deliver or silently drop (§5.2): a
             // full buffer looks the same as a label veto.
             let channel = match (file.pipe_end, file.socket_end) {
@@ -623,7 +623,7 @@ impl TaskHandle {
             };
             match channel {
                 Some((which, drop_channel)) => {
-                    let delivered = match self.kernel.module.pipe_write(&sec, &labels) {
+                    let delivered = match self.kernel.module.pipe_write(&sec, labels) {
                         DeliveryVerdict::Deliver => {
                             st.buffer_push_bytes(file.inode, which, data)?
                         }
@@ -635,7 +635,7 @@ impl TaskHandle {
                     Ok(data.len())
                 }
                 None => {
-                    self.kernel.module.file_permission(&sec, &labels, Access::Write)?;
+                    self.kernel.module.file_permission(&sec, labels, Access::Write)?;
                     // Checked narrowing: on 32-bit hosts a u64 offset
                     // past usize::MAX must fail closed (as the size
                     // quota), not truncate into a small in-bounds write.
@@ -821,7 +821,7 @@ impl TaskHandle {
         self.syscall("get_labels", Intent::READ, |st| {
             let r = self.kernel.resolve(st, self.tid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            st.inode_labels(ino)
+            st.inode_labels(ino).cloned()
         })
     }
 
@@ -844,10 +844,14 @@ impl TaskHandle {
                     return Err(OsError::NotEmpty);
                 }
             }
-            let parent_labels = st.inode_labels(parent)?;
-            let victim_labels = st.inode_labels(ino)?;
+            // The hook reads both inodes' labels in place: hold both
+            // shards (the walk took them exclusive), then borrow.
+            st.hold(ShardKey::inode(parent), Exclusive)?;
+            st.hold(ShardKey::inode(ino), Exclusive)?;
             st.count_hook();
-            self.kernel.module.inode_unlink(&sec, &parent_labels, &victim_labels)?;
+            let parent_labels = st.held_labels(parent)?;
+            let victim_labels = st.held_labels(ino)?;
+            self.kernel.module.inode_unlink(&sec, parent_labels, victim_labels)?;
             st.dir_remove(parent, &r.name)?;
             st.remove_inode(ino)?;
             Ok(())
@@ -993,9 +997,9 @@ impl TaskHandle {
             let parent = r
                 .parent
                 .ok_or(OsError::InvalidArgument("link path names a directory"))?;
-            let parent_labels = st.inode_labels(parent)?;
             st.count_hook();
-            self.kernel.module.inode_create(&sec, &parent_labels, &sec.labels)?;
+            let parent_labels = st.inode_labels(parent)?;
+            self.kernel.module.inode_create(&sec, parent_labels, &sec.labels)?;
             let id = st.alloc_inode(
                 InodeKind::Symlink { target: target.to_string() },
                 sec.labels.clone(),
@@ -1316,16 +1320,16 @@ impl TaskHandle {
         self.syscall("mmap", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             let pid = self.pid;
-            let backing_labels = match backing {
-                Some(fd) => {
-                    let file =
-                        st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
-                    Some(st.inode_labels(file.inode)?)
-                }
+            let backing_ino = match backing {
+                Some(fd) => Some(st.proc(pid)?.fds.get(fd).ok_or(OsError::BadFd)?.inode),
                 None => None,
             };
             st.count_hook();
-            self.kernel.module.file_mmap(&sec, backing_labels.as_ref())?;
+            let backing_labels = match backing_ino {
+                Some(ino) => Some(st.inode_labels(ino)?),
+                None => None,
+            };
+            self.kernel.module.file_mmap(&sec, backing_labels)?;
             let image = st.proc_image_mut(pid)?;
             let start = image.next_mmap_page;
             image.next_mmap_page += pages;

@@ -23,7 +23,10 @@
 //!
 //! Every accessor names the [`ShardMode`] it needs: the read accessors
 //! (`task*`, `proc`, `inode_opt`, `inode_labels`) take a shard shared,
-//! every mutator takes it exclusive. A syscall declares up front, in its
+//! every mutator takes it exclusive. Read accessors borrow from the held
+//! shard: an LSM hook reads an inode's labels in place, and a label is
+//! cloned only where it is stored (an undo record, a new inode). A
+//! syscall declares up front, in its
 //! [`Intent`], the mode of its own task and process shards (pre-locked)
 //! and of the final parent and target of its path walk, so each shard is
 //! taken in the mode it needs the first time it is touched.
@@ -41,8 +44,9 @@
 //!
 //! * LSM hook counts are monotonic observability (tests pin that the
 //!   counter only grows), not security state. They accumulate in the
-//!   transaction and are flushed to the kernel's atomic counter on every
-//!   exit *except* a footprint restart, so restarts do not inflate them.
+//!   transaction and are flushed to the kernel's striped hook counter on
+//!   every exit *except* a footprint restart, so restarts do not inflate
+//!   them.
 //! * The [`laminar_difc::TagAllocator`] lives outside the journal; a tag
 //!   id minted by an aborted `alloc_tag` is simply never used, which is
 //!   invisible (tag ids are opaque and unique). The same holds for
@@ -613,7 +617,7 @@ impl<'a> Txn<'a> {
     /// restarts do not inflate the count).
     pub(crate) fn flush_counters(&mut self) {
         if self.hooks > 0 {
-            self.kernel.hook_counter.fetch_add(self.hooks, Ordering::Relaxed);
+            self.kernel.hook_counter.add(self.hooks);
             self.hooks = 0;
         }
         #[cfg(feature = "fault-injection")]
@@ -663,10 +667,21 @@ impl<'a> Txn<'a> {
         Ok(self.inodes_map(id, mode)?.get(&id))
     }
 
-    /// The inode's labels; [`OsError::NotFound`] if missing.
-    pub(crate) fn inode_labels(&mut self, id: InodeId) -> OsResult<SecPair> {
+    /// The inode's labels, borrowed from its shard (taken shared if not
+    /// yet held); [`OsError::NotFound`] if missing.
+    pub(crate) fn inode_labels(&mut self, id: InodeId) -> OsResult<&SecPair> {
         let inodes = self.inodes_map(id, ShardMode::Shared)?;
-        inodes.get(&id).map(|i| i.labels().clone()).ok_or(OsError::NotFound)
+        inodes.get(&id).map(Inode::labels).ok_or(OsError::NotFound)
+    }
+
+    /// The labels of an inode whose shard this transaction already
+    /// holds. Borrows `&self`, so a hook can read two inodes' labels at
+    /// once; [`OsError::Internal`] if the shard is not held.
+    pub(crate) fn held_labels(&self, id: InodeId) -> OsResult<&SecPair> {
+        let key = ShardKey::inode(id);
+        let held = self.guards.iter().find(|g| g.key == key).ok_or(OsError::Internal)?;
+        let inodes = held.guard.inodes().ok_or(OsError::Internal)?;
+        inodes.get(&id).map(Inode::labels).ok_or(OsError::NotFound)
     }
 
     // --- journalled mutators: one inverse record per change -------------------

@@ -3,9 +3,10 @@
 //! The sharded kernel claims that parallel syscalls are *serializable*:
 //! every execution is outcome-equivalent to some sequential execution,
 //! and the kernel names that sequential execution itself via its commit
-//! tickets (each syscall takes a globally ordered ticket while it still
-//! holds every shard lock it touched — strict two-phase locking, so
-//! ticket order is a valid linearization of the conflict order).
+//! tickets (with the commit log on, as this regime runs, each syscall
+//! takes a globally ordered ticket while it still holds every shard lock
+//! it touched — strict two-phase locking, so ticket order is a valid
+//! linearization of the conflict order).
 //!
 //! This module puts that claim under test:
 //!

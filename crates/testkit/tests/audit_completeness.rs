@@ -7,6 +7,9 @@
 //! The audit-enabled flag is process-global, so the tests in this file
 //! serialize on one mutex.
 
+use laminar_difc::{Label, LabelType, SecPair};
+use laminar_obs::Event;
+use laminar_os::{Kernel, LaminarModule, OsError, UserId};
 use laminar_testkit::{assert_audit_completeness, run_audit_trace, ExploreConfig, Op};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -79,4 +82,67 @@ fn flow_vetoed_zero_byte_pipe_write_is_still_an_audited_drop() {
     ];
     let tally = run_audit_trace(&ops).expect("audit-complete");
     assert_eq!(tally.drops_matched, 1);
+}
+
+#[test]
+fn with_the_commit_log_off_only_recorded_outcomes_take_tickets() {
+    let _g = serial();
+    const ROUNDS: usize = 50;
+    let kernel = Kernel::boot(LaminarModule);
+    kernel.add_user(UserId(1), "alice");
+    // Setup runs untraced and denial-free, so it takes no ticket: each
+    // worker gets a tag, a file secret under it, and an unlabeled pipe.
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
+            let h = kernel.login(UserId(1)).expect("login");
+            let tag = h.alloc_tag().expect("tag");
+            let secret = format!("/tmp/w{i}");
+            let pair = SecPair::secrecy_only(Label::singleton(tag));
+            h.close(h.create_file_labeled(&secret, pair).expect("create"))
+                .expect("close");
+            let (_, pw) = h.pipe().expect("pipe");
+            (h, tag, secret, pw)
+        })
+        .collect();
+    let handles = workers.iter().map(|(h, ..)| vec![h.clone()]).collect();
+    laminar_obs::reset();
+    kernel.set_audit_enabled(true);
+    let logs = kernel.run_parallel(handles, |i, set| {
+        let (h, (_, tag, secret, pw)) = (&set[0], &workers[i]);
+        let _ = laminar_obs::take_local();
+        for _ in 0..ROUNDS {
+            // Decision-free successes: recorded nowhere, so no ticket.
+            h.stat("/tmp").expect("stat");
+            // A typed denial, a label change, a silent pipe drop and the
+            // label change back: each recorded with a ticket.
+            assert!(matches!(h.read_file_at(secret, 8), Err(OsError::FlowDenied(_))));
+            h.set_task_label(LabelType::Secrecy, Label::singleton(*tag)).expect("taint");
+            h.write(*pw, b"x").expect("a dropped write still succeeds");
+            h.read_file_at(secret, 8).expect("tainted read");
+            h.set_task_label(LabelType::Secrecy, Label::empty()).expect("untaint");
+        }
+        laminar_obs::take_local()
+    });
+    kernel.set_audit_enabled(false);
+
+    let mut all = Vec::new();
+    for log in &logs {
+        let tickets: Vec<u64> = log
+            .iter()
+            .filter_map(|r| match r.event {
+                Event::SyscallCommit { ticket, .. } => Some(ticket),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tickets.len(), 4 * ROUNDS, "four recorded outcomes per round");
+        assert!(tickets.windows(2).all(|w| w[0] < w[1]), "tickets rise within a thread");
+        all.extend(tickets);
+    }
+    // Distinct across threads, and no ticket went to an unrecorded
+    // success: the tickets taken are exactly 1..=N.
+    let n = all.len() as u64;
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all.len() as u64, n, "tickets must be distinct across threads");
+    assert_eq!(all.last(), Some(&n), "a ticket went to a success nothing recorded");
 }

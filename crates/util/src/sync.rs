@@ -189,27 +189,36 @@ impl<T> From<T> for RwLock<T> {
 /// drops. Ranks held by one thread must be strictly ascending; any
 /// out-of-order (or same-rank re-entrant) acquisition panics at the
 /// acquiring site, turning a potential ABBA deadlock into an immediate,
-/// attributable test failure.
+/// attributable test failure. The lint runs in every build profile.
+///
+/// Ranks are `0..64`: a thread's held ranks are one bitmask, so an
+/// acquisition is a leading-zeros count and an or, and a release is
+/// an and-not, in any order.
 pub mod lock_order {
-    use std::cell::RefCell;
+    use std::cell::Cell;
+
+    /// Exclusive upper bound on ranks (the bits of the held-rank mask).
+    pub const MAX_RANKS: u32 = u64::BITS;
 
     thread_local! {
-        /// Ranks currently held by this thread. Pushes are validated to
-        /// be strictly ascending, so the vector stays sorted and
-        /// `last()` is always the maximum held rank, even after
-        /// out-of-LIFO-order releases remove interior entries.
-        static HELD: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+        /// Ranks currently held by this thread, one bit per rank. The
+        /// highest set bit is the maximum held rank, even after
+        /// out-of-LIFO-order releases clear interior bits.
+        static HELD: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Records that the current thread acquired a lock of rank `rank`.
     ///
     /// # Panics
-    /// Panics if the thread already holds a lock whose rank is greater
-    /// than or equal to `rank` — a violation of the total lock order.
+    /// Panics if `rank` is not below [`MAX_RANKS`], or if the thread
+    /// already holds a lock whose rank is greater than or equal to
+    /// `rank` — a violation of the total lock order.
     pub fn acquire(rank: u32) {
+        assert!(rank < MAX_RANKS, "lock-order rank {rank} is not below {MAX_RANKS}");
         HELD.with(|h| {
-            let mut h = h.borrow_mut();
-            if let Some(&top) = h.last() {
+            let held = h.get();
+            if held != 0 {
+                let top = MAX_RANKS - 1 - held.leading_zeros();
                 assert!(
                     rank > top,
                     "lock-order violation: acquiring rank {rank} while \
@@ -217,7 +226,7 @@ pub mod lock_order {
                      ascending rank order)"
                 );
             }
-            h.push(rank);
+            h.set(held | 1 << rank);
         });
     }
 
@@ -225,18 +234,15 @@ pub mod lock_order {
     /// Releasing a rank not held is a no-op (robust against unwinds
     /// that already cleared the entry).
     pub fn release(rank: u32) {
-        HELD.with(|h| {
-            let mut h = h.borrow_mut();
-            if let Some(pos) = h.iter().rposition(|&r| r == rank) {
-                h.remove(pos);
-            }
-        });
+        if rank < MAX_RANKS {
+            HELD.with(|h| h.set(h.get() & !(1 << rank)));
+        }
     }
 
     /// Number of ranked locks the current thread holds. Test aid.
     #[must_use]
     pub fn held_count() -> usize {
-        HELD.with(|h| h.borrow().len())
+        HELD.with(|h| h.get().count_ones() as usize)
     }
 }
 
@@ -353,6 +359,18 @@ mod tests {
         let r = std::panic::catch_unwind(|| lock_order::acquire(7));
         lock_order::release(7);
         assert!(r.is_err(), "same-rank re-entry must panic");
+        assert_eq!(lock_order::held_count(), 0);
+    }
+
+    #[test]
+    fn lock_order_panics_on_a_rank_past_the_mask() {
+        lock_order::acquire(63); // the top rank is usable
+        lock_order::release(63);
+        for rank in [lock_order::MAX_RANKS, lock_order::MAX_RANKS + 1, u32::MAX] {
+            let r = std::panic::catch_unwind(|| lock_order::acquire(rank));
+            assert!(r.is_err(), "rank {rank} must panic");
+            lock_order::release(rank); // a no-op, not a shift overflow
+        }
         assert_eq!(lock_order::held_count(), 0);
     }
 }

@@ -16,6 +16,10 @@
 //!   and with no failpoints armed both counts are zero;
 //! * conservation on the shared pipe: bytes read never exceed bytes
 //!   written, and the residue queued in the buffer is within capacity.
+//!
+//! A second test pins that the per-thread hook-count stripes lose no
+//! count: two workers running one script count exactly twice the hooks
+//! one run of it counts.
 
 use laminar_difc::{CapSet, Capability, Label, LabelType, SecPair};
 use laminar_os::{Kernel, LaminarModule, OsError, TaskHandle, UserId, PIPE_CAPACITY};
@@ -188,4 +192,45 @@ fn conflicting_syscalls_hammering_shared_objects_stay_consistent() {
         total.pipe_read,
         total.pipe_written
     );
+}
+
+/// One worker's fixed syscall script in its own directory `dir` (every
+/// worker's is the same depth, so every run counts the same hooks):
+/// creates, writes, closes, stats, reads and unlinks files, moves bytes
+/// through a private pipe, and fails one lookup per round.
+fn hook_script(h: &TaskHandle, dir: &str, rounds: usize) {
+    h.mkdir(dir).expect("mkdir");
+    let (pr, pw) = h.pipe().expect("pipe");
+    for n in 0..rounds {
+        let f = format!("{dir}/f{}", n % 4);
+        let fd = h.create(&f).expect("create");
+        h.write(fd, b"abc").expect("write");
+        h.close(fd).expect("close");
+        h.stat(&f).expect("stat");
+        assert_eq!(h.read_file_at(&f, 8).expect("read_file_at"), b"abc");
+        h.write(pw, b"p").expect("pipe write");
+        assert_eq!(h.read(pr, 8).expect("pipe read"), b"p");
+        assert!(matches!(h.stat(&format!("{dir}/missing")), Err(OsError::NotFound)));
+        h.unlink(&f).expect("unlink");
+    }
+}
+
+#[test]
+fn hook_count_is_exact_across_parallel_workers() {
+    const ROUNDS: usize = 2000;
+    let kernel = Kernel::boot(LaminarModule);
+    kernel.add_user(UserId(1), "alice");
+    let solo = kernel.login(UserId(1)).expect("login");
+    let before = kernel.hook_calls();
+    hook_script(&solo, "/tmp/solo", ROUNDS);
+    let one = kernel.hook_calls() - before;
+    assert!(one >= 9 * ROUNDS as u64, "the script must reach the hooks: {one}");
+
+    let workers: Vec<Vec<TaskHandle>> =
+        (0..2).map(|_| vec![kernel.login(UserId(1)).expect("login")]).collect();
+    let before = kernel.hook_calls();
+    kernel.run_parallel(workers, |i, set| {
+        hook_script(&set[0], &format!("/tmp/w{i}"), ROUNDS)
+    });
+    assert_eq!(kernel.hook_calls() - before, 2 * one, "a striped count went missing");
 }
