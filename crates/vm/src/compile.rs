@@ -17,7 +17,10 @@
 //! `BarrierMode::None` compiles no barriers at all: the "unmodified JVM"
 //! baseline of Figure 8 (only meaningful for label-free programs).
 //!
-//! The [`crate::opt`] pass removes barriers proven redundant.
+//! The [`crate::opt`] pass removes barriers proven redundant. A last
+//! pass, [`fuse`], overlays the head of each barrier-free run of one of
+//! five hot shapes with a fused op, so the interpreter dispatches the
+//! run once.
 
 use crate::bytecode::Instr;
 use crate::error::VmResult;
@@ -93,11 +96,57 @@ pub(crate) enum Barrier {
     AllocDyn,
 }
 
-/// One compiled instruction: an optional barrier plus the original op.
+/// What one compiled slot executes: its bytecode instruction, or, at
+/// the head of a fused run, the whole run. The slots after a fused head
+/// keep their own instructions, so a branch into the run executes them
+/// one by one.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Op {
+    /// One bytecode instruction.
+    Base(Instr),
+    /// The head of a fused run.
+    Fused(Fused),
+}
+
+/// A run of barrier-free instructions that executes as one op.
+///
+/// Constants are 32-bit, so a `Fused` fits in the bytes beside
+/// [`Instr`]'s tag: an [`Op`] is no larger than an `Instr`, and the
+/// interpreter's one match on the tag byte dispatches both kinds.
+// Each name spells its shape, and every shape starts with a `Load`.
+#[allow(clippy::enum_variant_names)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Fused {
+    /// `Load a; PushInt k; Add; Store d`.
+    LoadAddStore { a: u16, k: i32, d: u16 },
+    /// `Load a; PushInt k; CmpLt; JumpIfFalse t`.
+    LoadIntLtJump { a: u16, k: i32, t: u32 },
+    /// `Load a; Load b; CmpLt; JumpIfFalse t`.
+    LoadLoadLtJump { a: u16, b: u16, t: u32 },
+    /// `Load a; Load b`.
+    LoadLoad { a: u16, b: u16 },
+    /// `Load a; PushInt k`.
+    LoadInt { a: u16, k: i32 },
+}
+
+impl Fused {
+    /// The number of slots, and so of bytecode instructions, the run
+    /// covers.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            Fused::LoadLoad { .. } | Fused::LoadInt { .. } => 2,
+            Fused::LoadAddStore { .. }
+            | Fused::LoadIntLtJump { .. }
+            | Fused::LoadLoadLtJump { .. } => 4,
+        }
+    }
+}
+
+/// One compiled instruction: an optional barrier plus the op it guards.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct CInstr {
     pub barrier: Option<Barrier>,
-    pub instr: Instr,
+    pub op: Op,
 }
 
 /// A compiled function body.
@@ -131,6 +180,19 @@ pub(crate) struct CompiledFunction {
 /// static, string or spec, even when the [`Program`]'s public fields
 /// were edited after [`crate::ProgramBuilder::finish`].
 pub(crate) fn compile(
+    program: &Program,
+    func_id: u32,
+    ctx: Ctx,
+    optimize: bool,
+) -> VmResult<CompiledFunction> {
+    let mut c = lower(program, func_id, ctx, optimize)?;
+    fuse(&mut c.code);
+    Ok(c)
+}
+
+/// [`compile`] without its last pass: one slot per bytecode
+/// instruction, each with the barrier the context calls for.
+pub(crate) fn lower(
     program: &Program,
     func_id: u32,
     ctx: Ctx,
@@ -216,7 +278,7 @@ pub(crate) fn compile(
             | Barrier::AllocDyn => 40,
             _ => 20,
         });
-        code.push(CInstr { barrier, instr });
+        code.push(CInstr { barrier, op: Op::Base(instr) });
     }
 
     Ok(CompiledFunction {
@@ -228,6 +290,57 @@ pub(crate) fn compile(
         max_stack,
         cost,
         eliminated,
+    })
+}
+
+/// Overlays the head slot of each barrier-free run that matches a
+/// [`Fused`] shape, scanning left to right; runs do not overlap, and a
+/// pair does not take the head of a four-wide run one slot later. Slot
+/// count, branch targets, barriers and compile cost are unchanged.
+pub(crate) fn fuse(code: &mut [CInstr]) {
+    let mut pc = 0;
+    while pc < code.len() {
+        match fused_at(code, pc) {
+            Some(f)
+                if f.width() == 2
+                    && fused_at(code, pc + 1).is_some_and(|n| n.width() == 4) =>
+            {
+                pc += 1;
+            }
+            Some(f) => {
+                code[pc].op = Op::Fused(f);
+                pc += f.width();
+            }
+            None => pc += 1,
+        }
+    }
+}
+
+/// The fused run starting at `pc`, if its slots are barrier-free,
+/// unfused and match a shape.
+fn fused_at(code: &[CInstr], pc: usize) -> Option<Fused> {
+    let plain = |i: usize| match code.get(pc + i) {
+        Some(&CInstr { barrier: None, op: Op::Base(instr) }) => Some(instr),
+        _ => None,
+    };
+    let Instr::Load(a) = plain(0)? else { return None };
+    let tail = (plain(2), plain(3));
+    if let Instr::Load(b) = plain(1)? {
+        return Some(match tail {
+            (Some(Instr::CmpLt), Some(Instr::JumpIfFalse(t))) => {
+                Fused::LoadLoadLtJump { a, b, t }
+            }
+            _ => Fused::LoadLoad { a, b },
+        });
+    }
+    let Instr::PushInt(k) = plain(1)? else { return None };
+    let k = i32::try_from(k).ok()?;
+    Some(match tail {
+        (Some(Instr::Add), Some(Instr::Store(d))) => Fused::LoadAddStore { a, k, d },
+        (Some(Instr::CmpLt), Some(Instr::JumpIfFalse(t))) => {
+            Fused::LoadIntLtJump { a, k, t }
+        }
+        _ => Fused::LoadInt { a, k },
     })
 }
 
@@ -308,5 +421,129 @@ mod tests {
         let barriers: Vec<Barrier> =
             comp.code.iter().filter_map(|ci| ci.barrier).collect();
         assert_eq!(barriers, vec![Barrier::StaticReadOut, Barrier::StaticWriteOut]);
+    }
+
+    /// The instructions a fused run stands for.
+    fn unfused(f: Fused) -> Vec<Instr> {
+        use Instr::{Add, CmpLt, JumpIfFalse, Load, PushInt, Store};
+        match f {
+            Fused::LoadAddStore { a, k, d } => {
+                vec![Load(a), PushInt(k.into()), Add, Store(d)]
+            }
+            Fused::LoadIntLtJump { a, k, t } => {
+                vec![Load(a), PushInt(k.into()), CmpLt, JumpIfFalse(t)]
+            }
+            Fused::LoadLoadLtJump { a, b, t } => {
+                vec![Load(a), Load(b), CmpLt, JumpIfFalse(t)]
+            }
+            Fused::LoadLoad { a, b } => vec![Load(a), Load(b)],
+            Fused::LoadInt { a, k } => vec![Load(a), PushInt(k.into())],
+        }
+    }
+
+    /// A loop whose fusable runs sit between field, array, static and
+    /// allocation accesses.
+    fn barrier_dense_program() -> Program {
+        let mut pb = ProgramBuilder::new();
+        let s = pb.add_static("g");
+        let c = pb.add_class("C", 1);
+        pb.func("f", 2, true, 5, |b| {
+            let (head, done, skip) = (b.new_label(), b.new_label(), b.new_label());
+            b.push_int(0).store(2);
+            b.bind(head);
+            b.load(2).push_int(8).cmp_lt().jump_if_false(done);
+            b.load(0).load(2).aload().store(3);
+            b.load(0).load(2).load(3).astore();
+            b.load(3).load(2).cmp_lt().jump_if_false(skip);
+            b.load(1).get_field(0).store(4);
+            b.load(1).load(2).put_field(0);
+            b.bind(skip);
+            b.new_object(c).pop();
+            b.get_static(s).pop();
+            b.load(3).push_int(2).mul().put_static(s);
+            b.load(2).push_int(1).add().store(2);
+            b.jump(head);
+            b.bind(done);
+            b.load(3).ret();
+        });
+        pb.finish().unwrap()
+    }
+
+    #[test]
+    fn a_fused_op_is_no_larger_than_an_instruction() {
+        assert_eq!(std::mem::size_of::<Op>(), std::mem::size_of::<Instr>());
+    }
+
+    /// Every context the four barrier modes compile for, with and
+    /// without redundant-barrier elimination: fusion changes neither
+    /// the compile cost, nor the barriers eliminated, nor any barrier
+    /// slot, and no fused run covers a barrier.
+    #[test]
+    fn fusion_leaves_barriers_and_compile_cost_as_lowered() {
+        let p = barrier_dense_program();
+        for ctx in [Ctx::NoBarriers, Ctx::InRegion, Ctx::OutRegion, Ctx::Dynamic] {
+            for optimize in [false, true] {
+                let what = format!("{ctx:?}, optimize {optimize}");
+                let lowered = lower(&p, 0, ctx, optimize).unwrap();
+                let fused = compile(&p, 0, ctx, optimize).unwrap();
+                assert_eq!(fused.cost, lowered.cost, "{what}");
+                assert_eq!(fused.eliminated, lowered.eliminated, "{what}");
+                assert_eq!(fused.code.len(), lowered.code.len(), "{what}");
+                let mut heads = 0;
+                let mut covered = 0..0;
+                for (pc, (f, l)) in fused.code.iter().zip(&lowered.code).enumerate() {
+                    assert_eq!(f.barrier, l.barrier, "{what}: slot {pc}");
+                    match f.op {
+                        Op::Fused(run) => {
+                            assert!(
+                                !covered.contains(&pc),
+                                "{what}: runs overlap at {pc}"
+                            );
+                            covered = pc..pc + run.width();
+                            let slots = &lowered.code[covered.clone()];
+                            assert!(
+                                slots.iter().all(|ci| ci.barrier.is_none()),
+                                "{what}"
+                            );
+                            let instrs: Vec<Op> = slots.iter().map(|ci| ci.op).collect();
+                            let want: Vec<Op> =
+                                unfused(run).into_iter().map(Op::Base).collect();
+                            assert_eq!(instrs, want, "{what}: run at {pc}");
+                            heads += 1;
+                        }
+                        Op::Base(_) => assert_eq!(f.op, l.op, "{what}: slot {pc}"),
+                    }
+                }
+                // Every shape occurs: the loop test, three pairs ahead of
+                // array and field accesses, the local comparison, the
+                // constant pair and the increment.
+                assert_eq!(heads, 7, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pair_leaves_a_four_wide_run_one_slot_on_its_head() {
+        let mut pb = ProgramBuilder::new();
+        pb.func("f", 2, false, 2, |b| {
+            b.load(0).load(1).push_int(1).add().store(1).pop();
+            b.ret();
+        });
+        let c = compile(&pb.finish().unwrap(), 0, Ctx::NoBarriers, true).unwrap();
+        let ops: Vec<Op> = c.code.iter().map(|ci| ci.op).collect();
+        assert_eq!(ops[0], Op::Base(Instr::Load(0)));
+        assert_eq!(ops[1], Op::Fused(Fused::LoadAddStore { a: 1, k: 1, d: 1 }));
+        assert_eq!(ops[2], Op::Base(Instr::PushInt(1)));
+    }
+
+    #[test]
+    fn constants_past_32_bits_stay_unfused() {
+        let mut pb = ProgramBuilder::new();
+        pb.func("f", 1, false, 1, |b| {
+            b.load(0).push_int(1 << 40).add().store(0);
+            b.ret();
+        });
+        let c = compile(&pb.finish().unwrap(), 0, Ctx::NoBarriers, true).unwrap();
+        assert!(c.code.iter().all(|ci| matches!(ci.op, Op::Base(_))));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::bridge::OsBridge;
 use crate::bytecode::{FuncId, Instr, PairSpecId, RegionSpecId};
-use crate::compile::{Barrier, BarrierMode, CInstr, CompiledFunction, Ctx};
+use crate::compile::{Barrier, BarrierMode, CInstr, CompiledFunction, Ctx, Fused, Op};
 use crate::error::{VmError, VmResult};
 use crate::heap::{ClassId, Heap, ObjKind};
 use crate::program::Program;
@@ -57,6 +57,11 @@ enum Transfer {
     Call(FuncId),
     CallSecure(FuncId, RegionSpecId),
     Return(Option<Value>),
+}
+
+/// The error of a syscall instruction on a VM with no OS bridge.
+fn no_bridge() -> VmError {
+    VmError::Os("no OS bridge attached".into())
 }
 
 /// One entry of the thread's region stack.
@@ -405,17 +410,50 @@ impl Vm {
                 None => self.static_choice[f.0 as usize] = Some(wanted),
             }
         }
-        let slot = Self::ctx_slot(wanted);
-        if let Some(c) = &self.compiled[f.0 as usize][slot] {
+        if let Some(c) = &self.compiled[f.0 as usize][Self::ctx_slot(wanted)] {
             return Ok(Arc::clone(c));
         }
-        let c =
-            Arc::new(crate::compile::compile(&self.program, f.0, wanted, self.optimize)?);
+        let c = crate::compile::compile(&self.program, f.0, wanted, self.optimize)?;
+        Ok(self.cache_compiled(f, wanted, c))
+    }
+
+    /// Counts a compilation of `f` for `ctx` and caches its code.
+    fn cache_compiled(
+        &mut self,
+        f: FuncId,
+        ctx: Ctx,
+        c: CompiledFunction,
+    ) -> Arc<CompiledFunction> {
+        let c = Arc::new(c);
         self.stats.functions_compiled += 1;
         self.stats.compile_cost += c.cost;
         self.stats.barriers_eliminated += c.eliminated;
-        self.compiled[f.0 as usize][slot] = Some(Arc::clone(&c));
-        Ok(c)
+        self.compiled[f.0 as usize][Self::ctx_slot(ctx)] = Some(Arc::clone(&c));
+        c
+    }
+
+    /// Compiles every function, with `build` in place of
+    /// [`crate::compile::compile`], for each context this VM's mode runs
+    /// code in, counting each compilation as a first call would.
+    #[cfg(test)]
+    pub(crate) fn precompile_with(
+        &mut self,
+        build: impl Fn(&Program, u32, Ctx, bool) -> VmResult<CompiledFunction>,
+    ) -> VmResult<()> {
+        let ctxs: &[Ctx] = match self.mode {
+            BarrierMode::None => &[Ctx::NoBarriers],
+            BarrierMode::Dynamic => &[Ctx::Dynamic],
+            BarrierMode::Static | BarrierMode::Cloning => {
+                &[Ctx::InRegion, Ctx::OutRegion]
+            }
+        };
+        for f in 0..self.program.functions.len() as u32 {
+            for &ctx in ctxs {
+                let c = build(&self.program, f, ctx, self.optimize)?;
+                self.cache_compiled(FuncId(f), ctx, c);
+            }
+        }
+        Ok(())
     }
 
     // --- regions ----------------------------------------------------------
@@ -440,8 +478,7 @@ impl Vm {
             .program
             .region_specs
             .get(spec_id.0 as usize)
-            .ok_or(VmError::Malformed("unknown region spec"))?
-            .clone();
+            .ok_or(VmError::Malformed("unknown region spec"))?;
         let pair = self.pair_from_spec(spec.pair)?;
         let mut rcaps = CapSet::new();
         for &(ti, kind) in &spec.caps {
@@ -550,8 +587,7 @@ impl Vm {
         {
             return Ok(());
         }
-        let bridge =
-            self.bridge.as_mut().ok_or(VmError::Os("no OS bridge attached".into()))?;
+        let bridge = self.bridge.as_mut().ok_or_else(no_bridge)?;
         if self.labels.is_unlabeled() {
             bridge.restore_labels(&SecPair::unlabeled()).map_err(VmError::Os)?;
             self.kernel_labels = None;
@@ -829,13 +865,42 @@ impl Vm {
                 }};
             }
             macro_rules! local {
-                ($l:expr) => {{
+                ($l:expr) => {
+                    local!($l, 0)
+                };
+                ($l:expr, $undo:expr) => {{
                     let l = usize::from($l);
                     if l >= locals {
-                        return Err(VmError::Malformed("local index out of range"));
+                        fail!($undo, VmError::Malformed("local index out of range"));
                     }
                     base + l
                 }};
+            }
+            // A fused run counts its whole width when it starts: on an
+            // error it uncounts the `$undo` slots after the failing one,
+            // so the count is the unfused path's.
+            macro_rules! fail {
+                ($undo:expr, $e:expr) => {{
+                    self.stats.instructions -= $undo;
+                    return Err($e);
+                }};
+            }
+            // The check `push!` makes for the fused run's push to the
+            // slot `$above` over the frame's height.
+            macro_rules! room {
+                ($above:expr, $undo:expr) => {
+                    if sp + $above >= values.len() {
+                        fail!($undo, VmError::Malformed("operand stack overflow"));
+                    }
+                };
+            }
+            macro_rules! int_at {
+                ($v:expr, $undo:expr) => {
+                    match $v.as_int() {
+                        Ok(x) => x,
+                        Err(e) => fail!($undo, e),
+                    }
+                };
             }
             macro_rules! int_op {
                 (|$a:ident, $b:ident| $e:expr) => {{
@@ -846,7 +911,7 @@ impl Vm {
             }
 
             let transfer = loop {
-                let Some(&CInstr { barrier, instr }) = code.get(pc) else {
+                let Some(&CInstr { barrier, op }) = code.get(pc) else {
                     // Function bodies are terminated by Return (the
                     // builder appends one), so falling off the end is
                     // malformed.
@@ -855,31 +920,37 @@ impl Vm {
                 self.stats.instructions += 1;
                 if let Some(b) = barrier {
                     if !matches!(b, Barrier::AllocIn | Barrier::AllocDyn) {
+                        // `fuse` never covers a barrier slot.
+                        let Op::Base(instr) = op else {
+                            return Err(VmError::Malformed("barrier on a fused run"));
+                        };
                         self.run_access_barrier(b, &instr, &values[ops..sp])?;
                     }
                 }
-                match instr {
-                    Instr::PushInt(v) => push!(Value::Int(v)),
-                    Instr::PushBool(v) => push!(Value::Bool(v)),
-                    Instr::PushNull => push!(Value::Null),
-                    Instr::Pop => {
+                // One match on the op's tag byte dispatches instructions
+                // and fused runs alike.
+                match op {
+                    Op::Base(Instr::PushInt(v)) => push!(Value::Int(v)),
+                    Op::Base(Instr::PushBool(v)) => push!(Value::Bool(v)),
+                    Op::Base(Instr::PushNull) => push!(Value::Null),
+                    Op::Base(Instr::Pop) => {
                         pop!();
                     }
-                    Instr::Dup => {
+                    Op::Base(Instr::Dup) => {
                         let Some(&v) = values[ops..sp].last() else {
                             return Err(VmError::Malformed("dup on empty"));
                         };
                         push!(v);
                     }
-                    Instr::Load(l) => {
+                    Op::Base(Instr::Load(l)) => {
                         let v = values[local!(l)];
                         push!(v);
                     }
-                    Instr::Store(l) => {
+                    Op::Base(Instr::Store(l)) => {
                         let slot = local!(l);
                         values[slot] = pop!();
                     }
-                    Instr::GetField(n) => {
+                    Op::Base(Instr::GetField(n)) => {
                         let obj = pop!().as_ref()?;
                         match &self.heap.get(obj)?.kind {
                             ObjKind::Object { fields, .. } => {
@@ -895,7 +966,7 @@ impl Vm {
                             }
                         }
                     }
-                    Instr::PutField(n) => {
+                    Op::Base(Instr::PutField(n)) => {
                         let val = pop!();
                         let obj = pop!().as_ref()?;
                         let journal = self.in_region();
@@ -919,19 +990,19 @@ impl Vm {
                             }
                         }
                     }
-                    Instr::NewObject(c) => {
+                    Op::Base(Instr::NewObject(c)) => {
                         let labels = self.alloc_labels(barrier);
                         let nfields = self.program.classes[c.0 as usize].nfields as usize;
                         let r = self.heap.alloc_object(c, nfields, labels);
                         push!(Value::Ref(r));
                     }
-                    Instr::NewObjectLabeled(c, spec) => {
+                    Op::Base(Instr::NewObjectLabeled(c, spec)) => {
                         let labels = self.alloc_labels_explicit(barrier, spec)?;
                         let nfields = self.program.classes[c.0 as usize].nfields as usize;
                         let r = self.heap.alloc_object(c, nfields, labels);
                         push!(Value::Ref(r));
                     }
-                    Instr::NewArray => {
+                    Op::Base(Instr::NewArray) => {
                         let len = pop!().as_int()?;
                         if len < 0 {
                             return Err(VmError::Malformed("negative array length"));
@@ -940,7 +1011,7 @@ impl Vm {
                         let r = self.heap.alloc_array(len as usize, labels);
                         push!(Value::Ref(r));
                     }
-                    Instr::NewArrayLabeled(spec) => {
+                    Op::Base(Instr::NewArrayLabeled(spec)) => {
                         let len = pop!().as_int()?;
                         if len < 0 {
                             return Err(VmError::Malformed("negative array length"));
@@ -949,7 +1020,7 @@ impl Vm {
                         let r = self.heap.alloc_array(len as usize, labels);
                         push!(Value::Ref(r));
                     }
-                    Instr::ALoad => {
+                    Op::Base(Instr::ALoad) => {
                         let idx = pop!().as_int()?;
                         let arr = pop!().as_ref()?;
                         match &self.heap.get(arr)?.kind {
@@ -969,7 +1040,7 @@ impl Vm {
                             }
                         }
                     }
-                    Instr::AStore => {
+                    Op::Base(Instr::AStore) => {
                         let val = pop!();
                         let idx = pop!().as_int()?;
                         let arr = pop!().as_ref()?;
@@ -1002,7 +1073,7 @@ impl Vm {
                             }
                         }
                     }
-                    Instr::ArrayLen => {
+                    Op::Base(Instr::ArrayLen) => {
                         let arr = pop!().as_ref()?;
                         match &self.heap.get(arr)?.kind {
                             ObjKind::Array { elems } => {
@@ -1013,8 +1084,8 @@ impl Vm {
                             }
                         }
                     }
-                    Instr::GetStatic(s) => push!(self.statics[s.0 as usize]),
-                    Instr::PutStatic(s) => {
+                    Op::Base(Instr::GetStatic(s)) => push!(self.statics[s.0 as usize]),
+                    Op::Base(Instr::PutStatic(s)) => {
                         let val = pop!();
                         let idx = s.0 as usize;
                         if self.in_region()
@@ -1028,10 +1099,10 @@ impl Vm {
                         }
                         self.statics[idx] = val;
                     }
-                    Instr::Add => int_op!(|a, b| Value::Int(a.wrapping_add(b))),
-                    Instr::Sub => int_op!(|a, b| Value::Int(a.wrapping_sub(b))),
-                    Instr::Mul => int_op!(|a, b| Value::Int(a.wrapping_mul(b))),
-                    Instr::Div | Instr::Mod => {
+                    Op::Base(Instr::Add) => int_op!(|a, b| Value::Int(a.wrapping_add(b))),
+                    Op::Base(Instr::Sub) => int_op!(|a, b| Value::Int(a.wrapping_sub(b))),
+                    Op::Base(Instr::Mul) => int_op!(|a, b| Value::Int(a.wrapping_mul(b))),
+                    Op::Base(instr @ (Instr::Div | Instr::Mod)) => {
                         let b = pop!().as_int()?;
                         let a = pop!().as_int()?;
                         if b == 0 {
@@ -1043,15 +1114,15 @@ impl Vm {
                             a.wrapping_rem(b)
                         }));
                     }
-                    Instr::Neg => {
+                    Op::Base(Instr::Neg) => {
                         let a = pop!().as_int()?;
                         push!(Value::Int(a.wrapping_neg()));
                     }
-                    Instr::Not => {
+                    Op::Base(Instr::Not) => {
                         let a = pop!().as_bool()?;
                         push!(Value::Bool(!a));
                     }
-                    Instr::And | Instr::Or => {
+                    Op::Base(instr @ (Instr::And | Instr::Or)) => {
                         let b = pop!().as_bool()?;
                         let a = pop!().as_bool()?;
                         push!(Value::Bool(if matches!(instr, Instr::And) {
@@ -1060,37 +1131,37 @@ impl Vm {
                             a || b
                         }));
                     }
-                    Instr::CmpEq => {
+                    Op::Base(Instr::CmpEq) => {
                         let b = pop!();
                         let a = pop!();
                         push!(Value::Bool(a == b));
                     }
-                    Instr::CmpLt => int_op!(|a, b| Value::Bool(a < b)),
-                    Instr::CmpLe => int_op!(|a, b| Value::Bool(a <= b)),
-                    Instr::Jump(t) => {
+                    Op::Base(Instr::CmpLt) => int_op!(|a, b| Value::Bool(a < b)),
+                    Op::Base(Instr::CmpLe) => int_op!(|a, b| Value::Bool(a <= b)),
+                    Op::Base(Instr::Jump(t)) => {
                         pc = t as usize;
                         continue;
                     }
-                    Instr::JumpIfTrue(t) => {
+                    Op::Base(Instr::JumpIfTrue(t)) => {
                         if pop!().as_bool()? {
                             pc = t as usize;
                             continue;
                         }
                     }
-                    Instr::JumpIfFalse(t) => {
+                    Op::Base(Instr::JumpIfFalse(t)) => {
                         if !pop!().as_bool()? {
                             pc = t as usize;
                             continue;
                         }
                     }
-                    Instr::Call(callee) => break Transfer::Call(callee),
-                    Instr::CallSecure(callee, spec) => {
+                    Op::Base(Instr::Call(callee)) => break Transfer::Call(callee),
+                    Op::Base(Instr::CallSecure(callee, spec)) => {
                         break Transfer::CallSecure(callee, spec)
                     }
-                    Instr::Return => {
+                    Op::Base(Instr::Return) => {
                         break Transfer::Return(if returns { Some(pop!()) } else { None })
                     }
-                    Instr::CopyAndLabel(spec) => {
+                    Op::Base(Instr::CopyAndLabel(spec)) => {
                         if !self.in_region() && self.mode != BarrierMode::None {
                             return Err(VmError::LabeledAccessOutsideRegion);
                         }
@@ -1103,31 +1174,82 @@ impl Vm {
                         self.stats.copy_and_label += 1;
                         push!(Value::Ref(copy));
                     }
-                    Instr::Throw => {
+                    Op::Base(Instr::Throw) => {
                         let code = pop!().as_int()?;
                         return Err(VmError::Thrown(code));
                     }
-                    Instr::OsWriteByte(s) => {
+                    Op::Base(Instr::OsWriteByte(s)) => {
                         let byte = pop!().as_int()?;
                         self.ensure_os_sync()?;
-                        let path = self.program.strings[s.0 as usize].clone();
-                        let bridge = self
-                            .bridge
-                            .as_mut()
-                            .ok_or(VmError::Os("no OS bridge attached".into()))?;
-                        bridge.write_byte(&path, byte as u8).map_err(VmError::Os)?;
+                        let path = &self.program.strings[s.0 as usize];
+                        let bridge = self.bridge.as_mut().ok_or_else(no_bridge)?;
+                        bridge.write_byte(path, byte as u8).map_err(VmError::Os)?;
                     }
-                    Instr::OsReadByte(s) => {
+                    Op::Base(Instr::OsReadByte(s)) => {
                         self.ensure_os_sync()?;
-                        let path = self.program.strings[s.0 as usize].clone();
-                        let bridge = self
-                            .bridge
-                            .as_mut()
-                            .ok_or(VmError::Os("no OS bridge attached".into()))?;
-                        let b = bridge.read_byte(&path).map_err(VmError::Os)?;
+                        let path = &self.program.strings[s.0 as usize];
+                        let bridge = self.bridge.as_mut().ok_or_else(no_bridge)?;
+                        let b = bridge.read_byte(path).map_err(VmError::Os)?;
                         push!(Value::Int(b.map_or(-1, i64::from)));
                     }
-                    Instr::Nop => {}
+                    Op::Base(Instr::Nop) => {}
+                    // A fused run makes the checks of its instructions in
+                    // their order. Its pushes and pops cancel out except
+                    // where noted, so it writes only what outlives it.
+                    Op::Fused(Fused::LoadAddStore { a, k, d }) => {
+                        self.stats.instructions += 3;
+                        let x = values[local!(a, 3)];
+                        room!(0, 3);
+                        room!(1, 2);
+                        let x = int_at!(x, 1);
+                        values[local!(d, 0)] = Value::Int(x.wrapping_add(i64::from(k)));
+                        pc += 4;
+                        continue;
+                    }
+                    Op::Fused(Fused::LoadIntLtJump { a, k, t }) => {
+                        self.stats.instructions += 3;
+                        let x = values[local!(a, 3)];
+                        room!(0, 3);
+                        room!(1, 2);
+                        let x = int_at!(x, 1);
+                        pc = if x < i64::from(k) { pc + 4 } else { t as usize };
+                        continue;
+                    }
+                    Op::Fused(Fused::LoadLoadLtJump { a, b, t }) => {
+                        self.stats.instructions += 3;
+                        let x = values[local!(a, 3)];
+                        room!(0, 3);
+                        let y = values[local!(b, 2)];
+                        room!(1, 2);
+                        // `CmpLt` pops its right operand first.
+                        let y = int_at!(y, 1);
+                        let x = int_at!(x, 1);
+                        pc = if x < y { pc + 4 } else { t as usize };
+                        continue;
+                    }
+                    Op::Fused(Fused::LoadLoad { a, b }) => {
+                        self.stats.instructions += 1;
+                        let x = values[local!(a, 1)];
+                        room!(0, 1);
+                        values[sp] = x;
+                        let y = values[local!(b, 0)];
+                        room!(1, 0);
+                        values[sp + 1] = y;
+                        sp += 2;
+                        pc += 2;
+                        continue;
+                    }
+                    Op::Fused(Fused::LoadInt { a, k }) => {
+                        self.stats.instructions += 1;
+                        let x = values[local!(a, 1)];
+                        room!(0, 1);
+                        room!(1, 0);
+                        values[sp] = x;
+                        values[sp + 1] = Value::Int(i64::from(k));
+                        sp += 2;
+                        pc += 2;
+                        continue;
+                    }
                 }
                 pc += 1;
             };
@@ -1401,6 +1523,191 @@ mod tests {
             let got = vm.call_by_name("main", &[]);
             assert!(matches!(got, Err(VmError::Verify(_))), "{what}: {got:?}");
             assert_eq!(vm.stats().instructions, 0, "{what}");
+        }
+    }
+
+    // --- fused runs ---------------------------------------------------------
+
+    use crate::compile::{compile, fuse, lower, Fused};
+    use crate::program::FunctionBuilder;
+
+    /// The result of one host call and the VM's counters after it.
+    type Outcome = (VmResult<Option<Value>>, VmStats);
+
+    /// Emits part of a function body.
+    type Body = fn(&mut FunctionBuilder);
+
+    /// Calls `main(args)` of `program` on a fresh `Cloning` VM whose
+    /// compile cache `build` filled.
+    fn run_built(
+        program: &Program,
+        args: &[Value],
+        build: impl Fn(&Program, u32, Ctx, bool) -> VmResult<CompiledFunction>,
+    ) -> Outcome {
+        let mut vm = Vm::new(program.clone(), vec![], BarrierMode::Cloning);
+        vm.precompile_with(build).unwrap();
+        let got = vm.call_by_name("main", args);
+        (got, vm.stats().clone())
+    }
+
+    /// The fused run heading slot `pc` of `main`'s out-of-region code.
+    fn fused_head(program: &Program, pc: usize) -> Fused {
+        let main = program.func_by_name("main").unwrap().0;
+        let code = compile(program, main, Ctx::OutRegion, true).unwrap().code;
+        match code[pc].op {
+            Op::Fused(run) => run,
+            op => panic!("slot {pc} holds {op:?}"),
+        }
+    }
+
+    /// A `main()` whose local 0 holds a non-int (`true`, null or an
+    /// array, by `bad`) and local 1 the int 7, then `body`. Returns the
+    /// program and the number of instructions before `body`.
+    fn with_bad_local(bad: usize, body: Body) -> (Program, usize) {
+        let mut pb = ProgramBuilder::new();
+        pb.func("main", 0, true, 3, |b| {
+            match bad {
+                0 => b.push_bool(true),
+                1 => b.push_null(),
+                _ => b.push_int(1).new_array(),
+            };
+            b.store(0).push_int(7).store(1);
+            body(b);
+        });
+        (pb.finish().unwrap(), if bad == 2 { 5 } else { 4 })
+    }
+
+    #[test]
+    fn fused_runs_fail_like_their_instructions_on_non_int_locals() {
+        // Each body starts with one fused run and fails in its third
+        // instruction: inside the run, or, after a pair, just past it.
+        let cases: [(&str, Body); 6] = [
+            ("LoadAddStore", |b| {
+                b.load(0).push_int(3).add().store(2).load(2).ret();
+            }),
+            ("LoadIntLtJump", |b| {
+                let l = b.new_label();
+                b.load(0).push_int(3).cmp_lt().jump_if_false(l).bind(l).load(1).ret();
+            }),
+            ("LoadLoadLtJump { a: 0", |b| {
+                let l = b.new_label();
+                b.load(0).load(1).cmp_lt().jump_if_false(l).bind(l).load(1).ret();
+            }),
+            ("LoadLoadLtJump { a: 1", |b| {
+                let l = b.new_label();
+                b.load(1).load(0).cmp_lt().jump_if_false(l).bind(l).load(1).ret();
+            }),
+            ("LoadLoad {", |b| {
+                b.load(1).load(0).add().ret();
+            }),
+            ("LoadInt {", |b| {
+                b.load(0).push_int(3).mul().ret();
+            }),
+        ];
+        for (shape, body) in cases {
+            for bad in 0..3 {
+                let (program, prologue) = with_bad_local(bad, body);
+                let run = fused_head(&program, prologue);
+                assert!(format!("{run:?}").starts_with(shape), "{run:?} is not {shape}");
+                let fused = run_built(&program, &[], compile);
+                let unfused = run_built(&program, &[], lower);
+                let what = format!("{run:?} with bad local {bad}");
+                assert_eq!(fused.0, Err(VmError::TypeError("expected int")), "{what}");
+                assert_eq!(fused, unfused, "{what}");
+                assert_eq!(fused.1.instructions, prologue as u64 + 3, "{what}");
+            }
+        }
+    }
+
+    /// Checks a verified program cannot fail: a local out of range and
+    /// an operand stack too shallow for the run's pushes, made by editing
+    /// the lowered code before it is fused.
+    #[test]
+    fn fused_runs_fail_like_their_instructions_on_edited_code() {
+        type Edit = fn(&mut CompiledFunction);
+        let local = VmError::Malformed("local index out of range");
+        let overflow = VmError::Malformed("operand stack overflow");
+        let first_local: Edit = |c| c.code[0].op = Op::Base(Instr::Load(9));
+        let second_local: Edit = |c| c.code[1].op = Op::Base(Instr::Load(9));
+        let store_local: Edit = |c| c.code[3].op = Op::Base(Instr::Store(9));
+        let no_stack: Edit = |c| c.max_stack = 0;
+        let one_slot: Edit = |c| c.max_stack = 1;
+        fn add_store(b: &mut FunctionBuilder) {
+            b.load(0).push_int(1).add().store(2);
+        }
+        fn int_test(b: &mut FunctionBuilder) {
+            b.load(0).push_int(1).cmp_lt().emit(Instr::JumpIfFalse(4));
+        }
+        fn local_test(b: &mut FunctionBuilder) {
+            b.load(0).load(1).cmp_lt().emit(Instr::JumpIfFalse(4));
+        }
+        fn pair(b: &mut FunctionBuilder) {
+            b.load(0).load(1).add().pop();
+        }
+        fn int_pair(b: &mut FunctionBuilder) {
+            b.load(0).push_int(1).add().pop();
+        }
+        // Every run fails at its head's local, and at each of its two
+        // pushes; the runs with a second local or a store fail there too.
+        // (body of `main(x, y)`, edit, error, instructions counted)
+        let mut cases: Vec<(Body, Edit, &VmError, u64)> = vec![
+            (add_store, store_local, &local, 4),
+            (local_test, second_local, &local, 2),
+            (pair, second_local, &local, 2),
+        ];
+        for body in [add_store, int_test, local_test, pair, int_pair] {
+            cases.push((body, first_local, &local, 1));
+            cases.push((body, no_stack, &overflow, 1));
+            cases.push((body, one_slot, &overflow, 2));
+        }
+        let args = [Value::Int(5), Value::Int(9)];
+        for (i, (body, edit, err, counted)) in cases.into_iter().enumerate() {
+            let mut pb = ProgramBuilder::new();
+            pb.func("main", 2, true, 3, |b| {
+                body(b);
+                b.load(1).ret();
+            });
+            let program = pb.finish().unwrap();
+            let build = |fused: bool| {
+                move |p: &Program, f, ctx, optimize| {
+                    let mut c = lower(p, f, ctx, optimize)?;
+                    edit(&mut c);
+                    if fused {
+                        fuse(&mut c.code);
+                        assert!(matches!(c.code[0].op, Op::Fused(_)), "case {i}");
+                    }
+                    Ok(c)
+                }
+            };
+            let fused = run_built(&program, &args, build(true));
+            let unfused = run_built(&program, &args, build(false));
+            assert_eq!(fused.0.as_ref(), Err(err), "case {i}");
+            assert_eq!(fused, unfused, "case {i}");
+            assert_eq!(fused.1.instructions, counted, "case {i}");
+        }
+    }
+
+    #[test]
+    fn a_branch_into_a_fused_run_executes_the_rest_of_it() {
+        let mut pb = ProgramBuilder::new();
+        pb.func("main", 1, true, 2, |b| {
+            let mid = b.new_label();
+            b.push_int(100);
+            b.load(0).push_int(0).cmp_lt().jump_if_false(mid);
+            b.pop();
+            // Reached by falling through: local 0 plus 5; by the branch
+            // into the run's second slot: 100 plus 5.
+            b.load(0).bind(mid).push_int(5).add().store(1);
+            b.load(1).ret();
+        });
+        let program = pb.finish().unwrap();
+        assert_eq!(program.functions[0].body[4], Instr::JumpIfFalse(7));
+        assert_eq!(fused_head(&program, 6), Fused::LoadAddStore { a: 0, k: 5, d: 1 });
+        for (n, result, counted) in [(3, 105, 10), (-3, 2, 12)] {
+            let fused = run_built(&program, &[Value::Int(n)], compile);
+            assert_eq!(fused.0, Ok(Some(Value::Int(result))), "main({n})");
+            assert_eq!(fused.1.instructions, counted, "main({n})");
+            assert_eq!(fused, run_built(&program, &[Value::Int(n)], lower), "main({n})");
         }
     }
 }

@@ -77,6 +77,8 @@ mod bytecode;
 mod compile;
 pub mod conformance;
 mod error;
+#[cfg(test)]
+mod fuse_regime;
 mod heap;
 mod interp;
 mod opt;
