@@ -209,7 +209,7 @@ impl Battleship {
             .secrecy(Label::singleton(tag))
             .grant(Capability::plus(tag));
         p.secure(&params, |g| Ok(Arc::new(g.new_labeled(Board::generate(seed)))), |_| {})?
-            .ok_or(LaminarError::App("board setup failed".into()))
+            .ok_or_else(|| LaminarError::App("board setup failed".into()))
     }
 
     /// Resets both boards to their initial placement (each owner does it
@@ -227,7 +227,7 @@ impl Battleship {
                     move |g| board.write(g, |b| *b = Board::generate(seed)),
                     |_| {},
                 )?
-                .ok_or(LaminarError::App("board reset suppressed".into()))?;
+                .ok_or_else(|| LaminarError::App("board reset suppressed".into()))?;
             *self.public_hits[k].lock() = vec![false; GRID * GRID];
         }
         Ok(())
@@ -303,7 +303,7 @@ impl Battleship {
                 },
                 |_| {},
             )?
-            .ok_or(LaminarError::App("shot resolution suppressed".into()))
+            .ok_or_else(|| LaminarError::App("shot resolution suppressed".into()))
     }
 
     fn display_board(&self, defender: usize) -> LaminarResult<()> {

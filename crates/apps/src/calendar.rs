@@ -125,7 +125,7 @@ impl CalendarSystem {
                 },
                 |_| {},
             )?
-            .ok_or(LaminarError::App("calendar init suppressed".into()))
+            .ok_or_else(|| LaminarError::App("calendar init suppressed".into()))
     }
 
     /// Marks a slot busy in a user's calendar (0 = Alice, 1 = Bob).
@@ -158,7 +158,7 @@ impl CalendarSystem {
             },
             |_| {},
         )?
-        .ok_or(LaminarError::App("add_busy suppressed".into()))
+        .ok_or_else(|| LaminarError::App("add_busy suppressed".into()))
     }
 
     /// Schedules one meeting: reads both labeled calendars inside a
@@ -222,11 +222,13 @@ impl CalendarSystem {
                         },
                         |_| {},
                     )?;
-                    written.ok_or(LaminarError::App("inner region suppressed".into()))
+                    written.ok_or_else(|| {
+                        LaminarError::App("inner region suppressed".into())
+                    })
                 },
                 |_| {},
             )?
-            .ok_or(LaminarError::App("scheduling suppressed".into()))
+            .ok_or_else(|| LaminarError::App("scheduling suppressed".into()))
     }
 
     /// Schedules `n` meetings with staggered earliest-slot constraints —
@@ -267,7 +269,7 @@ impl CalendarSystem {
                 },
                 |_| {},
             )?
-            .ok_or(LaminarError::App("meeting read suppressed".into()))
+            .ok_or_else(|| LaminarError::App("meeting read suppressed".into()))
     }
 
     /// Aggregated statistics across all principals.

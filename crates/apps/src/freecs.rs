@@ -28,13 +28,21 @@ use std::sync::Arc;
 /// barriers because the same logging code runs both inside command
 /// regions and outside (server maintenance) — the situation that forces
 /// dynamic barriers in §7.
+///
+/// The group's role-gated regions are built once, at creation: the
+/// paper's `secure({…})` literals are compile-time constants.
 #[derive(Debug)]
 pub struct Group {
-    su_tag: Tag,
-    members: Arc<Labeled<BTreeSet<String>>>,
-    banlist: Arc<Labeled<BTreeSet<String>>>,
-    theme: Arc<Labeled<String>>,
-    log: Arc<Labeled<Vec<String>>>,
+    members: Labeled<BTreeSet<String>>,
+    banlist: Labeled<BTreeSet<String>>,
+    theme: Labeled<String>,
+    log: Labeled<Vec<String>>,
+    /// `{I(vip, su)}` with `vip+`, `su+`: `BAN` and `UNBAN`.
+    ban_region: RegionParams,
+    /// `{I(m, su)}` with `m+`, `su+`: `KICK`.
+    kick_region: RegionParams,
+    /// `{I(su)}` with `su+`: `THEME`.
+    theme_region: RegionParams,
 }
 
 /// A connected user: principal, secrecy tag and private inbox `{S(u)}`.
@@ -42,7 +50,7 @@ pub struct Group {
 pub struct User {
     principal: Principal,
     tag: Tag,
-    inbox: Arc<Labeled<Vec<String>>>,
+    inbox: Labeled<Vec<String>>,
     vip: bool,
 }
 
@@ -54,6 +62,8 @@ pub struct ChatServer {
     member_tag: Tag,
     /// Integrity tag of the VIP role.
     vip_tag: Tag,
+    /// `{I(m)}` with `m+`: the membership writes of `JOIN` and `LEAVE`.
+    member_region: RegionParams,
     users: Mutex<BTreeMap<String, Arc<User>>>,
     groups: Mutex<BTreeMap<String, Arc<Group>>>,
 }
@@ -81,6 +91,9 @@ impl ChatServer {
             server,
             member_tag,
             vip_tag,
+            member_region: RegionParams::new()
+                .integrity(Label::singleton(member_tag))
+                .grant(Capability::plus(member_tag)),
             users: Mutex::new(BTreeMap::new()),
             groups: Mutex::new(BTreeMap::new()),
         })
@@ -115,16 +128,12 @@ impl ChatServer {
         Ok(())
     }
 
-    fn make_inbox(
-        &self,
-        p: &Principal,
-        tag: Tag,
-    ) -> LaminarResult<Arc<Labeled<Vec<String>>>> {
+    fn make_inbox(&self, p: &Principal, tag: Tag) -> LaminarResult<Labeled<Vec<String>>> {
         let params = RegionParams::new()
             .secrecy(Label::singleton(tag))
             .grant(Capability::plus(tag));
-        p.secure(&params, |g| Ok(Arc::new(g.new_labeled(Vec::new()))), |_| {})?
-            .ok_or(LaminarError::App("inbox allocation failed".into()))
+        p.secure(&params, |g| Ok(g.new_labeled(Vec::new())), |_| {})?
+            .ok_or_else(|| LaminarError::App("inbox allocation failed".into()))
     }
 
     /// Creates a group whose superuser is `owner` (granted `su_g+`).
@@ -138,7 +147,7 @@ impl ChatServer {
             .lock()
             .get(owner)
             .cloned()
-            .ok_or(LaminarError::App("unknown owner".into()))?;
+            .ok_or_else(|| LaminarError::App("unknown owner".into()))?;
         let (rx, tx) = self.server.task().pipe()?;
         self.server.task().write_capability(Capability::plus(su_tag), tx)?;
         owner_user.principal.receive_capability(rx)?;
@@ -160,30 +169,37 @@ impl ChatServer {
             .secure(
                 &params,
                 |g| {
-                    let members = Arc::new(g.new_labeled_with(
-                        BTreeSet::new(),
-                        SecPair::integrity_only(member_integrity.clone()),
-                    )?);
-                    let banlist = Arc::new(g.new_labeled_with(
-                        BTreeSet::new(),
-                        SecPair::integrity_only(ban_integrity.clone()),
-                    )?);
-                    let theme = Arc::new(g.new_labeled_with(
-                        String::from("default"),
-                        SecPair::integrity_only(su_integrity.clone()),
-                    )?);
-                    Ok(Arc::new(Group {
-                        su_tag,
-                        members,
-                        banlist,
-                        theme,
-                        log: Arc::new(Labeled::unlabeled(Vec::new())),
-                    }))
+                    Ok(Group {
+                        members: g.new_labeled_with(
+                            BTreeSet::new(),
+                            SecPair::integrity_only(member_integrity),
+                        )?,
+                        banlist: g.new_labeled_with(
+                            BTreeSet::new(),
+                            SecPair::integrity_only(ban_integrity.clone()),
+                        )?,
+                        theme: g.new_labeled_with(
+                            String::from("default"),
+                            SecPair::integrity_only(su_integrity.clone()),
+                        )?,
+                        log: Labeled::unlabeled(Vec::new()),
+                        ban_region: RegionParams::new()
+                            .integrity(ban_integrity)
+                            .grant(Capability::plus(self.vip_tag))
+                            .grant(Capability::plus(su_tag)),
+                        kick_region: RegionParams::new()
+                            .integrity(Label::from_tags([self.member_tag, su_tag]))
+                            .grant(Capability::plus(self.member_tag))
+                            .grant(Capability::plus(su_tag)),
+                        theme_region: RegionParams::new()
+                            .integrity(su_integrity)
+                            .grant(Capability::plus(su_tag)),
+                    })
                 },
                 |_| {},
             )?
-            .ok_or(LaminarError::App("group creation failed".into()))?;
-        self.groups.lock().insert(name.to_string(), group);
+            .ok_or_else(|| LaminarError::App("group creation failed".into()))?;
+        self.groups.lock().insert(name.to_string(), Arc::new(group));
         Ok(())
     }
 
@@ -192,7 +208,7 @@ impl ChatServer {
             .lock()
             .get(name)
             .cloned()
-            .ok_or(LaminarError::App("unknown user".into()))
+            .ok_or_else(|| LaminarError::App("unknown user".into()))
     }
 
     fn group(&self, name: &str) -> LaminarResult<Arc<Group>> {
@@ -200,7 +216,7 @@ impl ChatServer {
             .lock()
             .get(name)
             .cloned()
-            .ok_or(LaminarError::App("unknown group".into()))
+            .ok_or_else(|| LaminarError::App("unknown group".into()))
     }
 
     /// `JOIN`: a registered user adds themself to the member list, after
@@ -224,23 +240,18 @@ impl ChatServer {
         if banned {
             return Ok(CmdOutcome::Denied);
         }
-        let params = RegionParams::new()
-            .integrity(Label::singleton(self.member_tag))
-            .grant(Capability::plus(self.member_tag));
-        let who_owned = who.to_string();
-        let members = Arc::clone(&g.members);
-        match user.principal.secure(
-            &params,
-            move |guard| {
-                members.write(guard, |m| {
-                    m.insert(who_owned.clone());
+        let joined = user.principal.secure(
+            &self.member_region,
+            |guard| {
+                g.members.write(guard, |m| {
+                    if !m.contains(who) {
+                        m.insert(who.to_string());
+                    }
                 })
             },
             |_| {},
-        )? {
-            Some(()) => Ok(CmdOutcome::Ok),
-            None => Ok(CmdOutcome::Denied),
-        }
+        )?;
+        Ok(outcome(joined))
     }
 
     /// `LEAVE`.
@@ -250,23 +261,16 @@ impl ChatServer {
     pub fn leave(&self, who: &str, group: &str) -> LaminarResult<CmdOutcome> {
         let user = self.user(who)?;
         let g = self.group(group)?;
-        let params = RegionParams::new()
-            .integrity(Label::singleton(self.member_tag))
-            .grant(Capability::plus(self.member_tag));
-        let who_owned = who.to_string();
-        let members = Arc::clone(&g.members);
-        match user.principal.secure(
-            &params,
-            move |guard| {
-                members.write(guard, |m| {
-                    m.remove(&who_owned);
+        let left = user.principal.secure(
+            &self.member_region,
+            |guard| {
+                g.members.write(guard, |m| {
+                    m.remove(who);
                 })
             },
             |_| {},
-        )? {
-            Some(()) => Ok(CmdOutcome::Ok),
-            None => Ok(CmdOutcome::Denied),
-        }
+        )?;
+        Ok(outcome(left))
     }
 
     /// `SAY`: members post to the public group log. The log itself is
@@ -278,19 +282,15 @@ impl ChatServer {
     pub fn say(&self, who: &str, group: &str, msg: &str) -> LaminarResult<CmdOutcome> {
         let user = self.user(who)?;
         let g = self.group(group)?;
-        let line = format!("{who}: {msg}");
-        let members = Arc::clone(&g.members);
-        let log = Arc::clone(&g.log);
-        let who_owned = who.to_string();
         let allowed = user
             .principal
             .secure(
                 &RegionParams::new(),
-                move |guard| {
-                    let is_member = members.read(guard, |m| m.contains(&who_owned))?;
+                |guard| {
+                    let is_member = g.members.read(guard, |m| m.contains(who))?;
                     if is_member {
                         // Dynamic barrier: context discovered at run time.
-                        log.write_dyn(|l| l.push(line.clone()))?;
+                        g.log.write_dyn(|l| l.push(format!("{who}: {msg}")))?;
                     }
                     Ok(is_member)
                 },
@@ -310,26 +310,15 @@ impl ChatServer {
     pub fn ban(&self, who: &str, group: &str, victim: &str) -> LaminarResult<CmdOutcome> {
         let user = self.user(who)?;
         let g = self.group(group)?;
-        let params = RegionParams::new()
-            .integrity(Label::from_tags([self.vip_tag, g.su_tag]))
-            .grant(Capability::plus(self.vip_tag))
-            .grant(Capability::plus(g.su_tag));
-        let banlist = Arc::clone(&g.banlist);
-        let victim_owned = victim.to_string();
-        match user.principal.secure(
-            &params,
-            move |guard| {
-                banlist.write(guard, |b| {
-                    b.insert(victim_owned.clone());
+        gated(user.principal.secure(
+            &g.ban_region,
+            |guard| {
+                g.banlist.write(guard, |b| {
+                    b.insert(victim.to_string());
                 })
             },
             |_| {},
-        ) {
-            Ok(Some(())) => Ok(CmdOutcome::Ok),
-            Ok(None) => Ok(CmdOutcome::Denied),
-            Err(LaminarError::RegionEntry(_)) => Ok(CmdOutcome::Denied),
-            Err(e) => Err(e),
-        }
+        ))
     }
 
     /// `UNBAN`: same protection as `BAN`.
@@ -344,26 +333,15 @@ impl ChatServer {
     ) -> LaminarResult<CmdOutcome> {
         let user = self.user(who)?;
         let g = self.group(group)?;
-        let params = RegionParams::new()
-            .integrity(Label::from_tags([self.vip_tag, g.su_tag]))
-            .grant(Capability::plus(self.vip_tag))
-            .grant(Capability::plus(g.su_tag));
-        let banlist = Arc::clone(&g.banlist);
-        let victim_owned = victim.to_string();
-        match user.principal.secure(
-            &params,
-            move |guard| {
-                banlist.write(guard, |b| {
-                    b.remove(&victim_owned);
+        gated(user.principal.secure(
+            &g.ban_region,
+            |guard| {
+                g.banlist.write(guard, |b| {
+                    b.remove(victim);
                 })
             },
             |_| {},
-        ) {
-            Ok(Some(())) => Ok(CmdOutcome::Ok),
-            Ok(None) => Ok(CmdOutcome::Denied),
-            Err(LaminarError::RegionEntry(_)) => Ok(CmdOutcome::Denied),
-            Err(e) => Err(e),
-        }
+        ))
     }
 
     /// `KICK`: superuser-only membership removal.
@@ -378,26 +356,15 @@ impl ChatServer {
     ) -> LaminarResult<CmdOutcome> {
         let user = self.user(who)?;
         let g = self.group(group)?;
-        let params = RegionParams::new()
-            .integrity(Label::from_tags([self.member_tag, g.su_tag]))
-            .grant(Capability::plus(self.member_tag))
-            .grant(Capability::plus(g.su_tag));
-        let members = Arc::clone(&g.members);
-        let victim_owned = victim.to_string();
-        match user.principal.secure(
-            &params,
-            move |guard| {
-                members.write(guard, |m| {
-                    m.remove(&victim_owned);
+        gated(user.principal.secure(
+            &g.kick_region,
+            |guard| {
+                g.members.write(guard, |m| {
+                    m.remove(victim);
                 })
             },
             |_| {},
-        ) {
-            Ok(Some(())) => Ok(CmdOutcome::Ok),
-            Ok(None) => Ok(CmdOutcome::Denied),
-            Err(LaminarError::RegionEntry(_)) => Ok(CmdOutcome::Denied),
-            Err(e) => Err(e),
-        }
+        ))
     }
 
     /// `THEME`: superuser-only.
@@ -412,21 +379,11 @@ impl ChatServer {
     ) -> LaminarResult<CmdOutcome> {
         let user = self.user(who)?;
         let g = self.group(group)?;
-        let params = RegionParams::new()
-            .integrity(Label::singleton(g.su_tag))
-            .grant(Capability::plus(g.su_tag));
-        let cell = Arc::clone(&g.theme);
-        let theme_owned = theme.to_string();
-        match user.principal.secure(
-            &params,
-            move |guard| cell.write(guard, |t| *t = theme_owned.clone()),
+        gated(user.principal.secure(
+            &g.theme_region,
+            |guard| g.theme.write(guard, |t| theme.clone_into(t)),
             |_| {},
-        ) {
-            Ok(Some(())) => Ok(CmdOutcome::Ok),
-            Ok(None) => Ok(CmdOutcome::Denied),
-            Err(LaminarError::RegionEntry(_)) => Ok(CmdOutcome::Denied),
-            Err(e) => Err(e),
-        }
+        ))
     }
 
     /// `WHOIS`: public role info.
@@ -473,7 +430,7 @@ impl ChatServer {
                 |guard| g.theme.read(guard, Clone::clone),
                 |_| {},
             )?
-            .ok_or(LaminarError::App("theme read suppressed".into()))
+            .ok_or_else(|| LaminarError::App("theme read suppressed".into()))
     }
 
     /// `MSG`: a private message — written *up* into the recipient's
@@ -484,16 +441,12 @@ impl ChatServer {
     pub fn msg(&self, from: &str, to: &str, text: &str) -> LaminarResult<CmdOutcome> {
         let sender = self.user(from)?;
         let recipient = self.user(to)?;
-        let inbox = Arc::clone(&recipient.inbox);
-        let line = format!("{from}: {text}");
-        match sender.principal.secure(
+        let sent = sender.principal.secure(
             &RegionParams::new(),
-            move |guard| inbox.write(guard, |i| i.push(line.clone())),
+            |guard| recipient.inbox.write(guard, |i| i.push(format!("{from}: {text}"))),
             |_| {},
-        )? {
-            Some(()) => Ok(CmdOutcome::Ok),
-            None => Ok(CmdOutcome::Denied),
-        }
+        )?;
+        Ok(outcome(sent))
     }
 
     /// `INBOX`: the recipient reads (and thereby declassifies for their
@@ -507,10 +460,9 @@ impl ChatServer {
             .secrecy(Label::singleton(user.tag))
             .grant(Capability::plus(user.tag))
             .grant(Capability::minus(user.tag));
-        let inbox = Arc::clone(&user.inbox);
         user.principal
-            .secure(&params, move |g| inbox.read(g, Clone::clone), |_| {})?
-            .ok_or(LaminarError::App("inbox read suppressed".into()))
+            .secure(&params, |g| user.inbox.read(g, Clone::clone), |_| {})?
+            .ok_or_else(|| LaminarError::App("inbox read suppressed".into()))
     }
 
     /// Server maintenance: log length, read *outside* any region via the
@@ -567,6 +519,23 @@ impl ChatServer {
             ok += 1;
         }
         Ok(ok)
+    }
+}
+
+/// The verdict of a command region that ran: refused if its body raised.
+fn outcome(ran: Option<()>) -> CmdOutcome {
+    match ran {
+        Some(()) => CmdOutcome::Ok,
+        None => CmdOutcome::Denied,
+    }
+}
+
+/// The verdict of a role-gated command region, whose entry check refuses
+/// users without the role's capabilities.
+fn gated(ran: LaminarResult<Option<()>>) -> LaminarResult<CmdOutcome> {
+    match ran {
+        Err(LaminarError::RegionEntry(_)) => Ok(CmdOutcome::Denied),
+        ran => ran.map(outcome),
     }
 }
 

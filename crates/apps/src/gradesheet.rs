@@ -95,7 +95,7 @@ impl GradeSheet {
                     .grant(Capability::plus(projects[j]));
                 let cell = professor
                     .secure(&params, |g| Ok(Arc::new(g.new_labeled(0i64))), |_| {})?
-                    .ok_or(LaminarError::App("cell allocation failed".into()))?;
+                    .ok_or_else(|| LaminarError::App("cell allocation failed".into()))?;
                 row.push(cell);
             }
             cells.push(row);
@@ -175,7 +175,7 @@ impl GradeSheet {
         let cell = &self.cells[i][j];
         self.professor
             .secure(params, |g| cell.write(g, |c| *c = v), |_| {})?
-            .ok_or(LaminarError::App("professor write suppressed".into()))
+            .ok_or_else(|| LaminarError::App("professor write suppressed".into()))
     }
 
     /// TA `ta` sets student `i`'s grade on project `j`. Succeeds only for
@@ -189,7 +189,7 @@ impl GradeSheet {
         let cell = &self.cells[i][j];
         self.tas[ta]
             .secure(params, |g| cell.write(g, |c| *c = v), |_| {})?
-            .ok_or(LaminarError::App("ta write suppressed".into()))
+            .ok_or_else(|| LaminarError::App("ta write suppressed".into()))
     }
 
     /// TA `ta` reads student `i`'s grade on any project (TAs hold every
@@ -206,7 +206,7 @@ impl GradeSheet {
         // sanitised presence check instead of the raw mark.
         let seen = self.tas[ta]
             .secure(params, |g| cell.read(g, |c| *c >= 0), |_| {})?
-            .ok_or(LaminarError::App("ta read suppressed".into()))?;
+            .ok_or_else(|| LaminarError::App("ta read suppressed".into()))?;
         Ok(i64::from(seen))
     }
 
@@ -232,7 +232,7 @@ impl GradeSheet {
                 },
                 |_| {},
             )?
-            .ok_or(LaminarError::App("student read suppressed".into()))
+            .ok_or_else(|| LaminarError::App("student read suppressed".into()))
     }
 
     /// Student `who` attempts to read student `victim`'s grade. Always
@@ -289,7 +289,7 @@ impl GradeSheet {
                 },
                 |_| {},
             )?
-            .ok_or(LaminarError::App("average suppressed".into()))
+            .ok_or_else(|| LaminarError::App("average suppressed".into()))
     }
 
     /// Renders the Table 4 policy for the current sizes.

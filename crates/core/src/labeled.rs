@@ -69,10 +69,10 @@ impl<T> Labeled<T> {
         f: impl FnOnce(&T) -> R,
     ) -> LaminarResult<R> {
         {
-            let st = guard.state().lock();
+            let mut st = guard.state().lock();
             self.labels.can_flow_to(&st.labels)?;
+            st.stats.labeled_reads += 1;
         }
-        guard.stats_handle().lock().labeled_reads += 1;
         Ok(f(&self.cell.read()))
     }
 
@@ -87,10 +87,10 @@ impl<T> Labeled<T> {
         f: impl FnOnce(&mut T) -> R,
     ) -> LaminarResult<R> {
         {
-            let st = guard.state().lock();
+            let mut st = guard.state().lock();
             st.labels.can_flow_to(&self.labels)?;
+            st.stats.labeled_writes += 1;
         }
-        guard.stats_handle().lock().labeled_writes += 1;
         Ok(f(&mut self.cell.write()))
     }
 
@@ -103,15 +103,15 @@ impl<T> Labeled<T> {
     /// [`LaminarError::Flow`] on an illegal flow.
     pub fn read_dyn<R>(&self, f: impl FnOnce(&T) -> R) -> LaminarResult<R> {
         with_dynamic_ctx(|ctx| match ctx {
-            Some((state, stats)) => {
+            Some(state) => {
                 {
-                    let mut s = stats.lock();
-                    s.dynamic_dispatches += 1;
-                    s.labeled_reads += 1;
+                    // A dynamic barrier counts before its flow check: a
+                    // denied access still paid for the context lookup.
+                    let mut st = state.lock();
+                    st.stats.dynamic_dispatches += 1;
+                    st.stats.labeled_reads += 1;
+                    self.labels.can_flow_to(&st.labels)?;
                 }
-                let st = state.lock();
-                self.labels.can_flow_to(&st.labels)?;
-                drop(st);
                 Ok(f(&self.cell.read()))
             }
             None => {
@@ -130,15 +130,13 @@ impl<T> Labeled<T> {
     /// As [`Labeled::read_dyn`].
     pub fn write_dyn<R>(&self, f: impl FnOnce(&mut T) -> R) -> LaminarResult<R> {
         with_dynamic_ctx(|ctx| match ctx {
-            Some((state, stats)) => {
+            Some(state) => {
                 {
-                    let mut s = stats.lock();
-                    s.dynamic_dispatches += 1;
-                    s.labeled_writes += 1;
+                    let mut st = state.lock();
+                    st.stats.dynamic_dispatches += 1;
+                    st.stats.labeled_writes += 1;
+                    st.labels.can_flow_to(&self.labels)?;
                 }
-                let st = state.lock();
-                st.labels.can_flow_to(&self.labels)?;
-                drop(st);
                 Ok(f(&mut self.cell.write()))
             }
             None => {

@@ -44,6 +44,9 @@ struct Frame {
 /// VM-level thread state (the paper's per-thread label/capability cache,
 /// §5.1 "The JVM then caches a copy of the current capabilities of each
 /// thread to make the checks efficient inside the security region").
+///
+/// The principal's counters live here too, so that a region entry or
+/// exit and every barrier check and count under one lock.
 #[derive(Debug)]
 pub(crate) struct ThreadState {
     pub(crate) labels: SecPair,
@@ -51,6 +54,7 @@ pub(crate) struct ThreadState {
     frames: Vec<Frame>,
     /// Kernel task currently carries `labels` (lazy sync, §4.4).
     synced: bool,
+    pub(crate) stats: RuntimeStats,
 }
 
 impl ThreadState {
@@ -60,6 +64,7 @@ impl ThreadState {
             caps,
             frames: Vec::new(),
             synced: false,
+            stats: RuntimeStats::default(),
         }
     }
 
@@ -69,25 +74,19 @@ impl ThreadState {
     }
 }
 
-/// The per-region dynamic-barrier context: the owning principal's thread
-/// state plus its stats sink.
-type RegionCtx = (Arc<Mutex<ThreadState>>, Arc<Mutex<RuntimeStats>>);
-
 thread_local! {
-    /// Stack of (state, stats) for principals whose regions are active on
-    /// this OS thread — the lookup table for *dynamic barriers*
+    /// Thread states of the principals whose regions are active on this
+    /// OS thread — the lookup table for *dynamic barriers*
     /// ([`Labeled::read_dyn`]), which must discover the region context at
     /// run time exactly like the paper's dynamic-barrier configuration.
-    static REGION_CTX: RefCell<Vec<RegionCtx>> = const { RefCell::new(Vec::new()) };
+    static REGION_CTX: RefCell<Vec<Arc<Mutex<ThreadState>>>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 pub(crate) fn with_dynamic_ctx<R>(
-    f: impl FnOnce(Option<(&Arc<Mutex<ThreadState>>, &Arc<Mutex<RuntimeStats>>)>) -> R,
+    f: impl FnOnce(Option<&Arc<Mutex<ThreadState>>>) -> R,
 ) -> R {
-    REGION_CTX.with(|ctx| {
-        let ctx = ctx.borrow();
-        f(ctx.last().map(|(s, t)| (s, t)))
-    })
+    REGION_CTX.with(|ctx| f(ctx.borrow().last()))
 }
 
 /// The parameters of a security region: labels and the capability subset
@@ -200,17 +199,11 @@ pub struct Principal {
     task: TaskHandle,
     rt: Arc<ProcessRt>,
     state: Arc<Mutex<ThreadState>>,
-    stats: Arc<Mutex<RuntimeStats>>,
 }
 
 impl Principal {
-    pub(crate) fn new(
-        task: TaskHandle,
-        rt: Arc<ProcessRt>,
-        state: Arc<Mutex<ThreadState>>,
-        stats: Arc<Mutex<RuntimeStats>>,
-    ) -> Self {
-        Principal { task, rt, state, stats }
+    pub(crate) fn new(task: TaskHandle, rt: Arc<ProcessRt>, caps: CapSet) -> Self {
+        Principal { task, rt, state: Arc::new(Mutex::new(ThreadState::new(caps))) }
     }
 
     /// The underlying kernel task (for direct OS syscalls outside
@@ -250,12 +243,12 @@ impl Principal {
     /// Runtime statistics accumulated by this principal.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
-        self.stats.lock().clone()
+        self.state.lock().stats.clone()
     }
 
     /// Resets the statistics.
     pub fn reset_stats(&self) {
-        *self.stats.lock() = RuntimeStats::default();
+        self.state.lock().stats = RuntimeStats::default();
     }
 
     /// Allocates a fresh tag, granting this principal both capabilities
@@ -270,7 +263,7 @@ impl Principal {
         for f in &mut st.frames {
             f.saved_caps.grant_both(tag);
         }
-        self.stats.lock().caps_created += 1;
+        st.stats.caps_created += 1;
         Ok(tag)
     }
 
@@ -317,30 +310,35 @@ impl Principal {
         }
         let effective = caps.unwrap_or_else(|| self.current_caps());
         let task = self.task.spawn_thread(Some(effective.clone()))?;
-        Ok(Principal::new(
-            task,
-            Arc::clone(&self.rt),
-            Arc::new(Mutex::new(ThreadState::new(effective))),
-            Arc::new(Mutex::new(RuntimeStats::default())),
-        ))
+        Ok(Principal::new(task, Arc::clone(&self.rt), effective))
     }
 
     // --- security regions ---------------------------------------------------
 
-    fn enter_region(&self, params: &RegionParams) -> LaminarResult<()> {
+    /// Enters a region: decides whether it is the outermost one, checks
+    /// the §4.3.2 entry rules, saves the thread's context and counts the
+    /// entry, all under one lock.
+    fn enter_region(&self, params: &RegionParams) -> LaminarResult<bool> {
         let mut st = self.state.lock();
+        let outermost = !st.in_region();
         check_region_entry(&st.labels, &st.caps, params)?;
         let saved_labels = std::mem::replace(&mut st.labels, params.pair());
         let saved_caps = std::mem::replace(&mut st.caps, params.caps.clone());
         st.frames.push(Frame { saved_labels, saved_caps, suspended: CapSet::new() });
         st.synced = false;
-        drop(st);
-        self.stats.lock().regions_entered += 1;
-        Ok(())
+        st.stats.regions_entered += 1;
+        Ok(outermost)
     }
 
-    fn exit_region(&self) -> LaminarResult<()> {
+    /// Leaves the innermost region, adding the exceptions it suppressed
+    /// and, for the outermost region, the time since `started`.
+    fn exit_region(
+        &self,
+        suppressed: u64,
+        started: Option<Instant>,
+    ) -> LaminarResult<()> {
         let mut st = self.state.lock();
+        st.stats.exceptions_suppressed += suppressed;
         // An exit with no matching entry is an internal invariant break;
         // surface it fail-closed instead of unwinding with the lock held.
         let frame =
@@ -351,7 +349,7 @@ impl Principal {
             // lack the minus capabilities (§4.4).
             self.rt.vm_task.set_task_labels_tcb(self.task.id(), SecPair::unlabeled())?;
         } else if !st.labels.is_unlabeled() {
-            self.stats.lock().os_syncs_elided += 1;
+            st.stats.os_syncs_elided += 1;
         }
         st.synced = false;
         if !frame.suspended.is_empty() {
@@ -360,6 +358,9 @@ impl Principal {
         }
         st.labels = frame.saved_labels;
         st.caps = frame.saved_caps;
+        if let Some(started) = started {
+            st.stats.region_ns += started.elapsed().as_nanos() as u64;
+        }
         Ok(())
     }
 
@@ -393,8 +394,7 @@ impl Principal {
             self.rt.vm_task.set_task_labels_tcb(self.task.id(), st.labels.clone())?;
         }
         st.synced = true;
-        drop(st);
-        self.stats.lock().os_syncs += 1;
+        st.stats.os_syncs += 1;
         Ok(())
     }
 
@@ -428,38 +428,28 @@ impl Principal {
         // body, catch, and exit restoration — matching how Table 3's
         // "% of time in security regions" is accounted. Only the
         // outermost region accounts, so nesting is not double-counted.
-        let outermost = !self.in_region();
         let started = Instant::now();
-        self.enter_region(params)?;
-        REGION_CTX.with(|ctx| {
-            ctx.borrow_mut().push((Arc::clone(&self.state), Arc::clone(&self.stats)))
-        });
+        let outermost = self.enter_region(params)?;
+        REGION_CTX.with(|ctx| ctx.borrow_mut().push(Arc::clone(&self.state)));
 
         let guard = RegionGuard { principal: self };
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&guard)));
 
-        let result = match outcome {
-            Ok(Ok(v)) => Some(v),
+        let (result, suppressed) = match outcome {
+            Ok(Ok(v)) => (Some(v), 0),
             Ok(Err(_)) | Err(_) => {
-                self.stats.lock().exceptions_suppressed += 1;
                 // The catch block runs with the region's labels and the
                 // capability set at exception time; its own exceptions
                 // are suppressed too.
                 let catch_outcome = catch_unwind(AssertUnwindSafe(|| catch(&guard)));
-                if catch_outcome.is_err() {
-                    self.stats.lock().exceptions_suppressed += 1;
-                }
-                None
+                (None, if catch_outcome.is_err() { 2 } else { 1 })
             }
         };
 
         REGION_CTX.with(|ctx| {
             ctx.borrow_mut().pop();
         });
-        self.exit_region()?;
-        if outermost {
-            self.stats.lock().region_ns += started.elapsed().as_nanos() as u64;
-        }
+        self.exit_region(suppressed, outermost.then_some(started))?;
         Ok(result)
     }
 }
@@ -475,10 +465,6 @@ pub struct RegionGuard<'p> {
 impl RegionGuard<'_> {
     pub(crate) fn state(&self) -> &Arc<Mutex<ThreadState>> {
         &self.principal.state
-    }
-
-    pub(crate) fn stats_handle(&self) -> &Arc<Mutex<RuntimeStats>> {
-        &self.principal.stats
     }
 
     /// `getCurrentLabel` (Fig. 2): the region's secrecy or integrity
@@ -547,8 +533,11 @@ impl RegionGuard<'_> {
     /// (§4.5: objects allocated in a region take the region's labels).
     #[must_use]
     pub fn new_labeled<T>(&self, value: T) -> Labeled<T> {
-        self.principal.stats.lock().labeled_allocs += 1;
-        Labeled::with_labels_unchecked(value, self.current_labels())
+        let mut st = self.principal.state.lock();
+        st.stats.labeled_allocs += 1;
+        let labels = st.labels.clone();
+        drop(st);
+        Labeled::with_labels_unchecked(value, labels)
     }
 
     /// Allocates a labeled cell with explicit alternate labels, which
@@ -562,10 +551,10 @@ impl RegionGuard<'_> {
         value: T,
         labels: SecPair,
     ) -> LaminarResult<Labeled<T>> {
-        let st = self.principal.state.lock();
+        let mut st = self.principal.state.lock();
         st.labels.can_flow_to(&labels)?;
+        st.stats.labeled_allocs += 1;
         drop(st);
-        self.principal.stats.lock().labeled_allocs += 1;
         Ok(Labeled::with_labels_unchecked(value, labels))
     }
 
@@ -581,13 +570,11 @@ impl RegionGuard<'_> {
         source: &Labeled<T>,
         labels: SecPair,
     ) -> LaminarResult<Labeled<T>> {
-        let st = self.principal.state.lock();
+        let mut st = self.principal.state.lock();
         laminar_difc::check_pair_change(source.labels(), &labels, &st.caps)?;
+        st.stats.copies += 1;
+        st.stats.labeled_allocs += 1;
         drop(st);
-        let mut stats = self.principal.stats.lock();
-        stats.copies += 1;
-        stats.labeled_allocs += 1;
-        drop(stats);
         Ok(Labeled::with_labels_unchecked(source.clone_value(), labels))
     }
 

@@ -9,11 +9,9 @@
 //! checks (§4.4).
 
 use crate::error::{LaminarError, LaminarResult};
-use crate::principal::{Principal, ProcessRt, ThreadState};
-use crate::stats::RuntimeStats;
+use crate::principal::{Principal, ProcessRt};
 use laminar_difc::{CapSet, Capability, Label, LabelType, SecPair};
 use laminar_os::{Kernel, LaminarModule, TaskHandle, UserId};
-use laminar_util::sync::Mutex;
 use std::sync::Arc;
 
 /// The top-level Laminar system: a booted kernel plus login services.
@@ -102,12 +100,7 @@ impl Laminar {
         task.drop_capabilities(&[Capability::plus(tcb), Capability::minus(tcb)])?;
 
         let caps = task.current_caps()?;
-        Ok(Principal::new(
-            task,
-            Arc::new(ProcessRt { vm_task }),
-            Arc::new(Mutex::new(ThreadState::new(caps))),
-            Arc::new(Mutex::new(RuntimeStats::default())),
-        ))
+        Ok(Principal::new(task, Arc::new(ProcessRt { vm_task }), caps))
     }
 
     /// Logs a user in as a plain (non-VM) process: a bare kernel task

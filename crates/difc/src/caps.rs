@@ -9,7 +9,6 @@
 
 use crate::label::Label;
 use crate::tag::Tag;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Which half of a tag's capability pair: plus (add) or minus (remove).
@@ -79,6 +78,12 @@ impl fmt::Display for Capability {
 /// scoped suspension in security regions) are implemented by the OS and
 /// runtime crates on top of this type.
 ///
+/// Each half is a [`Label`]: a shared sorted tag slice. Cloning a set
+/// is at most two reference-count increments and the empty set holds no
+/// allocation, so a security region can save and swap capability sets
+/// without touching the heap. Granting or revoking copies the half it
+/// changes.
+///
 /// # Examples
 ///
 /// ```
@@ -93,8 +98,8 @@ impl fmt::Display for Capability {
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CapSet {
-    plus: BTreeSet<Tag>,
-    minus: BTreeSet<Tag>,
+    plus: Label,
+    minus: Label,
 }
 
 impl CapSet {
@@ -104,36 +109,49 @@ impl CapSet {
         CapSet::default()
     }
 
-    /// Builds a capability set from individual capabilities.
+    /// Builds a capability set from individual capabilities, sorting
+    /// each half once.
     #[must_use]
     pub fn from_caps<I: IntoIterator<Item = Capability>>(caps: I) -> Self {
-        let mut set = CapSet::new();
+        let (mut plus, mut minus) = (Vec::new(), Vec::new());
         for c in caps {
-            set.grant(c);
+            match c.kind() {
+                CapKind::Plus => plus.push(c.tag()),
+                CapKind::Minus => minus.push(c.tag()),
+            }
         }
-        set
+        CapSet { plus: Label::from_tags(plus), minus: Label::from_tags(minus) }
+    }
+
+    fn half_mut(&mut self, kind: CapKind) -> &mut Label {
+        match kind {
+            CapKind::Plus => &mut self.plus,
+            CapKind::Minus => &mut self.minus,
+        }
     }
 
     /// Grants both `t+` and `t-` for a tag, as `alloc_tag` does for the
     /// allocating principal (Fig. 3).
     pub fn grant_both(&mut self, tag: Tag) {
-        self.plus.insert(tag);
-        self.minus.insert(tag);
+        self.grant(Capability::plus(tag));
+        self.grant(Capability::minus(tag));
     }
 
     /// Grants a single capability. Idempotent.
     pub fn grant(&mut self, cap: Capability) {
-        match cap.kind() {
-            CapKind::Plus => self.plus.insert(cap.tag()),
-            CapKind::Minus => self.minus.insert(cap.tag()),
-        };
+        let half = self.half_mut(cap.kind());
+        *half = half.with_tag(cap.tag());
     }
 
     /// Revokes a single capability; returns `true` if it was held.
     pub fn revoke(&mut self, cap: Capability) -> bool {
-        match cap.kind() {
-            CapKind::Plus => self.plus.remove(&cap.tag()),
-            CapKind::Minus => self.minus.remove(&cap.tag()),
+        let half = self.half_mut(cap.kind());
+        match half.without_tag(cap.tag()) {
+            Some(rest) => {
+                *half = rest;
+                true
+            }
+            None => false,
         }
     }
 
@@ -141,45 +159,45 @@ impl CapSet {
     #[must_use]
     pub fn has(&self, cap: Capability) -> bool {
         match cap.kind() {
-            CapKind::Plus => self.plus.contains(&cap.tag()),
-            CapKind::Minus => self.minus.contains(&cap.tag()),
+            CapKind::Plus => self.can_add(cap.tag()),
+            CapKind::Minus => self.can_remove(cap.tag()),
         }
     }
 
     /// `t ∈ Cp+`: may the principal add (classify/endorse) `tag`?
     #[must_use]
     pub fn can_add(&self, tag: Tag) -> bool {
-        self.plus.contains(&tag)
+        self.plus.contains(tag)
     }
 
     /// `t ∈ Cp-`: may the principal remove (declassify) `tag`?
     #[must_use]
     pub fn can_remove(&self, tag: Tag) -> bool {
-        self.minus.contains(&tag)
+        self.minus.contains(tag)
     }
 
     /// May the principal add every tag in `label`?
     #[must_use]
     pub fn can_add_all(&self, label: &Label) -> bool {
-        label.iter().all(|t| self.can_add(t))
+        label.is_subset_of(&self.plus)
     }
 
     /// May the principal remove every tag in `label`?
     #[must_use]
     pub fn can_remove_all(&self, label: &Label) -> bool {
-        label.iter().all(|t| self.can_remove(t))
+        label.is_subset_of(&self.minus)
     }
 
     /// The set `Cp+` as a label (the tags the principal may add).
     #[must_use]
     pub fn plus_label(&self) -> Label {
-        Label::from_tags(self.plus.iter().copied())
+        self.plus.clone()
     }
 
     /// The set `Cp-` as a label (the tags the principal may remove).
     #[must_use]
     pub fn minus_label(&self) -> Label {
-        Label::from_tags(self.minus.iter().copied())
+        self.minus.clone()
     }
 
     /// Subset test on capability sets: `self ⊆ other` componentwise.
@@ -188,24 +206,25 @@ impl CapSet {
     /// inheritance rule both reduce to this check.
     #[must_use]
     pub fn is_subset_of(&self, other: &CapSet) -> bool {
-        self.plus.is_subset(&other.plus) && self.minus.is_subset(&other.minus)
+        self.plus.is_subset_of(&other.plus) && self.minus.is_subset_of(&other.minus)
     }
 
     /// Componentwise union, returning a new set.
     #[must_use]
     pub fn union(&self, other: &CapSet) -> CapSet {
         CapSet {
-            plus: self.plus.union(&other.plus).copied().collect(),
-            minus: self.minus.union(&other.minus).copied().collect(),
+            plus: self.plus.union(&other.plus),
+            minus: self.minus.union(&other.minus),
         }
     }
 
-    /// Iterates over every capability held.
+    /// Iterates over every capability held: the plus half, then the
+    /// minus half, each in ascending tag order.
     pub fn iter(&self) -> impl Iterator<Item = Capability> + '_ {
         self.plus
             .iter()
-            .map(|&t| Capability::plus(t))
-            .chain(self.minus.iter().map(|&t| Capability::minus(t)))
+            .map(Capability::plus)
+            .chain(self.minus.iter().map(Capability::minus))
     }
 
     /// True if no capabilities are held.
@@ -229,9 +248,7 @@ impl FromIterator<Capability> for CapSet {
 
 impl Extend<Capability> for CapSet {
     fn extend<I: IntoIterator<Item = Capability>>(&mut self, iter: I) {
-        for c in iter {
-            self.grant(c);
-        }
+        *self = self.union(&CapSet::from_caps(iter));
     }
 }
 

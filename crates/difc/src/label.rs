@@ -191,6 +191,31 @@ impl Label {
         Label::from_sorted(v)
     }
 
+    /// This label with `tag` added; a clone when `tag` is already in.
+    pub(crate) fn with_tag(&self, tag: Tag) -> Label {
+        let s = self.as_slice();
+        match s.binary_search(&tag) {
+            Ok(_) => self.clone(),
+            Err(at) => {
+                let mut v = Vec::with_capacity(s.len() + 1);
+                v.extend_from_slice(&s[..at]);
+                v.push(tag);
+                v.extend_from_slice(&s[at..]);
+                Label::from_sorted(v)
+            }
+        }
+    }
+
+    /// This label with `tag` taken out, or `None` when `tag` is not in it.
+    pub(crate) fn without_tag(&self, tag: Tag) -> Option<Label> {
+        let s = self.as_slice();
+        let at = s.binary_search(&tag).ok()?;
+        let mut v = Vec::with_capacity(s.len() - 1);
+        v.extend_from_slice(&s[..at]);
+        v.extend_from_slice(&s[at + 1..]);
+        Some(Label::from_sorted(v))
+    }
+
     /// Iterates over the tags in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Tag> + '_ {
         self.as_slice().iter().copied()

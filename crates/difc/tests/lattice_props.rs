@@ -10,9 +10,12 @@
 //! enforcement point calls to a naive subset oracle, and label and pair
 //! equality, hashing and fingerprints to the tag sets they stand for.
 
-use laminar_difc::{check_label_change, CapSet, Capability, Label, SecPair, Tag};
+use laminar_difc::{
+    check_label_change, CapKind, CapSet, Capability, Label, SecPair, Tag,
+};
 use laminar_util::SplitMix64;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 /// Cases per property; the tag universe is small (1..12) so interesting
@@ -298,5 +301,95 @@ fn equality_and_hash_follow_tag_sets() {
         let reversed = SecPair::new(c, a);
         assert_ne!(p, reversed);
         assert_ne!(p.fingerprint(), reversed.fingerprint());
+    }
+}
+
+/// A capability set as the plain set of `(is_minus, tag)` pairs: its
+/// order — every plus capability, then every minus one, each by tag — is
+/// the order `CapSet::iter` promises.
+type CapModel = BTreeSet<(bool, Tag)>;
+
+fn cap_of(&(minus, tag): &(bool, Tag)) -> Capability {
+    if minus {
+        Capability::minus(tag)
+    } else {
+        Capability::plus(tag)
+    }
+}
+
+fn model_key(c: Capability) -> (bool, Tag) {
+    (c.kind() == CapKind::Minus, c.tag())
+}
+
+fn random_cap(rng: &mut SplitMix64) -> Capability {
+    cap_of(&(rng.gen_bool(), Tag::from_raw(1 + rng.below(11))))
+}
+
+/// A random capability set built by `from_caps`, with its model.
+fn random_modeled_capset(rng: &mut SplitMix64) -> (CapSet, CapModel) {
+    let caps: Vec<Capability> =
+        (0..rng.gen_range(0..8)).map(|_| random_cap(rng)).collect();
+    let model = caps.iter().copied().map(model_key).collect();
+    (CapSet::from_caps(caps), model)
+}
+
+/// Compares every query of `caps` with the model's answer.
+fn assert_matches_model(caps: &CapSet, model: &CapModel, rng: &mut SplitMix64) {
+    for raw in 1..=12 {
+        let t = Tag::from_raw(raw);
+        let (plus, minus) = (model.contains(&(false, t)), model.contains(&(true, t)));
+        assert_eq!(caps.has(Capability::plus(t)), plus);
+        assert_eq!(caps.has(Capability::minus(t)), minus);
+        assert_eq!(caps.can_add(t), plus);
+        assert_eq!(caps.can_remove(t), minus);
+    }
+    let l = random_label(rng);
+    assert_eq!(caps.can_add_all(&l), l.iter().all(|t| model.contains(&(false, t))));
+    assert_eq!(caps.can_remove_all(&l), l.iter().all(|t| model.contains(&(true, t))));
+    let want: Vec<Capability> = model.iter().map(cap_of).collect();
+    assert_eq!(caps.iter().collect::<Vec<_>>(), want);
+    assert_eq!(caps.len(), model.len());
+    assert_eq!(caps.is_empty(), model.is_empty());
+    let shown: Vec<String> = want.iter().map(ToString::to_string).collect();
+    assert_eq!(format!("{caps:?}"), format!("C({})", shown.join(",")));
+    let plus: Vec<Tag> = model.iter().filter(|(m, _)| !m).map(|&(_, t)| t).collect();
+    assert_eq!(caps.plus_label().as_slice(), plus.as_slice());
+
+    let (other, other_model) = random_modeled_capset(rng);
+    assert_eq!(caps.is_subset_of(&other), model.is_subset(&other_model));
+    assert_eq!(other.is_subset_of(caps), other_model.is_subset(model));
+    assert_eq!(*caps == other, *model == other_model);
+    let union: Vec<Capability> = model.union(&other_model).map(cap_of).collect();
+    assert_eq!(caps.union(&other).iter().collect::<Vec<_>>(), union);
+    assert_eq!(*caps, CapSet::from_caps(want.iter().rev().copied()));
+}
+
+#[test]
+fn capset_grant_revoke_sequences_match_a_set_model() {
+    let mut rng = SplitMix64::new(0xCA95);
+    for _ in 0..5_000 {
+        let (mut caps, mut model) = random_modeled_capset(&mut rng);
+        assert_matches_model(&caps, &model, &mut rng);
+        for _ in 0..rng.gen_range(1..10) {
+            let c = random_cap(&mut rng);
+            match rng.below(4) {
+                0 => {
+                    caps.grant(c);
+                    model.insert(model_key(c));
+                }
+                1 => assert_eq!(caps.revoke(c), model.remove(&model_key(c))),
+                2 => {
+                    caps.grant_both(c.tag());
+                    model.insert((false, c.tag()));
+                    model.insert((true, c.tag()));
+                }
+                _ => {
+                    let more = [c, random_cap(&mut rng)];
+                    caps.extend(more);
+                    model.extend(more.map(model_key));
+                }
+            }
+            assert_matches_model(&caps, &model, &mut rng);
+        }
     }
 }

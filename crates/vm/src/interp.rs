@@ -480,14 +480,13 @@ impl Vm {
             .get(spec_id.0 as usize)
             .ok_or(VmError::Malformed("unknown region spec"))?;
         let pair = self.pair_from_spec(spec.pair)?;
-        let mut rcaps = CapSet::new();
-        for &(ti, kind) in &spec.caps {
+        let rcaps = CapSet::from_caps(spec.caps.iter().map(|&(ti, kind)| {
             let tag = self.tags[ti as usize];
-            rcaps.grant(match kind {
+            match kind {
                 CapKind::Plus => Capability::plus(tag),
                 CapKind::Minus => Capability::minus(tag),
-            });
-        }
+            }
+        }));
         // Rule (1) of §4.3.2: SR ⊆ (Cp+ ∪ SP) and IR ⊆ (Cp+ ∪ IP).
         for t in pair.secrecy().iter() {
             if !self.caps.can_add(t) && !self.labels.secrecy().contains(t) {

@@ -3,10 +3,11 @@
 //! APIs, lazy VM→OS label sync, and multithreaded principals with
 //! heterogeneous labels.
 
-use laminar::{Labeled, Laminar, LaminarError, Principal, RegionParams};
+use laminar::{Labeled, Laminar, LaminarError, Principal, RegionParams, RuntimeStats};
 use laminar_difc::{CapKind, CapSet, Capability, Label, LabelType, SecPair, Tag};
 use laminar_os::{OpenMode, UserId};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn alice() -> (Arc<Laminar>, Principal) {
     let sys = Laminar::boot();
@@ -425,4 +426,112 @@ fn labeled_cell_creation_requires_conformant_labels() {
         )
         .unwrap();
     assert_eq!(out, Some(()));
+}
+
+/// Region entry, exit and every barrier count under the thread-state
+/// lock; this pins each counter after a scripted sequence, so a change to
+/// where or in which order they are bumped shows up field by field.
+#[test]
+fn runtime_stats_pin_a_scripted_region_sequence() {
+    let (_sys, p) = alice();
+    let t = p.create_tag().unwrap();
+    assert_eq!(p.stats().caps_created, 1);
+    p.reset_stats();
+    let none = RegionParams::new();
+
+    // A refused entry counts nothing, not even as entered.
+    let beyond = RegionParams::new().grant(Capability::minus(Tag::from_raw(424_242)));
+    assert!(matches!(
+        p.secure(&beyond, |_| Ok(()), |_| {}),
+        Err(LaminarError::RegionEntry(_))
+    ));
+    assert_eq!(p.stats(), RuntimeStats::default());
+
+    // The body raises and the catch block panics: two suppressed
+    // exceptions in one region.
+    let out = p.secure(&none, |g| g.throw::<()>("body"), |_| panic!("catch")).unwrap();
+    assert_eq!(out, None);
+
+    // A {S(t)} cell minted in a syscall-free tagged region: one labeled
+    // allocation and one elided label sync.
+    let secret =
+        p.secure(&tagged_params(t), |g| Ok(g.new_labeled(7)), |_| {}).unwrap().unwrap();
+
+    // In an unlabeled region a denied static read counts nothing (static
+    // barriers count after the flow check), an allowed static write
+    // counts one write, and a denied dynamic read still counts its
+    // dispatch and its read (dynamic barriers count before the check).
+    // The dynamic denial is the region's one suppressed exception.
+    let public = Labeled::unlabeled(0);
+    let out = p
+        .secure(
+            &none,
+            |g| {
+                assert!(matches!(secret.read(g, |v| *v), Err(LaminarError::Flow(_))));
+                public.write(g, |v| *v = 1)?;
+                secret.read_dyn(|v| *v)
+            },
+            |_| {},
+        )
+        .unwrap();
+    assert_eq!(out, None);
+
+    // Nested regions: two entries, and only the outer one is timed. The
+    // inner region sleeps, so double counting would push `region_ns`
+    // past the wall time of the whole call.
+    let before = p.stats().region_ns;
+    let started = Instant::now();
+    p.secure(
+        &none,
+        |g| {
+            g.secure(
+                &none,
+                |_| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    Ok(())
+                },
+                |_| {},
+            )
+        },
+        |_| {},
+    )
+    .unwrap();
+    let wall = started.elapsed().as_nanos() as u64;
+    let nested_ns = p.stats().region_ns - before;
+    assert!((20_000_000..=wall).contains(&nested_ns), "{nested_ns} ns of {wall} ns");
+
+    // A tagged region that makes a syscall syncs its labels once; it also
+    // declassifies the secret and mints a tag.
+    p.secure(
+        &tagged_params(t),
+        |g| {
+            g.os()?.stat("/tmp")?;
+            g.copy_and_label(&secret, SecPair::unlabeled())?;
+            g.create_and_add_capability()?;
+            Ok(())
+        },
+        |_| {},
+    )
+    .unwrap()
+    .unwrap();
+
+    let stats = p.stats();
+    assert!(stats.region_ns >= nested_ns);
+    let expected = RuntimeStats {
+        regions_entered: 6,
+        region_ns: stats.region_ns,
+        labeled_reads: 1,
+        labeled_writes: 1,
+        labeled_allocs: 2,
+        copies: 1,
+        dynamic_dispatches: 1,
+        exceptions_suppressed: 3,
+        os_syncs: 1,
+        os_syncs_elided: 1,
+        caps_created: 1,
+    };
+    assert_eq!(stats, expected);
+
+    p.reset_stats();
+    assert_eq!(p.stats(), RuntimeStats::default());
 }
