@@ -1,11 +1,12 @@
-//! Decision-trace (`laminar-obs`) overhead on the PR 4 SMP workloads:
-//! the same three syscall mixes, each measured twice on the same
-//! kernel — tracing disabled (the default; every emit point is one
-//! relaxed atomic load) and tracing enabled (typed events staged
-//! per-syscall, flushed into bounded per-thread rings on commit).
+//! Decision-trace (`laminar-obs`) overhead on the SMP workloads of
+//! `pr4_smp`: the same three syscall mixes, each measured twice on the
+//! same kernel, switched with `Kernel::set_audit_enabled` — the
+//! kernel's audit log off (the default; a dispatch reads one relaxed
+//! flag) and on (typed events staged per syscall, handed to the
+//! kernel's one bounded log under one lock when the syscall finishes).
 //!
-//! Nobody drains the rings during the run, so the enabled numbers are
-//! the worst case of a lagging reader: rings wrap and count truncation
+//! Nobody drains the log during the run, so the enabled numbers are the
+//! worst case of a lagging reader: the log wraps and counts truncation
 //! rather than blocking the hot path.
 //!
 //! Results go to stdout and `BENCH_obs_overhead.json` at the repo root.
@@ -105,7 +106,7 @@ fn pipe_pingpong(n: usize) -> Fixture {
 }
 
 /// Per-worker path in the shared `/tmp`: create, close, unlink — three
-/// commits (three span flushes) per iteration.
+/// commits (three finished spans) per iteration.
 fn create_unlink_churn(n: usize) -> Fixture {
     let (kernel, root) = boot();
     let workers = (0..n).map(|_| root.fork(Some(CapSet::new())).unwrap()).collect();
@@ -172,13 +173,13 @@ fn main() {
             let (d_dis, d_en) = interleaved_best(
                 vol.trials,
                 || {
-                    laminar_obs::set_enabled(false);
+                    fx.kernel.set_audit_enabled(false);
                     run_all(&fx, vol.ops_per_worker);
                 },
                 || {
-                    laminar_obs::set_enabled(true);
+                    fx.kernel.set_audit_enabled(true);
                     run_all(&fx, vol.ops_per_worker);
-                    laminar_obs::set_enabled(false);
+                    fx.kernel.set_audit_enabled(false);
                 },
             );
             let cell = Cell {
@@ -224,17 +225,13 @@ fn main() {
             rows.join(",\n")
         ));
     }
-    // Leave the process in the default state however the run ended.
-    laminar_obs::set_enabled(false);
-    laminar_obs::reset();
-
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 
     let json = format!(
         "{{\n  \"bench\": \"BENCH_obs_overhead\",\n  \"host_cpus\": {host_cpus},\n  \
          \"smoke\": {},\n  \"ops_per_worker\": {},\n  \"trials\": {},\n  \
          \"caveat\": \"enabled numbers are the lagging-reader worst case: nothing \
-         drains the rings mid-run, so they wrap and count truncation; \
+         drains the kernel's audit log mid-run, so it wraps and counts truncation; \
          disabled-mode overhead vs the untraced seed is gated by the pr4_smp \
          smoke run, which executes with tracing off\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         vol.smoke,

@@ -2,9 +2,9 @@
 //! sharded kernel.
 //!
 //! Three workloads, each at 1/2/4/8 worker threads, each measured twice
-//! on the *same* kernel: once in big-lock emulation
-//! ([`Kernel::set_serial_mode`] — every syscall serialises on one
-//! global mutex, the pre-PR-4 design) and once sharded (the default).
+//! on the *same* kernel: once behind a big lock (this bench holds one
+//! global mutex around each syscall, emulating the pre-shard kernel
+//! lock) and once sharded, with no lock of the bench's own.
 //!
 //! * `labeled_file_read_heavy` — per-worker labeled file in a secret
 //!   dir, 7 reads : 1 write. Disjoint inode shards; the workload the
@@ -27,7 +27,7 @@
 use laminar_bench::median_time;
 use laminar_difc::{CapSet, Label, LabelType, SecPair};
 use laminar_os::{Fd, Kernel, LaminarModule, TaskHandle, UserId};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 struct Volume {
@@ -50,8 +50,9 @@ fn volume() -> Volume {
     }
 }
 
-/// One iteration of a workload: `f(worker_index, handle, iteration)`.
-type WorkerBody = Box<dyn Fn(usize, &TaskHandle, usize) + Sync>;
+/// One iteration of a workload: `f(worker_index, handle, iteration,
+/// big_lock)`, issuing each syscall through [`sys`].
+type WorkerBody = Box<dyn Fn(usize, &TaskHandle, usize, Option<&Mutex<()>>) + Sync>;
 
 /// A workload fixture: a booted kernel plus one task handle per worker,
 /// and the per-iteration body each worker runs.
@@ -59,6 +60,16 @@ struct Fixture {
     kernel: Arc<Kernel>,
     workers: Vec<TaskHandle>,
     run: WorkerBody,
+    /// The big-lock baseline's one global mutex.
+    big_lock: Mutex<()>,
+}
+
+/// Issues one syscall, holding `big_lock` around it when given: the
+/// big-lock baseline serialises every syscall, as the pre-shard kernel
+/// did.
+fn sys<R>(big_lock: Option<&Mutex<()>>, call: impl FnOnce() -> R) -> R {
+    let _held = big_lock.map(|m| m.lock().unwrap());
+    call()
 }
 
 fn boot() -> (Arc<Kernel>, TaskHandle) {
@@ -88,14 +99,15 @@ fn labeled_file_read_heavy(n: usize) -> Fixture {
     Fixture {
         kernel,
         workers,
-        run: Box::new(|w, t, i| {
+        run: Box::new(|w, t, i, big| {
             let path = format!("/tmp/vault/w{w}.dat");
             if i % 8 == 7 {
-                t.write_file_at(&path, &[i as u8; 64]).unwrap();
+                sys(big, || t.write_file_at(&path, &[i as u8; 64])).unwrap();
             } else {
-                t.read_file_at(&path, 64).unwrap();
+                sys(big, || t.read_file_at(&path, 64)).unwrap();
             }
         }),
+        big_lock: Mutex::new(()),
     }
 }
 
@@ -107,12 +119,13 @@ fn pipe_pingpong(n: usize) -> Fixture {
     Fixture {
         kernel,
         workers,
-        run: Box::new(move |w, t, _| {
+        run: Box::new(move |w, t, _, big| {
             let (r, wr) = pipes[w];
-            t.write(wr, &[0x42u8; 64]).unwrap();
-            let got = t.read(r, 64).unwrap();
+            sys(big, || t.write(wr, &[0x42u8; 64])).unwrap();
+            let got = sys(big, || t.read(r, 64)).unwrap();
             assert_eq!(got.len(), 64);
         }),
+        big_lock: Mutex::new(()),
     }
 }
 
@@ -123,24 +136,32 @@ fn create_unlink_churn(n: usize) -> Fixture {
     Fixture {
         kernel,
         workers,
-        run: Box::new(|w, t, _| {
+        run: Box::new(|w, t, _, big| {
             let path = format!("/tmp/churn{w}");
-            let fd = t.create(&path).unwrap();
-            t.close(fd).unwrap();
-            t.unlink(&path).unwrap();
+            let fd = sys(big, || t.create(&path)).unwrap();
+            sys(big, || t.close(fd)).unwrap();
+            sys(big, || t.unlink(&path)).unwrap();
         }),
+        big_lock: Mutex::new(()),
     }
 }
 
 /// One timed cell: `ops_per_worker` iterations on each of the fixture's
-/// workers through [`Kernel::run_parallel`], median of `trials`.
-fn measure(fx: &Fixture, ops_per_worker: usize, trials: usize) -> Duration {
+/// workers through [`Kernel::run_parallel`], median of `trials`, with
+/// every syscall behind the fixture's big lock when `big_lock` is set.
+fn measure(
+    fx: &Fixture,
+    ops_per_worker: usize,
+    trials: usize,
+    big_lock: bool,
+) -> Duration {
     let task_sets: Vec<Vec<TaskHandle>> =
         fx.workers.iter().map(|t| vec![t.clone()]).collect();
+    let big = big_lock.then_some(&fx.big_lock);
     median_time(trials, || {
         fx.kernel.run_parallel(task_sets.clone(), |w, own| {
             for i in 0..ops_per_worker {
-                (fx.run)(w, &own[0], i);
+                (fx.run)(w, &own[0], i, big);
             }
         });
     })
@@ -187,15 +208,13 @@ fn main() {
                 fx.workers.iter().map(|t| vec![t.clone()]).collect(),
                 |w, own| {
                     for i in 0..32 {
-                        (fx.run)(w, &own[0], i);
+                        (fx.run)(w, &own[0], i, None);
                     }
                 },
             );
             // Interleave the two modes so frequency drift hits both.
-            fx.kernel.set_serial_mode(true);
-            let big = measure(&fx, vol.ops_per_worker, vol.trials);
-            fx.kernel.set_serial_mode(false);
-            let shard = measure(&fx, vol.ops_per_worker, vol.trials);
+            let big = measure(&fx, vol.ops_per_worker, vol.trials, true);
+            let shard = measure(&fx, vol.ops_per_worker, vol.trials, false);
             let cell = Cell {
                 threads: n,
                 biglock: ops_per_sec(total, big),

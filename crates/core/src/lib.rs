@@ -78,7 +78,7 @@ pub use error::{LaminarError, LaminarResult};
 pub use labeled::Labeled;
 pub use principal::{check_region_entry, Principal, RegionGuard, RegionParams};
 pub use runtime::{unlabeled, Laminar};
-pub use stats::{fault_stats, reset_fault_stats, FaultStats, RuntimeStats};
+pub use stats::{fault_stats, FaultStats, RuntimeStats};
 pub use vmbridge::KernelBridge;
 
 // Re-export the substrate crates so applications depend on one crate.

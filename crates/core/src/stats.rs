@@ -40,13 +40,6 @@ pub fn fault_stats() -> FaultStats {
     }
 }
 
-/// Resets every layer's global fault counter to zero.
-pub fn reset_fault_stats() {
-    laminar_util::sync::reset_poison_recoveries();
-    laminar_os::reset_syscalls_rolled_back();
-    laminar_vm::reset_regions_aborted();
-}
-
 /// Counters accumulated by a [`crate::Principal`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {

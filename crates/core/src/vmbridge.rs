@@ -7,7 +7,8 @@ use laminar_vm::OsBridge;
 
 /// Bridge backed by a kernel task plus the process's trusted `tcb`
 /// thread (which performs the privileged label pushes/drops on the
-/// task's behalf, §4.4).
+/// task's behalf, §4.4). The VM's barrier and region decisions go to
+/// that kernel's audit log.
 #[derive(Debug)]
 pub struct KernelBridge {
     task: TaskHandle,
@@ -55,5 +56,9 @@ impl OsBridge for KernelBridge {
         let r = self.task.read(fd, 1).map(|v| v.first().copied());
         let _ = self.task.close(fd);
         r.map_err(|e| e.to_string())
+    }
+
+    fn audit(&self) -> Option<&laminar_vm::Audit> {
+        Some(self.task.kernel().audit())
     }
 }

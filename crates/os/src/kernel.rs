@@ -236,10 +236,8 @@ pub struct Kernel {
     commit_seq: AtomicU64,
     commit_log_on: AtomicBool,
     commit_log: Mutex<Vec<CommitRecord>>,
-    /// When set, every syscall additionally serialises on `serial_lock`,
-    /// emulating the pre-shard big kernel lock (bench baseline mode).
-    serial_on: AtomicBool,
-    serial_lock: Mutex<()>,
+    /// This kernel's trusted audit log (off by default).
+    audit: laminar_obs::Audit,
     pub(crate) module: Box<dyn SecurityModule>,
     pub(crate) tags: TagAllocator,
     pub(crate) quotas: Quotas,
@@ -310,8 +308,7 @@ impl Kernel {
             commit_seq: AtomicU64::new(0),
             commit_log_on: AtomicBool::new(false),
             commit_log: Mutex::new(Vec::new()),
-            serial_on: AtomicBool::new(false),
-            serial_lock: Mutex::new(()),
+            audit: laminar_obs::Audit::default(),
             module: Box::new(module),
             tags,
             quotas,
@@ -390,18 +387,11 @@ impl Kernel {
         intent: Intent,
         mut f: impl FnMut(&mut Txn<'_>) -> OsResult<T>,
     ) -> OsResult<T> {
-        // Audit span: `None` (one atomic load) while tracing is
-        // disabled. Events the body emits are staged on the span and
-        // reach the ring only on a final outcome; footprint restarts
+        // Audit span: `None` (one atomic load) while this kernel's log
+        // is off. Events the body emits are staged on the span and
+        // reach the log only on a final outcome; footprint restarts
         // discard the attempt's stage so decisions record exactly once.
-        let span = laminar_obs::syscall_begin(name);
-        // Big-lock emulation mode for the bench baseline: one global
-        // mutex spans the entire dispatch, serialising all syscalls.
-        let _serial = if self.serial_on.load(Ordering::Relaxed) {
-            Some(self.serial_lock.lock())
-        } else {
-            None
-        };
+        let span = self.audit.syscall_begin(name);
         let mut footprint = Footprint::default();
         footprint.add(ShardKey::task(tid), intent.task);
         footprint.add(ShardKey::proc(pid), intent.proc);
@@ -503,20 +493,35 @@ impl Kernel {
         seq
     }
 
-    /// Snapshots the trusted audit log (all threads' rings, merged in
-    /// event order). **Trusted API**: this lives on [`Kernel`], not
+    /// Snapshots this kernel's trusted audit log, oldest record first.
+    /// **Trusted API**: this lives on [`Kernel`], not
     /// [`TaskHandle`](crate::TaskHandle) — no syscall exposes audit
     /// data, because a subject that could see its own silent drops would
     /// have exactly the covert channel §5.2 closes.
     #[must_use]
     pub fn audit_snapshot(&self) -> laminar_obs::AuditLog {
-        laminar_obs::snapshot()
+        self.audit.snapshot()
     }
 
-    /// Enables or disables the decision trace process-wide (disabled by
-    /// default; disabled emit points cost one atomic load).
+    /// Empties this kernel's audit log and returns its records, oldest
+    /// first. **Trusted API**, like [`Kernel::audit_snapshot`].
+    #[must_use]
+    pub fn drain_audit(&self) -> Vec<laminar_obs::Record> {
+        self.audit.drain()
+    }
+
+    /// Switches this kernel's decision trace on or off (off by default;
+    /// then a dispatch reads one flag). Other kernels are unaffected.
     pub fn set_audit_enabled(&self, on: bool) {
-        laminar_obs::set_enabled(on);
+        self.audit.set_on(on);
+    }
+
+    /// This kernel's audit log, for the trusted layers that record into
+    /// it from outside a syscall: a VM bridged to one of this kernel's
+    /// tasks logs its barrier and region decisions here.
+    #[must_use]
+    pub fn audit(&self) -> &laminar_obs::Audit {
+        &self.audit
     }
 
     /// Enables (clearing any previous contents) or disables the
@@ -535,13 +540,6 @@ impl Kernel {
         let mut log = std::mem::take(&mut *self.commit_log.lock());
         log.sort_by_key(|r| r.seq);
         log
-    }
-
-    /// Switches big-lock emulation on or off: when on, every syscall
-    /// additionally serialises on one global mutex. This is the
-    /// pre-shard baseline the SMP benchmark compares against.
-    pub fn set_serial_mode(&self, on: bool) {
-        self.serial_on.store(on, Ordering::SeqCst);
     }
 
     /// Runs `f(worker_index, task_set)` on one OS thread per task set,
@@ -1259,19 +1257,5 @@ mod tests {
         let a = k.login(UserId(1)).unwrap();
         let b = a.clone();
         let _ = k.run_parallel(vec![vec![a], vec![b]], |_, _| ());
-    }
-
-    #[test]
-    fn serial_mode_still_serves_syscalls() {
-        let k = Kernel::boot(LaminarModule);
-        k.add_user(UserId(1), "alice");
-        let sh = k.login(UserId(1)).unwrap();
-        k.set_serial_mode(true);
-        let fd = sh.create("f").unwrap();
-        sh.write(fd, b"hello").unwrap();
-        sh.close(fd).unwrap();
-        assert!(sh.stat("f").is_ok());
-        k.set_serial_mode(false);
-        assert!(sh.stat("f").is_ok());
     }
 }

@@ -27,17 +27,17 @@ use laminar_difc::SecPair;
 pub struct LaminarModule;
 
 /// Stages an OS-layer `FlowCheck` audit event for a **denied** hook
-/// check (no-op while tracing is disabled). Allowed flows are not
-/// logged: a dispatch that allows everything it checks is decision-free
-/// (it leaves no records at all), and logging every per-hook allow would
-/// put an emit on each path component of every traversal. Denials are
-/// the slow path and carry the subject/object detail the typed error
-/// cannot.
+/// check (no-op unless an audited syscall is in flight). Allowed flows
+/// are not logged: a dispatch that allows everything it checks is
+/// decision-free (it leaves no records at all), and logging every
+/// per-hook allow would put an emit on each path component of every
+/// traversal. Denials are the slow path and carry the subject/object
+/// detail the typed error cannot.
 fn trace_check(op: &'static str, subject: &SecPair, object: &SecPair, allowed: bool) {
-    if allowed || !laminar_obs::enabled() {
+    if allowed || !laminar_obs::staging() {
         return;
     }
-    laminar_obs::emit(laminar_obs::Event::FlowCheck {
+    laminar_obs::stage(laminar_obs::Event::FlowCheck {
         layer: laminar_obs::Layer::Os,
         op,
         subject: subject.fingerprint(),

@@ -68,7 +68,7 @@ pub use lsm::{Access, DeliveryVerdict, NullModule, SecurityModule};
 pub use shard::{
     ShardKey, ShardMode, INODE_SHARDS, PROC_SHARDS, SHARD_COUNT, TASK_SHARDS,
 };
-pub use stats::{reset_syscalls_rolled_back, syscalls_rolled_back};
+pub use stats::syscalls_rolled_back;
 pub use task::{ProcessId, Signal, TaskId, TaskSec, UserId, VmArea};
 pub use txn::Quotas;
 pub use vfs::file::{Fd, OpenMode, PipeEnd, SocketEnd};

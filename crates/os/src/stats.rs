@@ -4,7 +4,7 @@
 //! and were undone at the dispatch boundary — each one returned
 //! [`crate::OsError::Internal`] after the transaction journal restored
 //! every mutated entry. The counter is process-global (the kernel is a
-//! library, not a process) and resettable.
+//! library, not a process) and monotone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -15,13 +15,8 @@ pub(crate) fn note_syscall_rolled_back() {
 }
 
 /// Number of syscalls rolled back after a caught internal fault since
-/// process start (or the last [`reset_syscalls_rolled_back`]).
+/// process start.
 #[must_use]
 pub fn syscalls_rolled_back() -> u64 {
     SYSCALLS_ROLLED_BACK.load(Ordering::Relaxed)
-}
-
-/// Resets the rollback counter to zero.
-pub fn reset_syscalls_rolled_back() {
-    SYSCALLS_ROLLED_BACK.store(0, Ordering::Relaxed);
 }

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// Stages a trusted `SilentDrop` audit event. The subject still sees
 /// full success — only the kernel-side log records the drop (§5.2).
 fn obs_drop(channel: laminar_obs::DropChannel) {
-    laminar_obs::emit(laminar_obs::Event::SilentDrop { channel });
+    laminar_obs::stage(laminar_obs::Event::SilentDrop { channel });
 }
 
 // The intents syscalls declare (see [`Intent`]): which shards a syscall
@@ -115,7 +115,7 @@ impl TaskHandle {
             self.kernel.module.task_set_label(&sec, &new_pair)?;
             // Audit the (now fully approved) transition. Declassify =
             // the release direction: secrecy shrank or integrity grew.
-            if laminar_obs::enabled() {
+            if laminar_obs::staging() {
                 let (ty, declassify) = match ty {
                     LabelType::Secrecy => {
                         ("secrecy", !sec.labels.secrecy().is_subset_of(&new))
@@ -124,7 +124,7 @@ impl TaskHandle {
                         ("integrity", !new.is_subset_of(sec.labels.integrity()))
                     }
                 };
-                laminar_obs::emit(laminar_obs::Event::LabelChange {
+                laminar_obs::stage(laminar_obs::Event::LabelChange {
                     task: self.tid.0,
                     ty,
                     before: sec.labels.fingerprint(),
@@ -640,7 +640,7 @@ impl TaskHandle {
                     // past usize::MAX must fail closed (as the size
                     // quota), not truncate into a small in-bounds write.
                     let offset = usize::try_from(file.offset).map_err(|_| {
-                        laminar_obs::emit(laminar_obs::Event::QuotaExceeded {
+                        laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
                             resource: "file size",
                         });
                         OsError::QuotaExceeded("file size")
@@ -739,7 +739,7 @@ impl TaskHandle {
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
             let offset = usize::try_from(offset).map_err(|_| {
-                laminar_obs::emit(laminar_obs::Event::QuotaExceeded {
+                laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
                     resource: "file size",
                 });
                 OsError::QuotaExceeded("file size")

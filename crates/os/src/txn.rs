@@ -116,7 +116,7 @@ impl Default for Quotas {
 /// goes through here so the audit log sees each denial exactly once
 /// (the stage is discarded on footprint restarts).
 fn quota_denied(resource: &'static str) -> OsError {
-    laminar_obs::emit(laminar_obs::Event::QuotaExceeded { resource });
+    laminar_obs::stage(laminar_obs::Event::QuotaExceeded { resource });
     OsError::QuotaExceeded(resource)
 }
 

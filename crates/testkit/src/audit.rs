@@ -13,9 +13,11 @@
 //! audit trail can't be reconciled against the commit-ticket
 //! linearization. Both directions are checked per op.
 //!
-//! The harness is single-threaded and brackets each op with
-//! [`laminar_obs::take_local`], so the audit delta of one op is exact —
-//! no cross-thread noise, no attribution guesswork.
+//! Each trace replays on its own freshly booted kernel, whose log holds
+//! that trace's records and nothing else. The harness is
+//! single-threaded and drains the log after each op
+//! ([`laminar_os::Kernel::drain_audit`]), so the audit delta of one op
+//! is exact — no cross-thread noise, no attribution guesswork.
 
 use crate::oracle::{DenyKind, MDrop, Oracle, Outcome};
 use crate::replay::KernelReplay;
@@ -175,16 +177,6 @@ fn audit_one(
     Ok(tally)
 }
 
-/// Restores the previous audit-enabled state even if a check panics or
-/// errors out mid-trace.
-struct EnabledGuard;
-
-impl Drop for EnabledGuard {
-    fn drop(&mut self) {
-        obs::set_enabled(false);
-    }
-}
-
 /// Replays one trace with tracing enabled, checking conformance *and*
 /// per-op audit completeness.
 ///
@@ -195,10 +187,8 @@ pub fn run_audit_trace(ops: &[Op]) -> Result<AuditTally, String> {
     let mut oracle = Oracle::new();
     let mut kernel = KernelReplay::new();
     // Enable only after the fixture boots so setup syscalls don't land
-    // in the log; drain whatever a previous run left on this thread.
-    obs::set_enabled(true);
-    let _guard = EnabledGuard;
-    let _ = obs::take_local();
+    // in the log.
+    kernel.kernel().set_audit_enabled(true);
 
     let mut tally = AuditTally::default();
     for (i, op) in ops.iter().enumerate() {
@@ -209,7 +199,7 @@ pub fn run_audit_trace(ops: &[Op]) -> Result<AuditTally, String> {
                 "op {i} ({op:?}) diverged: kernel {kernel_out:?} vs oracle {oracle_out:?}"
             ));
         }
-        let records = obs::take_local();
+        let records = kernel.kernel().drain_audit();
         match audit_one(op, &oracle_out, oracle.predicted_drop, &records) {
             Ok(t) => tally.absorb(t),
             Err(e) => return Err(format!("op {i} ({op:?}): {e}")),

@@ -280,10 +280,13 @@ impl KernelReplay {
                 let obj = self.mask_pair(s_mask, i_mask);
                 let thread =
                     self.tasks[task as usize % nt].current_labels().expect("task labels");
+                // The verdict goes to this kernel's log, as a VM bridged
+                // to one of its tasks would report it.
+                let audit = Some(self.kernel.audit());
                 let r = if write {
-                    laminar_vm::conformance::barrier_write_check(&thread, &obj)
+                    laminar_vm::conformance::barrier_write_check(&thread, &obj, audit)
                 } else {
-                    laminar_vm::conformance::barrier_read_check(&obj, &thread)
+                    laminar_vm::conformance::barrier_read_check(&obj, &thread, audit)
                 };
                 match r {
                     Ok(()) => Outcome::Ok,

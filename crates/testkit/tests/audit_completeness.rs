@@ -2,25 +2,17 @@
 //! (default 8 seeds × 500 traces × 28 ops = 4000 traces), every
 //! oracle-predicted enforcement decision — silent drop, typed denial,
 //! quota rejection, VM-barrier verdict — must appear in the trusted
-//! audit log exactly once, and nothing unpredicted may appear.
-//!
-//! The audit-enabled flag is process-global, so the tests in this file
-//! serialize on one mutex.
+//! audit log exactly once, and nothing unpredicted may appear. Each
+//! trace runs on its own kernel with its own log, so the tests in this
+//! file run in parallel.
 
 use laminar_difc::{Label, LabelType, SecPair};
 use laminar_obs::Event;
 use laminar_os::{Kernel, LaminarModule, OsError, UserId};
 use laminar_testkit::{assert_audit_completeness, run_audit_trace, ExploreConfig, Op};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-fn serial() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 #[test]
 fn audit_log_is_complete_over_the_seed_matrix() {
-    let _g = serial();
     let cfg = ExploreConfig::from_env(laminar_testkit::FaultPlan::none());
     let tally =
         assert_audit_completeness(&cfg.seeds, cfg.traces_per_seed, cfg.ops_per_trace);
@@ -49,7 +41,6 @@ fn audit_log_is_complete_over_the_seed_matrix() {
 
 #[test]
 fn quota_denial_is_audited_exactly_once_across_fd_and_oneshot_paths() {
-    let _g = serial();
     // A file created in /tmp, then a sparse write straddling the quota:
     // offset 4999 + 4 bytes > 4096 ⇒ Denied(Quota) with exactly one
     // QuotaExceeded event and one denied commit — the regression shape
@@ -68,7 +59,6 @@ fn quota_denial_is_audited_exactly_once_across_fd_and_oneshot_paths() {
 
 #[test]
 fn flow_vetoed_zero_byte_pipe_write_is_still_an_audited_drop() {
-    let _g = serial();
     // Task 2 (no capabilities) writes zero bytes to the S{0}-labeled
     // pipe 1... allowed (unlabeled → labeled flows). Use the reverse:
     // taint task 0 with S{0}, then write to the unlabeled pipe 0 — the
@@ -86,7 +76,6 @@ fn flow_vetoed_zero_byte_pipe_write_is_still_an_audited_drop() {
 
 #[test]
 fn with_the_commit_log_off_only_recorded_outcomes_take_tickets() {
-    let _g = serial();
     const ROUNDS: usize = 50;
     let kernel = Kernel::boot(LaminarModule);
     kernel.add_user(UserId(1), "alice");
@@ -105,35 +94,44 @@ fn with_the_commit_log_off_only_recorded_outcomes_take_tickets() {
         })
         .collect();
     let handles = workers.iter().map(|(h, ..)| vec![h.clone()]).collect();
-    laminar_obs::reset();
     kernel.set_audit_enabled(true);
-    let logs = kernel.run_parallel(handles, |i, set| {
+    // Each worker notes the tickets its own syscalls took, so the
+    // kernel's one log can be split back into per-thread views.
+    let taken = kernel.run_parallel(handles, |i, set| {
         let (h, (_, tag, secret, pw)) = (&set[0], &workers[i]);
-        let _ = laminar_obs::take_local();
+        let mut taken = Vec::new();
+        let mut note = || taken.push(laminar_os::last_syscall_seq());
         for _ in 0..ROUNDS {
             // Decision-free successes: recorded nowhere, so no ticket.
             h.stat("/tmp").expect("stat");
             // A typed denial, a label change, a silent pipe drop and the
             // label change back: each recorded with a ticket.
             assert!(matches!(h.read_file_at(secret, 8), Err(OsError::FlowDenied(_))));
+            note();
             h.set_task_label(LabelType::Secrecy, Label::singleton(*tag)).expect("taint");
+            note();
             h.write(*pw, b"x").expect("a dropped write still succeeds");
+            note();
             h.read_file_at(secret, 8).expect("tainted read");
             h.set_task_label(LabelType::Secrecy, Label::empty()).expect("untaint");
+            note();
         }
-        laminar_obs::take_local()
+        taken
     });
     kernel.set_audit_enabled(false);
+    let commits: Vec<u64> = kernel
+        .drain_audit()
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::SyscallCommit { ticket, .. } => Some(ticket),
+            _ => None,
+        })
+        .collect();
 
     let mut all = Vec::new();
-    for log in &logs {
-        let tickets: Vec<u64> = log
-            .iter()
-            .filter_map(|r| match r.event {
-                Event::SyscallCommit { ticket, .. } => Some(ticket),
-                _ => None,
-            })
-            .collect();
+    for mine in &taken {
+        let tickets: Vec<u64> =
+            commits.iter().copied().filter(|t| mine.contains(t)).collect();
         assert_eq!(tickets.len(), 4 * ROUNDS, "four recorded outcomes per round");
         assert!(tickets.windows(2).all(|w| w[0] < w[1]), "tickets rise within a thread");
         all.extend(tickets);

@@ -15,16 +15,11 @@ use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 /// `std` lock poisoned and recovered the guard.
 static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 
-/// Number of poisoned-lock recoveries since process start (or the last
-/// [`reset_poison_recoveries`]).
+/// Number of poisoned-lock recoveries since process start. Monotone:
+/// readers compare before/after values.
 #[must_use]
 pub fn poison_recoveries() -> u64 {
     POISON_RECOVERIES.load(Ordering::Relaxed)
-}
-
-/// Resets the poison-recovery counter to zero.
-pub fn reset_poison_recoveries() {
-    POISON_RECOVERIES.store(0, Ordering::Relaxed);
 }
 
 /// Unwraps a poisonable lock result, counting actual recoveries.
@@ -304,7 +299,6 @@ mod tests {
 
     #[test]
     fn clean_locks_do_not_count_recoveries() {
-        reset_poison_recoveries();
         let m = Mutex::new(0);
         for _ in 0..10 {
             *m.lock() += 1;

@@ -43,6 +43,13 @@ pub trait OsBridge: Send {
     /// # Errors
     /// Propagates kernel errors (including DIFC denials).
     fn read_byte(&mut self, path: &str) -> Result<Option<u8>, String>;
+
+    /// The trusted audit log of the kernel behind the bridge, which
+    /// records the VM's barrier and region decisions. `None` (the
+    /// default) records nothing.
+    fn audit(&self) -> Option<&laminar_obs::Audit> {
+        None
+    }
 }
 
 impl fmt::Debug for dyn OsBridge {
@@ -52,7 +59,8 @@ impl fmt::Debug for dyn OsBridge {
 }
 
 /// A bridge for VMs with no attached OS: every operation fails, making
-/// accidental OS dependence loud in tests.
+/// accidental OS dependence loud in tests. It has no audit log, so the
+/// VM's decisions are recorded nowhere.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoOs;
 

@@ -195,8 +195,15 @@ impl Vm {
     }
 
     /// Attaches the OS bridge for syscall instructions and label sync.
+    /// The VM logs its barrier and region decisions to the bridge's
+    /// audit log, if it has one.
     pub fn set_bridge(&mut self, bridge: Box<dyn OsBridge>) {
         self.bridge = Some(bridge);
+    }
+
+    /// The audit log of the kernel this VM is bridged to, if any.
+    fn audit(&self) -> Option<&laminar_obs::Audit> {
+        self.bridge.as_deref().and_then(OsBridge::audit)
     }
 
     /// Execution statistics so far.
@@ -460,8 +467,8 @@ impl Vm {
 
     fn enter_region(&mut self, spec_id: RegionSpecId) -> VmResult<()> {
         let r = self.enter_region_checked(spec_id);
-        if laminar_obs::enabled() {
-            laminar_obs::emit(laminar_obs::Event::RegionEnter {
+        if let Some(audit) = self.audit() {
+            audit.record(laminar_obs::Event::RegionEnter {
                 layer: laminar_obs::Layer::Vm,
                 verdict: if r.is_ok() {
                     laminar_obs::Verdict::Allow
@@ -550,9 +557,11 @@ impl Vm {
         }
         self.stats.regions_aborted += 1;
         crate::stats::note_region_aborted();
-        laminar_obs::emit(laminar_obs::Event::RegionAbort {
-            layer: laminar_obs::Layer::Vm,
-        });
+        if let Some(audit) = self.audit() {
+            audit.record(laminar_obs::Event::RegionAbort {
+                layer: laminar_obs::Layer::Vm,
+            });
+        }
     }
 
     fn exit_region(&mut self) -> VmResult<()> {
@@ -621,13 +630,13 @@ impl Vm {
     fn barrier_read_in(&mut self, obj: ObjRef) -> VmResult<()> {
         self.stats.read_barriers += 1;
         let pair = self.object_pair(obj)?;
-        crate::conformance::barrier_read_check(&pair, &self.labels)
+        crate::conformance::barrier_read_check(&pair, &self.labels, self.audit())
     }
 
     fn barrier_write_in(&mut self, obj: ObjRef) -> VmResult<()> {
         self.stats.write_barriers += 1;
         let pair = self.object_pair(obj)?;
-        crate::conformance::barrier_write_check(&self.labels, &pair)
+        crate::conformance::barrier_write_check(&self.labels, &pair, self.audit())
     }
 
     fn barrier_out(&mut self, obj: ObjRef, is_read: bool) -> VmResult<()> {

@@ -97,9 +97,11 @@ pub use compile::BarrierMode;
 pub use error::{VmError, VmResult};
 pub use heap::{ClassId, Heap};
 pub use interp::{Vm, MAX_CALL_DEPTH, MAX_REGION_DEPTH};
+/// The kernel audit log an [`OsBridge`] hands the VM (`laminar-obs`).
+pub use laminar_obs::Audit;
 pub use program::{
     Class, CodeLabel, Function, FunctionBuilder, Program, ProgramBuilder, StaticDecl,
 };
-pub use stats::{regions_aborted, reset_regions_aborted, VmStats};
+pub use stats::{regions_aborted, VmStats};
 pub use value::{ObjRef, Value};
 pub use verify::verify;

@@ -19,15 +19,10 @@ pub(crate) fn note_region_aborted() {
 }
 
 /// Number of security regions aborted (labeled writes rolled back) since
-/// process start or the last [`reset_regions_aborted`].
+/// process start.
 #[must_use]
 pub fn regions_aborted() -> u64 {
     REGIONS_ABORTED.load(Ordering::Relaxed)
-}
-
-/// Resets the global region-abort counter to zero.
-pub fn reset_regions_aborted() {
-    REGIONS_ABORTED.store(0, Ordering::Relaxed);
 }
 
 /// Counters accumulated by a [`crate::Vm`].
