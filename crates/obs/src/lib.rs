@@ -402,11 +402,10 @@ impl SyscallSpan<'_> {
         });
     }
 
-    /// Finishes the span as a caught-panic rollback: the staged decision
-    /// events are discarded (the body's effects were undone) and only
-    /// `SyscallEnter` + `SyscallRollback` are recorded.
+    /// Finishes the span as a caught-panic rollback: it records only
+    /// `SyscallEnter` and `SyscallRollback`, and the span's drop discards
+    /// the staged decision events (the body's effects were undone).
     pub fn rollback(self, ticket: u64) {
-        STAGE.with(|s| s.borrow_mut().events.clear());
         let mut ring = self.audit.ring();
         ring.push(Event::SyscallEnter { name: self.name });
         ring.push(Event::SyscallRollback { name: self.name, ticket });
