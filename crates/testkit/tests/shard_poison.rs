@@ -11,25 +11,31 @@
 //! process-global, monotone counter bumped once per recovered lock
 //! acquisition. The assertions compare before/after values, and
 //! because any poisoning in the process moves the counter, everything
-//! that poisons a lock runs in a single `#[test]` (the test binary may
-//! run tests on parallel threads).
+//! that poisons a lock holds [`SERIAL`] for its whole body (the test
+//! binary may run tests on parallel threads).
+
+use std::sync::{Mutex, MutexGuard};
 
 use laminar_difc::{Label, LabelType, SecPair};
 use laminar_os::{Kernel, LaminarModule, UserId};
 use laminar_util::sync::poison_recoveries;
 
-/// Both stories, one after the other: containment, then invisibility.
-#[test]
-fn poisoning_one_shard_leaves_the_others_serviceable() {
-    one_poisoned_shard_is_contained();
-    poisoning_every_shard_is_semantically_invisible();
+/// Serialises the tests of this file, so one test's poisoning cannot
+/// move the counter inside another's before/after window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], shrugging off poison left by a failed test.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Poison the task shard of one task and the inode shard of one file,
 /// drive traffic that provably avoids those shards (no recovery
 /// events), then touch them (recovery events, same verdicts as before
 /// the poisoning).
-fn one_poisoned_shard_is_contained() {
+#[test]
+fn poisoning_one_shard_leaves_the_others_serviceable() {
+    let _serial = serial();
     let kernel = Kernel::boot(LaminarModule);
     kernel.add_user(UserId(1), "alice");
     kernel.add_user(UserId(2), "bob");
@@ -110,7 +116,9 @@ fn one_poisoned_shard_is_contained() {
 /// Rotating poison over *every* shard ordinal must be semantically
 /// invisible: a kernel all of whose shards have been poisoned and
 /// recovered serves the same fixture traffic as a fresh one.
+#[test]
 fn poisoning_every_shard_is_semantically_invisible() {
+    let _serial = serial();
     let kernel = Kernel::boot(LaminarModule);
     kernel.add_user(UserId(1), "alice");
     let task = kernel.login(UserId(1)).expect("login");
