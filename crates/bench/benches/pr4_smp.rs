@@ -60,8 +60,6 @@ struct Fixture {
     kernel: Arc<Kernel>,
     workers: Vec<TaskHandle>,
     run: WorkerBody,
-    /// The big-lock baseline's one global mutex.
-    big_lock: Mutex<()>,
 }
 
 /// Issues one syscall, holding `big_lock` around it when given: the
@@ -107,7 +105,6 @@ fn labeled_file_read_heavy(n: usize) -> Fixture {
                 sys(big, || t.read_file_at(&path, 64)).unwrap();
             }
         }),
-        big_lock: Mutex::new(()),
     }
 }
 
@@ -125,7 +122,6 @@ fn pipe_pingpong(n: usize) -> Fixture {
             let got = sys(big, || t.read(r, 64)).unwrap();
             assert_eq!(got.len(), 64);
         }),
-        big_lock: Mutex::new(()),
     }
 }
 
@@ -142,13 +138,12 @@ fn create_unlink_churn(n: usize) -> Fixture {
             sys(big, || t.close(fd)).unwrap();
             sys(big, || t.unlink(&path)).unwrap();
         }),
-        big_lock: Mutex::new(()),
     }
 }
 
 /// One timed cell: `ops_per_worker` iterations on each of the fixture's
 /// workers through [`Kernel::run_parallel`], median of `trials`, with
-/// every syscall behind the fixture's big lock when `big_lock` is set.
+/// every syscall behind one shared mutex when `big_lock` is set.
 fn measure(
     fx: &Fixture,
     ops_per_worker: usize,
@@ -157,7 +152,8 @@ fn measure(
 ) -> Duration {
     let task_sets: Vec<Vec<TaskHandle>> =
         fx.workers.iter().map(|t| vec![t.clone()]).collect();
-    let big = big_lock.then_some(&fx.big_lock);
+    let lock = Mutex::new(());
+    let big = big_lock.then_some(&lock);
     median_time(trials, || {
         fx.kernel.run_parallel(task_sets.clone(), |w, own| {
             for i in 0..ops_per_worker {

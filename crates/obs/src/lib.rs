@@ -41,7 +41,11 @@
 //! half-executed body's decisions were undone. A commit or a typed
 //! denial is a final outcome: it hands the stage to the dispatching
 //! kernel's log under one lock, and the log numbers the records under
-//! that lock, so [`Record::seq`] is the exact order of one kernel's log.
+//! that lock, so [`Record::seq`] is the order in which one kernel's log
+//! received them. That is receipt order, not the linearization: a span
+//! reaches the log after its syscall released its locks, so across
+//! threads `seq` order may differ from commit-ticket order, and the
+//! tickets remain the cross-thread witness.
 //! Events emitted outside any syscall (VM barriers, region entry) go to
 //! the log directly.
 //!
@@ -209,7 +213,8 @@ pub enum Event {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Record {
     /// Position in the log: the order in which the log received its
-    /// records, dense and strictly increasing from 0.
+    /// records, dense and strictly increasing from 0. Across threads this
+    /// may differ from commit-ticket order (see the crate docs).
     pub seq: u64,
     /// The event.
     pub event: Event,

@@ -503,13 +503,6 @@ impl Kernel {
         self.audit.snapshot()
     }
 
-    /// Empties this kernel's audit log and returns its records, oldest
-    /// first. **Trusted API**, like [`Kernel::audit_snapshot`].
-    #[must_use]
-    pub fn drain_audit(&self) -> Vec<laminar_obs::Record> {
-        self.audit.drain()
-    }
-
     /// Switches this kernel's decision trace on or off (off by default;
     /// then a dispatch reads one flag). Other kernels are unaffected.
     pub fn set_audit_enabled(&self, on: bool) {
@@ -517,8 +510,10 @@ impl Kernel {
     }
 
     /// This kernel's audit log, for the trusted layers that record into
-    /// it from outside a syscall: a VM bridged to one of this kernel's
-    /// tasks logs its barrier and region decisions here.
+    /// it from outside a syscall (a VM bridged to one of this kernel's
+    /// tasks logs its barrier and region decisions here) and for
+    /// trusted readers that drain it. **Trusted API**, like
+    /// [`Kernel::audit_snapshot`].
     #[must_use]
     pub fn audit(&self) -> &laminar_obs::Audit {
         &self.audit

@@ -16,7 +16,7 @@
 //! Each trace replays on its own freshly booted kernel, whose log holds
 //! that trace's records and nothing else. The harness is
 //! single-threaded and drains the log after each op
-//! ([`laminar_os::Kernel::drain_audit`]), so the audit delta of one op
+//! ([`laminar_obs::Audit::drain`] on [`laminar_os::Kernel::audit`]), so the audit delta of one op
 //! is exact — no cross-thread noise, no attribution guesswork.
 
 use crate::oracle::{DenyKind, MDrop, Oracle, Outcome};
@@ -199,7 +199,7 @@ pub fn run_audit_trace(ops: &[Op]) -> Result<AuditTally, String> {
                 "op {i} ({op:?}) diverged: kernel {kernel_out:?} vs oracle {oracle_out:?}"
             ));
         }
-        let records = kernel.kernel().drain_audit();
+        let records = kernel.kernel().audit().drain();
         match audit_one(op, &oracle_out, oracle.predicted_drop, &records) {
             Ok(t) => tally.absorb(t),
             Err(e) => return Err(format!("op {i} ({op:?}): {e}")),

@@ -120,7 +120,8 @@ fn with_the_commit_log_off_only_recorded_outcomes_take_tickets() {
     });
     kernel.set_audit_enabled(false);
     let commits: Vec<u64> = kernel
-        .drain_audit()
+        .audit()
+        .drain()
         .iter()
         .filter_map(|r| match r.event {
             Event::SyscallCommit { ticket, .. } => Some(ticket),
@@ -136,6 +137,9 @@ fn with_the_commit_log_off_only_recorded_outcomes_take_tickets() {
         assert!(tickets.windows(2).all(|w| w[0] < w[1]), "tickets rise within a thread");
         all.extend(tickets);
     }
+    // The log holds nothing else: a commit record for an unnoted
+    // syscall (a decision-free success, say) is a failure, not noise.
+    assert_eq!(commits.len(), all.len(), "a commit was recorded for an unnoted syscall");
     // Distinct across threads, and no ticket went to an unrecorded
     // success: the tickets taken are exactly 1..=N.
     let n = all.len() as u64;

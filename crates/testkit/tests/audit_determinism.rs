@@ -89,7 +89,7 @@ fn replay(replay: &mut KernelReplay, trace: &[Op]) {
 fn replay_logged(trace: &[Op]) -> Vec<String> {
     let mut kernel = traced_fixture();
     replay(&mut kernel, trace);
-    shapes(&kernel.kernel().drain_audit())
+    shapes(&kernel.kernel().audit().drain())
 }
 
 /// A MiniVM whose function `run` enters one security region with empty
@@ -158,7 +158,7 @@ fn two_kernels_in_one_process_keep_disjoint_logs() {
     bare.set_bridge(Box::new(NoOs));
     bare.call_by_name("run", &[]).expect("unbridged region");
 
-    let (log_a, log_b) = (a.kernel().drain_audit(), b.kernel().drain_audit());
+    let (log_a, log_b) = (a.kernel().audit().drain(), b.kernel().audit().drain());
     for (name, log) in [("A", &log_a), ("B", &log_b)] {
         // Each kernel numbers its own tickets from 1: a record of the
         // other kernel would repeat a ticket.
