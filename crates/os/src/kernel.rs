@@ -270,8 +270,9 @@ impl std::fmt::Debug for Kernel {
 pub struct TaskHandle {
     pub(crate) kernel: Arc<Kernel>,
     pub(crate) tid: TaskId,
-    /// The task's process, which never changes: every syscall pre-locks
-    /// its shard without looking the task up first.
+    /// The task's process, which never changes: a syscall reaches its
+    /// shard (pre-locked, or on demand for a cwd read) without looking
+    /// the task up first.
     pub(crate) pid: ProcessId,
 }
 
@@ -359,8 +360,9 @@ impl Kernel {
     /// with two-phase shard locking and footprint restart.
     ///
     /// The body runs against a [`Txn`] that pre-locks the calling task's
-    /// and process's shards in the modes `intent` declares and acquires
-    /// further shards on demand in ascending key order. If the body needs
+    /// shard, and its process's shard if the body touches process state,
+    /// in the modes `intent` declares and acquires further shards on
+    /// demand in ascending key order. If the body needs
     /// a shard below one it already holds, or exclusive mode on a shard
     /// it holds shared, the accessor returns the internal
     /// [`OsError::Retry`] sentinel; the journal is rolled back, the shard
@@ -394,7 +396,9 @@ impl Kernel {
         let span = self.audit.syscall_begin(name);
         let mut footprint = Footprint::default();
         footprint.add(ShardKey::task(tid), intent.task);
-        footprint.add(ShardKey::proc(pid), intent.proc);
+        if let Some(mode) = intent.proc {
+            footprint.add(ShardKey::proc(pid), mode);
+        }
         let mut ids = IdCache::default();
         let mut attempts = 0usize;
         loop {
@@ -920,39 +924,44 @@ impl Kernel {
             .unwrap_or_default()
     }
 
-    /// Invokes the `inode_permission` hook, counting it.
-    pub(crate) fn hook_inode_permission(
+    /// Invokes the `inode_permission` hook, counting it, and returns the
+    /// inode it checked: the entry the hook read serves the caller too.
+    pub(crate) fn hook_inode_permission<'t>(
         &self,
-        st: &mut Txn<'_>,
+        st: &'t mut Txn<'_>,
         task: &TaskSec,
         ino: InodeId,
         mask: Access,
-    ) -> OsResult<()> {
+    ) -> OsResult<&'t Inode> {
         st.count_hook();
-        let labels = st.inode_labels(ino)?;
-        self.module.inode_permission(task, labels, mask)
+        let node = st.inode_opt(ino)?.ok_or(OsError::NotFound)?;
+        self.module.inode_permission(task, node.labels(), mask)?;
+        Ok(node)
     }
 
-    /// Resolves `path` for task `tid`, checking a read permission on
-    /// every directory traversed (directory contents — names and labels
-    /// of children — are protected by the directory's own label) and
-    /// *following symbolic links*, each of which is itself a mediated
-    /// read of the link inode (so a task that rejects the link's
-    /// integrity cannot be redirected through it — §5.2's symlink
-    /// concern).
+    /// Resolves `path` for a task with security context `task` in
+    /// process `pid`, checking a read permission on every directory
+    /// traversed (directory contents — names and labels of children —
+    /// are protected by the directory's own label) and *following
+    /// symbolic links*, each of which is itself a mediated read of the
+    /// link inode (so a task that rejects the link's integrity cannot be
+    /// redirected through it — §5.2's symlink concern).
     ///
     /// Returns the parent directory, the final component name, and the
-    /// target inode if it exists. The walk takes the final parent and
-    /// the target in the modes the syscall's [`Intent`] declares, the
-    /// first time it touches them; every other directory it takes
-    /// shared.
+    /// target inode if it exists. A relative path reads the process's
+    /// cwd, taking its shard shared if the syscall has not pre-locked it;
+    /// no inode shard is held yet, so that never restarts. The walk takes
+    /// the final parent and the target in the modes the syscall's
+    /// [`Intent`] declares, the first time it touches them; every other
+    /// directory it takes shared.
     pub(crate) fn resolve<'p>(
         &self,
         st: &mut Txn<'_>,
-        tid: TaskId,
+        task: &TaskSec,
+        pid: ProcessId,
         path: &'p str,
     ) -> OsResult<Resolved<'p>> {
-        self.resolve_full(st, tid, path, true)
+        self.resolve_full(st, task, pid, path, true)
     }
 
     /// Like [`Kernel::resolve`] but does not follow a symlink in the
@@ -960,35 +969,56 @@ impl Kernel {
     pub(crate) fn resolve_nofollow<'p>(
         &self,
         st: &mut Txn<'_>,
-        tid: TaskId,
+        task: &TaskSec,
+        pid: ProcessId,
         path: &'p str,
     ) -> OsResult<Resolved<'p>> {
-        self.resolve_full(st, tid, path, false)
+        self.resolve_full(st, task, pid, path, false)
     }
 
     fn resolve_full<'p>(
         &self,
         st: &mut Txn<'_>,
-        tid: TaskId,
+        task: &TaskSec,
+        pid: ProcessId,
         path: &'p str,
         follow_final: bool,
     ) -> OsResult<Resolved<'p>> {
-        let task = st.task_sec(tid)?;
         if path.is_empty() {
             return Err(OsError::InvalidArgument("empty path"));
         }
-        let (start, rel) = if let Some(stripped) = path.strip_prefix('/') {
-            (self.root, stripped)
-        } else {
-            let proc_id = st.task(tid)?.process;
-            (st.proc(proc_id)?.cwd, path)
+        let (start, rel) = match path.strip_prefix('/') {
+            Some(stripped) => (self.root, stripped),
+            None => (st.proc(pid)?.cwd, path),
         };
-        self.walk(st, &task, start, rel, follow_final, 0)
+        self.walk(st, task, start, rel, follow_final, 0)
+    }
+
+    /// Takes `ino`'s shard in `mode` and reads the inode as a walk does,
+    /// through the read hook. This is the one fetch a walk makes of each
+    /// inode it reads; the entry serves the hook, the symlink check and
+    /// the name lookup.
+    fn walk_read<'t>(
+        &self,
+        st: &'t mut Txn<'_>,
+        task: &TaskSec,
+        ino: InodeId,
+        mode: ShardMode,
+    ) -> OsResult<&'t Inode> {
+        st.hold(ShardKey::inode(ino), mode)?;
+        self.hook_inode_permission(st, task, ino, Access::Read)
     }
 
     /// Walks the components of `rel` from `start`. Components are
     /// slices of `rel`; only a symlink expansion allocates (one string:
     /// the link target followed by the components still to walk).
+    ///
+    /// Every inode the walk reads — each directory it looks a name up
+    /// in, and each link it follows — is fetched once, by
+    /// [`Kernel::walk_read`], when its shard is taken: a child read on
+    /// the way down is the next step's directory. A final component is
+    /// fetched only for its symlink check, and read through the hook
+    /// only if it is a symlink to follow.
     fn walk<'p>(
         &self,
         st: &mut Txn<'_>,
@@ -1022,19 +1052,16 @@ impl Kernel {
                 inode: Some(start),
             });
         }
-        st.hold(
-            ShardKey::inode(start),
-            if n == 1 { intent.parent } else { ShardMode::Shared },
-        )?;
         // Directories walked so far, for `..`; only kept when the path
         // has a `..` component.
         let mut stack: Vec<InodeId> = Vec::new();
         let track = components(rel).any(|c| c == "..");
         let mut cur = start;
+        // Looking up a name inside `cur` reads `cur`.
+        let start_mode = if n == 1 { intent.parent } else { ShardMode::Shared };
+        let mut dir = self.walk_read(st, task, start, start_mode)?;
         for (i, comp) in components(rel).enumerate() {
             let last = i + 1 == n;
-            // Looking up a name inside `cur` reads `cur`.
-            self.hook_inode_permission(st, task, cur, Access::Read)?;
             if comp == ".." {
                 cur = stack.pop().unwrap_or(start);
                 if last {
@@ -1044,14 +1071,12 @@ impl Kernel {
                         inode: Some(cur),
                     });
                 }
+                dir = self.walk_read(st, task, cur, ShardMode::Shared)?;
                 continue;
             }
-            let child = {
-                let node = st.inode_opt(cur)?.ok_or(OsError::NotFound)?;
-                match &node.kind {
-                    InodeKind::Dir { entries } => entries.get(comp).copied(),
-                    _ => return Err(OsError::NotADirectory),
-                }
+            let child = match &dir.kind {
+                InodeKind::Dir { entries } => entries.get(comp).copied(),
+                _ => return Err(OsError::NotADirectory),
             };
             let Some(child) = child else {
                 if last {
@@ -1063,22 +1088,27 @@ impl Kernel {
                 }
                 return Err(OsError::NotFound);
             };
-            // Symlink in the path: follow it (mediated). This is the
-            // first touch of `child`, so it takes the declared mode.
-            let link_target = match st.inode_in(child, mode_after(i))?.map(|n| &n.kind) {
-                Some(InodeKind::Symlink { target }) => Some(target.clone()),
-                _ => None,
-            };
-            if let Some(mut target) = link_target {
-                if last && !follow_final {
+            // The first touch of `child` takes the declared mode. A final
+            // component is only read when it is a symlink to follow.
+            let mode = mode_after(i);
+            if last {
+                let link = matches!(
+                    st.inode_in(child, mode)?.map(|n| &n.kind),
+                    Some(InodeKind::Symlink { .. })
+                );
+                if !(link && follow_final) {
                     return Ok(Resolved {
                         parent: Some(cur),
                         name: Cow::Borrowed(comp),
                         inode: Some(child),
                     });
                 }
-                // Following reads the link inode itself.
-                self.hook_inode_permission(st, task, child, Access::Read)?;
+            }
+            // Any other child is read next: as the next directory, or,
+            // for a symlink in the path, as the link being followed.
+            let node = self.walk_read(st, task, child, mode)?;
+            if let InodeKind::Symlink { target } = &node.kind {
+                let mut target = target.clone();
                 let nstart = if target.starts_with('/') { self.root } else { cur };
                 for c in components(rel).skip(i + 1) {
                     target.push('/');
@@ -1088,17 +1118,11 @@ impl Kernel {
                 let r = self.walk(st, task, nstart, rel, follow_final, depth + 1)?;
                 return Ok(r.into_owned());
             }
-            if last {
-                return Ok(Resolved {
-                    parent: Some(cur),
-                    name: Cow::Borrowed(comp),
-                    inode: Some(child),
-                });
-            }
             if track {
                 stack.push(cur);
             }
             cur = child;
+            dir = node;
         }
         // The loop always returns on the last component; reaching here
         // would be an internal invariant failure, reported fail-closed.

@@ -42,17 +42,24 @@ fn obs_drop(channel: laminar_obs::DropChannel) {
 
 // The intents syscalls declare (see [`Intent`]): which shards a syscall
 // mutates among the caller's own task and process shards and the final
-// parent and target of its path walk. Everything else starts shared.
+// parent and target of its path walk. Everything else starts shared. The
+// process shard is pre-locked only for a body that touches process
+// state; the path-only intents (`Intent::READ`, `LINK`, `UNLINK`,
+// `WRITE_TARGET`) leave it to a relative path's cwd read.
 
+/// Reads the caller's process: its fd table, or all of it (`fork`).
+const READ_PROC: Intent = Intent { proc: Some(Shared), ..Intent::READ };
 /// Mutates the caller's task (labels, capabilities, signals).
-const OWN_TASK: Intent = Intent { task: Exclusive, ..Intent::READ };
+const OWN_TASK: Intent = Intent { task: Exclusive, proc: Some(Shared), ..Intent::READ };
 /// Mutates the caller's process (fd table, cwd, image).
-const OWN_PROC: Intent = Intent { proc: Exclusive, ..Intent::READ };
-const OWN_TASK_PROC: Intent = Intent { task: Exclusive, proc: Exclusive, ..Intent::READ };
+const OWN_PROC: Intent = Intent { proc: Some(Exclusive), ..Intent::READ };
+const OWN_TASK_PROC: Intent =
+    Intent { task: Exclusive, proc: Some(Exclusive), ..Intent::READ };
 /// Links a new name into the final parent.
 const LINK: Intent = Intent { parent: Exclusive, ..Intent::READ };
 /// Links a new name into the final parent and opens it.
-const CREATE: Intent = Intent { proc: Exclusive, parent: Exclusive, ..Intent::READ };
+const CREATE: Intent =
+    Intent { proc: Some(Exclusive), parent: Exclusive, ..Intent::READ };
 /// Removes a name from the final parent, and its inode.
 const UNLINK: Intent = Intent { parent: Exclusive, target: Exclusive, ..Intent::READ };
 /// Writes the inode a path names.
@@ -324,7 +331,7 @@ impl TaskHandle {
     /// [`OsError::BadFd`] if `fd` is not a writable pipe end;
     /// [`OsError::PermissionDenied`] if the sender lacks the capability.
     pub fn write_capability(&self, cap: Capability, fd: Fd) -> OsResult<()> {
-        self.syscall("write_capability", Intent::READ, |st| {
+        self.syscall("write_capability", READ_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             if !sec.caps.has(cap) {
                 return Err(OsError::PermissionDenied(
@@ -405,7 +412,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::Exists`] if the name is taken; hook vetoes otherwise.
     pub fn create_file_labeled(&self, path: &str, labels: SecPair) -> OsResult<Fd> {
-        self.create_inode(path, labels, false)
+        self.create_inode(path, Some(&labels), false)
     }
 
     /// `mkdir_labeled` (Fig. 3): creates a directory with explicit labels
@@ -414,7 +421,7 @@ impl TaskHandle {
     /// # Errors
     /// Same as [`Self::create_file_labeled`].
     pub fn mkdir_labeled(&self, path: &str, labels: SecPair) -> OsResult<()> {
-        self.create_inode(path, labels, true).map(|_| ())
+        self.create_inode(path, Some(&labels), true).map(|_| ())
     }
 
     /// Creates an unlabeled-API file: the new file carries the labels of
@@ -424,8 +431,7 @@ impl TaskHandle {
     /// # Errors
     /// Same as [`Self::create_file_labeled`].
     pub fn create(&self, path: &str) -> OsResult<Fd> {
-        let labels = self.current_labels()?;
-        self.create_file_labeled(path, labels)
+        self.create_inode(path, None, false)
     }
 
     /// Creates a directory carrying the labels of the creating thread.
@@ -433,14 +439,22 @@ impl TaskHandle {
     /// # Errors
     /// Same as [`Self::create_file_labeled`].
     pub fn mkdir(&self, path: &str) -> OsResult<()> {
-        let labels = self.current_labels()?;
-        self.mkdir_labeled(path, labels)
+        self.create_inode(path, None, true).map(|_| ())
     }
 
-    fn create_inode(&self, path: &str, labels: SecPair, dir: bool) -> OsResult<Fd> {
+    /// Creates a file or directory with `labels`, or with the creator's
+    /// labels when `None`: those are read inside the transaction, so a
+    /// sibling thread's label change cannot slip in before the commit.
+    fn create_inode(
+        &self,
+        path: &str,
+        labels: Option<&SecPair>,
+        dir: bool,
+    ) -> OsResult<Fd> {
         self.syscall("create_inode", CREATE, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let labels = labels.unwrap_or(&sec.labels);
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             if r.inode.is_some() {
                 return Err(OsError::Exists);
             }
@@ -448,7 +462,7 @@ impl TaskHandle {
                 r.parent.ok_or(OsError::InvalidArgument("path names a directory"))?;
             st.count_hook();
             let parent_labels = st.inode_labels(parent)?;
-            self.kernel.module.inode_create(&sec, parent_labels, &labels)?;
+            self.kernel.module.inode_create(&sec, parent_labels, labels)?;
             let kind = if dir {
                 InodeKind::Dir { entries: BTreeMap::new() }
             } else {
@@ -484,7 +498,7 @@ impl TaskHandle {
     pub fn open(&self, path: &str, mode: OpenMode) -> OsResult<Fd> {
         self.syscall("open", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             if st.inode_opt(ino)?.map(|i| i.kind.is_dir()).unwrap_or(false) {
                 return Err(OsError::IsADirectory);
@@ -534,32 +548,41 @@ impl TaskHandle {
     /// [`OsError::BadFd`]; flow vetoes from `file_permission`.
     pub fn read(&self, fd: Fd, max: usize) -> OsResult<Vec<u8>> {
         self.syscall("read", OWN_PROC, |st| {
-            let sec = st.task_sec(self.tid)?;
+            st.task_alive(self.tid)?;
             let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if !file.mode.readable() {
                 return Err(OsError::BadFd);
             }
             // A pipe or socket read takes messages off the buffer.
-            if file.pipe_end.is_some() || file.socket_end.is_some() {
-                st.hold(ShardKey::inode(file.inode), Exclusive)?;
-            }
+            let mode = if file.pipe_end.is_some() || file.socket_end.is_some() {
+                Exclusive
+            } else {
+                Shared
+            };
+            st.hold(ShardKey::inode(file.inode), mode)?;
             st.count_hook();
-            let labels = st.inode_labels(file.inode)?;
+            // The hook borrows the task context and the inode from the
+            // shards the transaction holds.
+            let sec = st.held_task_sec(self.tid)?;
+            let inode = st.held_node(file.inode)?;
             match (file.pipe_end, file.socket_end) {
                 (Some(PipeEnd::Read), _) => {
-                    self.kernel.module.pipe_read(&sec, labels)?;
+                    self.kernel.module.pipe_read(sec, inode.labels())?;
                     st.buffer_pop_bytes(file.inode, Buf::Pipe, max)
                 }
                 (Some(PipeEnd::Write), _) => Err(OsError::BadFd),
                 (None, Some(end)) => {
                     // Socket read: nonblocking, label-mediated like a pipe.
-                    self.kernel.module.pipe_read(&sec, labels)?;
+                    self.kernel.module.pipe_read(sec, inode.labels())?;
                     st.buffer_pop_bytes(file.inode, Buf::socket_rx(end), max)
                 }
                 (None, None) => {
-                    self.kernel.module.file_permission(&sec, labels, Access::Read)?;
-                    let inode = st.inode_opt(file.inode)?.ok_or(OsError::BadFd)?;
+                    self.kernel.module.file_permission(
+                        sec,
+                        inode.labels(),
+                        Access::Read,
+                    )?;
                     let data = match &inode.kind {
                         InodeKind::File { data } => {
                             let start = (file.offset as usize).min(data.len());
@@ -598,7 +621,7 @@ impl TaskHandle {
     /// files only — pipe label failures drop silently).
     pub fn write(&self, fd: Fd, data: &[u8]) -> OsResult<usize> {
         self.syscall("write", OWN_PROC, |st| {
-            let sec = st.task_sec(self.tid)?;
+            st.task_alive(self.tid)?;
             let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if !file.mode.writable() {
@@ -608,7 +631,9 @@ impl TaskHandle {
                 if file.inode == self.kernel.null_dev { Shared } else { Exclusive };
             st.hold(ShardKey::inode(file.inode), mode)?;
             st.count_hook();
-            let labels = st.inode_labels(file.inode)?;
+            // Borrowed from the held shards, as in `read`.
+            let sec = st.held_task_sec(self.tid)?;
+            let inode = st.held_node(file.inode)?;
             // Pipe and socket writes deliver or silently drop (§5.2): a
             // full buffer looks the same as a label veto.
             let channel = match (file.pipe_end, file.socket_end) {
@@ -621,48 +646,44 @@ impl TaskHandle {
                 }
                 (None, None) => None,
             };
-            match channel {
-                Some((which, drop_channel)) => {
-                    let delivered = match self.kernel.module.pipe_write(&sec, labels) {
-                        DeliveryVerdict::Deliver => {
-                            st.buffer_push_bytes(file.inode, which, data)?
-                        }
-                        DeliveryVerdict::SilentDrop => false,
-                    };
-                    if !delivered {
-                        obs_drop(drop_channel);
+            if let Some((which, drop_channel)) = channel {
+                let delivered = match self.kernel.module.pipe_write(sec, inode.labels()) {
+                    DeliveryVerdict::Deliver => {
+                        st.buffer_push_bytes(file.inode, which, data)?
                     }
-                    Ok(data.len())
+                    DeliveryVerdict::SilentDrop => false,
+                };
+                if !delivered {
+                    obs_drop(drop_channel);
                 }
-                None => {
-                    self.kernel.module.file_permission(&sec, labels, Access::Write)?;
-                    // Checked narrowing: on 32-bit hosts a u64 offset
-                    // past usize::MAX must fail closed (as the size
-                    // quota), not truncate into a small in-bounds write.
-                    let offset = usize::try_from(file.offset).map_err(|_| {
-                        laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
-                            resource: "file size",
-                        });
-                        OsError::QuotaExceeded("file size")
-                    })?;
-                    match st.inode_opt(file.inode)?.map(|i| &i.kind) {
-                        Some(InodeKind::File { .. }) => {
-                            st.write_file_data(file.inode, offset, data)?;
-                        }
-                        Some(InodeKind::NullDevice) => {}
-                        Some(InodeKind::Dir { .. }) => return Err(OsError::IsADirectory),
-                        Some(InodeKind::Symlink { .. }) => {
-                            return Err(OsError::Unsupported("write on a symlink fd"))
-                        }
-                        Some(InodeKind::Pipe { .. }) | Some(InodeKind::Socket { .. }) => {
-                            return Err(OsError::Internal)
-                        }
-                        None => return Err(OsError::BadFd),
-                    }
-                    st.fd_set_offset(pid, fd, file.offset + data.len() as u64)?;
-                    Ok(data.len())
-                }
+                return Ok(data.len());
             }
+            self.kernel.module.file_permission(sec, inode.labels(), Access::Write)?;
+            // Checked narrowing: on 32-bit hosts a u64 offset past
+            // usize::MAX must fail closed (as the size quota), not
+            // truncate into a small in-bounds write.
+            let offset = usize::try_from(file.offset).map_err(|_| {
+                laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
+                    resource: "file size",
+                });
+                OsError::QuotaExceeded("file size")
+            })?;
+            let regular = match &inode.kind {
+                InodeKind::File { .. } => true,
+                InodeKind::NullDevice => false,
+                InodeKind::Dir { .. } => return Err(OsError::IsADirectory),
+                InodeKind::Symlink { .. } => {
+                    return Err(OsError::Unsupported("write on a symlink fd"))
+                }
+                InodeKind::Pipe { .. } | InodeKind::Socket { .. } => {
+                    return Err(OsError::Internal)
+                }
+            };
+            if regular {
+                st.write_file_data(file.inode, offset, data)?;
+            }
+            st.fd_set_offset(pid, fd, file.offset + data.len() as u64)?;
+            Ok(data.len())
         })
     }
 
@@ -677,10 +698,9 @@ impl TaskHandle {
     pub fn read_file_at(&self, path: &str, max: usize) -> OsResult<Vec<u8>> {
         self.syscall("read_file_at", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            let inode = st.inode_opt(ino)?.ok_or(OsError::Internal)?;
+            let inode = self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             match &inode.kind {
                 InodeKind::File { data } => {
                     let end = max.min(data.len());
@@ -701,18 +721,18 @@ impl TaskHandle {
     pub fn write_file_at(&self, path: &str, data: &[u8]) -> OsResult<usize> {
         self.syscall("write_file_at", WRITE_TARGET, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
-            match st.inode_opt(ino)?.map(|i| &i.kind) {
-                Some(InodeKind::File { .. }) => {
+            let inode =
+                self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
+            match inode.kind {
+                InodeKind::File { .. } => {
                     st.write_file_data(ino, 0, data)?;
                     Ok(data.len())
                 }
-                Some(InodeKind::NullDevice) => Ok(data.len()),
-                Some(InodeKind::Dir { .. }) => Err(OsError::IsADirectory),
-                Some(_) => Err(OsError::Unsupported("write_file_at on a special inode")),
-                None => Err(OsError::Internal),
+                InodeKind::NullDevice => Ok(data.len()),
+                InodeKind::Dir { .. } => Err(OsError::IsADirectory),
+                _ => Err(OsError::Unsupported("write_file_at on a special inode")),
             }
         })
     }
@@ -735,24 +755,24 @@ impl TaskHandle {
     ) -> OsResult<usize> {
         self.syscall("write_file_at_off", WRITE_TARGET, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
+            let inode =
+                self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
             let offset = usize::try_from(offset).map_err(|_| {
                 laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
                     resource: "file size",
                 });
                 OsError::QuotaExceeded("file size")
             })?;
-            match st.inode_opt(ino)?.map(|i| &i.kind) {
-                Some(InodeKind::File { .. }) => {
+            match inode.kind {
+                InodeKind::File { .. } => {
                     st.write_file_data(ino, offset, data)?;
                     Ok(data.len())
                 }
-                Some(InodeKind::NullDevice) => Ok(data.len()),
-                Some(InodeKind::Dir { .. }) => Err(OsError::IsADirectory),
-                Some(_) => Err(OsError::Unsupported("write_file_at on a special inode")),
-                None => Err(OsError::Internal),
+                InodeKind::NullDevice => Ok(data.len()),
+                InodeKind::Dir { .. } => Err(OsError::IsADirectory),
+                _ => Err(OsError::Unsupported("write_file_at on a special inode")),
             }
         })
     }
@@ -767,10 +787,9 @@ impl TaskHandle {
     pub fn stat(&self, path: &str) -> OsResult<Metadata> {
         self.syscall("stat", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            let inode = st.inode_opt(ino)?.ok_or(OsError::Internal)?;
+            let inode = self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             Ok(Metadata {
                 inode: ino,
                 is_dir: inode.kind.is_dir(),
@@ -792,10 +811,9 @@ impl TaskHandle {
     pub fn lstat(&self, path: &str) -> OsResult<Metadata> {
         self.syscall("lstat", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve_nofollow(st, self.tid, path)?;
+            let r = self.kernel.resolve_nofollow(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            let inode = st.inode_opt(ino)?.ok_or(OsError::Internal)?;
+            let inode = self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             Ok(Metadata {
                 inode: ino,
                 is_dir: inode.kind.is_dir(),
@@ -819,7 +837,8 @@ impl TaskHandle {
     /// [`OsError::NotFound`]; traversal vetoes.
     pub fn get_labels(&self, path: &str) -> OsResult<SecPair> {
         self.syscall("get_labels", Intent::READ, |st| {
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let sec = st.task_sec(self.tid)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             st.inode_labels(ino).cloned()
         })
@@ -834,7 +853,7 @@ impl TaskHandle {
     pub fn unlink(&self, path: &str) -> OsResult<()> {
         self.syscall("unlink", UNLINK, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             let parent =
                 r.parent.ok_or(OsError::InvalidArgument("cannot unlink a root"))?;
@@ -865,13 +884,11 @@ impl TaskHandle {
     pub fn readdir(&self, path: &str) -> OsResult<Vec<String>> {
         self.syscall("readdir", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            match st.inode_opt(ino)?.map(|i| &i.kind) {
-                Some(InodeKind::Dir { entries }) => Ok(entries.keys().cloned().collect()),
-                Some(_) => Err(OsError::NotADirectory),
-                None => Err(OsError::Internal),
+            match &self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?.kind {
+                InodeKind::Dir { entries } => Ok(entries.keys().cloned().collect()),
+                _ => Err(OsError::NotADirectory),
             }
         })
     }
@@ -882,7 +899,8 @@ impl TaskHandle {
     /// [`OsError::NotADirectory`]; traversal vetoes.
     pub fn chdir(&self, path: &str) -> OsResult<()> {
         self.syscall("chdir", OWN_PROC, |st| {
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let sec = st.task_sec(self.tid)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             if !st.inode_opt(ino)?.map(|i| i.kind.is_dir()).unwrap_or(false) {
                 return Err(OsError::NotADirectory);
@@ -990,7 +1008,7 @@ impl TaskHandle {
     pub fn symlink(&self, target: &str, linkpath: &str) -> OsResult<()> {
         self.syscall("symlink", LINK, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, linkpath)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, linkpath)?;
             if r.inode.is_some() {
                 return Err(OsError::Exists);
             }
@@ -1016,13 +1034,11 @@ impl TaskHandle {
     pub fn readlink(&self, path: &str) -> OsResult<String> {
         self.syscall("readlink", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve_nofollow(st, self.tid, path)?;
+            let r = self.kernel.resolve_nofollow(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            match st.inode_opt(ino)?.map(|i| &i.kind) {
-                Some(InodeKind::Symlink { target }) => Ok(target.clone()),
-                Some(_) => Err(OsError::InvalidArgument("not a symlink")),
-                None => Err(OsError::Internal),
+            match &self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?.kind {
+                InodeKind::Symlink { target } => Ok(target.clone()),
+                _ => Err(OsError::InvalidArgument("not a symlink")),
             }
         })
     }
@@ -1127,7 +1143,7 @@ impl TaskHandle {
     /// [`OsError::PermissionDenied`] if `caps` is not a subset of the
     /// caller's capabilities.
     pub fn fork(&self, caps: Option<CapSet>) -> OsResult<TaskHandle> {
-        let (tid, pid) = self.syscall("fork", Intent::READ, |st| {
+        let (tid, pid) = self.syscall("fork", READ_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
             let child_caps = match &caps {
                 Some(c) => {
@@ -1205,7 +1221,7 @@ impl TaskHandle {
     pub fn exec(&self, path: &str) -> OsResult<()> {
         self.syscall("exec", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, self.tid, path)?;
+            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
             let ino = r.inode.ok_or(OsError::NotFound)?;
             self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
             let pid = self.pid;

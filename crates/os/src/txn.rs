@@ -27,9 +27,10 @@
 //! shard: an LSM hook reads an inode's labels in place, and a label is
 //! cloned only where it is stored (an undo record, a new inode). A
 //! syscall declares up front, in its
-//! [`Intent`], the mode of its own task and process shards (pre-locked)
-//! and of the final parent and target of its path walk, so each shard is
-//! taken in the mode it needs the first time it is touched.
+//! [`Intent`], the mode of its own task shard and, if its body touches
+//! process state, of its process shard (both pre-locked), and of the
+//! final parent and target of its path walk, so each shard is taken in
+//! the mode it needs the first time it is touched.
 //!
 //! If a body needs a shard *below* the highest one it already holds, or
 //! exclusive mode on a shard it holds shared, the accessor returns the
@@ -179,22 +180,29 @@ impl IdCache {
 }
 
 /// The shard modes a syscall declares before its body runs (see the
-/// module docs): `task` and `proc` for the caller's own shards, which
-/// every attempt pre-locks, and `parent` and `target` for the final
-/// parent directory and the inode its path walk names.
+/// module docs): `task` for the caller's task shard, which every attempt
+/// pre-locks; `proc` for the caller's process shard, pre-locked only
+/// when `Some`; and `parent` and `target` for the final parent directory
+/// and the inode its path walk names.
+///
+/// A body whose intent leaves `proc` at `None` reads the process only to
+/// resolve a relative path: that cwd read takes the shard on demand,
+/// shared, before the walk takes any inode shard, so it never restarts.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct Intent {
     pub task: ShardMode,
-    pub proc: ShardMode,
+    pub proc: Option<ShardMode>,
     pub parent: ShardMode,
     pub target: ShardMode,
 }
 
 impl Intent {
-    /// Everything shared: a syscall that only reads.
+    /// Everything shared and the process shard not pre-locked: a
+    /// syscall that only reads, and reads the process at most for its
+    /// cwd.
     pub(crate) const READ: Intent = Intent {
         task: ShardMode::Shared,
-        proc: ShardMode::Shared,
+        proc: None,
         parent: ShardMode::Shared,
         target: ShardMode::Shared,
     };
@@ -646,6 +654,16 @@ impl<'a> Txn<'a> {
         Ok(self.task_alive(id)?.security.clone())
     }
 
+    /// The security context of a task whose shard this transaction
+    /// already holds, borrowed like [`Txn::held_labels`] so a hook can
+    /// read it next to an inode's labels; [`OsError::Internal`] if the
+    /// shard is not held.
+    pub(crate) fn held_task_sec(&self, id: TaskId) -> OsResult<&TaskSec> {
+        let tasks =
+            self.held_shard(ShardKey::task(id))?.tasks().ok_or(OsError::Internal)?;
+        tasks.get(&id).filter(|t| t.alive).map(|t| &t.security).ok_or(OsError::NoSuchTask)
+    }
+
     /// The process entry; a missing process for a live task is an
     /// internal invariant failure.
     pub(crate) fn proc(&mut self, id: ProcessId) -> OsResult<&ProcessStruct> {
@@ -678,10 +696,22 @@ impl<'a> Txn<'a> {
     /// holds. Borrows `&self`, so a hook can read two inodes' labels at
     /// once; [`OsError::Internal`] if the shard is not held.
     pub(crate) fn held_labels(&self, id: InodeId) -> OsResult<&SecPair> {
-        let key = ShardKey::inode(id);
+        self.held_node(id).map(Inode::labels)
+    }
+
+    /// An inode whose shard this transaction already holds, borrowed
+    /// like [`Txn::held_labels`]; [`OsError::NotFound`] if missing.
+    pub(crate) fn held_node(&self, id: InodeId) -> OsResult<&Inode> {
+        let inodes =
+            self.held_shard(ShardKey::inode(id))?.inodes().ok_or(OsError::Internal)?;
+        inodes.get(&id).ok_or(OsError::NotFound)
+    }
+
+    /// A shard this transaction holds, for the `&self` borrows above;
+    /// [`OsError::Internal`] if it is not held.
+    fn held_shard(&self, key: ShardKey) -> OsResult<&ShardGuard<'a>> {
         let held = self.guards.iter().find(|g| g.key == key).ok_or(OsError::Internal)?;
-        let inodes = held.guard.inodes().ok_or(OsError::Internal)?;
-        inodes.get(&id).map(Inode::labels).ok_or(OsError::NotFound)
+        Ok(&held.guard)
     }
 
     // --- journalled mutators: one inverse record per change -------------------

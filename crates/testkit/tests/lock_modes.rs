@@ -1,14 +1,14 @@
-//! Shard lock modes: every op of the `syscall_mix` benchmark workload,
-//! on that workload's layout, takes each shard in the mode it needs the
-//! first time it touches it, so none of them restarts (rolls back and
-//! reruns with a wider lock footprint). The count is
-//! [`Kernel::footprint_restarts`], the kernel's trusted-side tally of
-//! restarts.
+//! Shard lock modes: every op of the `syscall_mix` and `tenant_scale`
+//! benchmark workloads, on that workload's layout, takes each shard in
+//! the mode it needs the first time it touches it, so none of them
+//! restarts (rolls back and reruns with a wider lock footprint). The
+//! count is [`Kernel::footprint_restarts`], the kernel's trusted-side
+//! tally of restarts.
 //!
 //! The restart path itself stays covered: a symlink whose target sits in
 //! a shard below the link's must restart and still resolve correctly.
 
-use laminar_difc::{Capability, Label, LabelType, SecPair};
+use laminar_difc::{CapSet, Capability, Label, LabelType, SecPair, Tag};
 use laminar_os::{
     Fd, Kernel, LaminarModule, OpenMode, OsError, Quotas, ShardKey, TaskHandle, UserId,
 };
@@ -193,6 +193,133 @@ fn churn_does_not_bring_restarts_back() {
     for (i, w) in workers.iter().enumerate() {
         for (name, op) in mix_ops(w) {
             assert_eq!(restarts_during(&kernel, op), 0, "worker {i}: {name} restarted");
+        }
+    }
+}
+
+/// The `tenant_scale` layout: 64 tenants with nested compartment labels
+/// `{S(c1..cw)}`, `w = 1 + i % 16`, own 64 files each in the shared
+/// `/tmp`; each of two owners has a pipe with 1,000 queued messages and
+/// 1,000 extra open fds. Every task's cwd is `/tmp`.
+struct Tenants {
+    kernel: Arc<Kernel>,
+    readers: Vec<TaskHandle>,
+    owners: Vec<(TaskHandle, Fd, Fd)>,
+}
+
+const TENANTS: usize = 64;
+const FILES_PER_TENANT: usize = 64;
+
+fn width(tenant: usize) -> usize {
+    1 + tenant % 16
+}
+
+fn tenant_file(f: usize) -> String {
+    format!("t{:02}f{:02}", f / FILES_PER_TENANT, f % FILES_PER_TENANT)
+}
+
+fn tenant_layout() -> Tenants {
+    let kernel = Kernel::boot(LaminarModule);
+    kernel.add_user(UserId(1), "admin");
+    let admin = kernel.login(UserId(1)).unwrap();
+    let chain: Vec<Tag> = (0..16).map(|_| admin.alloc_tag().unwrap()).collect();
+    let label = |i: usize| Label::from_tags(chain[..width(i)].iter().copied());
+    for f in 0..TENANTS * FILES_PER_TENANT {
+        let labels = SecPair::secrecy_only(label(f / FILES_PER_TENANT));
+        kernel
+            .install_file(&format!("/tmp/{}", tenant_file(f)), labels, &[1; LEN])
+            .unwrap();
+    }
+    let readers = (0..TENANTS)
+        .map(|i| {
+            let user = UserId(1000 + i as u32);
+            kernel.add_user(user, &format!("tenant{i}"));
+            kernel.set_persistent_caps(
+                user,
+                CapSet::from_caps(label(i).iter().map(Capability::plus)),
+            );
+            let t = kernel.login(user).unwrap();
+            t.set_task_label(LabelType::Secrecy, label(i)).unwrap();
+            t.chdir("/tmp").unwrap();
+            t
+        })
+        .collect();
+    let owners = (0..2)
+        .map(|w| {
+            let user = UserId(200 + w);
+            kernel.add_user(user, &format!("owner{w}"));
+            let owner = kernel.login(user).unwrap();
+            let (pipe_r, pipe_w) = owner.pipe().unwrap();
+            for _ in 0..1000 {
+                owner.write(pipe_w, &[2; LEN]).unwrap();
+            }
+            for _ in 0..1000 {
+                owner.open("/dev/null", OpenMode::Read).unwrap();
+            }
+            owner.chdir("/tmp").unwrap();
+            (owner, pipe_r, pipe_w)
+        })
+        .collect();
+    Tenants { kernel, readers, owners }
+}
+
+#[test]
+fn tenant_scale_ops_never_restart() {
+    let Tenants { kernel, readers, owners } = tenant_layout();
+    for (w, (owner, pipe_r, pipe_w)) in owners.iter().enumerate() {
+        let ops: Vec<NamedOp<'_>> = vec![
+            ("create+close+unlink", Box::new(|| create_close_unlink(owner, "/tmp/s"))),
+            (
+                "relative create+close+unlink",
+                Box::new(|| create_close_unlink(owner, "r")),
+            ),
+            (
+                "pipe write+read at depth 1,000",
+                Box::new(|| {
+                    assert_eq!(owner.write(*pipe_w, &[2; LEN]).unwrap(), LEN);
+                    assert_eq!(owner.read(*pipe_r, LEN).unwrap(), [2; LEN]);
+                }),
+            ),
+            (
+                "open+close with 1,000 fds open",
+                Box::new(|| {
+                    let fd = owner.open("/dev/null", OpenMode::Read).unwrap();
+                    owner.close(fd).unwrap();
+                }),
+            ),
+        ];
+        for (name, op) in ops {
+            for _ in 0..3 {
+                assert_eq!(
+                    restarts_during(&kernel, &op),
+                    0,
+                    "owner {w}: {name} restarted"
+                );
+            }
+        }
+    }
+    // Every tenant reads a spread of every tenant's files, by absolute
+    // and by relative path: allowed exactly when the owner's compartment
+    // is no wider than the reader's.
+    for (i, reader) in readers.iter().enumerate() {
+        for f in (i % 7..TENANTS * FILES_PER_TENANT).step_by(61) {
+            let name = tenant_file(f);
+            for path in [format!("/tmp/{name}"), name] {
+                let mut r = Ok(Vec::new());
+                let restarts =
+                    restarts_during(&kernel, || r = reader.read_file_at(&path, LEN));
+                assert_eq!(restarts, 0, "tenant {i}: read of {path} restarted");
+                match r {
+                    Ok(data) => assert!(
+                        width(f / FILES_PER_TENANT) <= width(i) && data.len() == LEN
+                    ),
+                    Err(e) => assert!(
+                        matches!(e, OsError::FlowDenied(_))
+                            && width(f / FILES_PER_TENANT) > width(i),
+                        "tenant {i}: {path}: {e}"
+                    ),
+                }
+            }
         }
     }
 }

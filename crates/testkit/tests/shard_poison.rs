@@ -17,8 +17,9 @@
 use std::sync::{Mutex, MutexGuard};
 
 use laminar_difc::{Label, LabelType, SecPair};
-use laminar_os::{Kernel, LaminarModule, UserId};
+use laminar_os::{Kernel, LaminarModule, OpenMode, ShardKey, TaskHandle, UserId};
 use laminar_util::sync::poison_recoveries;
+use std::sync::Arc;
 
 /// Serialises the tests of this file, so one test's poisoning cannot
 /// move the counter inside another's before/after window.
@@ -140,4 +141,62 @@ fn poisoning_every_shard_is_semantically_invisible() {
     assert_eq!(task.readdir("/tmp/poked").expect("readdir"), vec!["f".to_string()]);
     task.unlink("/tmp/poked/f").expect("unlink");
     task.unlink("/tmp/poked").expect("rmdir");
+}
+
+/// A kernel and a task whose cwd is `/tmp`, with a file `/tmp/f` and a
+/// file `/tmp/gone` to unlink.
+fn path_fixture() -> (Arc<Kernel>, TaskHandle) {
+    let kernel = Kernel::boot(LaminarModule);
+    kernel.add_user(UserId(1), "alice");
+    let task = kernel.login(UserId(1)).expect("login");
+    for path in ["/tmp/f", "/tmp/gone"] {
+        let fd = task.create(path).expect("create");
+        task.write(fd, b"contents").expect("write");
+        task.close(fd).expect("close");
+    }
+    task.chdir("/tmp").expect("chdir");
+    (kernel, task)
+}
+
+/// A path-only syscall on an absolute path never touches its caller's
+/// process shard: with that shard poisoned, `stat`, `read_file_at`,
+/// `write_file_at`, `unlink` and `symlink` recover nothing. `open`
+/// (the fd table) and a relative `stat` (the cwd) do touch it, and
+/// recover. Every result equals the one an unpoisoned twin returns.
+#[test]
+fn path_only_syscalls_leave_the_process_shard_alone() {
+    let _serial = serial();
+    let (_, twin) = path_fixture();
+    let (kernel, task) = path_fixture();
+    let pid = task.process().expect("process");
+    kernel.poison_shard_for_test(ShardKey::proc(pid).ordinal());
+
+    type Call = fn(&TaskHandle) -> String;
+    let path_only: [(&str, Call); 5] = [
+        ("stat", |t| format!("{:?}", t.stat("/tmp/f"))),
+        ("read_file_at", |t| format!("{:?}", t.read_file_at("/tmp/f", 64))),
+        ("write_file_at", |t| format!("{:?}", t.write_file_at("/tmp/f", b"new"))),
+        ("unlink", |t| format!("{:?}", t.unlink("/tmp/gone"))),
+        ("symlink", |t| format!("{:?}", t.symlink("/tmp/f", "/tmp/l"))),
+    ];
+    for (name, call) in path_only {
+        let base = poison_recoveries();
+        let got = call(&task);
+        assert_eq!(poison_recoveries() - base, 0, "{name} touched the process shard");
+        assert_eq!(got, call(&twin), "{name}");
+    }
+
+    let process_reads: [(&str, Call); 2] = [
+        ("open", |t| {
+            let fd = t.open("/tmp/f", OpenMode::Read);
+            format!("{fd:?} {:?}", fd.as_ref().map(|&fd| t.read(fd, 64)))
+        }),
+        ("relative stat", |t| format!("{:?}", t.stat("f"))),
+    ];
+    for (name, call) in process_reads {
+        let base = poison_recoveries();
+        let got = call(&task);
+        assert!(poison_recoveries() > base, "{name} must recover the process shard");
+        assert_eq!(got, call(&twin), "{name}");
+    }
 }

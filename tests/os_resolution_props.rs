@@ -133,3 +133,76 @@ fn get_labels_agrees_with_stat() {
         assert_eq!(task.stat("/tmp/f").unwrap().labels, pair);
     }
 }
+
+/// The kernel, and a task whose cwd is `/tmp/a/b`, for the pinned hook
+/// counts: unlabeled files at depths 1 to 5, a symlink `/tmp/ln` to
+/// `/tmp/a/b`, and a secret directory `/tmp/vault` the task cannot read.
+fn hook_fixture() -> (std::sync::Arc<Kernel>, laminar_os::TaskHandle) {
+    let k = Kernel::boot(LaminarModule);
+    k.add_user(UserId(1), "u");
+    let t = k.login(UserId(1)).unwrap();
+    let open = SecPair::unlabeled();
+    for dir in ["/tmp/a", "/tmp/a/b", "/tmp/a/b/c"] {
+        k.install_dir(dir, open.clone()).unwrap();
+    }
+    for file in ["/f1", "/tmp/f2", "/tmp/a/f3", "/tmp/a/b/f4", "/tmp/a/b/c/f5"] {
+        k.install_file(file, open.clone(), b"data").unwrap();
+    }
+    let secret = SecPair::secrecy_only(Label::singleton(t.alloc_tag().unwrap()));
+    k.install_dir("/tmp/vault", secret.clone()).unwrap();
+    k.install_dir("/tmp/vault/x", secret.clone()).unwrap();
+    k.install_file("/tmp/vault/x/f", secret, b"data").unwrap();
+    t.symlink("/tmp/a/b", "/tmp/ln").unwrap();
+    t.chdir("/tmp/a/b").unwrap();
+    (k, t)
+}
+
+/// `(case, existing file, new name, hook calls of [stat, read_file_at,
+/// write_file_at, open, create, unlink])`: one traversal hook per
+/// directory crossed (and per symlink followed), plus the syscall's own
+/// hook on the file, where the walk gets that far. `unlink` removes the
+/// name `create` made, or finds it missing where `/` refused the create.
+/// The counts were recorded on the walk that fetched each directory
+/// three times; a change to how the walk reads directories may change
+/// how fast it runs, never how many hooks it calls.
+const HOOK_PINS: [(&str, &str, &str, [u64; 6]); 8] = [
+    ("depth 1", "/f1", "/new", [2, 2, 2, 2, 2, 1]),
+    ("depth 2", "/tmp/f2", "/tmp/new", [3; 6]),
+    ("depth 3", "/tmp/a/f3", "/tmp/a/new", [4; 6]),
+    ("depth 4", "/tmp/a/b/f4", "/tmp/a/b/new", [5; 6]),
+    ("depth 5", "/tmp/a/b/c/f5", "/tmp/a/b/c/new", [6; 6]),
+    ("relative after chdir", "c/f5", "c/new", [3; 6]),
+    ("through a symlink", "/tmp/ln/f4", "/tmp/ln/new", [8; 6]),
+    ("denied at /tmp/vault", "/tmp/vault/x/f", "/tmp/vault/x/new", [3; 6]),
+];
+
+#[test]
+fn path_syscalls_call_one_traversal_hook_per_directory() {
+    for &(case, file, new, want) in &HOOK_PINS {
+        let (k, t) = hook_fixture();
+        let mut got = [0u64; 6];
+        let mut count = |i: usize, call: &mut dyn FnMut()| {
+            let before = k.hook_calls();
+            call();
+            got[i] = k.hook_calls() - before;
+        };
+        count(0, &mut || drop(t.stat(file)));
+        count(1, &mut || drop(t.read_file_at(file, 8)));
+        count(2, &mut || drop(t.write_file_at(file, b"next")));
+        count(3, &mut || {
+            if let Ok(fd) = t.open(file, OpenMode::Read) {
+                t.close(fd).unwrap();
+            }
+        });
+        count(4, &mut || {
+            if let Ok(fd) = t.create(new) {
+                t.close(fd).unwrap();
+            }
+        });
+        count(5, &mut || drop(t.unlink(new)));
+        assert_eq!(
+            got, want,
+            "{case}: hook calls of [stat, read_file_at, write_file_at, open, create, unlink]"
+        );
+    }
+}

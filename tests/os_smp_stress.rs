@@ -234,3 +234,59 @@ fn hook_count_is_exact_across_parallel_workers() {
     });
     assert_eq!(kernel.hook_calls() - before, 2 * one, "a striped count went missing");
 }
+
+/// `create()` gives the new file the labels its creator holds inside the
+/// create's own transaction. Two threads share one task holding `t±`:
+/// one flips the task's secrecy between `{}` and `{t}`, the other
+/// creates files in the unlabeled `/tmp`. Only an unlabeled task may
+/// write `/tmp`, so every file a successful `create()` made must be
+/// unlabeled, and a tainted create must fail as a flow denial. Labels
+/// read before the transaction would let a create succeed as `{}` yet
+/// stamp its file `{S(t)}`, or fail for a taint the task had dropped.
+#[test]
+fn create_labels_the_file_with_the_labels_it_commits_under() {
+    const ROUNDS: usize = 20_000;
+    let kernel = Kernel::boot(LaminarModule);
+    kernel.add_user(UserId(1), "alice");
+    let creator = kernel.login(UserId(1)).expect("login");
+    let tag = creator.alloc_tag().expect("tag");
+    let flipper = creator.clone();
+    let (created, other_errors) = std::thread::scope(|s| {
+        s.spawn(move || {
+            for n in 0..ROUNDS {
+                let secrecy =
+                    if n % 2 == 0 { Label::singleton(tag) } else { Label::empty() };
+                flipper.set_task_label(LabelType::Secrecy, secrecy).expect("flip");
+            }
+        });
+        let (mut created, mut other_errors) = (Vec::new(), Vec::new());
+        for n in 0..ROUNDS {
+            let path = format!("/tmp/c{n}");
+            match creator.create(&path) {
+                Ok(fd) => {
+                    creator.close(fd).expect("close");
+                    created.push(path);
+                }
+                Err(OsError::FlowDenied(_)) => {}
+                Err(e) => other_errors.push(format!("{path}: {e}")),
+            }
+        }
+        (created, other_errors)
+    });
+    assert!(!created.is_empty(), "some creates must succeed");
+    let mislabeled: Vec<_> = created
+        .iter()
+        .filter(|path| {
+            let (labels, _) = kernel.inspect_node_for_test(path).expect("inspect");
+            !labels.is_unlabeled()
+        })
+        .collect();
+    assert!(
+        mislabeled.is_empty(),
+        "{} of {} created files carry labels: {:?}",
+        mislabeled.len(),
+        created.len(),
+        &mislabeled[..mislabeled.len().min(4)]
+    );
+    assert!(other_errors.is_empty(), "creates failed otherwise: {other_errors:?}");
+}
