@@ -30,7 +30,7 @@ use crate::task::{ProcessId, ProcessStruct, TaskId, TaskSec, TaskStruct, UserId}
 use crate::txn::{IdCache, Intent, Quotas, Txn};
 use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
 use laminar_difc::{CapSet, Label, SecPair, Tag, TagAllocator};
-use laminar_util::sync::Mutex;
+use laminar_util::sync::{CachePadded, Mutex};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -166,18 +166,12 @@ impl Failpoints {
 /// up to this many threads count hooks without sharing a cache line.
 const HOOK_STRIPES: usize = 8;
 
-/// One stripe of [`HookCounter`], alone on its cache line (128 bytes:
-/// the adjacent-line prefetcher pairs 64-byte lines).
-#[derive(Default)]
-#[repr(align(128))]
-struct Stripe(AtomicU64);
-
 /// The kernel's count of LSM hook invocations, striped per thread: a
 /// syscall adds to its thread's stripe, and [`HookCounter::sum`] adds
 /// the stripes. Every addition lands in some stripe, so the sum is exact
 /// once the adding threads are done.
 #[derive(Default)]
-pub(crate) struct HookCounter([Stripe; HOOK_STRIPES]);
+pub(crate) struct HookCounter([CachePadded<AtomicU64>; HOOK_STRIPES]);
 
 impl HookCounter {
     /// Adds `n` to the calling thread's stripe.
@@ -186,12 +180,12 @@ impl HookCounter {
         thread_local! {
             static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % HOOK_STRIPES;
         }
-        self.0[STRIPE.with(|s| *s)].0.fetch_add(n, Ordering::Relaxed);
+        self.0[STRIPE.with(|s| *s)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// The total over all stripes.
     fn sum(&self) -> u64 {
-        self.0.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.0.iter().map(|s| s.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -232,8 +226,10 @@ pub struct Kernel {
     /// Syscall attempts rolled back and rerun with a wider lock
     /// footprint (see [`Kernel::footprint_restarts`]).
     restarts: AtomicU64,
-    /// Commit-ticket source (see [`CommitRecord`]).
-    commit_seq: AtomicU64,
+    /// Commit-ticket source (see [`CommitRecord`]). Denials and logged
+    /// syscalls write it; every success reads `commit_log_on`, so the
+    /// counter has a cache block of its own.
+    commit_seq: CachePadded<AtomicU64>,
     commit_log_on: AtomicBool,
     commit_log: Mutex<Vec<CommitRecord>>,
     /// This kernel's trusted audit log (off by default).
@@ -306,7 +302,7 @@ impl Kernel {
             inode_ids: InodeIds::new(7),
             hook_counter: HookCounter::default(),
             restarts: AtomicU64::new(0),
-            commit_seq: AtomicU64::new(0),
+            commit_seq: CachePadded::default(),
             commit_log_on: AtomicBool::new(false),
             commit_log: Mutex::new(Vec::new()),
             audit: laminar_obs::Audit::default(),
@@ -365,9 +361,10 @@ impl Kernel {
     /// demand in ascending key order. If the body needs
     /// a shard below one it already holds, or exclusive mode on a shard
     /// it holds shared, the accessor returns the internal
-    /// [`OsError::Retry`] sentinel; the journal is rolled back, the shard
-    /// joins the lock footprint in the mode it needs, and the body reruns
-    /// with the whole footprint pre-locked — ids minted
+    /// [`OsError::Retry`] sentinel; the journal is rolled back, the
+    /// shard joins the lock footprint in the mode it needs, together
+    /// with every shard the attempt held in the mode it held it, and the
+    /// body reruns with the whole footprint pre-locked — ids minted
     /// by the attempt replay positionally (see [`IdCache`]), so the
     /// footprint converges and the loop terminates within
     /// `2 * SHARD_COUNT + 8` attempts (fail-closed [`OsError::Internal`]
@@ -448,6 +445,12 @@ impl Kernel {
                         }
                         return Err(OsError::Internal);
                     }
+                    // The next attempt pre-locks every shard this one
+                    // held, not only the missing one: a walk that needs
+                    // a shard below some of those it held then meets
+                    // them all in order, instead of restarting once more
+                    // for each.
+                    footprint = txn.footprint();
                     drop(txn);
                     #[cfg(feature = "fault-injection")]
                     self.failpoints.restore(fp_snapshot);
@@ -939,6 +942,19 @@ impl Kernel {
         Ok(node)
     }
 
+    /// Invokes the `inode_permission` hook on an inode the caller has
+    /// already fetched, counting it.
+    pub(crate) fn check_inode(
+        &self,
+        st: &Txn<'_>,
+        task: &TaskSec,
+        node: &Inode,
+        mask: Access,
+    ) -> OsResult<()> {
+        st.count_hook();
+        self.module.inode_permission(task, node.labels(), mask)
+    }
+
     /// Resolves `path` for a task with security context `task` in
     /// process `pid`, checking a read permission on every directory
     /// traversed (directory contents — names and labels of children —
@@ -964,16 +980,44 @@ impl Kernel {
         self.resolve_full(st, task, pid, path, true)
     }
 
-    /// Like [`Kernel::resolve`] but does not follow a symlink in the
-    /// final component (for `readlink`/`lstat`).
-    pub(crate) fn resolve_nofollow<'p>(
+    /// Resolves `path` to an existing inode, as [`Kernel::resolve`] does
+    /// but following a final-component symlink only when `follow`, and
+    /// returns `f` applied to that inode. The inode is fetched once, for
+    /// the symlink check and for `f`, which runs the body's own hook on
+    /// it through [`Kernel::check_inode`].
+    ///
+    /// # Errors
+    /// [`OsError::NotFound`] if the path names no inode; walk errors;
+    /// `f`'s.
+    pub(crate) fn resolve_inode<R>(
         &self,
         st: &mut Txn<'_>,
         task: &TaskSec,
         pid: ProcessId,
-        path: &'p str,
-    ) -> OsResult<Resolved<'p>> {
-        self.resolve_full(st, task, pid, path, false)
+        path: &str,
+        follow: bool,
+        f: impl FnOnce(&Txn<'_>, &Inode) -> OsResult<R>,
+    ) -> OsResult<R> {
+        let mut r = self.resolve_full(st, task, pid, path, false)?;
+        loop {
+            let ino = r.inode.ok_or(OsError::NotFound)?;
+            // The walk holds the final inode's shard in the declared mode.
+            let node = st.held_node(ino)?;
+            let link = match &node.kind {
+                InodeKind::Symlink { target } if follow => {
+                    self.check_inode(st, task, node, Access::Read)?;
+                    target.clone()
+                }
+                _ => return f(st, node),
+            };
+            let start = if link.starts_with('/') {
+                self.root
+            } else {
+                r.parent.ok_or(OsError::Internal)?
+            };
+            let rel = link.strip_prefix('/').unwrap_or(&link);
+            r = self.walk(st, task, start, rel, false, r.depth + 1)?.into_owned();
+        }
     }
 
     fn resolve_full<'p>(
@@ -1016,9 +1060,10 @@ impl Kernel {
     /// Every inode the walk reads — each directory it looks a name up
     /// in, and each link it follows — is fetched once, by
     /// [`Kernel::walk_read`], when its shard is taken: a child read on
-    /// the way down is the next step's directory. A final component is
-    /// fetched only for its symlink check, and read through the hook
-    /// only if it is a symlink to follow.
+    /// the way down is the next step's directory. A final component's
+    /// shard is taken in the declared mode; the component is fetched
+    /// only when `follow_final` asks for its symlink check, and read
+    /// through the hook only if it is a symlink to follow.
     fn walk<'p>(
         &self,
         st: &mut Txn<'_>,
@@ -1050,6 +1095,7 @@ impl Kernel {
                 parent: None,
                 name: Cow::Borrowed(""),
                 inode: Some(start),
+                depth,
             });
         }
         // Directories walked so far, for `..`; only kept when the path
@@ -1069,6 +1115,7 @@ impl Kernel {
                         parent: None,
                         name: Cow::Borrowed(""),
                         inode: Some(cur),
+                        depth,
                     });
                 }
                 dir = self.walk_read(st, task, cur, ShardMode::Shared)?;
@@ -1084,6 +1131,7 @@ impl Kernel {
                         parent: Some(cur),
                         name: Cow::Borrowed(comp),
                         inode: None,
+                        depth,
                     });
                 }
                 return Err(OsError::NotFound);
@@ -1092,15 +1140,21 @@ impl Kernel {
             // component is only read when it is a symlink to follow.
             let mode = mode_after(i);
             if last {
-                let link = matches!(
-                    st.inode_in(child, mode)?.map(|n| &n.kind),
-                    Some(InodeKind::Symlink { .. })
-                );
-                if !(link && follow_final) {
+                let link = if follow_final {
+                    matches!(
+                        st.inode_in(child, mode)?.map(|n| &n.kind),
+                        Some(InodeKind::Symlink { .. })
+                    )
+                } else {
+                    st.hold(ShardKey::inode(child), mode)?;
+                    false
+                };
+                if !link {
                     return Ok(Resolved {
                         parent: Some(cur),
                         name: Cow::Borrowed(comp),
                         inode: Some(child),
+                        depth,
                     });
                 }
             }
@@ -1142,6 +1196,9 @@ pub(crate) struct Resolved<'p> {
     /// expansion produced it.
     pub name: Cow<'p, str>,
     pub inode: Option<InodeId>,
+    /// Symlinks followed on the way to it: a link the caller follows
+    /// from here is walked at `depth + 1`.
+    pub depth: u32,
 }
 
 impl Resolved<'_> {
@@ -1150,6 +1207,7 @@ impl Resolved<'_> {
             parent: self.parent,
             name: Cow::Owned(self.name.into_owned()),
             inode: self.inode,
+            depth: self.depth,
         }
     }
 }

@@ -28,9 +28,10 @@
 //! body that discovers it needs a shard *below* one it already holds, or
 //! exclusive mode on a shard it holds shared, returns the internal
 //! [`OsError::Retry`](crate::OsError) sentinel, and the dispatcher rolls
-//! back, widens its lock [`Footprint`] and restarts with every needed
-//! shard pre-locked in ascending order and in the mode it needs
-//! (two-phase locking with restart).
+//! back, widens its lock [`Footprint`] to every shard the attempt held
+//! plus the one it lacked, and restarts with all of them pre-locked in
+//! ascending order and in the mode each needs (two-phase locking with
+//! restart).
 //!
 //! [`InodeIds`] mints each new inode's id in a shard above every shard
 //! its creator holds, so a path walk from `/` to a file normally meets
@@ -45,7 +46,7 @@
 use crate::task::{ProcessId, ProcessStruct, TaskId, TaskStruct, UserId};
 use crate::vfs::inode::{Inode, InodeId};
 use laminar_difc::CapSet;
-use laminar_util::sync::{lock_order, RwLock};
+use laminar_util::sync::{lock_order, CachePadded, RwLock};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -229,13 +230,19 @@ pub(crate) type TaskMap = IdMap<TaskId, TaskStruct>;
 pub(crate) type ProcMap = IdMap<ProcessId, ProcessStruct>;
 pub(crate) type InodeMap = IdMap<InodeId, Inode>;
 
+/// One shard's rwlock on a 128-byte block of its own. Unpadded, a
+/// 48-byte `RwLock<HashMap>` shares a cache line with its neighbour, so
+/// a syscall taking or releasing its own shard would invalidate the
+/// line another core reads for a different shard.
+type Shard<T> = CachePadded<RwLock<T>>;
+
 /// The sharded kernel tables. Each map fragment has its own rwlock;
 /// [`Tables::lock`] enforces the total order via [`lock_order`].
 pub(crate) struct Tables {
-    tasks: [RwLock<TaskMap>; TASK_SHARDS],
-    procs: [RwLock<ProcMap>; PROC_SHARDS],
-    inodes: [RwLock<InodeMap>; INODE_SHARDS],
-    registry: RwLock<Registry>,
+    tasks: [Shard<TaskMap>; TASK_SHARDS],
+    procs: [Shard<ProcMap>; PROC_SHARDS],
+    inodes: [Shard<InodeMap>; INODE_SHARDS],
+    registry: Shard<Registry>,
 }
 
 impl std::fmt::Debug for Tables {
@@ -408,10 +415,10 @@ fn idx(key: ShardKey) -> usize {
 impl Tables {
     pub(crate) fn new() -> Self {
         Tables {
-            tasks: std::array::from_fn(|_| RwLock::default()),
-            procs: std::array::from_fn(|_| RwLock::default()),
-            inodes: std::array::from_fn(|_| RwLock::default()),
-            registry: RwLock::new(Registry::default()),
+            tasks: std::array::from_fn(|_| Shard::default()),
+            procs: std::array::from_fn(|_| Shard::default()),
+            inodes: std::array::from_fn(|_| Shard::default()),
+            registry: Shard::default(),
         }
     }
 
@@ -632,6 +639,29 @@ mod tests {
             ]
         );
         assert_eq!(f.len(), 3);
+    }
+
+    #[test]
+    fn every_shard_lock_has_a_128_byte_block_of_its_own() {
+        use std::ptr::addr_of;
+        let t = Tables::new();
+        let mut starts: Vec<usize> = (0..TASK_SHARDS)
+            .map(|i| addr_of!(t.tasks[i]) as usize)
+            .chain((0..PROC_SHARDS).map(|i| addr_of!(t.procs[i]) as usize))
+            .chain((0..INODE_SHARDS).map(|i| addr_of!(t.inodes[i]) as usize))
+            .chain([addr_of!(t.registry) as usize])
+            .collect();
+        assert_eq!(starts.len(), SHARD_COUNT);
+        assert!(starts.iter().all(|a| a % 128 == 0), "unaligned: {starts:x?}");
+        starts.sort_unstable();
+        for w in starts.windows(2) {
+            assert!(
+                w[1] - w[0] >= 128,
+                "locks at {:#x} and {:#x} share a block",
+                w[0],
+                w[1]
+            );
+        }
     }
 
     #[test]

@@ -26,13 +26,24 @@ use crate::task::{
 };
 use crate::txn::{Intent, Txn};
 use crate::vfs::file::{Fd, OpenFile, OpenMode, PipeEnd, SocketEnd};
-use crate::vfs::inode::{Buf, InodeId, InodeKind, Metadata};
+use crate::vfs::inode::{Buf, Inode, InodeId, InodeKind, Metadata};
 use crate::vfs::pipe::PipeBuffer;
 use laminar_difc::{
     check_pair_change, CapSet, Capability, Label, LabelType, SecPair, Tag,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// What a whole-file write by path writes: a regular file's id, or
+/// `None` for `/dev/null`, which takes the bytes and keeps nothing.
+fn write_target(inode: &Inode) -> OsResult<Option<InodeId>> {
+    match inode.kind {
+        InodeKind::File { .. } => Ok(Some(inode.id)),
+        InodeKind::NullDevice => Ok(None),
+        InodeKind::Dir { .. } => Err(OsError::IsADirectory),
+        _ => Err(OsError::Unsupported("write_file_at on a special inode")),
+    }
+}
 
 /// Stages a trusted `SilentDrop` audit event. The subject still sees
 /// full success — only the kernel-side log records the drop (§5.2).
@@ -498,17 +509,25 @@ impl TaskHandle {
     pub fn open(&self, path: &str, mode: OpenMode) -> OsResult<Fd> {
         self.syscall("open", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            if st.inode_opt(ino)?.map(|i| i.kind.is_dir()).unwrap_or(false) {
-                return Err(OsError::IsADirectory);
-            }
             let mask = match mode {
                 OpenMode::Read => Access::Read,
                 OpenMode::Write => Access::Write,
                 OpenMode::ReadWrite => Access::ReadWrite,
             };
-            self.kernel.hook_inode_permission(st, &sec, ino, mask)?;
+            let ino = self.kernel.resolve_inode(
+                st,
+                &sec,
+                self.pid,
+                path,
+                true,
+                |st, node| {
+                    if node.kind.is_dir() {
+                        return Err(OsError::IsADirectory);
+                    }
+                    self.kernel.check_inode(st, &sec, node, mask)?;
+                    Ok(node.id)
+                },
+            )?;
             let pid = self.pid;
             st.fd_insert(
                 pid,
@@ -698,18 +717,18 @@ impl TaskHandle {
     pub fn read_file_at(&self, path: &str, max: usize) -> OsResult<Vec<u8>> {
         self.syscall("read_file_at", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            let inode = self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            match &inode.kind {
-                InodeKind::File { data } => {
-                    let end = max.min(data.len());
-                    Ok(data[..end].to_vec())
+            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |st, inode| {
+                self.kernel.check_inode(st, &sec, inode, Access::Read)?;
+                match &inode.kind {
+                    InodeKind::File { data } => {
+                        let end = max.min(data.len());
+                        Ok(data[..end].to_vec())
+                    }
+                    InodeKind::NullDevice => Ok(Vec::new()),
+                    InodeKind::Dir { .. } => Err(OsError::IsADirectory),
+                    _ => Err(OsError::Unsupported("read_file_at on a special inode")),
                 }
-                InodeKind::NullDevice => Ok(Vec::new()),
-                InodeKind::Dir { .. } => Err(OsError::IsADirectory),
-                _ => Err(OsError::Unsupported("read_file_at on a special inode")),
-            }
+            })
         })
     }
 
@@ -721,19 +740,21 @@ impl TaskHandle {
     pub fn write_file_at(&self, path: &str, data: &[u8]) -> OsResult<usize> {
         self.syscall("write_file_at", WRITE_TARGET, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            let inode =
-                self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
-            match inode.kind {
-                InodeKind::File { .. } => {
-                    st.write_file_data(ino, 0, data)?;
-                    Ok(data.len())
-                }
-                InodeKind::NullDevice => Ok(data.len()),
-                InodeKind::Dir { .. } => Err(OsError::IsADirectory),
-                _ => Err(OsError::Unsupported("write_file_at on a special inode")),
+            let file = self.kernel.resolve_inode(
+                st,
+                &sec,
+                self.pid,
+                path,
+                true,
+                |st, inode| {
+                    self.kernel.check_inode(st, &sec, inode, Access::Write)?;
+                    write_target(inode)
+                },
+            )?;
+            if let Some(ino) = file {
+                st.write_file_data(ino, 0, data)?;
             }
+            Ok(data.len())
         })
     }
 
@@ -755,25 +776,27 @@ impl TaskHandle {
     ) -> OsResult<usize> {
         self.syscall("write_file_at_off", WRITE_TARGET, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            let inode =
-                self.kernel.hook_inode_permission(st, &sec, ino, Access::Write)?;
-            let offset = usize::try_from(offset).map_err(|_| {
-                laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
-                    resource: "file size",
-                });
-                OsError::QuotaExceeded("file size")
-            })?;
-            match inode.kind {
-                InodeKind::File { .. } => {
-                    st.write_file_data(ino, offset, data)?;
-                    Ok(data.len())
-                }
-                InodeKind::NullDevice => Ok(data.len()),
-                InodeKind::Dir { .. } => Err(OsError::IsADirectory),
-                _ => Err(OsError::Unsupported("write_file_at on a special inode")),
+            let file = self.kernel.resolve_inode(
+                st,
+                &sec,
+                self.pid,
+                path,
+                true,
+                |st, inode| {
+                    self.kernel.check_inode(st, &sec, inode, Access::Write)?;
+                    let offset = usize::try_from(offset).map_err(|_| {
+                        laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
+                            resource: "file size",
+                        });
+                        OsError::QuotaExceeded("file size")
+                    })?;
+                    Ok(write_target(inode)?.map(|ino| (ino, offset)))
+                },
+            )?;
+            if let Some((ino, offset)) = file {
+                st.write_file_data(ino, offset, data)?;
             }
+            Ok(data.len())
         })
     }
 
@@ -787,18 +810,18 @@ impl TaskHandle {
     pub fn stat(&self, path: &str) -> OsResult<Metadata> {
         self.syscall("stat", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            let inode = self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            Ok(Metadata {
-                inode: ino,
-                is_dir: inode.kind.is_dir(),
-                size: match &inode.kind {
-                    InodeKind::File { data } => data.len() as u64,
-                    _ => 0,
-                },
-                labels: inode.labels().clone(),
-                nlink: inode.nlink,
+            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |st, inode| {
+                self.kernel.check_inode(st, &sec, inode, Access::Read)?;
+                Ok(Metadata {
+                    inode: inode.id,
+                    is_dir: inode.kind.is_dir(),
+                    size: match &inode.kind {
+                        InodeKind::File { data } => data.len() as u64,
+                        _ => 0,
+                    },
+                    labels: inode.labels().clone(),
+                    nlink: inode.nlink,
+                })
             })
         })
     }
@@ -811,19 +834,19 @@ impl TaskHandle {
     pub fn lstat(&self, path: &str) -> OsResult<Metadata> {
         self.syscall("lstat", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve_nofollow(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            let inode = self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            Ok(Metadata {
-                inode: ino,
-                is_dir: inode.kind.is_dir(),
-                size: match &inode.kind {
-                    InodeKind::File { data } => data.len() as u64,
-                    InodeKind::Symlink { target } => target.len() as u64,
-                    _ => 0,
-                },
-                labels: inode.labels().clone(),
-                nlink: inode.nlink,
+            self.kernel.resolve_inode(st, &sec, self.pid, path, false, |st, inode| {
+                self.kernel.check_inode(st, &sec, inode, Access::Read)?;
+                Ok(Metadata {
+                    inode: inode.id,
+                    is_dir: inode.kind.is_dir(),
+                    size: match &inode.kind {
+                        InodeKind::File { data } => data.len() as u64,
+                        InodeKind::Symlink { target } => target.len() as u64,
+                        _ => 0,
+                    },
+                    labels: inode.labels().clone(),
+                    nlink: inode.nlink,
+                })
             })
         })
     }
@@ -838,9 +861,9 @@ impl TaskHandle {
     pub fn get_labels(&self, path: &str) -> OsResult<SecPair> {
         self.syscall("get_labels", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            st.inode_labels(ino).cloned()
+            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |_, inode| {
+                Ok(inode.labels().clone())
+            })
         })
     }
 
@@ -884,12 +907,13 @@ impl TaskHandle {
     pub fn readdir(&self, path: &str) -> OsResult<Vec<String>> {
         self.syscall("readdir", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            match &self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?.kind {
-                InodeKind::Dir { entries } => Ok(entries.keys().cloned().collect()),
-                _ => Err(OsError::NotADirectory),
-            }
+            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |st, inode| {
+                self.kernel.check_inode(st, &sec, inode, Access::Read)?;
+                match &inode.kind {
+                    InodeKind::Dir { entries } => Ok(entries.keys().cloned().collect()),
+                    _ => Err(OsError::NotADirectory),
+                }
+            })
         })
     }
 
@@ -900,11 +924,14 @@ impl TaskHandle {
     pub fn chdir(&self, path: &str) -> OsResult<()> {
         self.syscall("chdir", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            if !st.inode_opt(ino)?.map(|i| i.kind.is_dir()).unwrap_or(false) {
-                return Err(OsError::NotADirectory);
-            }
+            let ino =
+                self.kernel.resolve_inode(st, &sec, self.pid, path, true, |_, dir| {
+                    if dir.kind.is_dir() {
+                        Ok(dir.id)
+                    } else {
+                        Err(OsError::NotADirectory)
+                    }
+                })?;
             let pid = self.pid;
             st.set_cwd(pid, ino)?;
             Ok(())
@@ -1034,12 +1061,13 @@ impl TaskHandle {
     pub fn readlink(&self, path: &str) -> OsResult<String> {
         self.syscall("readlink", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve_nofollow(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            match &self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?.kind {
-                InodeKind::Symlink { target } => Ok(target.clone()),
-                _ => Err(OsError::InvalidArgument("not a symlink")),
-            }
+            self.kernel.resolve_inode(st, &sec, self.pid, path, false, |st, inode| {
+                self.kernel.check_inode(st, &sec, inode, Access::Read)?;
+                match &inode.kind {
+                    InodeKind::Symlink { target } => Ok(target.clone()),
+                    _ => Err(OsError::InvalidArgument("not a symlink")),
+                }
+            })
         })
     }
 

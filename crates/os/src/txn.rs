@@ -73,6 +73,7 @@ use crate::vfs::file::{Fd, FdTable, OpenFile, PipeEnd};
 use crate::vfs::inode::{Buf, Inode, InodeId, InodeKind, Xattrs};
 use crate::vfs::pipe::{PipeBuffer, Popped};
 use laminar_difc::{CapSet, Capability, SecPair, Tag};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::mem::size_of;
 use std::sync::atomic::Ordering;
@@ -310,8 +311,10 @@ pub(crate) struct Txn<'a> {
     /// Bytes of every record pushed this attempt (see [`Undo::bytes`]).
     undo_bytes: u64,
     ids: &'a mut IdCache,
-    /// LSM hook invocations this attempt; flushed by the dispatcher.
-    hooks: u64,
+    /// LSM hook invocations this attempt; flushed by the dispatcher. A
+    /// `Cell`, so a hook can be counted while an inode borrowed from
+    /// this transaction is being checked.
+    hooks: Cell<u64>,
     intent: Intent,
 }
 
@@ -329,7 +332,15 @@ impl<'a> Txn<'a> {
         for (key, mode) in footprint.iter() {
             guards.push(kernel.tables.lock(key, mode));
         }
-        Txn { kernel, guards, journal: Vec::new(), undo_bytes: 0, ids, hooks: 0, intent }
+        Txn {
+            kernel,
+            guards,
+            journal: Vec::new(),
+            undo_bytes: 0,
+            ids,
+            hooks: Cell::new(0),
+            intent,
+        }
     }
 
     /// The modes this syscall declared.
@@ -359,6 +370,15 @@ impl<'a> Txn<'a> {
         }
         self.guards.push(self.kernel.tables.lock(key, mode));
         Ok(self.guards.len() - 1)
+    }
+
+    /// The shards this attempt holds, each in its held mode.
+    pub(crate) fn footprint(&self) -> Footprint {
+        let mut footprint = Footprint::default();
+        for g in &self.guards {
+            footprint.add(g.key, g.mode());
+        }
+        footprint
     }
 
     /// Takes `key` in `mode` now, before the first access to it, so a
@@ -612,8 +632,8 @@ impl<'a> Txn<'a> {
 
     /// Bumps the per-attempt LSM hook count (flushed at commit); the
     /// panic-at-hook failpoint fires here.
-    pub(crate) fn count_hook(&mut self) {
-        self.hooks += 1;
+    pub(crate) fn count_hook(&self) {
+        self.hooks.set(self.hooks.get() + 1);
         #[cfg(feature = "fault-injection")]
         self.kernel.failpoints.fire_panic_at_hook();
     }
@@ -624,9 +644,9 @@ impl<'a> Txn<'a> {
     /// the dispatcher on every exit except a footprint restart (so
     /// restarts do not inflate the count).
     pub(crate) fn flush_counters(&mut self) {
-        if self.hooks > 0 {
-            self.kernel.hook_counter.add(self.hooks);
-            self.hooks = 0;
+        let hooks = self.hooks.take();
+        if hooks > 0 {
+            self.kernel.hook_counter.add(hooks);
         }
         #[cfg(feature = "fault-injection")]
         self.kernel.last_undo_bytes.store(self.undo_bytes, Ordering::Relaxed);

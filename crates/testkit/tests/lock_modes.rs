@@ -354,3 +354,25 @@ fn a_symlink_into_a_lower_shard_restarts_and_still_resolves() {
     assert_eq!(data, b"through the link");
     assert!(restarts > 0, "a lower-shard symlink target must take the restart path");
 }
+
+/// A `..` that lands on the final parent: the walk took that directory
+/// shared on the way down, and `create` and `unlink` need it exclusive.
+/// The restart pre-locks every shard the failed attempt held, `/` and
+/// `/tmp` included, so one restart is enough.
+#[test]
+fn a_dotdot_onto_the_final_parent_restarts_once() {
+    let kernel = Kernel::boot(LaminarModule);
+    kernel.add_user(UserId(1), "alice");
+    let alice = kernel.login(UserId(1)).unwrap();
+    alice.mkdir("/tmp/a").unwrap();
+    alice.mkdir("/tmp/a/b").unwrap();
+    let path = "/tmp/a/b/../f";
+    let mut fd = None;
+    let restarts = restarts_during(&kernel, || fd = Some(alice.create(path).unwrap()));
+    assert_eq!(restarts, 1, "create restarts");
+    alice.close(fd.unwrap()).unwrap();
+    assert!(kernel.inode_of_for_test("/tmp/a/f").is_ok());
+    let restarts = restarts_during(&kernel, || alice.unlink(path).unwrap());
+    assert_eq!(restarts, 1, "unlink restarts");
+    assert!(kernel.inode_of_for_test("/tmp/a/f").is_err());
+}

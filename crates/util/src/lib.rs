@@ -11,7 +11,9 @@
 //! * [`sync`] — [`Mutex`](sync::Mutex)/[`RwLock`](sync::RwLock) wrappers
 //!   over `std::sync` with a `parking_lot`-style guard-returning API
 //!   that recovers from poisoning instead of forcing `unwrap()` at every
-//!   call site (replaces `parking_lot`).
+//!   call site (replaces `parking_lot`), and
+//!   [`CachePadded`](sync::CachePadded), which gives a lock word or
+//!   counter a 128-byte block of its own.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
