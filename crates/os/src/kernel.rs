@@ -740,64 +740,62 @@ impl Kernel {
         kind: InodeKind,
         labels: SecPair,
     ) -> OsResult<()> {
-        let (parent, name) = self.admin_resolve(path)?;
-        {
-            let shard = self.tables.inodes_read(parent);
-            match shard.get(&parent).map(|n| &n.kind) {
-                Some(InodeKind::Dir { entries }) => {
-                    if entries.contains_key(&name) {
-                        return Err(OsError::Exists);
-                    }
-                }
-                _ => return Err(OsError::NotADirectory),
-            }
+        let (parent, name, existing) = self.admin_lookup(path)?;
+        if existing.is_some() {
+            return Err(OsError::Exists);
         }
-        // The parent guard is dropped before allocating: the child may
-        // hash to the same (or a lower-ranked) inode shard.
+        // No guard is held while allocating: the child may hash to the
+        // same (or a lower-ranked) inode shard as its parent.
         let id = self.alloc_inode_direct(parent, kind, labels);
         let mut shard = self.tables.inodes_write(parent);
         match shard.get_mut(&parent).map(|n| &mut n.kind) {
             Some(InodeKind::Dir { entries }) => {
-                if entries.contains_key(&name) {
+                if entries.contains_key(name) {
                     // Lost an install race; undo the allocation.
                     drop(shard);
                     self.tables.inodes_write(id).remove(&id);
                     self.inode_ids.removed(id);
                     return Err(OsError::Exists);
                 }
-                entries.insert(name, id);
+                entries.insert(name.to_string(), id);
                 Ok(())
             }
             _ => Err(OsError::NotADirectory),
         }
     }
 
-    /// Reads one directory entry, locking only that directory's shard.
-    fn admin_lookup_child(&self, dir: InodeId, name: &str) -> OsResult<InodeId> {
+    /// Reads one directory entry, locking only that directory's shard:
+    /// `None` if the directory has no such name.
+    fn admin_lookup_child(&self, dir: InodeId, name: &str) -> OsResult<Option<InodeId>> {
         let shard = self.tables.inodes_read(dir);
         match shard.get(&dir).map(|n| &n.kind) {
-            Some(InodeKind::Dir { entries }) => {
-                entries.get(name).copied().ok_or(OsError::NotFound)
-            }
+            Some(InodeKind::Dir { entries }) => Ok(entries.get(name).copied()),
             Some(_) => Err(OsError::NotADirectory),
             None => Err(OsError::NotFound),
         }
     }
 
-    /// Checkless absolute-path resolution for install-time operations.
-    /// Locks one directory shard at a time (never two at once).
-    fn admin_resolve(&self, path: &str) -> OsResult<(InodeId, String)> {
+    /// Checkless lookup of an absolute path for install-time operations
+    /// and test inspection: the directory holding the last component,
+    /// that component, and the inode it names, if any. Locks one
+    /// directory shard at a time (never two at once).
+    fn admin_lookup<'p>(
+        &self,
+        path: &'p str,
+    ) -> OsResult<(InodeId, &'p str, Option<InodeId>)> {
         let rel = path
             .strip_prefix('/')
-            .ok_or(OsError::InvalidArgument("install paths must be absolute"))?;
-        let comps: Vec<&str> = rel.split('/').filter(|c| !c.is_empty()).collect();
-        let (last, dirs) =
-            comps.split_last().ok_or(OsError::InvalidArgument("empty path"))?;
-        let mut cur = self.root;
-        for c in dirs {
-            cur = self.admin_lookup_child(cur, c)?;
+            .ok_or(OsError::InvalidArgument("install paths must be absolute"))?
+            .trim_end_matches('/');
+        let (dirs, last) = rel.rsplit_once('/').unwrap_or(("", rel));
+        if last.is_empty() {
+            return Err(OsError::InvalidArgument("empty path"));
         }
-        Ok((cur, (*last).to_string()))
+        let mut dir = self.root;
+        for c in dirs.split('/').filter(|c| !c.is_empty()) {
+            dir = self.admin_lookup_child(dir, c)?.ok_or(OsError::NotFound)?;
+        }
+        Ok((dir, last, self.admin_lookup_child(dir, last)?))
     }
 
     /// Conformance/test inspection: resolves an *absolute* `path` with
@@ -815,8 +813,7 @@ impl Kernel {
         self: &Arc<Self>,
         path: &str,
     ) -> OsResult<(SecPair, Option<Vec<u8>>)> {
-        let (parent, name) = self.admin_resolve(path)?;
-        let id = self.admin_lookup_child(parent, &name)?;
+        let id = self.admin_lookup(path)?.2.ok_or(OsError::NotFound)?;
         let shard = self.tables.inodes_read(id);
         let inode = shard.get(&id).ok_or(OsError::NotFound)?;
         let data = match &inode.kind {
@@ -858,8 +855,7 @@ impl Kernel {
     /// [`OsError::InvalidArgument`] for relative paths.
     #[cfg(feature = "fault-injection")]
     pub fn inode_of_for_test(self: &Arc<Self>, path: &str) -> OsResult<InodeId> {
-        let (parent, name) = self.admin_resolve(path)?;
-        self.admin_lookup_child(parent, &name)
+        self.admin_lookup(path)?.2.ok_or(OsError::NotFound)
     }
 
     /// Logs a user in: spawns a fresh process with one task whose
@@ -927,21 +923,6 @@ impl Kernel {
             .unwrap_or_default()
     }
 
-    /// Invokes the `inode_permission` hook, counting it, and returns the
-    /// inode it checked: the entry the hook read serves the caller too.
-    pub(crate) fn hook_inode_permission<'t>(
-        &self,
-        st: &'t mut Txn<'_>,
-        task: &TaskSec,
-        ino: InodeId,
-        mask: Access,
-    ) -> OsResult<&'t Inode> {
-        st.count_hook();
-        let node = st.inode_opt(ino)?.ok_or(OsError::NotFound)?;
-        self.module.inode_permission(task, node.labels(), mask)?;
-        Ok(node)
-    }
-
     /// Invokes the `inode_permission` hook on an inode the caller has
     /// already fetched, counting it.
     pub(crate) fn check_inode(
@@ -955,79 +936,34 @@ impl Kernel {
         self.module.inode_permission(task, node.labels(), mask)
     }
 
-    /// Resolves `path` for a task with security context `task` in
-    /// process `pid`, checking a read permission on every directory
-    /// traversed (directory contents — names and labels of children —
-    /// are protected by the directory's own label) and *following
-    /// symbolic links*, each of which is itself a mediated read of the
-    /// link inode (so a task that rejects the link's integrity cannot be
-    /// redirected through it — §5.2's symlink concern).
+    /// The path lookup every path syscall makes. Resolves `path` for a
+    /// task with security context `task` in process `pid`, checking a
+    /// read permission on every directory traversed (directory contents
+    /// — names and labels of children — are protected by the directory's
+    /// own label) and *following symbolic links*, each of which is
+    /// itself a mediated read of the link inode (so a task that rejects
+    /// the link's integrity cannot be redirected through it — §5.2's
+    /// symlink concern). A link in the final component is followed only
+    /// when `follow` asks for it; creation and `unlink` act on the link
+    /// itself, as POSIX `O_EXCL` and `unlink` do.
     ///
-    /// Returns the parent directory, the final component name, and the
-    /// target inode if it exists. A relative path reads the process's
-    /// cwd, taking its shard shared if the syscall has not pre-locked it;
-    /// no inode shard is held yet, so that never restarts. The walk takes
+    /// Returns `f` applied to the final parent, the final name and the
+    /// target's entry if one exists, borrowed from its held shard. A relative path reads the process's cwd,
+    /// taking its shard shared if the syscall has not pre-locked it; no
+    /// inode shard is held yet, so that never restarts. The walk takes
     /// the final parent and the target in the modes the syscall's
     /// [`Intent`] declares, the first time it touches them; every other
-    /// directory it takes shared.
-    pub(crate) fn resolve<'p>(
-        &self,
-        st: &mut Txn<'_>,
-        task: &TaskSec,
-        pid: ProcessId,
-        path: &'p str,
-    ) -> OsResult<Resolved<'p>> {
-        self.resolve_full(st, task, pid, path, true)
-    }
-
-    /// Resolves `path` to an existing inode, as [`Kernel::resolve`] does
-    /// but following a final-component symlink only when `follow`, and
-    /// returns `f` applied to that inode. The inode is fetched once, for
-    /// the symlink check and for `f`, which runs the body's own hook on
-    /// it through [`Kernel::check_inode`].
-    ///
-    /// # Errors
-    /// [`OsError::NotFound`] if the path names no inode; walk errors;
-    /// `f`'s.
-    pub(crate) fn resolve_inode<R>(
+    /// directory it takes shared. This is the one place a path's target
+    /// is fetched, and the one place a final symlink is followed.
+    pub(crate) fn lookup<R>(
         &self,
         st: &mut Txn<'_>,
         task: &TaskSec,
         pid: ProcessId,
         path: &str,
         follow: bool,
-        f: impl FnOnce(&Txn<'_>, &Inode) -> OsResult<R>,
+        f: impl FnOnce(&Txn<'_>, Found<'_>) -> OsResult<R>,
     ) -> OsResult<R> {
-        let mut r = self.resolve_full(st, task, pid, path, false)?;
-        loop {
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            // The walk holds the final inode's shard in the declared mode.
-            let node = st.held_node(ino)?;
-            let link = match &node.kind {
-                InodeKind::Symlink { target } if follow => {
-                    self.check_inode(st, task, node, Access::Read)?;
-                    target.clone()
-                }
-                _ => return f(st, node),
-            };
-            let start = if link.starts_with('/') {
-                self.root
-            } else {
-                r.parent.ok_or(OsError::Internal)?
-            };
-            let rel = link.strip_prefix('/').unwrap_or(&link);
-            r = self.walk(st, task, start, rel, false, r.depth + 1)?.into_owned();
-        }
-    }
-
-    fn resolve_full<'p>(
-        &self,
-        st: &mut Txn<'_>,
-        task: &TaskSec,
-        pid: ProcessId,
-        path: &'p str,
-        follow_final: bool,
-    ) -> OsResult<Resolved<'p>> {
         if path.is_empty() {
             return Err(OsError::InvalidArgument("empty path"));
         }
@@ -1035,13 +971,31 @@ impl Kernel {
             Some(stripped) => (self.root, stripped),
             None => (st.proc(pid)?.cwd, path),
         };
-        self.walk(st, task, start, rel, follow_final, 0)
+        let mut r = self.walk(st, task, start, rel, 0)?;
+        loop {
+            let target = r.target.map(|ino| st.held_node(ino)).transpose()?;
+            let link = match target {
+                Some(node @ Inode { kind: InodeKind::Symlink { target }, .. })
+                    if follow =>
+                {
+                    self.check_inode(st, task, node, Access::Read)?;
+                    target.clone()
+                }
+                _ => return f(st, Found { parent: r.parent, name: &r.name, target }),
+            };
+            // A relative link resolves from the directory holding it.
+            let (start, rel) = match link.strip_prefix('/') {
+                Some(rel) => (self.root, rel),
+                None => (r.parent.ok_or(OsError::Internal)?, link.as_str()),
+            };
+            r = self.walk(st, task, start, rel, r.depth + 1)?.into_owned();
+        }
     }
 
     /// Takes `ino`'s shard in `mode` and reads the inode as a walk does,
-    /// through the read hook. This is the one fetch a walk makes of each
-    /// inode it reads; the entry serves the hook, the symlink check and
-    /// the name lookup.
+    /// through the counted `inode_permission` read hook. This is the one
+    /// fetch a walk makes of each inode it reads; the entry serves the
+    /// hook, the name lookup and, for a link, its target.
     fn walk_read<'t>(
         &self,
         st: &'t mut Txn<'_>,
@@ -1050,27 +1004,28 @@ impl Kernel {
         mode: ShardMode,
     ) -> OsResult<&'t Inode> {
         st.hold(ShardKey::inode(ino), mode)?;
-        self.hook_inode_permission(st, task, ino, Access::Read)
+        st.count_hook();
+        let node = st.held_node(ino)?;
+        self.module.inode_permission(task, node.labels(), Access::Read)?;
+        Ok(node)
     }
 
     /// Walks the components of `rel` from `start`. Components are
-    /// slices of `rel`; only a symlink expansion allocates (one string:
+    /// slices of `rel`; only a symlink in the path allocates (one string:
     /// the link target followed by the components still to walk).
     ///
     /// Every inode the walk reads — each directory it looks a name up
-    /// in, and each link it follows — is fetched once, by
+    /// in, and each link in the path it follows — is fetched once, by
     /// [`Kernel::walk_read`], when its shard is taken: a child read on
-    /// the way down is the next step's directory. A final component's
-    /// shard is taken in the declared mode; the component is fetched
-    /// only when `follow_final` asks for its symlink check, and read
-    /// through the hook only if it is a symlink to follow.
+    /// the way down is the next step's directory. The final component is
+    /// never fetched or followed here: the walk only takes its shard in
+    /// the declared mode, and [`Kernel::lookup`] reads it.
     fn walk<'p>(
         &self,
         st: &mut Txn<'_>,
         task: &TaskSec,
         start: InodeId,
         rel: &'p str,
-        follow_final: bool,
         depth: u32,
     ) -> OsResult<Resolved<'p>> {
         if depth > 8 {
@@ -1078,25 +1033,10 @@ impl Kernel {
         }
         let n = components(rel).count();
         let intent = st.intent();
-        // The mode for the inode component `i` leads to: the target for
-        // the last component, the final parent for the one before it.
-        let mode_after = |i: usize| {
-            if i + 1 == n {
-                intent.target
-            } else if i + 2 == n {
-                intent.parent
-            } else {
-                ShardMode::Shared
-            }
-        };
+        let found = |parent, name, target| Resolved { parent, name, target, depth };
         if n == 0 {
             st.hold(ShardKey::inode(start), intent.target)?;
-            return Ok(Resolved {
-                parent: None,
-                name: Cow::Borrowed(""),
-                inode: Some(start),
-                depth,
-            });
+            return Ok(found(None, Cow::Borrowed(""), Some(start)));
         }
         // Directories walked so far, for `..`; only kept when the path
         // has a `..` component.
@@ -1111,12 +1051,7 @@ impl Kernel {
             if comp == ".." {
                 cur = stack.pop().unwrap_or(start);
                 if last {
-                    return Ok(Resolved {
-                        parent: None,
-                        name: Cow::Borrowed(""),
-                        inode: Some(cur),
-                        depth,
-                    });
+                    return Ok(found(None, Cow::Borrowed(""), Some(cur)));
                 }
                 dir = self.walk_read(st, task, cur, ShardMode::Shared)?;
                 continue;
@@ -1125,41 +1060,25 @@ impl Kernel {
                 InodeKind::Dir { entries } => entries.get(comp).copied(),
                 _ => return Err(OsError::NotADirectory),
             };
-            let Some(child) = child else {
-                if last {
-                    return Ok(Resolved {
-                        parent: Some(cur),
-                        name: Cow::Borrowed(comp),
-                        inode: None,
-                        depth,
-                    });
-                }
-                return Err(OsError::NotFound);
+            // The first touch of `child` takes the declared mode: the
+            // target's for the last component, the final parent's for
+            // the one before it.
+            let mode = if last {
+                intent.target
+            } else if i + 2 == n {
+                intent.parent
+            } else {
+                ShardMode::Shared
             };
-            // The first touch of `child` takes the declared mode. A final
-            // component is only read when it is a symlink to follow.
-            let mode = mode_after(i);
             if last {
-                let link = if follow_final {
-                    matches!(
-                        st.inode_in(child, mode)?.map(|n| &n.kind),
-                        Some(InodeKind::Symlink { .. })
-                    )
-                } else {
+                if let Some(child) = child {
                     st.hold(ShardKey::inode(child), mode)?;
-                    false
-                };
-                if !link {
-                    return Ok(Resolved {
-                        parent: Some(cur),
-                        name: Cow::Borrowed(comp),
-                        inode: Some(child),
-                        depth,
-                    });
                 }
+                return Ok(found(Some(cur), Cow::Borrowed(comp), child));
             }
             // Any other child is read next: as the next directory, or,
             // for a symlink in the path, as the link being followed.
+            let child = child.ok_or(OsError::NotFound)?;
             let node = self.walk_read(st, task, child, mode)?;
             if let InodeKind::Symlink { target } = &node.kind {
                 let mut target = target.clone();
@@ -1169,7 +1088,7 @@ impl Kernel {
                     target.push_str(c);
                 }
                 let rel = target.strip_prefix('/').unwrap_or(&target);
-                let r = self.walk(st, task, nstart, rel, follow_final, depth + 1)?;
+                let r = self.walk(st, task, nstart, rel, depth + 1)?;
                 return Ok(r.into_owned());
             }
             if track {
@@ -1189,26 +1108,40 @@ fn components(rel: &str) -> impl Iterator<Item = &str> + Clone {
     rel.split('/').filter(|c| !c.is_empty() && *c != ".")
 }
 
-pub(crate) struct Resolved<'p> {
-    /// Parent directory (None when the path names the root / cwd itself).
+/// What [`Kernel::lookup`] hands a path syscall's body.
+pub(crate) struct Found<'t> {
+    /// The final parent directory (`None` when the path names the root,
+    /// the cwd or a `..`). The lookup holds its shard, so
+    /// [`Txn::held_node`] borrows it; only a body that reads it fetches
+    /// it.
     pub parent: Option<InodeId>,
-    /// The final component, borrowed from the path unless a symlink
-    /// expansion produced it.
-    pub name: Cow<'p, str>,
-    pub inode: Option<InodeId>,
-    /// Symlinks followed on the way to it: a link the caller follows
+    /// The final component: a slice of the path, or of a symlink
+    /// expansion.
+    pub name: &'t str,
+    /// The inode the final component names, if it exists.
+    pub target: Option<&'t Inode>,
+}
+
+impl<'t> Found<'t> {
+    /// The target; [`OsError::NotFound`] if the name is unbound.
+    pub(crate) fn existing(&self) -> OsResult<&'t Inode> {
+        self.target.ok_or(OsError::NotFound)
+    }
+}
+
+/// A walk's result: the ids of what [`Found`] hands on.
+struct Resolved<'p> {
+    parent: Option<InodeId>,
+    name: Cow<'p, str>,
+    target: Option<InodeId>,
+    /// Symlinks followed on the way to it: a link the lookup follows
     /// from here is walked at `depth + 1`.
-    pub depth: u32,
+    depth: u32,
 }
 
 impl Resolved<'_> {
     fn into_owned(self) -> Resolved<'static> {
-        Resolved {
-            parent: self.parent,
-            name: Cow::Owned(self.name.into_owned()),
-            inode: self.inode,
-            depth: self.depth,
-        }
+        Resolved { name: Cow::Owned(self.name.into_owned()), ..self }
     }
 }
 

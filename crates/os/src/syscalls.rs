@@ -464,23 +464,13 @@ impl TaskHandle {
     ) -> OsResult<Fd> {
         self.syscall("create_inode", CREATE, |st| {
             let sec = st.task_sec(self.tid)?;
-            let labels = labels.unwrap_or(&sec.labels);
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            if r.inode.is_some() {
-                return Err(OsError::Exists);
-            }
-            let parent =
-                r.parent.ok_or(OsError::InvalidArgument("path names a directory"))?;
-            st.count_hook();
-            let parent_labels = st.inode_labels(parent)?;
-            self.kernel.module.inode_create(&sec, parent_labels, labels)?;
             let kind = if dir {
                 InodeKind::Dir { entries: BTreeMap::new() }
             } else {
                 InodeKind::File { data: Vec::new() }
             };
-            let id = st.alloc_inode(kind, labels.clone())?;
-            st.dir_insert(parent, r.name.into_owned(), id)?;
+            let id =
+                self.link_new(st, &sec, path, labels.unwrap_or(&sec.labels), kind)?;
             if dir {
                 return Ok(Fd(u32::MAX)); // sentinel, discarded by mkdir_labeled
             }
@@ -496,6 +486,36 @@ impl TaskHandle {
                 },
             )
         })
+    }
+
+    /// Links a new inode of `kind` carrying `labels` at `path`, under
+    /// the three §5.2 creation conditions of the `inode_create` hook. A
+    /// final symlink is not followed: like any existing name it fails
+    /// the call with [`OsError::Exists`], even when it dangles.
+    fn link_new(
+        &self,
+        st: &mut Txn<'_>,
+        sec: &TaskSec,
+        path: &str,
+        labels: &SecPair,
+        kind: InodeKind,
+    ) -> OsResult<InodeId> {
+        let (parent, name) =
+            self.kernel.lookup(st, sec, self.pid, path, false, |st, found| {
+                if found.target.is_some() {
+                    return Err(OsError::Exists);
+                }
+                let parent = found
+                    .parent
+                    .ok_or(OsError::InvalidArgument("path names a directory"))?;
+                let parent = st.held_node(parent)?;
+                st.count_hook();
+                self.kernel.module.inode_create(sec, parent.labels(), labels)?;
+                Ok((parent.id, found.name.to_string()))
+            })?;
+        let id = st.alloc_inode(kind, labels.clone())?;
+        st.dir_insert(parent, name, id)?;
+        Ok(id)
     }
 
     /// Opens an existing file. The open itself checks `inode_permission`
@@ -514,30 +534,18 @@ impl TaskHandle {
                 OpenMode::Write => Access::Write,
                 OpenMode::ReadWrite => Access::ReadWrite,
             };
-            let ino = self.kernel.resolve_inode(
-                st,
-                &sec,
-                self.pid,
-                path,
-                true,
-                |st, node| {
+            let inode =
+                self.kernel.lookup(st, &sec, self.pid, path, true, |st, found| {
+                    let node = found.existing()?;
                     if node.kind.is_dir() {
                         return Err(OsError::IsADirectory);
                     }
                     self.kernel.check_inode(st, &sec, node, mask)?;
                     Ok(node.id)
-                },
-            )?;
-            let pid = self.pid;
+                })?;
             st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode,
-                    offset: 0,
-                    pipe_end: None,
-                    socket_end: None,
-                },
+                self.pid,
+                OpenFile { inode, mode, offset: 0, pipe_end: None, socket_end: None },
             )
         })
     }
@@ -717,7 +725,8 @@ impl TaskHandle {
     pub fn read_file_at(&self, path: &str, max: usize) -> OsResult<Vec<u8>> {
         self.syscall("read_file_at", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |st, inode| {
+            self.kernel.lookup(st, &sec, self.pid, path, true, |st, found| {
+                let inode = found.existing()?;
                 self.kernel.check_inode(st, &sec, inode, Access::Read)?;
                 match &inode.kind {
                     InodeKind::File { data } => {
@@ -738,24 +747,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; [`OsError::IsADirectory`]; flow vetoes.
     pub fn write_file_at(&self, path: &str, data: &[u8]) -> OsResult<usize> {
-        self.syscall("write_file_at", WRITE_TARGET, |st| {
-            let sec = st.task_sec(self.tid)?;
-            let file = self.kernel.resolve_inode(
-                st,
-                &sec,
-                self.pid,
-                path,
-                true,
-                |st, inode| {
-                    self.kernel.check_inode(st, &sec, inode, Access::Write)?;
-                    write_target(inode)
-                },
-            )?;
-            if let Some(ino) = file {
-                st.write_file_data(ino, 0, data)?;
-            }
-            Ok(data.len())
-        })
+        self.write_at("write_file_at", path, 0, data)
     }
 
     /// Like [`Self::write_file_at`], but writing at `offset` instead of
@@ -774,15 +766,22 @@ impl TaskHandle {
         offset: u64,
         data: &[u8],
     ) -> OsResult<usize> {
-        self.syscall("write_file_at_off", WRITE_TARGET, |st| {
+        self.write_at("write_file_at_off", path, offset, data)
+    }
+
+    /// The body of the syscall `name`: [`Self::write_file_at_off`].
+    fn write_at(
+        &self,
+        name: &'static str,
+        path: &str,
+        offset: u64,
+        data: &[u8],
+    ) -> OsResult<usize> {
+        self.syscall(name, WRITE_TARGET, |st| {
             let sec = st.task_sec(self.tid)?;
-            let file = self.kernel.resolve_inode(
-                st,
-                &sec,
-                self.pid,
-                path,
-                true,
-                |st, inode| {
+            let file =
+                self.kernel.lookup(st, &sec, self.pid, path, true, |st, found| {
+                    let inode = found.existing()?;
                     self.kernel.check_inode(st, &sec, inode, Access::Write)?;
                     let offset = usize::try_from(offset).map_err(|_| {
                         laminar_obs::stage(laminar_obs::Event::QuotaExceeded {
@@ -791,8 +790,7 @@ impl TaskHandle {
                         OsError::QuotaExceeded("file size")
                     })?;
                     Ok(write_target(inode)?.map(|ino| (ino, offset)))
-                },
-            )?;
+                })?;
             if let Some((ino, offset)) = file {
                 st.write_file_data(ino, offset, data)?;
             }
@@ -808,22 +806,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; hook vetoes.
     pub fn stat(&self, path: &str) -> OsResult<Metadata> {
-        self.syscall("stat", Intent::READ, |st| {
-            let sec = st.task_sec(self.tid)?;
-            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |st, inode| {
-                self.kernel.check_inode(st, &sec, inode, Access::Read)?;
-                Ok(Metadata {
-                    inode: inode.id,
-                    is_dir: inode.kind.is_dir(),
-                    size: match &inode.kind {
-                        InodeKind::File { data } => data.len() as u64,
-                        _ => 0,
-                    },
-                    labels: inode.labels().clone(),
-                    nlink: inode.nlink,
-                })
-            })
-        })
+        self.stat_at("stat", path, true)
     }
 
     /// Like `stat`, but does not follow a final-component symlink (the
@@ -832,9 +815,21 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::NotFound`]; hook vetoes.
     pub fn lstat(&self, path: &str) -> OsResult<Metadata> {
-        self.syscall("lstat", Intent::READ, |st| {
+        self.stat_at("lstat", path, false)
+    }
+
+    /// The body of the syscall `name`: `stat`, or `lstat` unless
+    /// `follow`. A link's size is the length of its target.
+    fn stat_at(
+        &self,
+        name: &'static str,
+        path: &str,
+        follow: bool,
+    ) -> OsResult<Metadata> {
+        self.syscall(name, Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            self.kernel.resolve_inode(st, &sec, self.pid, path, false, |st, inode| {
+            self.kernel.lookup(st, &sec, self.pid, path, follow, |st, found| {
+                let inode = found.existing()?;
                 self.kernel.check_inode(st, &sec, inode, Access::Read)?;
                 Ok(Metadata {
                     inode: inode.id,
@@ -861,40 +856,44 @@ impl TaskHandle {
     pub fn get_labels(&self, path: &str) -> OsResult<SecPair> {
         self.syscall("get_labels", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |_, inode| {
-                Ok(inode.labels().clone())
+            self.kernel.lookup(st, &sec, self.pid, path, true, |_, found| {
+                Ok(found.existing()?.labels().clone())
             })
         })
     }
 
-    /// Removes the name at `path` (file or empty directory). The name is
-    /// protected by the parent directory's label, so this is a write to
-    /// the parent.
+    /// Removes the name at `path` (file, symlink or empty directory).
+    /// The name is protected by the parent directory's label, so this is
+    /// a write to the parent. A final symlink is not followed: the link
+    /// goes and its target stays, as with POSIX `unlink`.
     ///
     /// # Errors
     /// [`OsError::NotFound`]; [`OsError::NotEmpty`]; hook vetoes.
     pub fn unlink(&self, path: &str) -> OsResult<()> {
         self.syscall("unlink", UNLINK, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            let parent =
-                r.parent.ok_or(OsError::InvalidArgument("cannot unlink a root"))?;
-            if let Some(InodeKind::Dir { entries }) = st.inode_opt(ino)?.map(|i| &i.kind)
-            {
-                if !entries.is_empty() {
-                    return Err(OsError::NotEmpty);
-                }
-            }
-            // The hook reads both inodes' labels in place: hold both
-            // shards (the walk took them exclusive), then borrow.
-            st.hold(ShardKey::inode(parent), Exclusive)?;
-            st.hold(ShardKey::inode(ino), Exclusive)?;
-            st.count_hook();
-            let parent_labels = st.held_labels(parent)?;
-            let victim_labels = st.held_labels(ino)?;
-            self.kernel.module.inode_unlink(&sec, parent_labels, victim_labels)?;
-            st.dir_remove(parent, &r.name)?;
+            let (parent, ino, name) =
+                self.kernel.lookup(st, &sec, self.pid, path, false, |st, found| {
+                    let victim = found.existing()?;
+                    let parent = found
+                        .parent
+                        .ok_or(OsError::InvalidArgument("cannot unlink a root"))?;
+                    let parent = st.held_node(parent)?;
+                    if let InodeKind::Dir { entries } = &victim.kind {
+                        if !entries.is_empty() {
+                            return Err(OsError::NotEmpty);
+                        }
+                    }
+                    // The hook reads both inodes' labels in place.
+                    st.count_hook();
+                    self.kernel.module.inode_unlink(
+                        &sec,
+                        parent.labels(),
+                        victim.labels(),
+                    )?;
+                    Ok((parent.id, victim.id, found.name.to_string()))
+                })?;
+            st.dir_remove(parent, &name)?;
             st.remove_inode(ino)?;
             Ok(())
         })
@@ -907,7 +906,8 @@ impl TaskHandle {
     pub fn readdir(&self, path: &str) -> OsResult<Vec<String>> {
         self.syscall("readdir", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            self.kernel.resolve_inode(st, &sec, self.pid, path, true, |st, inode| {
+            self.kernel.lookup(st, &sec, self.pid, path, true, |st, found| {
+                let inode = found.existing()?;
                 self.kernel.check_inode(st, &sec, inode, Access::Read)?;
                 match &inode.kind {
                     InodeKind::Dir { entries } => Ok(entries.keys().cloned().collect()),
@@ -924,17 +924,16 @@ impl TaskHandle {
     pub fn chdir(&self, path: &str) -> OsResult<()> {
         self.syscall("chdir", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let ino =
-                self.kernel.resolve_inode(st, &sec, self.pid, path, true, |_, dir| {
+            let dir =
+                self.kernel.lookup(st, &sec, self.pid, path, true, |_, found| {
+                    let dir = found.existing()?;
                     if dir.kind.is_dir() {
                         Ok(dir.id)
                     } else {
                         Err(OsError::NotADirectory)
                     }
                 })?;
-            let pid = self.pid;
-            st.set_cwd(pid, ino)?;
-            Ok(())
+            st.set_cwd(self.pid, dir)
         })
     }
 
@@ -1028,29 +1027,16 @@ impl TaskHandle {
     /// §5.2 creation rules), so a later traversal *reads* the link — a
     /// task that does not accept the link's integrity cannot be tricked
     /// through it (the symlink attack the paper's directory-integrity
-    /// discussion targets).
+    /// discussion targets). A symlink already at `linkpath` is not
+    /// followed: it is a name that exists, even when it dangles.
     ///
     /// # Errors
     /// [`OsError::Exists`]; creation-rule vetoes.
     pub fn symlink(&self, target: &str, linkpath: &str) -> OsResult<()> {
         self.syscall("symlink", LINK, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, linkpath)?;
-            if r.inode.is_some() {
-                return Err(OsError::Exists);
-            }
-            let parent = r
-                .parent
-                .ok_or(OsError::InvalidArgument("link path names a directory"))?;
-            st.count_hook();
-            let parent_labels = st.inode_labels(parent)?;
-            self.kernel.module.inode_create(&sec, parent_labels, &sec.labels)?;
-            let id = st.alloc_inode(
-                InodeKind::Symlink { target: target.to_string() },
-                sec.labels.clone(),
-            )?;
-            st.dir_insert(parent, r.name.into_owned(), id)?;
-            Ok(())
+            let kind = InodeKind::Symlink { target: target.to_string() };
+            self.link_new(st, &sec, linkpath, &sec.labels, kind).map(|_| ())
         })
     }
 
@@ -1061,7 +1047,8 @@ impl TaskHandle {
     pub fn readlink(&self, path: &str) -> OsResult<String> {
         self.syscall("readlink", Intent::READ, |st| {
             let sec = st.task_sec(self.tid)?;
-            self.kernel.resolve_inode(st, &sec, self.pid, path, false, |st, inode| {
+            self.kernel.lookup(st, &sec, self.pid, path, false, |st, found| {
+                let inode = found.existing()?;
                 self.kernel.check_inode(st, &sec, inode, Access::Read)?;
                 match &inode.kind {
                     InodeKind::Symlink { target } => Ok(target.clone()),
@@ -1249,11 +1236,12 @@ impl TaskHandle {
     pub fn exec(&self, path: &str) -> OsResult<()> {
         self.syscall("exec", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let r = self.kernel.resolve(st, &sec, self.pid, path)?;
-            let ino = r.inode.ok_or(OsError::NotFound)?;
-            self.kernel.hook_inode_permission(st, &sec, ino, Access::Read)?;
-            let pid = self.pid;
-            *st.proc_image_mut(pid)? = ProcImage::new(r.name.into_owned());
+            let binary =
+                self.kernel.lookup(st, &sec, self.pid, path, true, |st, found| {
+                    self.kernel.check_inode(st, &sec, found.existing()?, Access::Read)?;
+                    Ok(found.name.to_string())
+                })?;
+            *st.proc_image_mut(self.pid)? = ProcImage::new(binary);
             Ok(())
         })
     }

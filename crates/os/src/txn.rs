@@ -22,7 +22,7 @@
 //! pushed strictly after the corresponding shard lock is acquired.
 //!
 //! Every accessor names the [`ShardMode`] it needs: the read accessors
-//! (`task*`, `proc`, `inode_opt`, `inode_labels`) take a shard shared,
+//! (`task*`, `proc`, `inode_labels`) take a shard shared,
 //! every mutator takes it exclusive. Read accessors borrow from the held
 //! shard: an LSM hook reads an inode's labels in place, and a label is
 //! cloned only where it is stored (an undo record, a new inode). A
@@ -425,8 +425,10 @@ impl<'a> Txn<'a> {
         g.procs_mut().ok_or(OsError::Internal)
     }
 
-    fn inodes_map(&mut self, id: InodeId, mode: ShardMode) -> OsResult<&InodeMap> {
-        self.guard(ShardKey::inode(id), mode)?.inodes().ok_or(OsError::Internal)
+    fn inodes_map(&mut self, id: InodeId) -> OsResult<&InodeMap> {
+        self.guard(ShardKey::inode(id), ShardMode::Shared)?
+            .inodes()
+            .ok_or(OsError::Internal)
     }
 
     fn inodes_mut(&mut self, id: InodeId) -> OsResult<&mut InodeMap> {
@@ -675,7 +677,7 @@ impl<'a> Txn<'a> {
     }
 
     /// The security context of a task whose shard this transaction
-    /// already holds, borrowed like [`Txn::held_labels`] so a hook can
+    /// already holds, borrowed like [`Txn::held_node`] so a hook can
     /// read it next to an inode's labels; [`OsError::Internal`] if the
     /// shard is not held.
     pub(crate) fn held_task_sec(&self, id: TaskId) -> OsResult<&TaskSec> {
@@ -690,37 +692,17 @@ impl<'a> Txn<'a> {
         self.procs_map(id)?.get(&id).ok_or(OsError::Internal)
     }
 
-    /// The inode entry, if present.
-    pub(crate) fn inode_opt(&mut self, id: InodeId) -> OsResult<Option<&Inode>> {
-        self.inode_in(id, ShardMode::Shared)
-    }
-
-    /// The inode entry, if present, with its shard taken in `mode`
-    /// (path walks take a shard in the mode the syscall declared for it).
-    pub(crate) fn inode_in(
-        &mut self,
-        id: InodeId,
-        mode: ShardMode,
-    ) -> OsResult<Option<&Inode>> {
-        Ok(self.inodes_map(id, mode)?.get(&id))
-    }
-
     /// The inode's labels, borrowed from its shard (taken shared if not
     /// yet held); [`OsError::NotFound`] if missing.
     pub(crate) fn inode_labels(&mut self, id: InodeId) -> OsResult<&SecPair> {
-        let inodes = self.inodes_map(id, ShardMode::Shared)?;
+        let inodes = self.inodes_map(id)?;
         inodes.get(&id).map(Inode::labels).ok_or(OsError::NotFound)
     }
 
-    /// The labels of an inode whose shard this transaction already
-    /// holds. Borrows `&self`, so a hook can read two inodes' labels at
-    /// once; [`OsError::Internal`] if the shard is not held.
-    pub(crate) fn held_labels(&self, id: InodeId) -> OsResult<&SecPair> {
-        self.held_node(id).map(Inode::labels)
-    }
-
-    /// An inode whose shard this transaction already holds, borrowed
-    /// like [`Txn::held_labels`]; [`OsError::NotFound`] if missing.
+    /// An inode whose shard this transaction already holds. Borrows
+    /// `&self`, so a hook can read two inodes at once;
+    /// [`OsError::NotFound`] if missing, [`OsError::Internal`] if the
+    /// shard is not held.
     pub(crate) fn held_node(&self, id: InodeId) -> OsResult<&Inode> {
         let inodes =
             self.held_shard(ShardKey::inode(id))?.inodes().ok_or(OsError::Internal)?;

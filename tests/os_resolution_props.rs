@@ -158,29 +158,49 @@ fn hook_fixture() -> (std::sync::Arc<Kernel>, laminar_os::TaskHandle) {
 }
 
 /// `(case, existing file, new name, hook calls of [stat, read_file_at,
-/// write_file_at, open, create, unlink])`: one traversal hook per
-/// directory crossed (and per symlink followed), plus the syscall's own
-/// hook on the file, where the walk gets that far. `unlink` removes the
-/// name `create` made, or finds it missing where `/` refused the create.
-/// The counts were recorded on the walk that fetched each directory
-/// three times; a change to how the walk reads directories may change
-/// how fast it runs, never how many hooks it calls.
-const HOOK_PINS: [(&str, &str, &str, [u64; 6]); 8] = [
-    ("depth 1", "/f1", "/new", [2, 2, 2, 2, 2, 1]),
-    ("depth 2", "/tmp/f2", "/tmp/new", [3; 6]),
-    ("depth 3", "/tmp/a/f3", "/tmp/a/new", [4; 6]),
-    ("depth 4", "/tmp/a/b/f4", "/tmp/a/b/new", [5; 6]),
-    ("depth 5", "/tmp/a/b/c/f5", "/tmp/a/b/c/new", [6; 6]),
-    ("relative after chdir", "c/f5", "c/new", [3; 6]),
-    ("through a symlink", "/tmp/ln/f4", "/tmp/ln/new", [8; 6]),
-    ("denied at /tmp/vault", "/tmp/vault/x/f", "/tmp/vault/x/new", [3; 6]),
+/// write_file_at, open, create, unlink, lstat, readdir, get_labels,
+/// exec, mkdir, symlink])`: one traversal hook per directory crossed
+/// (and per symlink followed), plus the syscall's own hook on the file,
+/// where the walk gets that far. `unlink` removes the name `create`
+/// made, or finds it missing where `/` refused the create; `readdir`
+/// lists the file's directory; `mkdir` makes the new name again and
+/// `symlink` links it once more after an uncounted `unlink`. The first
+/// six counts were recorded on the walk that fetched each directory
+/// three times, the last six on the walk that still fetched a final
+/// component for a symlink check; a change to how the walk reads
+/// directories may change how fast it runs, never how many hooks it
+/// calls.
+const HOOK_PINS: [(&str, &str, &str, [u64; 12]); 8] = [
+    ("depth 1", "/f1", "/new", [2, 2, 2, 2, 2, 1, 2, 1, 1, 2, 2, 2]),
+    ("depth 2", "/tmp/f2", "/tmp/new", [3, 3, 3, 3, 3, 3, 3, 2, 2, 3, 3, 3]),
+    ("depth 3", "/tmp/a/f3", "/tmp/a/new", [4, 4, 4, 4, 4, 4, 4, 3, 3, 4, 4, 4]),
+    ("depth 4", "/tmp/a/b/f4", "/tmp/a/b/new", [5, 5, 5, 5, 5, 5, 5, 4, 4, 5, 5, 5]),
+    ("depth 5", "/tmp/a/b/c/f5", "/tmp/a/b/c/new", [6, 6, 6, 6, 6, 6, 6, 5, 5, 6, 6, 6]),
+    ("relative after chdir", "c/f5", "c/new", [3, 3, 3, 3, 3, 3, 3, 2, 2, 3, 3, 3]),
+    (
+        "through a symlink",
+        "/tmp/ln/f4",
+        "/tmp/ln/new",
+        [8, 8, 8, 8, 8, 8, 8, 7, 7, 8, 8, 8],
+    ),
+    ("denied at /tmp/vault", "/tmp/vault/x/f", "/tmp/vault/x/new", [3; 12]),
 ];
+
+/// The directory holding the last component of `path` (`/` for a
+/// top-level absolute path, `.` for a bare name).
+fn dir_of(path: &str) -> &str {
+    match path.rsplit_once('/') {
+        Some(("", _)) => "/",
+        Some((dir, _)) => dir,
+        None => ".",
+    }
+}
 
 #[test]
 fn path_syscalls_call_one_traversal_hook_per_directory() {
     for &(case, file, new, want) in &HOOK_PINS {
         let (k, t) = hook_fixture();
-        let mut got = [0u64; 6];
+        let mut got = [0u64; 12];
         let mut count = |i: usize, call: &mut dyn FnMut()| {
             let before = k.hook_calls();
             call();
@@ -200,9 +220,17 @@ fn path_syscalls_call_one_traversal_hook_per_directory() {
             }
         });
         count(5, &mut || drop(t.unlink(new)));
+        count(6, &mut || drop(t.lstat(file)));
+        count(7, &mut || drop(t.readdir(dir_of(file))));
+        count(8, &mut || drop(t.get_labels(file)));
+        count(9, &mut || drop(t.exec(file)));
+        count(10, &mut || drop(t.mkdir(new)));
+        drop(t.unlink(new));
+        count(11, &mut || drop(t.symlink("/tmp/f2", new)));
         assert_eq!(
             got, want,
-            "{case}: hook calls of [stat, read_file_at, write_file_at, open, create, unlink]"
+            "{case}: hook calls of [stat, read_file_at, write_file_at, open, create, \
+             unlink, lstat, readdir, get_labels, exec, mkdir, symlink]"
         );
     }
 }

@@ -110,6 +110,75 @@ fn symlink_loops_are_detected() {
 }
 
 #[test]
+fn unlink_removes_the_link_not_its_target() {
+    let (_k, alice) = boot();
+    let fd = alice.create("/tmp/real").unwrap();
+    alice.write(fd, b"kept").unwrap();
+    alice.close(fd).unwrap();
+    alice.symlink("/tmp/real", "/tmp/link").unwrap();
+
+    alice.unlink("/tmp/link").unwrap();
+    assert!(matches!(alice.lstat("/tmp/link"), Err(OsError::NotFound)));
+    assert_eq!(alice.read_file_at("/tmp/real", 16).unwrap(), b"kept");
+    assert_eq!(alice.readdir("/tmp").unwrap(), vec!["real".to_string()]);
+}
+
+#[test]
+fn creation_on_a_dangling_link_fails_with_exists() {
+    // Like POSIX `O_CREAT | O_EXCL`, `mkdir` and `symlink`: a final
+    // symlink is a name that exists, even when its target does not, and
+    // nothing is created where it points.
+    let (_k, alice) = boot();
+    alice.symlink("/tmp/nowhere", "/tmp/dangling").unwrap();
+    assert!(matches!(alice.mkdir("/tmp/dangling"), Err(OsError::Exists)));
+    assert!(matches!(alice.symlink("/etc", "/tmp/dangling"), Err(OsError::Exists)));
+    assert!(matches!(alice.create("/tmp/dangling"), Err(OsError::Exists)));
+    assert!(matches!(
+        alice.create_file_labeled("/tmp/dangling", SecPair::unlabeled()),
+        Err(OsError::Exists)
+    ));
+    assert!(matches!(alice.lstat("/tmp/nowhere"), Err(OsError::NotFound)));
+    assert_eq!(alice.readlink("/tmp/dangling").unwrap(), "/tmp/nowhere");
+    assert_eq!(alice.readdir("/tmp").unwrap(), vec!["dangling".to_string()]);
+}
+
+#[test]
+fn exec_open_and_stat_follow_a_final_link() {
+    let (k, alice) = boot();
+    let secret = SecPair::secrecy_only(Label::singleton(alice.alloc_tag().unwrap()));
+    k.install_file("/tmp/tool", SecPair::unlabeled(), b"bin").unwrap();
+    k.install_file("/tmp/vault", secret, b"bin").unwrap();
+    alice.symlink("/tmp/tool", "/tmp/to_tool").unwrap();
+    alice.symlink("/tmp/vault", "/tmp/to_vault").unwrap();
+    alice.symlink("/tmp/nowhere", "/tmp/dangling").unwrap();
+
+    // Through a link to a readable file: the target's inode.
+    alice.exec("/tmp/to_tool").unwrap();
+    let fd = alice.open("/tmp/to_tool", OpenMode::Read).unwrap();
+    assert_eq!(alice.read(fd, 8).unwrap(), b"bin");
+    alice.close(fd).unwrap();
+    assert_eq!(
+        alice.stat("/tmp/to_tool").unwrap().inode,
+        alice.stat("/tmp/tool").unwrap().inode
+    );
+    // Through an unlabeled link to a secret file: the target's label
+    // decides, so the link was followed.
+    assert!(matches!(alice.exec("/tmp/to_vault"), Err(OsError::FlowDenied(_))));
+    assert!(matches!(
+        alice.open("/tmp/to_vault", OpenMode::Read),
+        Err(OsError::FlowDenied(_))
+    ));
+    assert!(matches!(alice.stat("/tmp/to_vault"), Err(OsError::FlowDenied(_))));
+    // Through a dangling link: nothing to reach.
+    assert!(matches!(alice.exec("/tmp/dangling"), Err(OsError::NotFound)));
+    assert!(matches!(
+        alice.open("/tmp/dangling", OpenMode::Read),
+        Err(OsError::NotFound)
+    ));
+    assert!(matches!(alice.stat("/tmp/dangling"), Err(OsError::NotFound)));
+}
+
+#[test]
 fn integrity_task_cannot_be_redirected_through_unendorsed_symlink() {
     // The §5.2 symlink attack: an attacker plants a link redirecting a
     // high-integrity task to a file of the attacker's choosing. Because
