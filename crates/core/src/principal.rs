@@ -146,14 +146,9 @@ impl RegionParams {
     }
 }
 
-/// Checks the security-region entry rules of §4.3.2 for a thread with
-/// the given `labels` and `caps` against `params`, without entering:
-///
-/// 1. `SR ⊆ (Cp+ ∪ SP)` and `IR ⊆ (Cp+ ∪ IP)` — each region tag is
-///    either already carried or addable;
-/// 2. `CR ⊆ CP` — the region's capabilities are a subset of the
-///    thread's.
-///
+/// Checks the security-region entry rules of §4.3.2
+/// ([`laminar_difc::check_region_entry`]) for a thread with the given
+/// `labels` and `caps` against `params`, without entering.
 /// [`Principal::secure`] runs exactly this check before swapping in the
 /// region's context; it is public so the model-based conformance
 /// testkit can replay region-entry events against its reference oracle.
@@ -165,28 +160,14 @@ pub fn check_region_entry(
     caps: &CapSet,
     params: &RegionParams,
 ) -> LaminarResult<()> {
-    // Rule (1) of §4.3.2: SR ⊆ (Cp+ ∪ SP) and IR ⊆ (Cp+ ∪ IP).
-    for t in params.secrecy.iter() {
-        if !caps.can_add(t) && !labels.secrecy().contains(t) {
-            return Err(LaminarError::RegionEntry(
-                "thread lacks capability or label for a region secrecy tag",
-            ));
-        }
-    }
-    for t in params.integrity.iter() {
-        if !caps.can_add(t) && !labels.integrity().contains(t) {
-            return Err(LaminarError::RegionEntry(
-                "thread lacks capability or label for a region integrity tag",
-            ));
-        }
-    }
-    // Rule (2): CR ⊆ CP.
-    if !params.caps.is_subset_of(caps) {
-        return Err(LaminarError::RegionEntry(
-            "region capabilities exceed the entering thread's",
-        ));
-    }
-    Ok(())
+    laminar_difc::check_region_entry(
+        labels,
+        caps,
+        &params.secrecy,
+        &params.integrity,
+        &params.caps,
+    )
+    .map_err(LaminarError::RegionEntry)
 }
 
 /// A kernel-thread principal bound to the Laminar runtime.

@@ -9,7 +9,7 @@
 /// three layers: lock-poison recoveries in the utility layer, syscall
 /// rollbacks at the kernel dispatch boundary, and security-region aborts
 /// in the VM. Together they answer "did anything fault, and was every
-/// fault contained?" after a stress or fault-injection run.
+/// fault contained?" after a stress or fault injection run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Mutex poison events recovered by `laminar_util::sync`.

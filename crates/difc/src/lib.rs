@@ -76,7 +76,7 @@ mod tag;
 pub use caps::{CapKind, CapSet, Capability};
 pub use error::{FlowError, LabelChangeError};
 pub use label::{Label, LabelType};
-pub use pair::{check_label_change, check_pair_change, SecPair};
+pub use pair::{check_label_change, check_pair_change, check_region_entry, SecPair};
 pub use tag::{Tag, TagAllocator};
 
 // Benchmark compatibility only. The repository benchmark (`perfbench/`)

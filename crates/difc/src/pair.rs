@@ -239,6 +239,41 @@ pub fn check_pair_change(
     check_label_change(from.integrity(), to.integrity(), caps)
 }
 
+/// Checks the security-region entry rules of §4.3.2 for a thread with
+/// labels `labels` and capabilities `caps` entering a region labeled
+/// `{S(secrecy), I(integrity)}` with capabilities `region_caps`:
+///
+/// 1. `SR ⊆ (Cp+ ∪ SP)` and `IR ⊆ (Cp+ ∪ IP)` — each region tag is
+///    either already carried or addable;
+/// 2. `CR ⊆ CP` — the region's capabilities are a subset of the
+///    thread's.
+///
+/// The Laminar runtime and the MiniVM both enter regions through it.
+///
+/// # Errors
+///
+/// The violated rule, as a fixed message.
+pub fn check_region_entry(
+    labels: &SecPair,
+    caps: &CapSet,
+    secrecy: &Label,
+    integrity: &Label,
+    region_caps: &CapSet,
+) -> Result<(), &'static str> {
+    // Rule (1): SR ⊆ (Cp+ ∪ SP) and IR ⊆ (Cp+ ∪ IP).
+    if !secrecy.iter().all(|t| caps.can_add(t) || labels.secrecy().contains(t)) {
+        return Err("thread lacks the capability or label for a region secrecy tag");
+    }
+    if !integrity.iter().all(|t| caps.can_add(t) || labels.integrity().contains(t)) {
+        return Err("thread lacks the capability or label for a region integrity tag");
+    }
+    // Rule (2): CR ⊆ CP.
+    if !region_caps.is_subset_of(caps) {
+        return Err("region capabilities exceed the entering thread's");
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

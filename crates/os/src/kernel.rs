@@ -28,14 +28,16 @@ use crate::lsm::{Access, SecurityModule};
 use crate::shard::{Footprint, InodeIds, ShardKey, ShardMode, Tables, SHARD_COUNT};
 use crate::task::{ProcessId, ProcessStruct, TaskId, TaskSec, TaskStruct, UserId};
 use crate::txn::{IdCache, Intent, Quotas, Txn};
+use crate::vfs::file::Fd;
 use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
+use crate::vfs::pipe::PipeBuffer;
 use laminar_difc::{CapSet, Label, SecPair, Tag, TagAllocator};
 use laminar_util::sync::{CachePadded, Mutex};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One entry of the commit-order log: syscall `seq` (the commit ticket)
@@ -56,6 +58,8 @@ pub struct CommitRecord {
 
 thread_local! {
     static LAST_SEQ: Cell<u64> = const { Cell::new(0) };
+    /// See [`Kernel::last_undo_bytes_for_test`].
+    pub(crate) static LAST_UNDO_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The commit ticket of the most recent syscall *on this thread* that
@@ -71,7 +75,6 @@ pub fn last_syscall_seq() -> u64 {
 /// A one-shot failpoint armed inside the kernel by the conformance
 /// testkit. Exactly one may be armed at a time; it fires at most once
 /// (disarming itself) and records that it fired.
-#[cfg(feature = "fault-injection")]
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum SyscallFailpoint {
     /// Panic inside the next LSM hook invocation — an internal fault in
@@ -86,63 +89,43 @@ pub enum SyscallFailpoint {
     QuotaNext,
 }
 
-/// Shared failpoint state (see [`SyscallFailpoint`]).
-#[cfg(feature = "fault-injection")]
+/// Shared failpoint state (see [`SyscallFailpoint`]): one word holding
+/// the armed failpoint's code, or [`Failpoints::FIRED`] once it fired.
+/// Disarmed, it is only ever read, so the hooks, allocations and
+/// commits that test it write nothing kernel-wide. A failpoint that
+/// fires ends its attempt with a panic or a typed error, never a
+/// footprint restart, so a restart has no arming to rewind.
 #[derive(Default)]
-pub(crate) struct Failpoints {
-    armed: std::sync::atomic::AtomicU8,
-    fired: AtomicBool,
-}
+pub(crate) struct Failpoints(AtomicU8);
 
-#[cfg(feature = "fault-injection")]
 impl Failpoints {
     const NONE: u8 = 0;
     const PANIC_AT_HOOK: u8 = 1;
     const ABORT_LATE: u8 = 2;
     const QUOTA_NEXT: u8 = 3;
+    const FIRED: u8 = 4;
 
-    fn code(fp: SyscallFailpoint) -> u8 {
-        match fp {
+    fn arm(&self, fp: SyscallFailpoint) {
+        let code = match fp {
             SyscallFailpoint::PanicAtHook => Self::PANIC_AT_HOOK,
             SyscallFailpoint::AbortLate => Self::ABORT_LATE,
             SyscallFailpoint::QuotaNext => Self::QUOTA_NEXT,
-        }
-    }
-
-    fn arm(&self, fp: SyscallFailpoint) {
-        self.fired.store(false, Ordering::SeqCst);
-        self.armed.store(Self::code(fp), Ordering::SeqCst);
+        };
+        self.0.store(code, Ordering::SeqCst);
     }
 
     fn take_fired(&self) -> bool {
-        self.armed.store(Self::NONE, Ordering::SeqCst);
-        self.fired.swap(false, Ordering::SeqCst)
+        self.0.swap(Self::NONE, Ordering::SeqCst) == Self::FIRED
     }
 
+    /// Fires the failpoint `code` if it is armed: one relaxed load
+    /// otherwise.
     fn take_if(&self, code: u8) -> bool {
-        if self
-            .armed
-            .compare_exchange(code, Self::NONE, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.fired.store(true, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Snapshot of the armed/fired flags, taken before each dispatch
-    /// attempt so a footprint restart can rewind a consumed-but-unfired
-    /// arming. A failpoint that genuinely fired ends its attempt with a
-    /// non-restart outcome, so restores never resurrect a fired one.
-    pub(crate) fn snapshot(&self) -> (u8, bool) {
-        (self.armed.load(Ordering::SeqCst), self.fired.load(Ordering::SeqCst))
-    }
-
-    pub(crate) fn restore(&self, (armed, fired): (u8, bool)) {
-        self.armed.store(armed, Ordering::SeqCst);
-        self.fired.store(fired, Ordering::SeqCst);
+        self.0.load(Ordering::Relaxed) == code
+            && self
+                .0
+                .compare_exchange(code, Self::FIRED, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
     }
 
     pub(crate) fn fire_panic_at_hook(&self) {
@@ -237,12 +220,8 @@ pub struct Kernel {
     pub(crate) module: Box<dyn SecurityModule>,
     pub(crate) tags: TagAllocator,
     pub(crate) quotas: Quotas,
-    #[cfg(feature = "fault-injection")]
+    /// Test failpoints, armed at run time (see [`SyscallFailpoint`]).
     pub(crate) failpoints: Failpoints,
-    /// Undo bytes the last finished syscall recorded (see
-    /// [`Kernel::last_undo_bytes_for_test`]).
-    #[cfg(feature = "fault-injection")]
-    pub(crate) last_undo_bytes: AtomicU64,
     tcb_tag: Tag,
     admin_tag: Tag,
 }
@@ -309,10 +288,7 @@ impl Kernel {
             module: Box::new(module),
             tags,
             quotas,
-            #[cfg(feature = "fault-injection")]
             failpoints: Failpoints::default(),
-            #[cfg(feature = "fault-injection")]
-            last_undo_bytes: AtomicU64::new(0),
             tcb_tag,
             admin_tag,
         };
@@ -400,12 +376,9 @@ impl Kernel {
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            #[cfg(feature = "fault-injection")]
-            let fp_snapshot = self.failpoints.snapshot();
             let mut txn = Txn::begin(self, footprint, &mut ids, intent);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let r = f(&mut txn);
-                #[cfg(feature = "fault-injection")]
                 if r.is_ok() {
                     self.failpoints.fire_abort_late();
                 }
@@ -452,8 +425,6 @@ impl Kernel {
                     // for each.
                     footprint = txn.footprint();
                     drop(txn);
-                    #[cfg(feature = "fault-injection")]
-                    self.failpoints.restore(fp_snapshot);
                     self.restarts.fetch_add(1, Ordering::Relaxed);
                     footprint.add(key, mode);
                 }
@@ -594,27 +565,25 @@ impl Kernel {
     }
 
     /// Arms a one-shot [`SyscallFailpoint`] (conformance testkit).
-    #[cfg(feature = "fault-injection")]
     pub fn arm_failpoint_for_test(self: &Arc<Self>, fp: SyscallFailpoint) {
         self.failpoints.arm(fp);
     }
 
     /// Reports whether the armed failpoint fired, clearing both the
     /// fired flag and any still-armed failpoint.
-    #[cfg(feature = "fault-injection")]
     pub fn take_failpoint_fired(self: &Arc<Self>) -> bool {
         self.failpoints.take_fired()
     }
 
-    /// Bytes of undo records the most recently finished syscall on this
-    /// kernel pushed in its final attempt, whether it committed or rolled
-    /// back (each record's size plus the heap it owns). The cost-regime
-    /// tests use it to check that no syscall's journal grows with state
-    /// that other principals own.
-    #[cfg(feature = "fault-injection")]
+    /// Bytes of undo records the most recently finished syscall *on this
+    /// thread* pushed in its final attempt, whether it committed or
+    /// rolled back (each record's size plus the heap it owns). The
+    /// cost-regime tests use it to check that no syscall's journal grows
+    /// with state that other principals own. A thread-local, like
+    /// [`last_syscall_seq`], so publishing it writes no kernel-wide word.
     #[must_use]
     pub fn last_undo_bytes_for_test(self: &Arc<Self>) -> u64 {
-        self.last_undo_bytes.load(Ordering::Relaxed)
+        LAST_UNDO_BYTES.with(Cell::get)
     }
 
     /// The special `tcb` integrity tag (§4.4): only a task whose
@@ -823,39 +792,79 @@ impl Kernel {
         Ok((inode.labels().clone(), data))
     }
 
-    /// Fault injection for the conformance testkit: poisons the mutex of
-    /// the shard with the given flat ordinal (`0..KERNEL_SHARDS`,
-    /// wrapping), so the next syscall touching that shard takes the
-    /// poison-recovery path of [`laminar_util::sync::Mutex`]. Verdicts
-    /// must be unaffected, and *other* shards keep serving syscalls
-    /// without recovering anything.
-    #[cfg(feature = "fault-injection")]
-    pub fn poison_shard_for_test(self: &Arc<Self>, ordinal: usize) {
-        self.tables.poison(ShardKey::from_ordinal(ordinal));
+    /// Fault injection for the conformance testkit: poisons the lock of
+    /// the shard `key` names, so the next syscall touching that shard
+    /// takes the poison-recovery path of [`laminar_util::sync::RwLock`].
+    /// Verdicts must be unaffected, and *other* shards keep serving
+    /// syscalls without recovering anything.
+    pub fn poison_shard_for_test(self: &Arc<Self>, key: ShardKey) {
+        self.tables.poison(key);
     }
 
-    /// Poisons the task-table shard holding `tid` (fault injection).
-    #[cfg(feature = "fault-injection")]
-    pub fn poison_task_shard_for_test(self: &Arc<Self>, tid: TaskId) {
-        self.tables.poison(ShardKey::task(tid));
-    }
-
-    /// Poisons the inode-table shard holding `ino` (fault injection).
-    #[cfg(feature = "fault-injection")]
-    pub fn poison_inode_shard_for_test(self: &Arc<Self>, ino: InodeId) {
-        self.tables.poison(ShardKey::inode(ino));
-    }
-
-    /// Resolves `path` to its inode id with no DIFC checks (fault
-    /// injection: lets a test aim [`Kernel::poison_inode_shard_for_test`]
-    /// at the shard actually holding a given file).
+    /// Resolves `path` to its inode id with no DIFC checks (lets a test
+    /// aim [`Kernel::poison_shard_for_test`] at the shard actually
+    /// holding a given file).
     ///
     /// # Errors
     /// [`OsError::NotFound`] if the path names no inode;
     /// [`OsError::InvalidArgument`] for relative paths.
-    #[cfg(feature = "fault-injection")]
     pub fn inode_of_for_test(self: &Arc<Self>, path: &str) -> OsResult<InodeId> {
         self.admin_lookup(path)?.2.ok_or(OsError::NotFound)
+    }
+
+    /// Messages (byte chunks plus capabilities) queued in the pipe behind
+    /// `task`'s `fd`. The conformance testkit diffs buffer structure (a
+    /// cap at the head blocks byte reads, so the count matters) against
+    /// the reference oracle. **Trusted API**, like
+    /// [`Kernel::audit_snapshot`].
+    ///
+    /// # Errors
+    /// [`OsError::BadFd`] if `fd` is not a pipe.
+    ///
+    /// # Panics
+    /// Panics if `task` belongs to another kernel.
+    pub fn pipe_msgs_for_test(
+        self: &Arc<Self>,
+        task: &TaskHandle,
+        fd: Fd,
+    ) -> OsResult<usize> {
+        self.with_pipe(task, fd, PipeBuffer::msg_count)
+    }
+
+    /// The `(readers, writers)` counts of the pipe behind `task`'s `fd`,
+    /// for checking that an aborted `close`, `fork` or `exit` restores
+    /// them exactly. **Trusted API**: a subject that saw them would learn
+    /// when a peer closed its end, the cross-label EOF that §5.2's
+    /// nonblocking pipes hide.
+    ///
+    /// # Errors
+    /// [`OsError::BadFd`] if `fd` is not a pipe.
+    ///
+    /// # Panics
+    /// Panics if `task` belongs to another kernel.
+    pub fn pipe_ends_for_test(
+        self: &Arc<Self>,
+        task: &TaskHandle,
+        fd: Fd,
+    ) -> OsResult<(u32, u32)> {
+        self.with_pipe(task, fd, PipeBuffer::refs)
+    }
+
+    /// Runs `f` on the pipe buffer behind `task`'s `fd`, bypassing the
+    /// transaction machinery (locks one shard at a time).
+    pub(crate) fn with_pipe<R>(
+        &self,
+        task: &TaskHandle,
+        fd: Fd,
+        f: impl FnOnce(&PipeBuffer) -> R,
+    ) -> OsResult<R> {
+        assert!(std::ptr::eq(&*task.kernel, self), "handle from another kernel");
+        let ino = task.fd_inode_readonly(fd)?;
+        let shard = self.tables.inodes_read(ino);
+        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
+            InodeKind::Pipe { buffer } => Ok(f(buffer)),
+            _ => Err(OsError::BadFd),
+        }
     }
 
     /// Logs a user in: spawns a fresh process with one task whose

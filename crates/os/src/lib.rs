@@ -60,9 +60,7 @@ mod txn;
 mod vfs;
 
 pub use error::{OsError, OsResult};
-#[cfg(feature = "fault-injection")]
-pub use kernel::SyscallFailpoint;
-pub use kernel::{last_syscall_seq, CommitRecord, Kernel, TaskHandle};
+pub use kernel::{last_syscall_seq, CommitRecord, Kernel, SyscallFailpoint, TaskHandle};
 pub use laminar_lsm::LaminarModule;
 pub use lsm::{Access, DeliveryVerdict, NullModule, SecurityModule};
 pub use shard::{

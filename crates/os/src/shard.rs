@@ -485,7 +485,6 @@ impl Tables {
     }
 
     /// Poisons the underlying rwlock of one shard (fault injection).
-    #[cfg(feature = "fault-injection")]
     pub(crate) fn poison(&self, key: ShardKey) {
         let i = idx(key);
         match key.0 & DOM_MASK {

@@ -1078,72 +1078,26 @@ impl TaskHandle {
 
     /// Bytes currently queued in a pipe — a *debugging/test* affordance
     /// (not part of the paper's API; exposing it to untrusted code would
-    /// be a channel). Read-only: bypasses the transaction machinery.
+    /// be a channel). Read-only: bypasses the transaction machinery. It
+    /// stays on the handle only for the benchmark harness; the other pipe
+    /// probes are trusted [`Kernel`](crate::Kernel) methods.
     ///
     /// # Errors
     /// [`OsError::BadFd`] if `fd` is not a pipe.
     pub fn pipe_queued_for_test(&self, fd: Fd) -> OsResult<usize> {
-        let (pid, ino) = self.fd_inode_readonly(fd)?;
-        let _ = pid;
-        let shard = self.kernel.tables.inodes_read(ino);
-        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
-            InodeKind::Pipe { buffer } => Ok(buffer.queued()),
-            _ => Err(OsError::BadFd),
-        }
-    }
-
-    /// Messages (byte chunks plus capabilities) currently queued in a
-    /// pipe — a test affordance like [`Self::pipe_queued_for_test`],
-    /// used by the conformance testkit to diff buffer structure (a cap
-    /// at the head blocks byte reads, so the count matters) against the
-    /// reference oracle.
-    ///
-    /// # Errors
-    /// [`OsError::BadFd`] if `fd` is not a pipe.
-    pub fn pipe_msgs_for_test(&self, fd: Fd) -> OsResult<usize> {
-        let (pid, ino) = self.fd_inode_readonly(fd)?;
-        let _ = pid;
-        let shard = self.kernel.tables.inodes_read(ino);
-        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
-            InodeKind::Pipe { buffer } => Ok(buffer.msg_count()),
-            _ => Err(OsError::BadFd),
-        }
-    }
-
-    /// The `(readers, writers)` counts of the pipe behind `fd` — a test
-    /// affordance like [`Self::pipe_queued_for_test`], for checking that
-    /// an aborted `close`, `fork` or `exit` restores them exactly.
-    ///
-    /// # Errors
-    /// [`OsError::BadFd`] if `fd` is not a pipe.
-    #[cfg(feature = "fault-injection")]
-    pub fn pipe_ends_for_test(&self, fd: Fd) -> OsResult<(u32, u32)> {
-        let (_, ino) = self.fd_inode_readonly(fd)?;
-        let shard = self.kernel.tables.inodes_read(ino);
-        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
-            InodeKind::Pipe { buffer } => Ok(buffer.refs()),
-            _ => Err(OsError::BadFd),
-        }
+        self.kernel.with_pipe(self, fd, PipeBuffer::queued)
     }
 
     /// Sequential single-shard lookup of the inode behind one of the
     /// caller's fds (read-only paths; locks one shard at a time).
-    fn fd_inode_readonly(&self, fd: Fd) -> OsResult<(ProcessId, InodeId)> {
+    pub(crate) fn fd_inode_readonly(&self, fd: Fd) -> OsResult<InodeId> {
         let pid = {
             let shard = self.kernel.tables.tasks_read(self.tid);
             shard.get(&self.tid).ok_or(OsError::NoSuchTask)?.process
         };
-        let ino = {
-            let shard = self.kernel.tables.procs_read(pid);
-            shard
-                .get(&pid)
-                .ok_or(OsError::Internal)?
-                .fds
-                .get(fd)
-                .ok_or(OsError::BadFd)?
-                .inode
-        };
-        Ok((pid, ino))
+        let shard = self.kernel.tables.procs_read(pid);
+        let file = shard.get(&pid).ok_or(OsError::Internal)?.fds.get(fd);
+        Ok(file.ok_or(OsError::BadFd)?.inode)
     }
 
     // ----- processes, threads, signals -------------------------------------

@@ -129,54 +129,44 @@ fn quota_denied(resource: &'static str) -> OsError {
 /// restarted body's lock footprint stable.
 #[derive(Default)]
 pub(crate) struct IdCache {
-    tasks: Vec<u64>,
-    procs: Vec<u64>,
-    inodes: Vec<u64>,
-    tags: Vec<Tag>,
-    cur: (usize, usize, usize, usize),
+    tasks: Minted<TaskId>,
+    procs: Minted<ProcessId>,
+    inodes: Minted<InodeId>,
+    tags: Minted<Tag>,
 }
 
 impl IdCache {
     /// Rewinds the positional cursors for a fresh attempt.
     pub(crate) fn reset_cursors(&mut self) {
-        self.cur = (0, 0, 0, 0);
+        self.tasks.cur = 0;
+        self.procs.cur = 0;
+        self.inodes.cur = 0;
+        self.tags.cur = 0;
     }
+}
 
-    fn next_task(&mut self, k: &Kernel) -> TaskId {
-        let i = self.cur.0;
-        self.cur.0 += 1;
-        if i == self.tasks.len() {
-            self.tasks.push(k.next_task.fetch_add(1, Ordering::Relaxed));
-        }
-        TaskId(self.tasks[i])
+/// The ids of one kind a syscall minted, in order, and the position of
+/// the current attempt's next allocation.
+struct Minted<T> {
+    ids: Vec<T>,
+    cur: usize,
+}
+
+impl<T> Default for Minted<T> {
+    fn default() -> Self {
+        Minted { ids: Vec::new(), cur: 0 }
     }
+}
 
-    fn next_proc(&mut self, k: &Kernel) -> ProcessId {
-        let i = self.cur.1;
-        self.cur.1 += 1;
-        if i == self.procs.len() {
-            self.procs.push(k.next_proc.fetch_add(1, Ordering::Relaxed));
+impl<T: Copy> Minted<T> {
+    /// The id an earlier attempt minted at this position, or a fresh one
+    /// from `mint`.
+    fn next(&mut self, mint: impl FnOnce() -> T) -> T {
+        if self.cur == self.ids.len() {
+            self.ids.push(mint());
         }
-        ProcessId(self.procs[i])
-    }
-
-    /// See [`crate::shard::InodeIds::mint`] for `above`.
-    fn next_inode(&mut self, k: &Kernel, above: Option<ShardKey>) -> InodeId {
-        let i = self.cur.2;
-        self.cur.2 += 1;
-        if i == self.inodes.len() {
-            self.inodes.push(k.inode_ids.mint(above).0);
-        }
-        InodeId(self.inodes[i])
-    }
-
-    fn next_tag(&mut self, k: &Kernel) -> Tag {
-        let i = self.cur.3;
-        self.cur.3 += 1;
-        if i == self.tags.len() {
-            self.tags.push(k.tags.fresh());
-        }
-        self.tags[i]
+        self.cur += 1;
+        self.ids[self.cur - 1]
     }
 }
 
@@ -636,13 +626,12 @@ impl<'a> Txn<'a> {
     /// panic-at-hook failpoint fires here.
     pub(crate) fn count_hook(&self) {
         self.hooks.set(self.hooks.get() + 1);
-        #[cfg(feature = "fault-injection")]
         self.kernel.failpoints.fire_panic_at_hook();
     }
 
     /// Publishes this attempt's counters: adds its hook count to the
-    /// kernel's monotonic counter and, in fault-injection builds, stores
-    /// its undo bytes for [`Kernel::last_undo_bytes_for_test`]. Called by
+    /// kernel's monotonic counter and stores its undo bytes in this
+    /// thread's [`Kernel::last_undo_bytes_for_test`]. Called by
     /// the dispatcher on every exit except a footprint restart (so
     /// restarts do not inflate the count).
     pub(crate) fn flush_counters(&mut self) {
@@ -650,8 +639,7 @@ impl<'a> Txn<'a> {
         if hooks > 0 {
             self.kernel.hook_counter.add(hooks);
         }
-        #[cfg(feature = "fault-injection")]
-        self.kernel.last_undo_bytes.store(self.undo_bytes, Ordering::Relaxed);
+        crate::kernel::LAST_UNDO_BYTES.with(|b| b.set(self.undo_bytes));
     }
 
     // --- read accessors ------------------------------------------------------
@@ -951,7 +939,6 @@ impl<'a> Txn<'a> {
         kind: InodeKind,
         labels: SecPair,
     ) -> OsResult<InodeId> {
-        #[cfg(feature = "fault-injection")]
         if self.kernel.failpoints.take_quota() {
             return Err(quota_denied("injected allocation failure"));
         }
@@ -959,7 +946,7 @@ impl<'a> Txn<'a> {
             return Err(quota_denied("inodes"));
         }
         let above = self.guards.last().map(|g| g.key);
-        let id = self.ids.next_inode(self.kernel, above);
+        let id = self.ids.inodes.next(|| self.kernel.inode_ids.mint(above));
         self.inodes_mut(id)?
             .insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
         self.kernel.inode_ids.inserted(id);
@@ -972,7 +959,6 @@ impl<'a> Txn<'a> {
     /// frees quota even though fd numbers are never reused). Once the
     /// `u32` fd numbers are spent the insert fails closed the same way.
     pub(crate) fn fd_insert(&mut self, pid: ProcessId, file: OpenFile) -> OsResult<Fd> {
-        #[cfg(feature = "fault-injection")]
         if self.kernel.failpoints.take_quota() {
             return Err(quota_denied("injected allocation failure"));
         }
@@ -1056,7 +1042,6 @@ impl<'a> Txn<'a> {
     /// Accounts one tag minted by `user`, enforcing the per-user tag
     /// quota.
     pub(crate) fn mint_tag(&mut self, user: UserId) -> OsResult<()> {
-        #[cfg(feature = "fault-injection")]
         if self.kernel.failpoints.take_quota() {
             return Err(quota_denied("injected allocation failure"));
         }
@@ -1073,7 +1058,7 @@ impl<'a> Txn<'a> {
 
     /// Mints a fresh tag, replay-stable across footprint restarts.
     pub(crate) fn fresh_tag(&mut self) -> Tag {
-        self.ids.next_tag(self.kernel)
+        self.ids.tags.next(|| self.kernel.tags.fresh())
     }
 
     /// Spawns a fresh single-task process (used by `fork`) running as
@@ -1087,8 +1072,9 @@ impl<'a> Txn<'a> {
         fds: FdTable,
         binary: String,
     ) -> OsResult<(TaskId, ProcessId)> {
-        let tid = self.ids.next_task(self.kernel);
-        let pid = self.ids.next_proc(self.kernel);
+        let tid = self.fresh_task_id();
+        let next = &self.kernel.next_proc;
+        let pid = self.ids.procs.next(|| ProcessId(next.fetch_add(1, Ordering::Relaxed)));
         // Ascending domains: task shards rank below process shards.
         self.hold(ShardKey::task(tid), ShardMode::Exclusive)?;
         let mut proc = ProcessStruct::fresh(pid, tid, cwd);
@@ -1104,7 +1090,8 @@ impl<'a> Txn<'a> {
     /// Mints a fresh task id (replay-stable); used by `spawn_thread`,
     /// which inserts the task itself.
     pub(crate) fn fresh_task_id(&mut self) -> TaskId {
-        self.ids.next_task(self.kernel)
+        let next = &self.kernel.next_task;
+        self.ids.tasks.next(|| TaskId(next.fetch_add(1, Ordering::Relaxed)))
     }
 
     /// Inserts a task under a fresh id (for `spawn_thread`).

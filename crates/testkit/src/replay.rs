@@ -17,7 +17,8 @@ use crate::trace::{
 use laminar_difc::Tag;
 use laminar_difc::{CapKind, CapSet, Capability, Label, LabelType, SecPair};
 use laminar_os::{
-    Fd, Kernel, LaminarModule, OpenMode, OsError, Quotas, Signal, TaskHandle, UserId,
+    Fd, Kernel, LaminarModule, OpenMode, OsError, Quotas, ShardKey, Signal, TaskHandle,
+    UserId,
 };
 use std::sync::Arc;
 
@@ -114,7 +115,7 @@ impl KernelReplay {
     /// [`laminar_os::SHARD_COUNT`]) from a crashing thread; every
     /// subsequent syscall must recover and behave identically.
     pub fn poison_shard(&self, ordinal: usize) {
-        self.kernel.poison_shard_for_test(ordinal);
+        self.kernel.poison_shard_for_test(ShardKey::from_ordinal(ordinal));
     }
 
     /// The kernel under test (shared with every cloned view).
@@ -589,7 +590,8 @@ impl KernelReplay {
         }
         for (p, fds) in self.pipes.iter().enumerate() {
             let queued = self.tasks[0].pipe_queued_for_test(fds.0).expect("pipe bytes");
-            let msgs = self.tasks[0].pipe_msgs_for_test(fds.0).expect("pipe msgs");
+            let msgs =
+                self.kernel.pipe_msgs_for_test(&self.tasks[0], fds.0).expect("pipe msgs");
             if queued != oracle.pipes[p].bytes_queued()
                 || msgs != oracle.pipes[p].msg_count()
             {

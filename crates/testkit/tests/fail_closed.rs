@@ -171,11 +171,11 @@ fn late_abort_of_a_pipe_end_close_keeps_the_end_open() {
     let (k, alice) = boot();
     let (r, w) = alice.pipe().unwrap();
     abort_late(&k, || alice.close(w));
-    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
     alice.write(w, b"still open").unwrap();
     assert_eq!(alice.read(r, 64).unwrap(), b"still open");
     alice.close(w).unwrap();
-    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 0));
+    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 0));
 }
 
 #[test]
@@ -183,17 +183,17 @@ fn late_abort_of_fork_and_of_the_last_exit_restores_pipe_references() {
     let (k, alice) = boot();
     let (r, _w) = alice.pipe().unwrap();
     abort_late(&k, || alice.fork(None));
-    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
 
     let child = alice.fork(None).unwrap();
-    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (2, 2));
+    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (2, 2));
     // The child's only task exits: the process and its pipe ends go.
     abort_late(&k, || child.exit());
-    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (2, 2));
+    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (2, 2));
     assert!(child.current_labels().is_ok(), "the aborted exit left the child alive");
-    assert_eq!(child.pipe_ends_for_test(r).unwrap(), (2, 2));
+    assert_eq!(k.pipe_ends_for_test(&child, r).unwrap(), (2, 2));
     child.exit().unwrap();
-    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
 }
 
 #[test]
@@ -205,7 +205,7 @@ fn late_abort_of_spawn_thread_leaves_no_phantom_thread() {
     // Had the aborted thread stayed in the child's thread list, this
     // exit would not be the last one and the pipe ends would stay.
     child.exit().unwrap();
-    assert_eq!(alice.pipe_ends_for_test(r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
 }
 
 #[test]

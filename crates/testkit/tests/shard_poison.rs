@@ -66,7 +66,7 @@ fn poisoning_one_shard_leaves_the_others_serviceable() {
         bob.read_file_at("/tmp/vault/secret", 64).expect_err("flow denial");
 
     // Poison alice's task shard from a crashing thread.
-    kernel.poison_task_shard_for_test(alice.id());
+    kernel.poison_shard_for_test(ShardKey::task(alice.id()));
     let base = poison_recoveries();
 
     // Bob's syscalls never touch alice's task shard: his own task and
@@ -98,7 +98,7 @@ fn poisoning_one_shard_leaves_the_others_serviceable() {
     // survives recovery bit-for-bit (fail-closed recovery does not
     // fail open).
     let ino = kernel.inode_of_for_test("/tmp/vault").expect("inode id");
-    kernel.poison_inode_shard_for_test(ino);
+    kernel.poison_shard_for_test(ShardKey::inode(ino));
     let base = poison_recoveries();
     let after = bob.read_file_at("/tmp/vault/secret", 64).expect_err("still denied");
     assert_eq!(format!("{after:?}"), format!("{baseline_bob:?}"));
@@ -124,7 +124,7 @@ fn poisoning_every_shard_is_semantically_invisible() {
     kernel.add_user(UserId(1), "alice");
     let task = kernel.login(UserId(1)).expect("login");
     for ordinal in 0..laminar_os::SHARD_COUNT {
-        kernel.poison_shard_for_test(ordinal);
+        kernel.poison_shard_for_test(ShardKey::from_ordinal(ordinal));
     }
     // Traffic across every subsystem: registry (tag mint), task table
     // (label change), inode table (pipes, files, dirs).
@@ -169,7 +169,7 @@ fn path_only_syscalls_leave_the_process_shard_alone() {
     let (_, twin) = path_fixture();
     let (kernel, task) = path_fixture();
     let pid = task.process().expect("process");
-    kernel.poison_shard_for_test(ShardKey::proc(pid).ordinal());
+    kernel.poison_shard_for_test(ShardKey::proc(pid));
 
     type Call = fn(&TaskHandle) -> String;
     let path_only: [(&str, Call); 5] = [

@@ -52,7 +52,7 @@ fn world(full: bool) -> World {
         for i in 0..SIGNALS {
             bob.kill(alice.id(), Signal(i as i32)).unwrap();
         }
-        assert_eq!(alice.pipe_msgs_for_test(r).unwrap(), PIPE_MSGS);
+        assert_eq!(kernel.pipe_msgs_for_test(&alice, r).unwrap(), PIPE_MSGS);
     }
     World { kernel, alice, bob, r, w, full }
 }
@@ -109,7 +109,7 @@ impl World {
         (
             a.readdir("/tmp").unwrap(),
             a.pipe_queued_for_test(self.r).unwrap(),
-            a.pipe_msgs_for_test(self.r).unwrap(),
+            self.kernel.pipe_msgs_for_test(a, self.r).unwrap(),
             a.stat(".").unwrap().inode.0,
         )
     }

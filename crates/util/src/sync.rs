@@ -71,25 +71,28 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-#[cfg(feature = "fault-injection")]
+/// Poisons a `std` lock: a helper thread takes the guard `acquire`
+/// returns and panics while holding it. The injected panic is silenced
+/// and joined before returning; the helper mutates nothing.
+fn poison_with<G>(acquire: impl FnOnce() -> G + Send) {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let _ = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _guard = acquire();
+            panic!("injected lock poison");
+        })
+        .join()
+    });
+    std::panic::set_hook(prev);
+}
+
 impl<T: ?Sized + Send> Mutex<T> {
     /// Fault injection for the conformance testkit: poisons the
-    /// underlying `std` mutex by panicking a helper thread while it
-    /// holds the guard, so the *next* `lock()` exercises the
-    /// poison-recovery path. The injected panic is silenced and joined
-    /// before returning; data is untouched (the helper mutates nothing).
+    /// underlying `std` mutex, so the *next* `lock()` exercises the
+    /// poison-recovery path. Data is untouched.
     pub fn poison_for_test(&self) {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard =
-                    self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("injected lock poison");
-            })
-            .join()
-        });
-        std::panic::set_hook(prev);
+        poison_with(|| self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
     }
 }
 
@@ -141,24 +144,13 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-#[cfg(feature = "fault-injection")]
 impl<T: ?Sized + Send + Sync> RwLock<T> {
     /// Fault injection, as [`Mutex::poison_for_test`]: a helper thread
     /// panics while holding the *write* guard (a panicking reader does
     /// not poison a `std` rwlock), so the next `read()` or `write()`
     /// takes the poison-recovery path. Data is untouched.
     pub fn poison_for_test(&self) {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard =
-                    self.0.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("injected lock poison");
-            })
-            .join()
-        });
-        std::panic::set_hook(prev);
+        poison_with(|| self.0.write().unwrap_or_else(std::sync::PoisonError::into_inner));
     }
 }
 
@@ -301,7 +293,6 @@ mod tests {
         assert_eq!(*m.lock(), 7); // still usable
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn injected_poison_is_recovered() {
         let m = Mutex::new(41);
@@ -312,7 +303,6 @@ mod tests {
         assert!(poison_recoveries() > before, "recovery must be counted");
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn injected_rwlock_poison_is_recovered_by_readers_and_writers() {
         let l = RwLock::new(41);

@@ -494,27 +494,14 @@ impl Vm {
                 CapKind::Minus => Capability::minus(tag),
             }
         }));
-        // Rule (1) of §4.3.2: SR ⊆ (Cp+ ∪ SP) and IR ⊆ (Cp+ ∪ IP).
-        for t in pair.secrecy().iter() {
-            if !self.caps.can_add(t) && !self.labels.secrecy().contains(t) {
-                return Err(VmError::RegionEntry(
-                    "thread lacks the capability or label for a region secrecy tag",
-                ));
-            }
-        }
-        for t in pair.integrity().iter() {
-            if !self.caps.can_add(t) && !self.labels.integrity().contains(t) {
-                return Err(VmError::RegionEntry(
-                    "thread lacks the capability or label for a region integrity tag",
-                ));
-            }
-        }
-        // Rule (2): CR ⊆ CP.
-        if !rcaps.is_subset_of(&self.caps) {
-            return Err(VmError::RegionEntry(
-                "region capabilities exceed the entering thread's",
-            ));
-        }
+        laminar_difc::check_region_entry(
+            &self.labels,
+            &self.caps,
+            pair.secrecy(),
+            pair.integrity(),
+            &rcaps,
+        )
+        .map_err(VmError::RegionEntry)?;
         self.regions.push(RegionFrame {
             saved_labels: std::mem::replace(&mut self.labels, pair),
             saved_caps: std::mem::replace(&mut self.caps, rcaps),
