@@ -156,7 +156,7 @@ fn main() {
     println!();
 
     let (_k0, base_task) = setup(NullModule);
-    let (_k1, lam_task) = setup(LaminarModule);
+    let (lam_kernel, lam_task) = setup(LaminarModule);
 
     let header = format!(
         "{:<16} {:>12} {:>14} {:>10}   {}",
@@ -193,5 +193,5 @@ fn main() {
         );
     }
     println!();
-    println!("laminar hook invocations during suite: {}", lam_task.kernel().hook_calls());
+    println!("laminar hook invocations during suite: {}", lam_kernel.hook_calls());
 }

@@ -22,7 +22,7 @@
 //!   (`getCurrentLabel`, `createAndAddCapability`, `removeCapability`,
 //!   `copyAndLabel`) plus mediated OS access with lazy label sync.
 //! * [`KernelBridge`] — binds a [`laminar_vm::Vm`] MiniVM thread to a
-//!   kernel task for the bytecode-level experiments.
+//!   principal's kernel task; built only by [`Laminar::vm_bridge`].
 //!
 //! ## Example: Alice's secret calendar (§3.3)
 //!
@@ -77,7 +77,7 @@ mod vmbridge;
 pub use error::{LaminarError, LaminarResult};
 pub use labeled::Labeled;
 pub use principal::{check_region_entry, Principal, RegionGuard, RegionParams};
-pub use runtime::{unlabeled, Laminar};
+pub use runtime::Laminar;
 pub use stats::{fault_stats, FaultStats, RuntimeStats};
 pub use vmbridge::KernelBridge;
 

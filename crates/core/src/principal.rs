@@ -22,12 +22,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-process trusted runtime state: the `tcb` thread.
-#[derive(Debug)]
-pub(crate) struct ProcessRt {
-    pub(crate) vm_task: TaskHandle,
-}
-
 /// One security-region stack frame.
 #[derive(Debug)]
 struct Frame {
@@ -178,13 +172,14 @@ pub fn check_region_entry(
 #[derive(Debug)]
 pub struct Principal {
     task: TaskHandle,
-    rt: Arc<ProcessRt>,
+    /// The process's trusted `tcb` thread (§4.4), shared by its principals.
+    pub(crate) vm_task: TaskHandle,
     state: Arc<Mutex<ThreadState>>,
 }
 
 impl Principal {
-    pub(crate) fn new(task: TaskHandle, rt: Arc<ProcessRt>, caps: CapSet) -> Self {
-        Principal { task, rt, state: Arc::new(Mutex::new(ThreadState::new(caps))) }
+    pub(crate) fn new(task: TaskHandle, vm_task: TaskHandle, caps: CapSet) -> Self {
+        Principal { task, vm_task, state: Arc::new(Mutex::new(ThreadState::new(caps))) }
     }
 
     /// The underlying kernel task (for direct OS syscalls outside
@@ -291,7 +286,7 @@ impl Principal {
         }
         let effective = caps.unwrap_or_else(|| self.current_caps());
         let task = self.task.spawn_thread(Some(effective.clone()))?;
-        Ok(Principal::new(task, Arc::clone(&self.rt), effective))
+        Ok(Principal::new(task, self.vm_task.clone(), effective))
     }
 
     // --- security regions ---------------------------------------------------
@@ -328,14 +323,14 @@ impl Principal {
             // The kernel task carries the region's labels; only the
             // trusted tcb thread can drop them — the thread itself may
             // lack the minus capabilities (§4.4).
-            self.rt.vm_task.set_task_labels_tcb(self.task.id(), SecPair::unlabeled())?;
+            self.vm_task.set_task_labels_tcb(self.task.id(), SecPair::unlabeled())?;
         } else if !st.labels.is_unlabeled() {
             st.stats.os_syncs_elided += 1;
         }
         st.synced = false;
         if !frame.suspended.is_empty() {
             // Restore capabilities suspended for the region's scope.
-            self.rt.vm_task.grant_capabilities_tcb(self.task.id(), &frame.suspended)?;
+            self.vm_task.grant_capabilities_tcb(self.task.id(), &frame.suspended)?;
         }
         st.labels = frame.saved_labels;
         st.caps = frame.saved_caps;
@@ -372,7 +367,7 @@ impl Principal {
             frame.suspended = frame.suspended.union(&to_suspend);
         }
         if !st.labels.is_unlabeled() {
-            self.rt.vm_task.set_task_labels_tcb(self.task.id(), st.labels.clone())?;
+            self.vm_task.set_task_labels_tcb(self.task.id(), st.labels.clone())?;
         }
         st.synced = true;
         st.stats.os_syncs += 1;

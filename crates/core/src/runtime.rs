@@ -9,8 +9,8 @@
 //! checks (§4.4).
 
 use crate::error::{LaminarError, LaminarResult};
-use crate::principal::{Principal, ProcessRt};
-use laminar_difc::{CapSet, Capability, Label, LabelType, SecPair};
+use crate::principal::Principal;
+use laminar_difc::{CapSet, Capability, Label, LabelType};
 use laminar_os::{Kernel, LaminarModule, TaskHandle, UserId};
 use std::sync::Arc;
 
@@ -49,7 +49,15 @@ impl Laminar {
         Arc::new(Laminar { kernel: Kernel::boot(LaminarModule) })
     }
 
-    /// The underlying kernel (for OS-level operations and inspection).
+    /// The underlying kernel, for installer code only: set-up, admin
+    /// calls and inspection. No value a subject holds leads here:
+    ///
+    /// ```compile_fail,E0599
+    /// fn f(p: &laminar::Principal, _s: &laminar::Laminar) { p.task().kernel(); }
+    /// ```
+    /// ```
+    /// fn f(p: &laminar::Principal, s: &laminar::Laminar) { (p.task(), s.kernel()); }
+    /// ```
     #[must_use]
     pub fn kernel(&self) -> &Arc<Kernel> {
         &self.kernel
@@ -100,7 +108,7 @@ impl Laminar {
         task.drop_capabilities(&[Capability::plus(tcb), Capability::minus(tcb)])?;
 
         let caps = task.current_caps()?;
-        Ok(Principal::new(task, Arc::new(ProcessRt { vm_task }), caps))
+        Ok(Principal::new(task, vm_task, caps))
     }
 
     /// Logs a user in as a plain (non-VM) process: a bare kernel task
@@ -120,12 +128,6 @@ impl Laminar {
     pub fn set_persistent_caps(&self, user: UserId, caps: CapSet) {
         self.kernel.set_persistent_caps(user, caps);
     }
-}
-
-/// Convenience: the empty `{S(), I()}` pair.
-#[must_use]
-pub fn unlabeled() -> SecPair {
-    SecPair::unlabeled()
 }
 
 #[cfg(test)]

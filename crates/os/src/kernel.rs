@@ -62,16 +62,6 @@ thread_local! {
     pub(crate) static LAST_UNDO_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The commit ticket of the most recent syscall *on this thread* that
-/// took one (0 before any). While the commit log is on every syscall
-/// takes a ticket, so a test thread can pair each syscall's outcome with
-/// its position in the kernel-wide commit order; with it off, a success
-/// that nothing records leaves this value unchanged.
-#[must_use]
-pub fn last_syscall_seq() -> u64 {
-    LAST_SEQ.with(Cell::get)
-}
-
 /// A one-shot failpoint armed inside the kernel by the conformance
 /// testkit. Exactly one may be armed at a time; it fires at most once
 /// (disarming itself) and records that it fired.
@@ -226,13 +216,10 @@ pub struct Kernel {
     admin_tag: Tag,
 }
 
+/// Shows the module only: a subject prints it through its `TaskHandle`.
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Kernel")
-            .field("module", &self.module.name())
-            .field("inodes", &self.inode_ids.live())
-            .field("last_ticket", &self.commit_seq.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+        write!(f, "Kernel {{ module: {:?}, .. }}", self.module.name())
     }
 }
 
@@ -515,6 +502,12 @@ impl Kernel {
         log
     }
 
+    /// Whether `task` runs on this kernel rather than on another one.
+    #[must_use]
+    pub fn owns(self: &Arc<Self>, task: &TaskHandle) -> bool {
+        Arc::ptr_eq(&task.kernel, self)
+    }
+
     /// Runs `f(worker_index, task_set)` on one OS thread per task set,
     /// concurrently, returning each worker's result in order. Each
     /// worker owns a *disjoint* set of tasks and issues real syscalls
@@ -536,10 +529,7 @@ impl Kernel {
         let mut seen = std::collections::HashSet::new();
         for set in &task_sets {
             for h in set {
-                assert!(
-                    Arc::ptr_eq(&h.kernel, self),
-                    "run_parallel: handle from another kernel"
-                );
+                assert!(self.owns(h), "run_parallel: handle from another kernel");
                 assert!(
                     seen.insert(h.tid),
                     "run_parallel: task sets must be disjoint ({} appears twice)",
@@ -575,12 +565,31 @@ impl Kernel {
         self.failpoints.take_fired()
     }
 
+    /// The commit ticket of the most recent syscall *on this thread* that
+    /// took one (0 before any). While the commit log is on every syscall
+    /// takes a ticket, so a test thread can pair each syscall's outcome
+    /// with its position in the kernel-wide commit order; with it off, a
+    /// success that nothing records leaves this value unchanged.
+    ///
+    /// No subject may read it: a gap between two tickets counts other tasks' syscalls.
+    ///
+    /// ```compile_fail,E0425
+    /// fn f(_k: &laminar_os::Kernel) -> u64 { laminar_os::last_syscall_seq() }
+    /// ```
+    /// ```
+    /// fn f(k: &laminar_os::Kernel) -> u64 { k.last_syscall_seq() }
+    /// ```
+    #[must_use]
+    pub fn last_syscall_seq(&self) -> u64 {
+        LAST_SEQ.with(Cell::get)
+    }
+
     /// Bytes of undo records the most recently finished syscall *on this
     /// thread* pushed in its final attempt, whether it committed or
     /// rolled back (each record's size plus the heap it owns). The
     /// cost-regime tests use it to check that no syscall's journal grows
     /// with state that other principals own. A thread-local, like
-    /// [`last_syscall_seq`], so publishing it writes no kernel-wide word.
+    /// [`Kernel::last_syscall_seq`], so publishing it writes no kernel-wide word.
     #[must_use]
     pub fn last_undo_bytes_for_test(self: &Arc<Self>) -> u64 {
         LAST_UNDO_BYTES.with(Cell::get)
@@ -901,8 +910,11 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Fails with [`OsError::NoSuchTask`] if the handle's task has exited.
+    /// Fails with [`OsError::NoSuchTask`] if the task has exited or is foreign.
     pub fn bless_vm_process(self: &Arc<Self>, task: &TaskHandle) -> OsResult<()> {
+        if !self.owns(task) {
+            return Err(OsError::NoSuchTask);
+        }
         let tcb = self.tcb_tag;
         let pid = {
             let mut shard = self.tables.tasks_write(task.tid);
@@ -1160,12 +1172,6 @@ impl TaskHandle {
     pub fn id(&self) -> TaskId {
         self.tid
     }
-
-    /// The kernel this task runs on.
-    #[must_use]
-    pub fn kernel(&self) -> &Arc<Kernel> {
-        &self.kernel
-    }
 }
 
 #[cfg(test)]
@@ -1235,14 +1241,25 @@ mod tests {
         let sh = k.login(UserId(1)).unwrap();
         k.set_commit_log_enabled(true);
         let _ = sh.stat("/tmp");
-        let s1 = last_syscall_seq();
+        let s1 = k.last_syscall_seq();
         let _ = sh.stat("/etc");
-        let s2 = last_syscall_seq();
+        let s2 = k.last_syscall_seq();
         assert!(s2 > s1);
         let log = k.drain_commit_log();
         assert!(log.iter().any(|r| r.seq == s1 && r.task == sh.id()));
         assert!(log.iter().any(|r| r.seq == s2 && r.task == sh.id()));
         k.set_commit_log_enabled(false);
+    }
+
+    #[test]
+    fn task_debug_shows_no_kernel_state() {
+        let k = Kernel::boot(NullModule);
+        k.add_user(UserId(1), "alice");
+        let sh = k.login(UserId(1)).unwrap();
+        k.set_commit_log_enabled(true);
+        let _ = sh.stat("/tmp");
+        let shown = format!("{sh:?}");
+        assert!(!shown.contains("ticket") && !shown.contains("inodes"), "{shown}");
     }
 
     #[test]

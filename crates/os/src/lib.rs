@@ -60,7 +60,7 @@ mod txn;
 mod vfs;
 
 pub use error::{OsError, OsResult};
-pub use kernel::{last_syscall_seq, CommitRecord, Kernel, SyscallFailpoint, TaskHandle};
+pub use kernel::{CommitRecord, Kernel, SyscallFailpoint, TaskHandle};
 pub use laminar_lsm::LaminarModule;
 pub use lsm::{Access, DeliveryVerdict, NullModule, SecurityModule};
 pub use shard::{

@@ -199,30 +199,15 @@ impl TaskHandle {
     /// address spaces.
     pub fn drop_label_tcb(&self, target: TaskId) -> OsResult<()> {
         self.syscall("drop_label_tcb", OWN_TASK, |st| {
-            let sec = st.task_sec(self.tid)?;
-            if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
-                return Err(OsError::PermissionDenied(
-                    "drop_label_tcb requires the tcb integrity tag",
-                ));
-            }
-            let my_pid = self.pid;
-            st.hold(ShardKey::task(target), Exclusive)?;
-            let t = st.task(target)?;
-            if t.process != my_pid {
-                return Err(OsError::PermissionDenied(
-                    "drop_label_tcb is limited to the caller's address space",
-                ));
-            }
-            // Clear everything except the tcb tag itself if the target is the
-            // trusted thread (so it can keep making privileged calls).
-            let keep_tcb = t.security.labels.integrity().contains(self.kernel.tcb_tag());
-            let new = if keep_tcb && target == self.tid {
+            st.tcb_target(self, target)?;
+            // The trusted thread dropping its own labels keeps the tcb tag,
+            // so it can keep making privileged calls.
+            let new = if target == self.tid {
                 SecPair::integrity_only(Label::singleton(self.kernel.tcb_tag()))
             } else {
                 SecPair::unlabeled()
             };
-            st.set_labels(target, new)?;
-            Ok(())
+            st.set_labels(target, new)
         })
     }
 
@@ -239,22 +224,8 @@ impl TaskHandle {
     /// address spaces.
     pub fn set_task_labels_tcb(&self, target: TaskId, labels: SecPair) -> OsResult<()> {
         self.syscall("set_task_labels_tcb", OWN_TASK, |st| {
-            let sec = st.task_sec(self.tid)?;
-            if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
-                return Err(OsError::PermissionDenied(
-                    "set_task_labels_tcb requires the tcb integrity tag",
-                ));
-            }
-            let my_pid = self.pid;
-            st.hold(ShardKey::task(target), Exclusive)?;
-            let t = st.task(target)?;
-            if t.process != my_pid {
-                return Err(OsError::PermissionDenied(
-                    "set_task_labels_tcb is limited to the caller's address space",
-                ));
-            }
-            st.set_labels(target, labels.clone())?;
-            Ok(())
+            st.tcb_target(self, target)?;
+            st.set_labels(target, labels.clone())
         })
     }
 
@@ -285,20 +256,7 @@ impl TaskHandle {
     /// address spaces.
     pub fn grant_capabilities_tcb(&self, target: TaskId, caps: &CapSet) -> OsResult<()> {
         self.syscall("grant_capabilities_tcb", OWN_TASK, |st| {
-            let sec = st.task_sec(self.tid)?;
-            if !sec.labels.integrity().contains(self.kernel.tcb_tag()) {
-                return Err(OsError::PermissionDenied(
-                    "grant_capabilities_tcb requires the tcb integrity tag",
-                ));
-            }
-            let my_pid = self.pid;
-            st.hold(ShardKey::task(target), Exclusive)?;
-            let t = st.task(target)?;
-            if t.process != my_pid {
-                return Err(OsError::PermissionDenied(
-                    "grant_capabilities_tcb is limited to the caller's address space",
-                ));
-            }
+            st.tcb_target(self, target)?;
             let held = st.caps_mut(target)?;
             *held = held.union(caps);
             Ok(())

@@ -60,7 +60,7 @@
 //! operation succeeds again once the resource is released.
 
 use crate::error::{OsError, OsResult};
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, TaskHandle};
 use crate::shard::{
     Footprint, HeldShard, InodeMap, ProcMap, Registry, ShardGuard, ShardKey, ShardMode,
     TaskMap,
@@ -672,6 +672,24 @@ impl<'a> Txn<'a> {
         let tasks =
             self.held_shard(ShardKey::task(id))?.tasks().ok_or(OsError::Internal)?;
         tasks.get(&id).filter(|t| t.alive).map(|t| &t.security).ok_or(OsError::NoSuchTask)
+    }
+
+    /// The `*_tcb` syscalls' gate (§4.4): holds `target` exclusive if it is a
+    /// thread of `task`'s process and `task` carries the `tcb` tag.
+    pub(crate) fn tcb_target(
+        &mut self,
+        task: &TaskHandle,
+        target: TaskId,
+    ) -> OsResult<()> {
+        let tcb = self.kernel.tcb_tag();
+        if !self.task_alive(task.tid)?.security.labels.integrity().contains(tcb) {
+            return Err(OsError::PermissionDenied("requires the tcb integrity tag"));
+        }
+        self.hold(ShardKey::task(target), ShardMode::Exclusive)?;
+        if self.task(target)?.process != task.pid {
+            return Err(OsError::PermissionDenied("not in the caller's address space"));
+        }
+        Ok(())
     }
 
     /// The process entry; a missing process for a live task is an

@@ -323,7 +323,7 @@ impl KernelReplay {
     /// exactly one transactional syscall, so the kernel's commit ticket
     /// for that syscall is the op's position in the witnessed
     /// linearization. Returns the outcome and that commit sequence
-    /// number (from [`laminar_os::last_syscall_seq`] on this thread).
+    /// number (from [`Kernel::last_syscall_seq`] on this thread).
     ///
     /// Multi-syscall ops ([`Op::AllocTag`], fd-based file I/O) and pure
     /// in-process checks ([`Op::VmBarrier`], [`Op::RegionEnter`]) have
@@ -403,7 +403,7 @@ impl KernelReplay {
                     Ok(fd) => {
                         // The create is the decisive commit; take its
                         // ticket before the trailing close bumps it.
-                        let seq = laminar_os::last_syscall_seq();
+                        let seq = self.kernel.last_syscall_seq();
                         t.close(fd).ok();
                         return (Outcome::Ok, seq);
                     }
@@ -510,7 +510,7 @@ impl KernelReplay {
                 panic!("op outside the concurrent vocabulary: {op:?}")
             }
         };
-        (out, laminar_os::last_syscall_seq())
+        (out, self.kernel.last_syscall_seq())
     }
 
     // ----- state diff -----------------------------------------------------

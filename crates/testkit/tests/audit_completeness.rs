@@ -100,7 +100,7 @@ fn with_the_commit_log_off_only_recorded_outcomes_take_tickets() {
     let taken = kernel.run_parallel(handles, |i, set| {
         let (h, (_, tag, secret, pw)) = (&set[0], &workers[i]);
         let mut taken = Vec::new();
-        let mut note = || taken.push(laminar_os::last_syscall_seq());
+        let mut note = || taken.push(kernel.last_syscall_seq());
         for _ in 0..ROUNDS {
             // Decision-free successes: recorded nowhere, so no ticket.
             h.stat("/tmp").expect("stat");

@@ -13,10 +13,12 @@
 //!
 //! The log belongs to the kernel, not the process: two kernels driven
 //! at the same time from two threads keep two logs, each holding its
-//! own decisions and nothing of the other's.
+//! own decisions and nothing of the other's, and a MiniVM logs into the
+//! kernel its bridge is bound to and nowhere else.
 
-use laminar::KernelBridge;
+use laminar::Laminar;
 use laminar_obs::{Event, Record};
+use laminar_os::UserId;
 use laminar_testkit::{KernelReplay, Op};
 use laminar_vm::{BarrierMode, NoOs, ProgramBuilder, Vm};
 use std::sync::Barrier;
@@ -146,14 +148,17 @@ fn two_kernels_in_one_process_keep_disjoint_logs() {
         s.spawn(|| run(&mut b, &TRACE[..6]));
     });
 
-    // A VM bridged to a task of kernel A logs its region entry in A. Its
-    // region makes no syscall, so the bridge never pushes labels and the
-    // task can stand in for the trusted tcb thread. A VM with no kernel
-    // logs nowhere.
-    let task = a.handles()[0].clone();
+    // A VM bridged to a principal of a third kernel, C, logs its region
+    // entry in C. C's log goes on after the login, so the entry is all
+    // it holds. A VM with no kernel logs nowhere.
+    let system = Laminar::boot();
+    system.add_user(UserId(1), "vm");
+    let principal = system.login(UserId(1)).expect("login");
+    system.kernel().set_audit_enabled(true);
     let mut bridged = region_vm();
-    bridged.set_bridge(Box::new(KernelBridge::new(task.clone(), task)));
+    bridged.set_bridge(Box::new(system.vm_bridge(&principal).expect("bridge")));
     bridged.call_by_name("run", &[]).expect("bridged region");
+    assert_eq!(shapes(&system.kernel().audit().drain()), ["region_enter Vm Allow"]);
     let mut bare = region_vm();
     bare.set_bridge(Box::new(NoOs));
     bare.call_by_name("run", &[]).expect("unbridged region");
@@ -177,13 +182,13 @@ fn two_kernels_in_one_process_keep_disjoint_logs() {
         );
     }
     // Each log holds exactly what its own ops log on a kernel of their
-    // own, plus, in A, the bridged VM's region entry.
-    let mut want_a = replay_logged(TRACE);
-    want_a.push("region_enter Vm Allow".to_string());
-    assert_eq!(shapes(&log_a), want_a);
+    // own: neither holds the bridged VM's region entry.
+    assert_eq!(shapes(&log_a), replay_logged(TRACE));
     assert_eq!(shapes(&log_b), replay_logged(&TRACE[..6]));
-    assert!(
-        log_b.iter().all(|r| !matches!(r.event, Event::RegionEnter { .. })),
-        "kernel B logged a region entry of a VM not bridged to it"
-    );
+    for (name, log) in [("A", &log_a), ("B", &log_b)] {
+        assert!(
+            log.iter().all(|r| !matches!(r.event, Event::RegionEnter { .. })),
+            "kernel {name} logged a region entry of a VM not bridged to it"
+        );
+    }
 }

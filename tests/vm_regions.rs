@@ -2,9 +2,9 @@
 //! the static-barrier failure mode, lazy label sync over the real
 //! kernel bridge, statics restrictions and `copyAndLabel`.
 
-use laminar::KernelBridge;
+use laminar::Laminar;
 use laminar_difc::{CapKind, CapSet, Capability, Label, SecPair, Tag};
-use laminar_os::{Kernel, LaminarModule, OpenMode, UserId};
+use laminar_os::{OpenMode, UserId};
 use laminar_vm::{BarrierMode, ClassId, ProgramBuilder, Value, Vm, VmError};
 
 fn fresh_tag(n: u64) -> Tag {
@@ -358,17 +358,10 @@ fn statics_restrictions_in_regions() {
 /// pushes its labels, and the kernel then enforces them.
 #[test]
 fn lazy_label_sync_through_kernel_bridge() {
-    let kernel = Kernel::boot(LaminarModule);
-    kernel.add_user(UserId(1), "vmuser");
-    let task = kernel.login(UserId(1)).unwrap();
-    kernel.bless_vm_process(&task).unwrap();
-    let tcb = kernel.tcb_tag();
-    let mut tcb_caps = CapSet::new();
-    tcb_caps.grant_both(tcb);
-    let vm_task = task.spawn_thread(Some(tcb_caps)).unwrap();
-    vm_task
-        .set_task_label(laminar_difc::LabelType::Integrity, Label::singleton(tcb))
-        .unwrap();
+    let system = Laminar::boot();
+    system.add_user(UserId(1), "vmuser");
+    let principal = system.login(UserId(1)).unwrap();
+    let task = principal.task().clone();
 
     // Labeled destination file (pre-created) and a public one.
     let a = task.alloc_tag().unwrap();
@@ -407,7 +400,7 @@ fn lazy_label_sync_through_kernel_bridge() {
     let mut caps = CapSet::new();
     caps.grant(Capability::plus(a));
     vm.set_thread_caps(caps);
-    vm.set_bridge(Box::new(KernelBridge::new(task.clone(), vm_task.clone())));
+    vm.set_bridge(Box::new(system.vm_bridge(&principal).unwrap()));
 
     // Syscall-free region: zero kernel syncs.
     vm.call_by_name("run_quiet", &[]).unwrap();
