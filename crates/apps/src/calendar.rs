@@ -11,8 +11,9 @@
 //! Capabilities travel from the owners to the scheduler through
 //! kernel-mediated pipes (`write_capability`, Fig. 3).
 
-use crate::workload::AppStats;
-use laminar::{Laminar, LaminarError, LaminarResult, Principal, RegionParams};
+use laminar::{
+    Laminar, LaminarError, LaminarResult, Principal, RegionParams, RuntimeStats,
+};
 use laminar_difc::{CapSet, Capability, Label, SecPair, Tag};
 use laminar_os::{OpenMode, UserId};
 use std::sync::Arc;
@@ -274,11 +275,11 @@ impl CalendarSystem {
 
     /// Aggregated statistics across all principals.
     #[must_use]
-    pub fn stats(&self) -> AppStats {
+    pub fn stats(&self) -> RuntimeStats {
         let mut s = self.scheduler.stats();
         s.merge(&self.alice.stats());
         s.merge(&self.bob.stats());
-        AppStats::from_runtime("Calendar", &s)
+        s
     }
 
     /// Resets all principals' statistics.

@@ -25,5 +25,3 @@ pub mod calendar;
 pub mod freecs;
 pub mod gradesheet;
 pub mod workload;
-
-pub use workload::AppStats;

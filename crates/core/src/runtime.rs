@@ -10,7 +10,7 @@
 
 use crate::error::{LaminarError, LaminarResult};
 use crate::principal::Principal;
-use laminar_difc::{CapSet, Capability, Label, LabelType};
+use laminar_difc::CapSet;
 use laminar_os::{Kernel, LaminarModule, TaskHandle, UserId};
 use std::sync::Arc;
 
@@ -69,10 +69,10 @@ impl Laminar {
     }
 
     /// Logs a user in *onto the Laminar VM*: creates their process,
-    /// marks it trusted (heterogeneously-labeled threads allowed, §4.1),
-    /// starts the process's trusted `tcb` thread, and strips the `tcb`
-    /// capabilities from the application-visible task so untrusted code
-    /// cannot reach the privileged path.
+    /// marks it trusted (heterogeneously-labeled threads allowed, §4.1)
+    /// and starts the process's trusted `tcb` thread; the
+    /// application-visible task never holds the `tcb` capabilities, so
+    /// untrusted code cannot reach the privileged path.
     ///
     /// # Errors
     ///
@@ -83,30 +83,17 @@ impl Laminar {
     }
 
     /// Turns an existing kernel task (e.g. one produced by `fork`) into a
-    /// Laminar principal: blesses its process as a trusted VM, starts the
-    /// process's `tcb` thread, and strips the `tcb` capabilities from the
-    /// application-visible task. This models `exec`ing the Laminar VM in
-    /// a child process.
+    /// Laminar principal: blesses its process as a trusted VM and starts
+    /// the process's `tcb` thread, in one kernel transaction
+    /// ([`Kernel::bless_vm_process`]), so the application-visible task
+    /// never holds the `tcb` capabilities. This models `exec`ing the
+    /// Laminar VM in a child process.
     ///
     /// # Errors
     ///
     /// Fails if kernel setup fails (task exited).
     pub fn adopt(self: &Arc<Self>, task: TaskHandle) -> LaminarResult<Principal> {
-        self.kernel.bless_vm_process(&task)?;
-
-        // The trusted thread: a separate kernel task in the same address
-        // space, running with the tcb integrity tag. Only it may drop or
-        // set labels without capability checks.
-        let tcb = self.kernel.tcb_tag();
-        let mut tcb_caps = CapSet::new();
-        tcb_caps.grant_both(tcb);
-        let vm_task = task.spawn_thread(Some(tcb_caps))?;
-        vm_task.set_task_label(LabelType::Integrity, Label::singleton(tcb))?;
-
-        // Untrusted application code must not be able to assume the tcb
-        // tag itself.
-        task.drop_capabilities(&[Capability::plus(tcb), Capability::minus(tcb)])?;
-
+        let vm_task = self.kernel.bless_vm_process(&task)?;
         let caps = task.current_caps()?;
         Ok(Principal::new(task, vm_task, caps))
     }

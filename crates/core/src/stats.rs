@@ -89,6 +89,17 @@ impl RuntimeStats {
     pub fn total_accesses(&self) -> u64 {
         self.labeled_reads + self.labeled_writes
     }
+
+    /// Fraction of `total_ns` spent inside security regions (Table 3's
+    /// "% time in SRs").
+    #[must_use]
+    pub fn pct_in_regions(&self, total_ns: u64) -> f64 {
+        if total_ns == 0 {
+            0.0
+        } else {
+            100.0 * self.region_ns as f64 / total_ns as f64
+        }
+    }
 }
 
 #[cfg(test)]
@@ -106,5 +117,12 @@ mod tests {
         assert_eq!(a.labeled_writes, 1);
         assert_eq!(a.region_ns, 10);
         assert_eq!(a.total_accesses(), 6);
+    }
+
+    #[test]
+    fn pct_in_regions_handles_zero() {
+        let s = RuntimeStats { region_ns: 50, ..Default::default() };
+        assert_eq!(s.pct_in_regions(0), 0.0);
+        assert!((s.pct_in_regions(200) - 25.0).abs() < 1e-9);
     }
 }

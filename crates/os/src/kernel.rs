@@ -31,7 +31,7 @@ use crate::txn::{IdCache, Intent, Quotas, Txn};
 use crate::vfs::file::Fd;
 use crate::vfs::inode::{Inode, InodeId, InodeKind, Xattrs};
 use crate::vfs::pipe::PipeBuffer;
-use laminar_difc::{CapSet, Label, SecPair, Tag, TagAllocator};
+use laminar_difc::{CapSet, Label, LabelType, SecPair, Tag, TagAllocator};
 use laminar_util::sync::{CachePadded, Mutex};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -637,10 +637,11 @@ impl Kernel {
     /// Inserts a fully formed inode outside any transaction (boot and
     /// install-time administration; locks exactly one shard).
     fn insert_inode_direct(&self, id: InodeId, kind: InodeKind, labels: SecPair) {
-        self.tables
-            .inodes_write(id)
-            .insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
-        self.inode_ids.inserted(id);
+        let mut shard = self.tables.lock(ShardKey::inode(id), ShardMode::Exclusive);
+        if let Some(m) = shard.guard.inodes_mut() {
+            m.insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
+            self.inode_ids.inserted(id);
+        }
     }
 
     /// Allocates and inserts a fresh inode outside any transaction, in a
@@ -660,29 +661,25 @@ impl Kernel {
     /// `/home/<name>` (unlabeled, so the user does not need the
     /// administrator's integrity tag to use it).
     pub fn add_user(self: &Arc<Self>, user: UserId, name: &str) {
-        let home = {
-            let root_shard = self.tables.inodes_read(self.root);
-            match root_shard.get(&self.root).map(|n| &n.kind) {
-                Some(InodeKind::Dir { entries }) => entries.get("home").copied(),
-                _ => None,
-            }
-        };
+        let home = self.admin_lookup_child(self.root, "home").ok().flatten();
         let id = self.alloc_inode_direct(
             home.unwrap_or(self.root),
             InodeKind::Dir { entries: BTreeMap::new() },
             SecPair::unlabeled(),
         );
         if let Some(h) = home {
-            let mut shard = self.tables.inodes_write(h);
+            let mut shard = self.tables.lock(ShardKey::inode(h), ShardMode::Exclusive);
             if let Some(InodeKind::Dir { entries }) =
-                shard.get_mut(&h).map(|n| &mut n.kind)
+                shard.guard.inodes_mut().and_then(|m| m.get_mut(&h)).map(|n| &mut n.kind)
             {
                 entries.insert(name.to_string(), id);
             }
         }
-        let mut reg = self.tables.registry_write();
-        reg.homes.insert(user, id);
-        reg.persistent_caps.entry(user).or_default();
+        let mut shard = self.tables.lock(ShardKey::registry(), ShardMode::Exclusive);
+        if let Some(reg) = shard.guard.registry_mut() {
+            reg.homes.insert(user, id);
+            reg.persistent_caps.entry(user).or_default();
+        }
     }
 
     /// Install-time administration: creates a directory with the given
@@ -722,31 +719,54 @@ impl Kernel {
         if existing.is_some() {
             return Err(OsError::Exists);
         }
-        // No guard is held while allocating: the child may hash to the
-        // same (or a lower-ranked) inode shard as its parent.
+        self.install_in(parent, name, kind, labels)
+    }
+
+    /// Allocates an inode and links it as `name` in `parent`. No guard is
+    /// held while allocating: the child may hash to the same (or a
+    /// lower-ranked) inode shard as its parent. The parent may have
+    /// changed since the caller looked it up: a concurrent install may
+    /// have taken the name, or an `unlink` removed the directory. Then
+    /// the allocation is undone, so the inode does not stay live.
+    fn install_in(
+        &self,
+        parent: InodeId,
+        name: &str,
+        kind: InodeKind,
+        labels: SecPair,
+    ) -> OsResult<()> {
         let id = self.alloc_inode_direct(parent, kind, labels);
-        let mut shard = self.tables.inodes_write(parent);
-        match shard.get_mut(&parent).map(|n| &mut n.kind) {
+        let mut shard = self.tables.lock(ShardKey::inode(parent), ShardMode::Exclusive);
+        let linked = match shard
+            .guard
+            .inodes_mut()
+            .and_then(|m| m.get_mut(&parent))
+            .map(|n| &mut n.kind)
+        {
+            Some(InodeKind::Dir { entries }) if entries.contains_key(name) => {
+                Err(OsError::Exists)
+            }
             Some(InodeKind::Dir { entries }) => {
-                if entries.contains_key(name) {
-                    // Lost an install race; undo the allocation.
-                    drop(shard);
-                    self.tables.inodes_write(id).remove(&id);
-                    self.inode_ids.removed(id);
-                    return Err(OsError::Exists);
-                }
                 entries.insert(name.to_string(), id);
                 Ok(())
             }
             _ => Err(OsError::NotADirectory),
+        };
+        drop(shard);
+        if linked.is_err() {
+            let mut shard = self.tables.lock(ShardKey::inode(id), ShardMode::Exclusive);
+            if shard.guard.inodes_mut().and_then(|m| m.remove(&id)).is_some() {
+                self.inode_ids.removed(id);
+            }
         }
+        linked
     }
 
     /// Reads one directory entry, locking only that directory's shard:
     /// `None` if the directory has no such name.
     fn admin_lookup_child(&self, dir: InodeId, name: &str) -> OsResult<Option<InodeId>> {
-        let shard = self.tables.inodes_read(dir);
-        match shard.get(&dir).map(|n| &n.kind) {
+        let shard = self.tables.lock(ShardKey::inode(dir), ShardMode::Shared);
+        match shard.guard.inodes().and_then(|m| m.get(&dir)).map(|n| &n.kind) {
             Some(InodeKind::Dir { entries }) => Ok(entries.get(name).copied()),
             Some(_) => Err(OsError::NotADirectory),
             None => Err(OsError::NotFound),
@@ -792,8 +812,9 @@ impl Kernel {
         path: &str,
     ) -> OsResult<(SecPair, Option<Vec<u8>>)> {
         let id = self.admin_lookup(path)?.2.ok_or(OsError::NotFound)?;
-        let shard = self.tables.inodes_read(id);
-        let inode = shard.get(&id).ok_or(OsError::NotFound)?;
+        let shard = self.tables.lock(ShardKey::inode(id), ShardMode::Shared);
+        let inode =
+            shard.guard.inodes().and_then(|m| m.get(&id)).ok_or(OsError::NotFound)?;
         let data = match &inode.kind {
             InodeKind::File { data } => Some(data.clone()),
             _ => None,
@@ -869,9 +890,9 @@ impl Kernel {
     ) -> OsResult<R> {
         assert!(std::ptr::eq(&*task.kernel, self), "handle from another kernel");
         let ino = task.fd_inode_readonly(fd)?;
-        let shard = self.tables.inodes_read(ino);
-        match &shard.get(&ino).ok_or(OsError::BadFd)?.kind {
-            InodeKind::Pipe { buffer } => Ok(f(buffer)),
+        let shard = self.tables.lock(ShardKey::inode(ino), ShardMode::Shared);
+        match shard.guard.inodes().and_then(|m| m.get(&ino)).map(|n| &n.kind) {
+            Some(InodeKind::Pipe { buffer }) => Ok(f(buffer)),
             _ => Err(OsError::BadFd),
         }
     }
@@ -885,63 +906,82 @@ impl Kernel {
     /// Fails with [`OsError::NoSuchTask`] if the user was never added.
     pub fn login(self: &Arc<Self>, user: UserId) -> OsResult<TaskHandle> {
         let (cwd, caps) = {
-            let reg = self.tables.registry_read();
+            let shard = self.tables.lock(ShardKey::registry(), ShardMode::Shared);
+            let reg = shard.guard.registry().ok_or(OsError::Internal)?;
             let cwd = *reg.homes.get(&user).ok_or(OsError::NoSuchTask)?;
-            let caps = reg.persistent_caps.get(&user).cloned().unwrap_or_default();
-            (cwd, caps)
+            (cwd, reg.persistent_caps.get(&user).cloned().unwrap_or_default())
         };
         let pid = ProcessId(self.next_proc.fetch_add(1, Ordering::Relaxed));
         let tid = TaskId(self.next_task.fetch_add(1, Ordering::Relaxed));
-        self.tables.procs_write(pid).insert(pid, ProcessStruct::fresh(pid, tid, cwd));
-        self.tables.tasks_write(tid).insert(
-            tid,
-            TaskStruct::fresh(tid, pid, user, TaskSec::new(SecPair::unlabeled(), caps)),
-        );
+        let mut shard = self.tables.lock(ShardKey::proc(pid), ShardMode::Exclusive);
+        let procs = shard.guard.procs_mut().ok_or(OsError::Internal)?;
+        procs.insert(pid, ProcessStruct::fresh(pid, tid, cwd));
+        drop(shard);
+        let sec = TaskSec::new(SecPair::unlabeled(), caps);
+        let mut shard = self.tables.lock(ShardKey::task(tid), ShardMode::Exclusive);
+        let tasks = shard.guard.tasks_mut().ok_or(OsError::Internal)?;
+        tasks.insert(tid, TaskStruct::fresh(tid, pid, user, sec));
         Ok(TaskHandle { kernel: Arc::clone(self), tid, pid })
     }
 
-    /// Grants the calling runtime the privileges of a trusted VM: marks
-    /// the task's process as `trusted_vm` (its threads may then hold
-    /// heterogeneous labels, §4.1) and grants the task the `tcb+`
-    /// capability so a dedicated thread can assume the `tcb` integrity
-    /// tag (§4.4). This models booting the (audited, trusted) Laminar VM
-    /// binary; it is a boot-time decision, not a syscall untrusted code
-    /// can reach.
+    /// Grants `task`'s process the privileges of a trusted VM and starts
+    /// its trusted thread, in one transaction of `task`: marks the
+    /// process `trusted_vm` (its threads may then hold heterogeneous
+    /// labels, §4.1) and spawns a thread in it that carries the `tcb`
+    /// integrity tag and the `tcb+` and `tcb−` capabilities (§4.4), the
+    /// only thread that may then drop or set labels without capability
+    /// checks. `task` itself never holds `tcb±`, and a failure leaves
+    /// the process as it was. This models booting the (audited, trusted)
+    /// Laminar VM binary; it is a boot-time decision, not a syscall
+    /// untrusted code can reach. Returns the trusted thread.
     ///
     /// # Errors
     ///
     /// Fails with [`OsError::NoSuchTask`] if the task has exited or is foreign.
-    pub fn bless_vm_process(self: &Arc<Self>, task: &TaskHandle) -> OsResult<()> {
+    pub fn bless_vm_process(self: &Arc<Self>, task: &TaskHandle) -> OsResult<TaskHandle> {
         if !self.owns(task) {
             return Err(OsError::NoSuchTask);
         }
-        let tcb = self.tcb_tag;
-        let pid = {
-            let mut shard = self.tables.tasks_write(task.tid);
-            let t = shard.get_mut(&task.tid).ok_or(OsError::NoSuchTask)?;
-            t.security.caps_mut().grant_both(tcb);
-            t.process
-        };
-        self.tables.procs_write(pid).get_mut(&pid).ok_or(OsError::Internal)?.trusted_vm =
-            true;
-        Ok(())
+        let (tcb, pid) = (self.tcb_tag, task.pid);
+        let tid =
+            self.syscall_on((task.tid, pid), "bless_vm_process", Intent::READ, |st| {
+                let me = st.task(task.tid)?;
+                let tcb_label = Label::singleton(tcb);
+                let (user, labels) = (
+                    me.user,
+                    me.security.labels.with_label(LabelType::Integrity, tcb_label),
+                );
+                let mut caps = CapSet::new();
+                caps.grant_both(tcb);
+                let tid = st.fresh_task_id();
+                st.insert_task(TaskStruct::fresh(
+                    tid,
+                    pid,
+                    user,
+                    TaskSec::new(labels, caps),
+                ))?;
+                st.set_trusted_vm(pid)?;
+                st.proc_tasks_mut(pid)?.push(tid);
+                Ok(tid)
+            })?;
+        Ok(TaskHandle { kernel: Arc::clone(self), tid, pid })
     }
 
     /// Sets the persistent capabilities stored for a user (the on-disk
     /// capability file of §4.4). Takes effect at the next login.
     pub fn set_persistent_caps(self: &Arc<Self>, user: UserId, caps: CapSet) {
-        self.tables.registry_write().persistent_caps.insert(user, caps);
+        let mut shard = self.tables.lock(ShardKey::registry(), ShardMode::Exclusive);
+        if let Some(reg) = shard.guard.registry_mut() {
+            reg.persistent_caps.insert(user, caps);
+        }
     }
 
     /// Reads back a user's persistent capabilities.
     #[must_use]
     pub fn persistent_caps(self: &Arc<Self>, user: UserId) -> CapSet {
-        self.tables
-            .registry_read()
-            .persistent_caps
-            .get(&user)
-            .cloned()
-            .unwrap_or_default()
+        let shard = self.tables.lock(ShardKey::registry(), ShardMode::Shared);
+        let reg = shard.guard.registry();
+        reg.and_then(|r| r.persistent_caps.get(&user)).cloned().unwrap_or_default()
     }
 
     /// Invokes the `inode_permission` hook on an inode the caller has
@@ -1260,6 +1300,23 @@ mod tests {
         let _ = sh.stat("/tmp");
         let shown = format!("{sh:?}");
         assert!(!shown.contains("ticket") && !shown.contains("inodes"), "{shown}");
+    }
+
+    /// An install whose parent changed after its lookup (a concurrent
+    /// install took the name, or an `unlink` removed the directory)
+    /// leaves no live inode behind.
+    #[test]
+    fn an_install_that_loses_its_parent_frees_its_inode() {
+        let k = Kernel::boot(NullModule);
+        k.install_file("/tmp/taken", SecPair::unlabeled(), b"").unwrap();
+        let live = k.inode_ids.live();
+        let file = || InodeKind::File { data: Vec::new() };
+        let tmp = k.inode_of_for_test("/tmp").unwrap();
+        let taken = k.install_in(tmp, "taken", file(), SecPair::unlabeled());
+        assert!(matches!(taken, Err(OsError::Exists)), "{taken:?}");
+        let gone = k.install_in(InodeId(999), "f", file(), SecPair::unlabeled());
+        assert!(matches!(gone, Err(OsError::NotADirectory)), "{gone:?}");
+        assert_eq!(k.inode_ids.live(), live);
     }
 
     #[test]

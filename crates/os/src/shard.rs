@@ -49,7 +49,6 @@ use laminar_difc::CapSet;
 use laminar_util::sync::{lock_order, CachePadded, RwLock};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
@@ -339,6 +338,13 @@ impl ShardGuard<'_> {
         }
     }
 
+    pub(crate) fn registry(&self) -> Option<&Registry> {
+        match self {
+            ShardGuard::Registry(g) => Some(g.get()),
+            _ => None,
+        }
+    }
+
     pub(crate) fn registry_mut(&mut self) -> Option<&mut Registry> {
         match self {
             ShardGuard::Registry(g) => g.get_mut(),
@@ -372,42 +378,6 @@ impl Drop for HeldShard<'_> {
     }
 }
 
-/// A tracked guard for the admin, boot and read-only query paths, which
-/// lock exactly one shard at a time. Derefs to the shard's map.
-pub(crate) struct Tracked<G> {
-    rank: u32,
-    guard: G,
-}
-
-impl<G> Tracked<G> {
-    fn new(key: ShardKey, lock: impl FnOnce() -> G) -> Self {
-        lock_order::acquire(key.rank());
-        Tracked { rank: key.rank(), guard: lock() }
-    }
-}
-
-impl<G: Deref> Deref for Tracked<G> {
-    type Target = G::Target;
-    fn deref(&self) -> &G::Target {
-        &self.guard
-    }
-}
-
-impl<G: DerefMut> DerefMut for Tracked<G> {
-    fn deref_mut(&mut self) -> &mut G::Target {
-        &mut self.guard
-    }
-}
-
-impl<G> Drop for Tracked<G> {
-    fn drop(&mut self) {
-        lock_order::release(self.rank);
-    }
-}
-
-type Read<'a, T> = Tracked<RwLockReadGuard<'a, T>>;
-type Write<'a, T> = Tracked<RwLockWriteGuard<'a, T>>;
-
 fn idx(key: ShardKey) -> usize {
     usize::from(key.0 & IDX_MASK)
 }
@@ -425,7 +395,9 @@ impl Tables {
     /// Locks the shard identified by `key` in `mode`, recording the
     /// acquisition in the thread's lock-order lint state. Callers must
     /// acquire keys in ascending order (in either mode) or the lint
-    /// panics.
+    /// panics. This is the only function that takes a shard lock, so
+    /// every acquisition (a transaction's, or the one-shard-at-a-time
+    /// admin, login and read-only probe paths) feeds the lint.
     pub(crate) fn lock(&self, key: ShardKey, mode: ShardMode) -> HeldShard<'_> {
         lock_order::acquire(key.rank());
         let i = idx(key);
@@ -436,52 +408,6 @@ impl Tables {
             _ => ShardGuard::Registry(Guard::new(&self.registry, mode)),
         };
         HeldShard { key, guard }
-    }
-
-    /// Read-locks the task shard for `tid` (one shard at a time).
-    pub(crate) fn tasks_read(&self, tid: TaskId) -> Read<'_, TaskMap> {
-        let key = ShardKey::task(tid);
-        Tracked::new(key, || self.tasks[idx(key)].read())
-    }
-
-    /// Write-locks the task shard for `tid`.
-    pub(crate) fn tasks_write(&self, tid: TaskId) -> Write<'_, TaskMap> {
-        let key = ShardKey::task(tid);
-        Tracked::new(key, || self.tasks[idx(key)].write())
-    }
-
-    /// Read-locks the process shard for `pid`.
-    pub(crate) fn procs_read(&self, pid: ProcessId) -> Read<'_, ProcMap> {
-        let key = ShardKey::proc(pid);
-        Tracked::new(key, || self.procs[idx(key)].read())
-    }
-
-    /// Write-locks the process shard for `pid`.
-    pub(crate) fn procs_write(&self, pid: ProcessId) -> Write<'_, ProcMap> {
-        let key = ShardKey::proc(pid);
-        Tracked::new(key, || self.procs[idx(key)].write())
-    }
-
-    /// Read-locks the inode shard for `ino`.
-    pub(crate) fn inodes_read(&self, ino: InodeId) -> Read<'_, InodeMap> {
-        let key = ShardKey::inode(ino);
-        Tracked::new(key, || self.inodes[idx(key)].read())
-    }
-
-    /// Write-locks the inode shard for `ino`.
-    pub(crate) fn inodes_write(&self, ino: InodeId) -> Write<'_, InodeMap> {
-        let key = ShardKey::inode(ino);
-        Tracked::new(key, || self.inodes[idx(key)].write())
-    }
-
-    /// Read-locks the registry shard.
-    pub(crate) fn registry_read(&self) -> Read<'_, Registry> {
-        Tracked::new(ShardKey::registry(), || self.registry.read())
-    }
-
-    /// Write-locks the registry shard.
-    pub(crate) fn registry_write(&self) -> Write<'_, Registry> {
-        Tracked::new(ShardKey::registry(), || self.registry.write())
     }
 
     /// Poisons the underlying rwlock of one shard (fault injection).

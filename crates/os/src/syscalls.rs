@@ -22,10 +22,11 @@ use crate::lsm::{Access, DeliveryVerdict};
 use crate::shard::ShardKey;
 use crate::shard::ShardMode::{Exclusive, Shared};
 use crate::task::{
-    ProcImage, ProcessId, Signal, TaskId, TaskSec, TaskStruct, UserId, VmArea,
+    ProcImage, ProcessId, ProcessStruct, Signal, TaskId, TaskSec, TaskStruct, UserId,
+    VmArea,
 };
 use crate::txn::{Intent, Txn};
-use crate::vfs::file::{Fd, OpenFile, OpenMode, PipeEnd, SocketEnd};
+use crate::vfs::file::{Fd, FdEnd, OpenFile, OpenMode, PipeEnd, SocketEnd};
 use crate::vfs::inode::{Buf, Inode, InodeId, InodeKind, Metadata};
 use crate::vfs::pipe::PipeBuffer;
 use laminar_difc::{
@@ -98,7 +99,7 @@ impl TaskHandle {
     /// per-user tag quota is spent.
     pub fn alloc_tag(&self) -> OsResult<Tag> {
         self.syscall("alloc_tag", OWN_TASK, |st| {
-            let user = st.task_alive(self.tid)?.user;
+            let user = st.task(self.tid)?.user;
             st.mint_tag(user)?;
             // The allocator lives outside the journal: a tag id minted by
             // an aborted transaction is simply never used (ids are opaque).
@@ -162,11 +163,7 @@ impl TaskHandle {
                     if *t == self.tid {
                         continue;
                     }
-                    let homogeneous = st
-                        .task_opt(*t)?
-                        .map(|ts| ts.security.labels == new_pair)
-                        .unwrap_or(true);
-                    if !homogeneous {
+                    if st.task(*t)?.security.labels != new_pair {
                         return Err(OsError::PermissionDenied(
                             "threads of an untrusted multithreaded process must share labels",
                         ));
@@ -238,7 +235,7 @@ impl TaskHandle {
     /// Fails if the task has exited.
     pub fn drop_capabilities(&self, caps: &[Capability]) -> OsResult<()> {
         self.syscall("drop_capabilities", OWN_TASK, |st| {
-            st.task_alive(self.tid)?;
+            st.task(self.tid)?;
             let held = st.caps_mut(self.tid)?;
             for &c in caps {
                 held.revoke(c);
@@ -269,12 +266,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn current_labels(&self) -> OsResult<SecPair> {
-        let shard = self.kernel.tables.tasks_read(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| t.security.labels.clone())
-            .ok_or(OsError::NoSuchTask)
+        self.read_task(|t| t.security.labels.clone())
     }
 
     /// Current capability set of the calling task. (Read-only: bypasses
@@ -283,12 +275,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn current_caps(&self) -> OsResult<CapSet> {
-        let shard = self.kernel.tables.tasks_read(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| (*t.security.caps).clone())
-            .ok_or(OsError::NoSuchTask)
+        self.read_task(|t| (*t.security.caps).clone())
     }
 
     /// `write_capability`: sends a capability through a pipe fd. The
@@ -309,7 +296,7 @@ impl TaskHandle {
             }
             let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
-            if file.pipe_end != Some(PipeEnd::Write) {
+            if file.end != FdEnd::Pipe(PipeEnd::Write) {
                 return Err(OsError::BadFd);
             }
             st.hold(ShardKey::inode(file.inode), Exclusive)?;
@@ -342,7 +329,7 @@ impl TaskHandle {
             let sec = st.task_sec(self.tid)?;
             let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
-            if file.pipe_end != Some(PipeEnd::Read) {
+            if file.end != FdEnd::Pipe(PipeEnd::Read) {
                 return Err(OsError::BadFd);
             }
             st.hold(ShardKey::inode(file.inode), Exclusive)?;
@@ -364,7 +351,7 @@ impl TaskHandle {
     /// Fails if the task has exited.
     pub fn save_persistent_caps(&self) -> OsResult<()> {
         self.syscall("save_persistent_caps", Intent::READ, |st| {
-            let t = st.task_alive(self.tid)?;
+            let t = st.task(self.tid)?;
             let user = t.user;
             let caps = (*t.security.caps).clone();
             st.set_persistent_caps(user, caps)?;
@@ -433,16 +420,7 @@ impl TaskHandle {
                 return Ok(Fd(u32::MAX)); // sentinel, discarded by mkdir_labeled
             }
             let pid = self.pid;
-            st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: id,
-                    mode: OpenMode::ReadWrite,
-                    offset: 0,
-                    pipe_end: None,
-                    socket_end: None,
-                },
-            )
+            st.fd_insert(pid, OpenFile::new(id, OpenMode::ReadWrite, FdEnd::File))
         })
     }
 
@@ -501,10 +479,7 @@ impl TaskHandle {
                     self.kernel.check_inode(st, &sec, node, mask)?;
                     Ok(node.id)
                 })?;
-            st.fd_insert(
-                self.pid,
-                OpenFile { inode, mode, offset: 0, pipe_end: None, socket_end: None },
-            )
+            st.fd_insert(self.pid, OpenFile::new(inode, mode, FdEnd::File))
         })
     }
 
@@ -514,9 +489,9 @@ impl TaskHandle {
     /// [`OsError::BadFd`] if not open.
     pub fn close(&self, fd: Fd) -> OsResult<()> {
         self.syscall("close", OWN_PROC, |st| {
-            let pid = st.task_alive(self.tid)?.process;
+            let pid = st.task(self.tid)?.process;
             let file = st.fd_remove(pid, fd)?;
-            if let Some(end) = file.pipe_end {
+            if let Some(end) = file.pipe_end() {
                 st.pipe_end_closed(file.inode, end)?;
             }
             Ok(())
@@ -533,36 +508,32 @@ impl TaskHandle {
     /// [`OsError::BadFd`]; flow vetoes from `file_permission`.
     pub fn read(&self, fd: Fd, max: usize) -> OsResult<Vec<u8>> {
         self.syscall("read", OWN_PROC, |st| {
-            st.task_alive(self.tid)?;
+            st.task(self.tid)?;
             let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if !file.mode.readable() {
                 return Err(OsError::BadFd);
             }
             // A pipe or socket read takes messages off the buffer.
-            let mode = if file.pipe_end.is_some() || file.socket_end.is_some() {
-                Exclusive
-            } else {
-                Shared
-            };
+            let mode = if file.end == FdEnd::File { Shared } else { Exclusive };
             st.hold(ShardKey::inode(file.inode), mode)?;
             st.count_hook();
             // The hook borrows the task context and the inode from the
             // shards the transaction holds.
             let sec = st.held_task_sec(self.tid)?;
             let inode = st.held_node(file.inode)?;
-            match (file.pipe_end, file.socket_end) {
-                (Some(PipeEnd::Read), _) => {
+            match file.end {
+                FdEnd::Pipe(PipeEnd::Read) => {
                     self.kernel.module.pipe_read(sec, inode.labels())?;
                     st.buffer_pop_bytes(file.inode, Buf::Pipe, max)
                 }
-                (Some(PipeEnd::Write), _) => Err(OsError::BadFd),
-                (None, Some(end)) => {
+                FdEnd::Pipe(PipeEnd::Write) => Err(OsError::BadFd),
+                FdEnd::Socket(end) => {
                     // Socket read: nonblocking, label-mediated like a pipe.
                     self.kernel.module.pipe_read(sec, inode.labels())?;
                     st.buffer_pop_bytes(file.inode, Buf::socket_rx(end), max)
                 }
-                (None, None) => {
+                FdEnd::File => {
                     self.kernel.module.file_permission(
                         sec,
                         inode.labels(),
@@ -606,7 +577,7 @@ impl TaskHandle {
     /// files only — pipe label failures drop silently).
     pub fn write(&self, fd: Fd, data: &[u8]) -> OsResult<usize> {
         self.syscall("write", OWN_PROC, |st| {
-            st.task_alive(self.tid)?;
+            st.task(self.tid)?;
             let pid = self.pid;
             let file = st.proc(pid)?.fds.get(fd).cloned().ok_or(OsError::BadFd)?;
             if !file.mode.writable() {
@@ -621,15 +592,15 @@ impl TaskHandle {
             let inode = st.held_node(file.inode)?;
             // Pipe and socket writes deliver or silently drop (§5.2): a
             // full buffer looks the same as a label veto.
-            let channel = match (file.pipe_end, file.socket_end) {
-                (Some(PipeEnd::Write), _) => {
+            let channel = match file.end {
+                FdEnd::Pipe(PipeEnd::Write) => {
                     Some((Buf::Pipe, laminar_obs::DropChannel::Pipe))
                 }
-                (Some(PipeEnd::Read), _) => return Err(OsError::BadFd),
-                (None, Some(end)) => {
+                FdEnd::Pipe(PipeEnd::Read) => return Err(OsError::BadFd),
+                FdEnd::Socket(end) => {
                     Some((Buf::socket_tx(end), laminar_obs::DropChannel::Socket))
                 }
-                (None, None) => None,
+                FdEnd::File => None,
             };
             if let Some((which, drop_channel)) = channel {
                 let delivered = match self.kernel.module.pipe_write(sec, inode.labels()) {
@@ -913,26 +884,9 @@ impl TaskHandle {
                 sec.labels.clone(),
             )?;
             let pid = self.pid;
-            let r = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::Read,
-                    offset: 0,
-                    pipe_end: Some(PipeEnd::Read),
-                    socket_end: None,
-                },
-            )?;
-            let w = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::Write,
-                    offset: 0,
-                    pipe_end: Some(PipeEnd::Write),
-                    socket_end: None,
-                },
-            )?;
+            let end = |mode, end| OpenFile::new(ino, mode, FdEnd::Pipe(end));
+            let r = st.fd_insert(pid, end(OpenMode::Read, PipeEnd::Read))?;
+            let w = st.fd_insert(pid, end(OpenMode::Write, PipeEnd::Write))?;
             Ok((r, w))
         })
     }
@@ -956,26 +910,9 @@ impl TaskHandle {
                 sec.labels.clone(),
             )?;
             let pid = self.pid;
-            let a = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::ReadWrite,
-                    offset: 0,
-                    pipe_end: None,
-                    socket_end: Some(SocketEnd::A),
-                },
-            )?;
-            let b = st.fd_insert(
-                pid,
-                OpenFile {
-                    inode: ino,
-                    mode: OpenMode::ReadWrite,
-                    offset: 0,
-                    pipe_end: None,
-                    socket_end: Some(SocketEnd::B),
-                },
-            )?;
+            let end = |end| OpenFile::new(ino, OpenMode::ReadWrite, FdEnd::Socket(end));
+            let a = st.fd_insert(pid, end(SocketEnd::A))?;
+            let b = st.fd_insert(pid, end(SocketEnd::B))?;
             Ok((a, b))
         })
     }
@@ -1022,12 +959,8 @@ impl TaskHandle {
     /// [`OsError::BadFd`] for pipes/sockets/devices.
     pub fn seek(&self, fd: Fd, offset: u64) -> OsResult<()> {
         self.syscall("seek", OWN_PROC, |st| {
-            let pid = st.task_alive(self.tid)?.process;
-            let (pipe_end, socket_end) = {
-                let file = st.proc(pid)?.fds.get(fd).ok_or(OsError::BadFd)?;
-                (file.pipe_end, file.socket_end)
-            };
-            if pipe_end.is_some() || socket_end.is_some() {
+            let pid = st.task(self.tid)?.process;
+            if st.proc(pid)?.fds.get(fd).ok_or(OsError::BadFd)?.end != FdEnd::File {
                 return Err(OsError::BadFd);
             }
             st.fd_set_offset(pid, fd, offset)
@@ -1049,13 +982,7 @@ impl TaskHandle {
     /// Sequential single-shard lookup of the inode behind one of the
     /// caller's fds (read-only paths; locks one shard at a time).
     pub(crate) fn fd_inode_readonly(&self, fd: Fd) -> OsResult<InodeId> {
-        let pid = {
-            let shard = self.kernel.tables.tasks_read(self.tid);
-            shard.get(&self.tid).ok_or(OsError::NoSuchTask)?.process
-        };
-        let shard = self.kernel.tables.procs_read(pid);
-        let file = shard.get(&pid).ok_or(OsError::Internal)?.fds.get(fd);
-        Ok(file.ok_or(OsError::BadFd)?.inode)
+        self.read_proc(|p| p.fds.get(fd).map(|f| f.inode))?.ok_or(OsError::BadFd)
     }
 
     // ----- processes, threads, signals -------------------------------------
@@ -1091,7 +1018,7 @@ impl TaskHandle {
             // Duplicated pipe ends gain reader/writer references.
             let pipe_refs: Vec<(InodeId, PipeEnd)> = fds
                 .iter()
-                .filter_map(|(_, f)| f.pipe_end.map(|e| (f.inode, e)))
+                .filter_map(|(_, f)| f.pipe_end().map(|e| (f.inode, e)))
                 .collect();
             for (ino, end) in pipe_refs {
                 st.pipe_end_opened(ino, end)?;
@@ -1158,14 +1085,14 @@ impl TaskHandle {
         })
     }
 
-    /// Marks the task dead and releases its fds if it was the last task
-    /// of its process.
+    /// Removes the task, and its process with the fd table once its last
+    /// task exits.
     ///
     /// # Errors
     /// Fails if already exited.
     pub fn exit(&self) -> OsResult<()> {
         self.syscall("exit", OWN_TASK_PROC, |st| {
-            let pid = st.task_alive(self.tid)?.process;
+            let pid = st.task(self.tid)?.process;
             // Reap: drop the task entry, and the whole process (with its fd
             // table) once its last task exits, so fork-heavy workloads do
             // not grow the kernel tables without bound.
@@ -1177,7 +1104,7 @@ impl TaskHandle {
                     .proc(pid)?
                     .fds
                     .iter()
-                    .filter_map(|(_, f)| f.pipe_end.map(|e| (f.inode, e)))
+                    .filter_map(|(_, f)| f.pipe_end().map(|e| (f.inode, e)))
                     .collect();
                 st.remove_process(pid)?;
                 for (ino, end) in pipe_ends {
@@ -1219,7 +1146,7 @@ impl TaskHandle {
     /// Fails if the task has exited.
     pub fn next_signal(&self) -> OsResult<Option<Signal>> {
         self.syscall("next_signal", OWN_TASK, |st| {
-            st.task_alive(self.tid)?;
+            st.task(self.tid)?;
             st.signal_pop(self.tid)
         })
     }
@@ -1230,12 +1157,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn user(&self) -> OsResult<UserId> {
-        let shard = self.kernel.tables.tasks_read(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| t.user)
-            .ok_or(OsError::NoSuchTask)
+        self.read_task(|t| t.user)
     }
 
     /// The process this task belongs to. (Read-only: bypasses the
@@ -1244,12 +1166,7 @@ impl TaskHandle {
     /// # Errors
     /// Fails if the task has exited.
     pub fn process(&self) -> OsResult<ProcessId> {
-        let shard = self.kernel.tables.tasks_read(self.tid);
-        shard
-            .get(&self.tid)
-            .filter(|t| t.alive)
-            .map(|t| t.process)
-            .ok_or(OsError::NoSuchTask)
+        self.read_task(|t| t.process)
     }
 
     // ----- memory (for the Table 2 microbenchmarks) -------------------------
@@ -1288,7 +1205,7 @@ impl TaskHandle {
     /// [`OsError::Fault`] if no such mapping exists.
     pub fn munmap(&self, start: u64) -> OsResult<()> {
         self.syscall("munmap", OWN_PROC, |st| {
-            let pid = st.task_alive(self.tid)?.process;
+            let pid = st.task(self.tid)?.process;
             let areas = &mut st.proc_image_mut(pid)?.vm_areas;
             let before = areas.len();
             areas.retain(|a| a.start != start);
@@ -1305,7 +1222,7 @@ impl TaskHandle {
     /// [`OsError::Fault`] if no such mapping exists.
     pub fn mprotect(&self, start: u64, read: bool, write: bool) -> OsResult<()> {
         self.syscall("mprotect", OWN_PROC, |st| {
-            let pid = st.task_alive(self.tid)?.process;
+            let pid = st.task(self.tid)?.process;
             let areas = &mut st.proc_image_mut(pid)?.vm_areas;
             let area =
                 areas.iter_mut().find(|a| a.start == start).ok_or(OsError::Fault)?;
@@ -1323,22 +1240,33 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::Fault`] on an illegal access.
     pub fn page_access(&self, page: u64, is_write: bool) -> OsResult<()> {
-        let pid = {
-            let shard = self.kernel.tables.tasks_read(self.tid);
-            shard
-                .get(&self.tid)
-                .filter(|t| t.alive)
-                .map(|t| t.process)
-                .ok_or(OsError::NoSuchTask)?
-        };
-        let shard = self.kernel.tables.procs_read(pid);
-        let p = shard.get(&pid).ok_or(OsError::Internal)?;
-        for a in &p.image.vm_areas {
-            if page >= a.start && page < a.start + a.pages {
-                let ok = if is_write { a.write } else { a.read };
-                return if ok { Ok(()) } else { Err(OsError::Fault) };
-            }
+        let allowed = self.read_proc(|p| {
+            let mut areas = p.image.vm_areas.iter();
+            let a = areas.find(|a| page >= a.start && page < a.start + a.pages)?;
+            Some(if is_write { a.write } else { a.read })
+        })?;
+        if allowed == Some(true) {
+            Ok(())
+        } else {
+            Err(OsError::Fault)
         }
-        Err(OsError::Fault)
+    }
+
+    /// Runs `f` on this task's entry under its shard lock, taken shared:
+    /// the start of every read-only probe, which bypasses the transaction
+    /// machinery and never fires failpoints. [`OsError::NoSuchTask`] once
+    /// the task has exited.
+    fn read_task<R>(&self, f: impl FnOnce(&TaskStruct) -> R) -> OsResult<R> {
+        let shard = self.kernel.tables.lock(ShardKey::task(self.tid), Shared);
+        let task = shard.guard.tasks().and_then(|m| m.get(&self.tid));
+        task.map(f).ok_or(OsError::NoSuchTask)
+    }
+
+    /// Runs `f` on this task's process entry, after [`Self::read_task`]
+    /// finds the task (one shard lock at a time).
+    fn read_proc<R>(&self, f: impl FnOnce(&ProcessStruct) -> R) -> OsResult<R> {
+        let pid = self.read_task(|t| t.process)?;
+        let shard = self.kernel.tables.lock(ShardKey::proc(pid), Shared);
+        shard.guard.procs().and_then(|m| m.get(&pid)).map(f).ok_or(OsError::Internal)
     }
 }

@@ -96,25 +96,17 @@ pub(crate) struct TaskStruct {
     pub user: UserId,
     pub security: TaskSec,
     pub pending_signals: VecDeque<Signal>,
-    pub alive: bool,
 }
 
 impl TaskStruct {
-    /// A freshly spawned, alive task with the given security context.
+    /// A freshly spawned task with the given security context.
     pub(crate) fn fresh(
         id: TaskId,
         process: ProcessId,
         user: UserId,
         security: TaskSec,
     ) -> Self {
-        TaskStruct {
-            id,
-            process,
-            user,
-            security,
-            pending_signals: VecDeque::new(),
-            alive: true,
-        }
+        TaskStruct { id, process, user, security, pending_signals: VecDeque::new() }
     }
 }
 

@@ -237,6 +237,8 @@ enum Undo {
     /// The process's own thread list and image, saved whole.
     ProcTasks(ProcessId, Vec<TaskId>),
     ProcImage(ProcessId, ProcImage),
+    /// The process's `trusted_vm` flag before `bless_vm_process` set it.
+    TrustedVm(ProcessId, bool),
     Labels(TaskId, SecPair),
     /// The old capability set: an `Arc` clone, not a copy.
     Caps(TaskId, Arc<CapSet>),
@@ -431,195 +433,102 @@ impl<'a> Txn<'a> {
         g.registry_mut().ok_or(OsError::Internal)
     }
 
-    /// Already-held shard lookup for rollback (never locks, never fails:
-    /// journalled entries always live in shards held exclusive).
-    fn held(&mut self, key: ShardKey) -> Option<&mut ShardGuard<'a>> {
-        let i = self.guards.iter().position(|g| g.key == key)?;
-        Some(&mut self.guards[i].guard)
-    }
-
-    fn held_tasks(&mut self, id: TaskId) -> Option<&mut TaskMap> {
-        self.held(ShardKey::task(id))?.tasks_mut()
-    }
-
-    fn held_procs(&mut self, id: ProcessId) -> Option<&mut ProcMap> {
-        self.held(ShardKey::proc(id))?.procs_mut()
-    }
-
-    fn held_inodes(&mut self, id: InodeId) -> Option<&mut InodeMap> {
-        self.held(ShardKey::inode(id))?.inodes_mut()
-    }
-
-    fn held_registry(&mut self) -> Option<&mut Registry> {
-        self.held(ShardKey::registry())?.registry_mut()
-    }
-
-    fn held_task(&mut self, id: TaskId) -> Option<&mut TaskStruct> {
-        self.held_tasks(id)?.get_mut(&id)
-    }
-
-    fn held_proc(&mut self, id: ProcessId) -> Option<&mut ProcessStruct> {
-        self.held_procs(id)?.get_mut(&id)
-    }
-
-    fn held_inode(&mut self, id: InodeId) -> Option<&mut Inode> {
-        self.held_inodes(id)?.get_mut(&id)
-    }
-
-    fn held_dir(&mut self, id: InodeId) -> Option<&mut BTreeMap<String, InodeId>> {
-        match &mut self.held_inode(id)?.kind {
-            InodeKind::Dir { entries } => Some(entries),
-            _ => None,
+    /// Replays the journal in reverse, making the transaction a no-op on
+    /// kernel state. Each record reaches its entry through the accessor
+    /// the mutator that pushed it used, and rollback never locks: every
+    /// record was pushed after its shard was taken exclusive, so
+    /// [`Txn::require`] finds the shard held and returns it. A record
+    /// whose entry is gone is skipped.
+    pub(crate) fn rollback(&mut self) {
+        while let Some(undo) = self.journal.pop() {
+            let _ = self.undo(undo);
         }
     }
 
-    fn held_buffer(&mut self, id: InodeId, which: Buf) -> Option<&mut PipeBuffer> {
-        self.held_inode(id)?.kind.buffer_mut(which)
-    }
-
-    /// Replays the journal in reverse, making the transaction a no-op on
-    /// kernel state. Only touches held shards.
-    pub(crate) fn rollback(&mut self) {
-        let kernel = self.kernel;
-        while let Some(entry) = self.journal.pop() {
-            match entry {
-                Undo::Task(id, prev) => {
-                    if let Some(m) = self.held_tasks(id) {
-                        match prev {
-                            Some(t) => m.insert(id, *t),
-                            None => m.remove(&id),
-                        };
-                    }
+    /// Applies one undo record (see [`Txn::rollback`]).
+    fn undo(&mut self, undo: Undo) -> OsResult<()> {
+        match undo {
+            Undo::Task(id, prev) => {
+                let m = self.tasks_mut(id)?;
+                match prev {
+                    Some(t) => m.insert(id, *t),
+                    None => m.remove(&id),
+                };
+            }
+            Undo::Proc(id, prev) => {
+                let m = self.procs_mut(id)?;
+                match prev {
+                    Some(p) => m.insert(id, *p),
+                    None => m.remove(&id),
+                };
+            }
+            Undo::Inode(id, Some(i)) => {
+                if self.inodes_mut(id)?.insert(id, *i).is_none() {
+                    self.kernel.inode_ids.inserted(id);
                 }
-                Undo::Proc(id, prev) => {
-                    if let Some(m) = self.held_procs(id) {
-                        match prev {
-                            Some(p) => m.insert(id, *p),
-                            None => m.remove(&id),
-                        };
-                    }
+            }
+            Undo::Inode(id, None) => {
+                if self.inodes_mut(id)?.remove(&id).is_some() {
+                    self.kernel.inode_ids.removed(id);
                 }
-                Undo::Inode(id, Some(i)) => {
-                    if let Some(m) = self.held_inodes(id) {
-                        if m.insert(id, *i).is_none() {
-                            kernel.inode_ids.inserted(id);
-                        }
-                    }
-                }
-                Undo::Inode(id, None) => {
-                    if let Some(m) = self.held_inodes(id) {
-                        if m.remove(&id).is_some() {
-                            kernel.inode_ids.removed(id);
-                        }
-                    }
-                }
-                Undo::FileRange { ino, offset, old_len, old_bytes } => {
-                    if let Some(InodeKind::File { data }) =
-                        self.held_inode(ino).map(|i| &mut i.kind)
-                    {
-                        data.truncate(old_len);
-                        let end = (offset + old_bytes.len()).min(data.len());
-                        if offset <= end {
-                            data[offset..end].copy_from_slice(&old_bytes[..end - offset]);
-                        }
-                    }
-                }
-                Undo::DirInsert { dir, name, prev } => {
-                    if let Some(entries) = self.held_dir(dir) {
-                        match prev {
-                            Some(ino) => entries.insert(name, ino),
-                            None => entries.remove(&name),
-                        };
-                    }
-                }
-                Undo::DirRemove { dir, name, ino } => {
-                    if let Some(entries) = self.held_dir(dir) {
-                        entries.insert(name, ino);
-                    }
-                }
-                Undo::PipePush(ino, which) => {
-                    if let Some(b) = self.held_buffer(ino, which) {
-                        b.unpush();
-                    }
-                }
-                Undo::PipePop(ino, which, popped) => {
-                    if let Some(b) = self.held_buffer(ino, which) {
-                        b.unpop(popped);
-                    }
-                }
-                Undo::PipeRefs(ino, refs) => {
-                    if let Some(b) = self.held_buffer(ino, Buf::Pipe) {
-                        b.set_refs(refs);
-                    }
-                }
-                Undo::FdInsert(pid, fd) => {
-                    if let Some(p) = self.held_proc(pid) {
-                        p.fds.uninsert(fd);
-                    }
-                }
-                Undo::FdRemove(pid, fd, file) => {
-                    if let Some(p) = self.held_proc(pid) {
-                        p.fds.unremove(fd, file);
-                    }
-                }
-                Undo::FdOffset(pid, fd, off) => {
-                    if let Some(f) = self.held_proc(pid).and_then(|p| p.fds.get_mut(fd)) {
-                        f.offset = off;
-                    }
-                }
-                Undo::Cwd(pid, ino) => {
-                    if let Some(p) = self.held_proc(pid) {
-                        p.cwd = ino;
-                    }
-                }
-                Undo::ProcTasks(pid, tasks) => {
-                    if let Some(p) = self.held_proc(pid) {
-                        p.tasks = tasks;
-                    }
-                }
-                Undo::ProcImage(pid, image) => {
-                    if let Some(p) = self.held_proc(pid) {
-                        p.image = image;
-                    }
-                }
-                Undo::Labels(tid, labels) => {
-                    if let Some(t) = self.held_task(tid) {
-                        t.security.labels = labels;
-                    }
-                }
-                Undo::Caps(tid, caps) => {
-                    if let Some(t) = self.held_task(tid) {
-                        t.security.caps = caps;
-                    }
-                }
-                Undo::SignalPush(tid) => {
-                    if let Some(t) = self.held_task(tid) {
-                        t.pending_signals.pop_back();
-                    }
-                }
-                Undo::SignalPop(tid, sig) => {
-                    if let Some(t) = self.held_task(tid) {
-                        t.pending_signals.push_front(sig);
-                    }
-                }
-                Undo::PersistentCaps(user, prev) => {
-                    if let Some(r) = self.held_registry() {
-                        match prev {
-                            Some(c) => r.persistent_caps.insert(user, c),
-                            None => r.persistent_caps.remove(&user),
-                        };
-                    }
-                }
-                Undo::TagsMinted(user, prev) => {
-                    if let Some(r) = self.held_registry() {
-                        match prev {
-                            Some(n) => r.tags_minted.insert(user, n),
-                            None => r.tags_minted.remove(&user),
-                        };
+            }
+            Undo::FileRange { ino, offset, old_len, old_bytes } => {
+                if let InodeKind::File { data } = &mut self.inode_entry(ino)?.kind {
+                    data.truncate(old_len);
+                    let end = (offset + old_bytes.len()).min(data.len());
+                    if offset <= end {
+                        data[offset..end].copy_from_slice(&old_bytes[..end - offset]);
                     }
                 }
             }
+            Undo::DirInsert { dir, name, prev } => {
+                let entries = self.dir_entries(dir)?;
+                match prev {
+                    Some(ino) => entries.insert(name, ino),
+                    None => entries.remove(&name),
+                };
+            }
+            Undo::DirRemove { dir, name, ino } => {
+                self.dir_entries(dir)?.insert(name, ino);
+            }
+            Undo::PipePush(ino, which) => self.buffer(ino, which)?.unpush(),
+            Undo::PipePop(ino, which, popped) => self.buffer(ino, which)?.unpop(popped),
+            Undo::PipeRefs(ino, refs) => self.buffer(ino, Buf::Pipe)?.set_refs(refs),
+            Undo::FdInsert(pid, fd) => self.proc_entry(pid)?.fds.uninsert(fd),
+            Undo::FdRemove(pid, fd, file) => self.proc_entry(pid)?.fds.unremove(fd, file),
+            Undo::FdOffset(pid, fd, off) => {
+                if let Some(f) = self.proc_entry(pid)?.fds.get_mut(fd) {
+                    f.offset = off;
+                }
+            }
+            Undo::Cwd(pid, ino) => self.proc_entry(pid)?.cwd = ino,
+            Undo::ProcTasks(pid, tasks) => self.proc_entry(pid)?.tasks = tasks,
+            Undo::ProcImage(pid, image) => self.proc_entry(pid)?.image = image,
+            Undo::TrustedVm(pid, old) => self.proc_entry(pid)?.trusted_vm = old,
+            Undo::Labels(tid, labels) => self.task_entry(tid)?.security.labels = labels,
+            Undo::Caps(tid, caps) => self.task_entry(tid)?.security.caps = caps,
+            Undo::SignalPush(tid) => {
+                self.task_entry(tid)?.pending_signals.pop_back();
+            }
+            Undo::SignalPop(tid, sig) => {
+                self.task_entry(tid)?.pending_signals.push_front(sig);
+            }
+            Undo::PersistentCaps(user, prev) => {
+                let caps = &mut self.registry_mut()?.persistent_caps;
+                match prev {
+                    Some(c) => caps.insert(user, c),
+                    None => caps.remove(&user),
+                };
+            }
+            Undo::TagsMinted(user, prev) => {
+                let minted = &mut self.registry_mut()?.tags_minted;
+                match prev {
+                    Some(n) => minted.insert(user, n),
+                    None => minted.remove(&user),
+                };
+            }
         }
+        Ok(())
     }
 
     /// Bumps the per-attempt LSM hook count (flushed at commit); the
@@ -644,24 +553,15 @@ impl<'a> Txn<'a> {
 
     // --- read accessors ------------------------------------------------------
 
-    /// The task entry, if present (dead or alive).
-    pub(crate) fn task_opt(&mut self, id: TaskId) -> OsResult<Option<&TaskStruct>> {
-        Ok(self.tasks_map(id)?.get(&id))
-    }
-
-    /// The task entry; [`OsError::NoSuchTask`] if missing.
+    /// The task entry; [`OsError::NoSuchTask`] if it is absent (the task
+    /// exited, which removes the entry).
     pub(crate) fn task(&mut self, id: TaskId) -> OsResult<&TaskStruct> {
         self.tasks_map(id)?.get(&id).ok_or(OsError::NoSuchTask)
     }
 
-    /// The task entry, filtered to alive tasks.
-    pub(crate) fn task_alive(&mut self, id: TaskId) -> OsResult<&TaskStruct> {
-        self.tasks_map(id)?.get(&id).filter(|t| t.alive).ok_or(OsError::NoSuchTask)
-    }
-
-    /// A clone of an alive task's security context.
+    /// A clone of a task's security context.
     pub(crate) fn task_sec(&mut self, id: TaskId) -> OsResult<TaskSec> {
-        Ok(self.task_alive(id)?.security.clone())
+        Ok(self.task(id)?.security.clone())
     }
 
     /// The security context of a task whose shard this transaction
@@ -671,7 +571,7 @@ impl<'a> Txn<'a> {
     pub(crate) fn held_task_sec(&self, id: TaskId) -> OsResult<&TaskSec> {
         let tasks =
             self.held_shard(ShardKey::task(id))?.tasks().ok_or(OsError::Internal)?;
-        tasks.get(&id).filter(|t| t.alive).map(|t| &t.security).ok_or(OsError::NoSuchTask)
+        tasks.get(&id).map(|t| &t.security).ok_or(OsError::NoSuchTask)
     }
 
     /// The `*_tcb` syscalls' gate (§4.4): holds `target` exclusive if it is a
@@ -682,7 +582,7 @@ impl<'a> Txn<'a> {
         target: TaskId,
     ) -> OsResult<()> {
         let tcb = self.kernel.tcb_tag();
-        if !self.task_alive(task.tid)?.security.labels.integrity().contains(tcb) {
+        if !self.task(task.tid)?.security.labels.integrity().contains(tcb) {
             return Err(OsError::PermissionDenied("requires the tcb integrity tag"));
         }
         self.hold(ShardKey::task(target), ShardMode::Exclusive)?;
@@ -787,6 +687,13 @@ impl<'a> Txn<'a> {
         let old = self.proc_entry(pid)?.tasks.clone();
         self.record(Undo::ProcTasks(pid, old));
         Ok(&mut self.proc_entry(pid)?.tasks)
+    }
+
+    /// Marks a process as running a trusted VM (`bless_vm_process`).
+    pub(crate) fn set_trusted_vm(&mut self, pid: ProcessId) -> OsResult<()> {
+        let old = std::mem::replace(&mut self.proc_entry(pid)?.trusted_vm, true);
+        self.record(Undo::TrustedVm(pid, old));
+        Ok(())
     }
 
     /// Mutable access to a process's image (maps and binary; saved

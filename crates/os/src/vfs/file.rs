@@ -57,14 +57,37 @@ pub enum SocketEnd {
     B,
 }
 
+/// What an fd's inode is to it: a file (regular, directory, symlink or
+/// device), or one end of a pipe or of a socket pair.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) enum FdEnd {
+    File,
+    Pipe(PipeEnd),
+    Socket(SocketEnd),
+}
+
 /// Kernel-side open-file description.
 #[derive(Clone, Debug)]
 pub(crate) struct OpenFile {
     pub inode: InodeId,
     pub mode: OpenMode,
     pub offset: u64,
-    pub pipe_end: Option<PipeEnd>,
-    pub socket_end: Option<SocketEnd>,
+    pub end: FdEnd,
+}
+
+impl OpenFile {
+    /// A description of `inode` opened in `mode` at offset zero.
+    pub(crate) fn new(inode: InodeId, mode: OpenMode, end: FdEnd) -> Self {
+        OpenFile { inode, mode, offset: 0, end }
+    }
+
+    /// The pipe end this fd holds, if it is one.
+    pub(crate) fn pipe_end(&self) -> Option<PipeEnd> {
+        match self.end {
+            FdEnd::Pipe(end) => Some(end),
+            _ => None,
+        }
+    }
 }
 
 /// A process's table of open files. Fd numbers are never reused.
@@ -158,11 +181,8 @@ mod tests {
         let mut t = FdTable::default();
         let fd = t
             .insert(OpenFile {
-                inode: InodeId(1),
-                mode: OpenMode::ReadWrite,
                 offset: 5,
-                pipe_end: None,
-                socket_end: None,
+                ..OpenFile::new(InodeId(1), OpenMode::ReadWrite, FdEnd::File)
             })
             .unwrap();
         let copy = t.clone_for_fork();
@@ -171,13 +191,7 @@ mod tests {
     }
 
     fn file(ino: u64) -> OpenFile {
-        OpenFile {
-            inode: InodeId(ino),
-            mode: OpenMode::Read,
-            offset: 0,
-            pipe_end: None,
-            socket_end: None,
-        }
+        OpenFile::new(InodeId(ino), OpenMode::Read, FdEnd::File)
     }
 
     /// Regression: `next += 1` wrapped to 0 in release builds, and the

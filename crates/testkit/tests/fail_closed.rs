@@ -232,3 +232,33 @@ fn late_abort_of_open_leaves_the_next_fd_number_unchanged() {
     let next = alice.open("/dev/null", OpenMode::Read).unwrap();
     assert_eq!(next.0, first.0 + 1);
 }
+
+/// `Laminar::adopt` blesses a VM process in one transaction. A late
+/// abort of it must leave the application task without `tcb+` and
+/// `tcb-`: with them it could take the `tcb` integrity tag and reach
+/// the `*_tcb` syscalls, dropping labels with no `-` capability.
+#[test]
+fn late_abort_of_adopt_leaves_no_tcb_capability() {
+    let sys = laminar::Laminar::boot();
+    let k = sys.kernel();
+    k.add_user(UserId(1), "alice");
+    let alice = k.login(UserId(1)).unwrap();
+    let tcb = k.tcb_tag();
+    k.arm_failpoint_for_test(SyscallFailpoint::AbortLate);
+    let err = sys.adopt(alice.clone()).unwrap_err();
+    assert!(matches!(err, laminar::LaminarError::Os(OsError::Internal)), "got {err:?}");
+    assert!(k.take_failpoint_fired());
+
+    let caps = alice.current_caps().unwrap();
+    assert!(!caps.can_add(tcb) && !caps.can_remove(tcb), "{caps:?}");
+    let grab = alice.set_task_label(LabelType::Integrity, Label::singleton(tcb));
+    assert!(grab.is_err(), "the application task took the tcb tag");
+
+    // The kernel keeps serving: the same adopt now goes through, and the
+    // application task still holds no tcb capability.
+    let p = sys.adopt(alice.clone()).unwrap();
+    assert!(
+        !p.current_caps().can_add(tcb) && !alice.current_caps().unwrap().can_add(tcb)
+    );
+    assert!(alice.drop_label_tcb(alice.id()).is_err());
+}
