@@ -5,7 +5,10 @@
 //! inside security regions. LOC here are measured over this repo's
 //! ports (total = secured module source; added ≈ secured − baseline,
 //! the DIFC-specific code), and %-time-in-SRs is *measured* by the
-//! runtime's region timer while running each app's workload.
+//! runtime's region timer while running each app's workload. The timer
+//! times each principal's first 64 outermost regions and then samples
+//! one in 16, so each row also prints `regions_timed`, the sample size
+//! behind its share.
 //!
 //! Paper row targets: GradeSheet 6%, Battleship 54%, Calendar 1%,
 //! FreeCS <1% of time in security regions.
@@ -23,6 +26,7 @@ struct Row {
     protected: &'static str,
     loc_added: usize,
     pct_in_sr: f64,
+    regions_timed: u64,
     paper_pct: &'static str,
 }
 
@@ -62,12 +66,14 @@ fn main() {
         let t = Instant::now();
         gs.run_workload(400).unwrap();
         let total_ns = t.elapsed().as_nanos() as u64;
+        let stats = gs.stats();
         rows.push(Row {
             app: "GradeSheet",
             loc_total: loc(gradesheet_src),
             protected: "Student grades",
             loc_added: loc(gradesheet_src) - baseline_loc(gradesheet_src),
-            pct_in_sr: gs.stats().pct_in_regions(total_ns),
+            pct_in_sr: stats.pct_in_regions(total_ns),
+            regions_timed: stats.regions_timed,
             paper_pct: "6%",
         });
     }
@@ -82,12 +88,14 @@ fn main() {
             game.play(round).unwrap();
         }
         let total_ns = t.elapsed().as_nanos() as u64;
+        let stats = game.stats();
         rows.push(Row {
             app: "Battleship",
             loc_total: loc(battleship_src),
             protected: "Ship locations",
             loc_added: loc(battleship_src) - baseline_loc(battleship_src),
-            pct_in_sr: game.stats().pct_in_regions(total_ns),
+            pct_in_sr: stats.pct_in_regions(total_ns),
+            regions_timed: stats.regions_timed,
             paper_pct: "54%",
         });
     }
@@ -100,12 +108,14 @@ fn main() {
         let t = Instant::now();
         cal.run_workload(300).unwrap();
         let total_ns = t.elapsed().as_nanos() as u64;
+        let stats = cal.stats();
         rows.push(Row {
             app: "Calendar",
             loc_total: loc(calendar_src),
             protected: "Schedules",
             loc_added: loc(calendar_src) - baseline_loc(calendar_src),
-            pct_in_sr: cal.stats().pct_in_regions(total_ns),
+            pct_in_sr: stats.pct_in_regions(total_ns),
+            regions_timed: stats.regions_timed,
             paper_pct: "1%",
         });
     }
@@ -123,31 +133,40 @@ fn main() {
         let t = Instant::now();
         srv.run_workload(64, "lobby").unwrap();
         let total_ns = t.elapsed().as_nanos() as u64;
+        let stats = srv.stats();
         rows.push(Row {
             app: "FreeCS",
             loc_total: loc(freecs_src),
             protected: "Membership properties",
             loc_added: loc(freecs_src) - baseline_loc(freecs_src),
-            pct_in_sr: srv.stats().pct_in_regions(total_ns),
+            pct_in_sr: stats.pct_in_regions(total_ns),
+            regions_timed: stats.regions_timed,
             paper_pct: "<1%",
         });
     }
 
     let header = format!(
-        "{:<12} {:>6} {:<24} {:>10} {:>14} {:>10}",
-        "application", "LOC", "protected data", "LOC added", "%time in SRs", "paper"
+        "{:<12} {:>6} {:<24} {:>10} {:>14} {:>8} {:>10}",
+        "application",
+        "LOC",
+        "protected data",
+        "LOC added",
+        "%time in SRs",
+        "timed",
+        "paper"
     );
     println!("{header}");
     laminar_bench::rule_for(&header);
     for r in rows {
         println!(
-            "{:<12} {:>6} {:<24} {:>6} ({:>2.0}%) {:>12.1}% {:>10}",
+            "{:<12} {:>6} {:<24} {:>6} ({:>2.0}%) {:>12.1}% {:>8} {:>10}",
             r.app,
             r.loc_total,
             r.protected,
             r.loc_added,
             100.0 * r.loc_added as f64 / r.loc_total as f64,
             r.pct_in_sr,
+            r.regions_timed,
             r.paper_pct
         );
     }

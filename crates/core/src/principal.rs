@@ -13,14 +13,13 @@
 
 use crate::error::{LaminarError, LaminarResult};
 use crate::labeled::Labeled;
-use crate::stats::RuntimeStats;
+use crate::stats::{RegionSampler, RegionTimer, RuntimeStats};
 use laminar_difc::{CapKind, CapSet, Capability, Label, LabelType, SecPair, Tag};
 use laminar_os::{TaskHandle, UserId};
 use laminar_util::sync::Mutex;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One security-region stack frame.
 #[derive(Debug)]
@@ -33,6 +32,8 @@ struct Frame {
     /// enters the kernel costs no kernel traffic at all (§4.4's lazy
     /// `set_task_label` optimization, extended to capability state).
     suspended: CapSet,
+    /// The region timer, running only in a timed outermost region.
+    timer: Option<RegionTimer>,
 }
 
 /// VM-level thread state (the paper's per-thread label/capability cache,
@@ -49,6 +50,7 @@ pub(crate) struct ThreadState {
     /// Kernel task currently carries `labels` (lazy sync, §4.4).
     synced: bool,
     pub(crate) stats: RuntimeStats,
+    sampler: RegionSampler,
 }
 
 impl ThreadState {
@@ -59,6 +61,7 @@ impl ThreadState {
             frames: Vec::new(),
             synced: false,
             stats: RuntimeStats::default(),
+            sampler: RegionSampler::default(),
         }
     }
 
@@ -222,9 +225,12 @@ impl Principal {
         self.state.lock().stats.clone()
     }
 
-    /// Resets the statistics.
+    /// Resets the statistics, and with them the region timer's sample:
+    /// the next outermost regions are timed exactly again.
     pub fn reset_stats(&self) {
-        self.state.lock().stats = RuntimeStats::default();
+        let mut st = self.state.lock();
+        st.stats = RuntimeStats::default();
+        st.sampler = RegionSampler::default();
     }
 
     /// Allocates a fresh tag, granting this principal both capabilities
@@ -291,51 +297,72 @@ impl Principal {
 
     // --- security regions ---------------------------------------------------
 
-    /// Enters a region: decides whether it is the outermost one, checks
-    /// the §4.3.2 entry rules, saves the thread's context and counts the
-    /// entry, all under one lock.
-    fn enter_region(&self, params: &RegionParams) -> LaminarResult<bool> {
-        let mut st = self.state.lock();
-        let outermost = !st.in_region();
+    /// Enters a region: decides whether it is an outermost region to
+    /// time, checks the §4.3.2 entry rules, saves the thread's context
+    /// and counts the entry, all under one lock.
+    fn enter_region(&self, params: &RegionParams) -> LaminarResult<()> {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        // The timer starts before the entry checks, so a timed span
+        // covers entry, body, catch and exit, as Table 3's "% of time in
+        // security regions" is accounted. Only outermost regions are
+        // timed, so nesting is not double-counted.
+        let timer = if st.in_region() { None } else { st.sampler.start(&st.stats) };
         check_region_entry(&st.labels, &st.caps, params)?;
         let saved_labels = std::mem::replace(&mut st.labels, params.pair());
         let saved_caps = std::mem::replace(&mut st.caps, params.caps.clone());
-        st.frames.push(Frame { saved_labels, saved_caps, suspended: CapSet::new() });
+        st.frames.push(Frame {
+            saved_labels,
+            saved_caps,
+            suspended: CapSet::new(),
+            timer,
+        });
         st.synced = false;
         st.stats.regions_entered += 1;
-        Ok(outermost)
+        Ok(())
     }
 
-    /// Leaves the innermost region, adding the exceptions it suppressed
-    /// and, for the outermost region, the time since `started`.
-    fn exit_region(
-        &self,
-        suppressed: u64,
-        started: Option<Instant>,
-    ) -> LaminarResult<()> {
-        let mut st = self.state.lock();
+    /// Leaves the innermost region: restores the outer context, drops
+    /// the region's labels from the kernel task, and adds the exceptions
+    /// the region suppressed and its timed span.
+    fn exit_region(&self, suppressed: u64) -> LaminarResult<()> {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         st.stats.exceptions_suppressed += suppressed;
         // An exit with no matching entry is an internal invariant break;
         // surface it fail-closed instead of unwinding with the lock held.
         let frame =
             st.frames.pop().ok_or(LaminarError::Internal("region exit without entry"))?;
-        if st.synced {
-            // The kernel task carries the region's labels; only the
-            // trusted tcb thread can drop them — the thread itself may
-            // lack the minus capabilities (§4.4).
-            self.vm_task.set_task_labels_tcb(self.task.id(), SecPair::unlabeled())?;
-        } else if !st.labels.is_unlabeled() {
+        // The outer context comes back before any kernel call that can
+        // fail: a failure then leaves at most the kernel task with the
+        // region's labels, which only restricts it (fail-closed).
+        let region_labels = std::mem::replace(&mut st.labels, frame.saved_labels);
+        st.caps = frame.saved_caps;
+        let synced = std::mem::replace(&mut st.synced, false);
+        if !synced && !region_labels.is_unlabeled() {
             st.stats.os_syncs_elided += 1;
         }
-        st.synced = false;
-        if !frame.suspended.is_empty() {
-            // Restore capabilities suspended for the region's scope.
-            self.vm_task.grant_capabilities_tcb(self.task.id(), &frame.suspended)?;
+        let restored = self.restore_kernel_task(synced, &frame.suspended);
+        if let Some(timer) = frame.timer {
+            st.stats.stop(timer);
         }
-        st.labels = frame.saved_labels;
-        st.caps = frame.saved_caps;
-        if let Some(started) = started {
-            st.stats.region_ns += started.elapsed().as_nanos() as u64;
+        restored.map_err(LaminarError::from)
+    }
+
+    /// Drops the region's labels from the kernel task if it carries
+    /// them, and gives back the capabilities suspended for the region's
+    /// scope. Only the trusted tcb thread can drop the labels — the
+    /// thread itself may lack the minus capabilities (§4.4).
+    fn restore_kernel_task(
+        &self,
+        synced: bool,
+        suspended: &CapSet,
+    ) -> laminar_os::OsResult<()> {
+        if synced {
+            self.vm_task.set_task_labels_tcb(self.task.id(), SecPair::unlabeled())?;
+        }
+        if !suspended.is_empty() {
+            self.vm_task.grant_capabilities_tcb(self.task.id(), suspended)?;
         }
         Ok(())
     }
@@ -386,9 +413,14 @@ impl Principal {
     ///
     /// # Errors
     ///
-    /// Only region *entry* failures (§4.3.2) are reported as `Err` — the
+    /// Region *entry* failures (§4.3.2) are reported as `Err` — the
     /// paper terminates the program at that point (Fig. 7: "the program
-    /// terminates at L1").
+    /// terminates at L1"). So is a failed kernel call at exit, which
+    /// drops the region's labels from the kernel task or gives back the
+    /// capabilities the region suspended. The principal is then already
+    /// outside the region with its outer labels and capabilities, and
+    /// the kernel task may keep the region's labels, which only
+    /// restricts it.
     ///
     /// # Panics
     ///
@@ -400,12 +432,7 @@ impl Principal {
         body: impl FnOnce(&RegionGuard<'_>) -> LaminarResult<R>,
         catch: impl FnOnce(&RegionGuard<'_>),
     ) -> LaminarResult<Option<R>> {
-        // The region timer covers the whole secure block — entry checks,
-        // body, catch, and exit restoration — matching how Table 3's
-        // "% of time in security regions" is accounted. Only the
-        // outermost region accounts, so nesting is not double-counted.
-        let started = Instant::now();
-        let outermost = self.enter_region(params)?;
+        self.enter_region(params)?;
         REGION_CTX.with(|ctx| ctx.borrow_mut().push(Arc::clone(&self.state)));
 
         let guard = RegionGuard { principal: self };
@@ -425,7 +452,7 @@ impl Principal {
         REGION_CTX.with(|ctx| {
             ctx.borrow_mut().pop();
         });
-        self.exit_region(suppressed, outermost.then_some(started))?;
+        self.exit_region(suppressed)?;
         Ok(result)
     }
 }

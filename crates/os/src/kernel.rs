@@ -360,6 +360,12 @@ impl Kernel {
             footprint.add(ShardKey::proc(pid), mode);
         }
         let mut ids = IdCache::default();
+        if intent.new_task {
+            footprint.add(ShardKey::task(ids.task(self)), ShardMode::Exclusive);
+        }
+        if intent.new_proc {
+            footprint.add(ShardKey::proc(ids.proc(self)), ShardMode::Exclusive);
+        }
         let mut attempts = 0usize;
         loop {
             attempts += 1;
@@ -943,27 +949,25 @@ impl Kernel {
             return Err(OsError::NoSuchTask);
         }
         let (tcb, pid) = (self.tcb_tag, task.pid);
-        let tid =
-            self.syscall_on((task.tid, pid), "bless_vm_process", Intent::READ, |st| {
-                let me = st.task(task.tid)?;
-                let tcb_label = Label::singleton(tcb);
-                let (user, labels) = (
-                    me.user,
-                    me.security.labels.with_label(LabelType::Integrity, tcb_label),
-                );
-                let mut caps = CapSet::new();
-                caps.grant_both(tcb);
-                let tid = st.fresh_task_id();
-                st.insert_task(TaskStruct::fresh(
-                    tid,
-                    pid,
-                    user,
-                    TaskSec::new(labels, caps),
-                ))?;
-                st.set_trusted_vm(pid)?;
-                st.proc_tasks_mut(pid)?.push(tid);
-                Ok(tid)
-            })?;
+        let intent = Intent { new_task: true, ..Intent::READ };
+        let tid = self.syscall_on((task.tid, pid), "bless_vm_process", intent, |st| {
+            let me = st.task(task.tid)?;
+            let tcb_label = Label::singleton(tcb);
+            let (user, labels) =
+                (me.user, me.security.labels.with_label(LabelType::Integrity, tcb_label));
+            let mut caps = CapSet::new();
+            caps.grant_both(tcb);
+            let tid = st.fresh_task_id();
+            st.insert_task(TaskStruct::fresh(
+                tid,
+                pid,
+                user,
+                TaskSec::new(labels, caps),
+            ))?;
+            st.set_trusted_vm(pid)?;
+            st.proc_tasks_mut(pid)?.push(tid);
+            Ok(tid)
+        })?;
         Ok(TaskHandle { kernel: Arc::clone(self), tid, pid })
     }
 

@@ -76,6 +76,10 @@ const CREATE: Intent =
 const UNLINK: Intent = Intent { parent: Exclusive, target: Exclusive, ..Intent::READ };
 /// Writes the inode a path names.
 const WRITE_TARGET: Intent = Intent { target: Exclusive, ..Intent::READ };
+/// Creates a process and its task from the caller's process (`fork`).
+const FORK: Intent = Intent { new_task: true, new_proc: true, ..READ_PROC };
+/// Creates a thread in the caller's process (`spawn_thread`).
+const SPAWN_THREAD: Intent = Intent { new_task: true, ..OWN_PROC };
 
 impl TaskHandle {
     /// Runs one syscall body for this task (see
@@ -997,7 +1001,7 @@ impl TaskHandle {
     /// [`OsError::PermissionDenied`] if `caps` is not a subset of the
     /// caller's capabilities.
     pub fn fork(&self, caps: Option<CapSet>) -> OsResult<TaskHandle> {
-        let (tid, pid) = self.syscall("fork", READ_PROC, |st| {
+        let (tid, pid) = self.syscall("fork", FORK, |st| {
             let sec = st.task_sec(self.tid)?;
             let child_caps = match &caps {
                 Some(c) => {
@@ -1037,7 +1041,7 @@ impl TaskHandle {
     /// # Errors
     /// [`OsError::PermissionDenied`] on a capability superset.
     pub fn spawn_thread(&self, caps: Option<CapSet>) -> OsResult<TaskHandle> {
-        let tid = self.syscall("spawn_thread", OWN_PROC, |st| {
+        let tid = self.syscall("spawn_thread", SPAWN_THREAD, |st| {
             let sec = st.task_sec(self.tid)?;
             let thread_caps = match &caps {
                 Some(c) => {

@@ -136,6 +136,17 @@ pub(crate) struct IdCache {
 }
 
 impl IdCache {
+    /// The next task id of this syscall: the one an earlier attempt
+    /// minted at this position, or a fresh one.
+    pub(crate) fn task(&mut self, kernel: &Kernel) -> TaskId {
+        self.tasks.next(|| TaskId(kernel.next_task.fetch_add(1, Ordering::Relaxed)))
+    }
+
+    /// The next process id of this syscall (see [`IdCache::task`]).
+    pub(crate) fn proc(&mut self, kernel: &Kernel) -> ProcessId {
+        self.procs.next(|| ProcessId(kernel.next_proc.fetch_add(1, Ordering::Relaxed)))
+    }
+
     /// Rewinds the positional cursors for a fresh attempt.
     pub(crate) fn reset_cursors(&mut self) {
         self.tasks.cur = 0;
@@ -176,6 +187,12 @@ impl<T: Copy> Minted<T> {
 /// when `Some`; and `parent` and `target` for the final parent directory
 /// and the inode its path walk names.
 ///
+/// A body that creates a task (`new_task`) or a process (`new_proc`)
+/// gets its first such id minted before the first attempt, and that
+/// id's shard pre-locked exclusive: a new task's shard may rank below
+/// the caller's process shard, and a new process's below the caller's,
+/// so taking them on demand would restart the syscall.
+///
 /// A body whose intent leaves `proc` at `None` reads the process only to
 /// resolve a relative path: that cwd read takes the shard on demand,
 /// shared, before the walk takes any inode shard, so it never restarts.
@@ -185,6 +202,8 @@ pub(crate) struct Intent {
     pub proc: Option<ShardMode>,
     pub parent: ShardMode,
     pub target: ShardMode,
+    pub new_task: bool,
+    pub new_proc: bool,
 }
 
 impl Intent {
@@ -196,6 +215,8 @@ impl Intent {
         proc: None,
         parent: ShardMode::Shared,
         target: ShardMode::Shared,
+        new_task: false,
+        new_proc: false,
     };
 }
 
@@ -998,8 +1019,7 @@ impl<'a> Txn<'a> {
         binary: String,
     ) -> OsResult<(TaskId, ProcessId)> {
         let tid = self.fresh_task_id();
-        let next = &self.kernel.next_proc;
-        let pid = self.ids.procs.next(|| ProcessId(next.fetch_add(1, Ordering::Relaxed)));
+        let pid = self.ids.proc(self.kernel);
         // Ascending domains: task shards rank below process shards.
         self.hold(ShardKey::task(tid), ShardMode::Exclusive)?;
         let mut proc = ProcessStruct::fresh(pid, tid, cwd);
@@ -1015,8 +1035,7 @@ impl<'a> Txn<'a> {
     /// Mints a fresh task id (replay-stable); used by `spawn_thread`,
     /// which inserts the task itself.
     pub(crate) fn fresh_task_id(&mut self) -> TaskId {
-        let next = &self.kernel.next_task;
-        self.ids.tasks.next(|| TaskId(next.fetch_add(1, Ordering::Relaxed)))
+        self.ids.task(self.kernel)
     }
 
     /// Inserts a task under a fresh id (for `spawn_thread`).

@@ -262,3 +262,51 @@ fn late_abort_of_adopt_leaves_no_tcb_capability() {
     );
     assert!(alice.drop_label_tcb(alice.id()).is_err());
 }
+
+/// A region's exit drops its labels from the kernel task through the
+/// trusted thread. If that syscall aborts, the principal must still
+/// leave the region with its outer (empty) labels and capabilities, and
+/// the kernel task may keep only the region's labels, which restrict it:
+/// it still cannot write an unlabeled file.
+#[test]
+fn late_abort_of_a_region_exit_restores_the_runtime_context() {
+    let sys = laminar::Laminar::boot();
+    let k = Arc::clone(sys.kernel());
+    sys.add_user(UserId(1), "alice");
+    let p = sys.login(UserId(1)).unwrap();
+    let fd = p.task().create("/tmp/public").unwrap();
+    p.task().close(fd).unwrap();
+    let t = p.create_tag().unwrap();
+    let caps_before = p.current_caps();
+    let params = laminar::RegionParams::new()
+        .secrecy(Label::singleton(t))
+        .grant(laminar_difc::Capability::plus(t))
+        .grant(laminar_difc::Capability::minus(t));
+
+    let out = p.secure(
+        &params,
+        |g| {
+            g.os()?.stat("/tmp")?;
+            k.arm_failpoint_for_test(SyscallFailpoint::AbortLate);
+            Ok(())
+        },
+        |_| {},
+    );
+    assert!(
+        matches!(out, Err(laminar::LaminarError::Os(OsError::Internal))),
+        "got {out:?}"
+    );
+    assert!(k.take_failpoint_fired());
+
+    assert!(!p.in_region());
+    assert!(p.current_labels().is_unlabeled(), "{:?}", p.current_labels());
+    assert_eq!(p.current_caps(), caps_before);
+    let write = p
+        .task()
+        .open("/tmp/public", OpenMode::Write)
+        .and_then(|fd| p.task().write(fd, b"leak"));
+    assert!(
+        matches!(write, Err(OsError::FlowDenied(_))),
+        "the task lost the region's labels: {write:?}"
+    );
+}

@@ -324,6 +324,38 @@ fn tenant_scale_ops_never_restart() {
     }
 }
 
+/// The FreeCS set-up layout: the server's login task starts every user
+/// as a thread (`ChatServer::login_user`), and a login task forks, as
+/// `syscall_mix` forks each worker's tainted twin. The new task's shard,
+/// and the new process's, are taken in lock order on the first attempt,
+/// wherever they sort against the caller's.
+#[test]
+fn spawn_thread_and_fork_from_a_login_task_do_not_restart() {
+    let sys = laminar::Laminar::boot();
+    let kernel = Arc::clone(sys.kernel());
+    sys.add_user(UserId(1), "server");
+    let server = sys.login(UserId(1)).unwrap();
+    let mut users = Vec::new();
+    let restarts = restarts_during(&kernel, || {
+        for _ in 0..LEN {
+            users.push(server.spawn_thread(Some(CapSet::new())).unwrap());
+        }
+    });
+    assert!(
+        restarts <= LEN as u64 / 8,
+        "{restarts} restarts for {LEN} spawn_thread calls"
+    );
+
+    let login = kernel.login(UserId(1)).unwrap();
+    let mut children = Vec::new();
+    let restarts = restarts_during(&kernel, || {
+        for _ in 0..LEN {
+            children.push(login.fork(None).unwrap());
+        }
+    });
+    assert!(restarts <= LEN as u64 / 8, "{restarts} restarts for {LEN} fork calls");
+}
+
 /// A symlink whose target is in a shard below the link's: following it
 /// needs a shard below one the walk holds, so the syscall restarts with
 /// a wider footprint — and still returns the target's contents.

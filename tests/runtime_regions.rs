@@ -478,7 +478,8 @@ fn runtime_stats_pin_a_scripted_region_sequence() {
 
     // Nested regions: two entries, and only the outer one is timed. The
     // inner region sleeps, so double counting would push `region_ns`
-    // past the wall time of the whole call.
+    // past the wall time of the whole call. The principal is still in
+    // its first 64 outermost regions, which are all timed exactly.
     let before = p.stats().region_ns;
     let started = Instant::now();
     p.secure(
@@ -520,6 +521,7 @@ fn runtime_stats_pin_a_scripted_region_sequence() {
     let expected = RuntimeStats {
         regions_entered: 6,
         region_ns: stats.region_ns,
+        regions_timed: 5,
         labeled_reads: 1,
         labeled_writes: 1,
         labeled_allocs: 2,
@@ -534,4 +536,62 @@ fn runtime_stats_pin_a_scripted_region_sequence() {
 
     p.reset_stats();
     assert_eq!(p.stats(), RuntimeStats::default());
+}
+
+/// Outermost regions a principal times exactly after a stats reset.
+const EXACT_REGIONS: u64 = 64;
+/// Outermost regions after the exact phase in the sampling test.
+const SAMPLED_REGIONS: u64 = 1_600;
+
+/// Runs `EXACT_REGIONS + SAMPLED_REGIONS` outermost regions whose bodies
+/// spin for 20 µs, every fourth with a nested region inside when
+/// `nested`; returns the stats and the bodies' own measured total.
+fn spin_regions(p: &Principal, nested: bool) -> (RuntimeStats, u64) {
+    let none = RegionParams::new();
+    let mut bodies_ns = 0;
+    for i in 0..EXACT_REGIONS + SAMPLED_REGIONS {
+        let body = p
+            .secure(
+                &none,
+                |g| {
+                    let started = Instant::now();
+                    if nested && i % 4 == 0 {
+                        g.secure(&none, |_| Ok(()), |_| {})?;
+                    }
+                    while started.elapsed() < Duration::from_micros(20) {}
+                    Ok(started.elapsed())
+                },
+                |_| {},
+            )
+            .unwrap()
+            .unwrap();
+        bodies_ns += body.as_nanos() as u64;
+    }
+    (p.stats(), bodies_ns)
+}
+
+/// Past its first 64 outermost regions a principal times one in 16,
+/// drawn from a fixed seed, and weights each sample by 16: the sample
+/// size is the same in every run, nested regions neither add to it nor
+/// shift the draw, and `region_ns` still estimates the time spent.
+#[test]
+fn the_region_timer_samples_past_the_exact_phase() {
+    let (_sys, p) = alice();
+    let flat = p.spawn_thread(None).unwrap();
+    let mut ratios = Vec::new();
+    // Three rounds, judged by the median: a round in which a sampled
+    // region was preempted counts that pause sixteen times over.
+    for _ in 0..3 {
+        p.reset_stats();
+        flat.reset_stats();
+        let (stats, bodies_ns) = spin_regions(&p, true);
+        assert_eq!(stats.regions_entered, EXACT_REGIONS + SAMPLED_REGIONS + 416);
+        assert_eq!(stats.regions_timed, EXACT_REGIONS + 116);
+        let (flat_stats, _) = spin_regions(&flat, false);
+        assert_eq!(flat_stats.regions_entered, EXACT_REGIONS + SAMPLED_REGIONS);
+        assert_eq!(flat_stats.regions_timed, stats.regions_timed);
+        ratios.push(stats.region_ns as f64 / bodies_ns as f64);
+    }
+    ratios.sort_by(f64::total_cmp);
+    assert!((0.5..=1.5).contains(&ratios[1]), "region_ns / bodies: {ratios:?}");
 }
