@@ -5,10 +5,12 @@
 //! inside security regions. LOC here are measured over this repo's
 //! ports (total = secured module source; added ≈ secured − baseline,
 //! the DIFC-specific code), and %-time-in-SRs is *measured* by the
-//! runtime's region timer while running each app's workload. The timer
-//! times each principal's first 64 outermost regions and then samples
-//! one in 16, so each row also prints `regions_timed`, the sample size
-//! behind its share.
+//! runtime's region timer while running each app's workload. Each
+//! workload runs five times on a fresh boot, and its row prints the
+//! median share with the min-max of the five. The timer times each
+//! principal's first 64 outermost regions and then samples one in 16,
+//! so each row also prints `regions_timed`, the sample size behind its
+//! share.
 //!
 //! Paper row targets: GradeSheet 6%, Battleship 54%, Calendar 1%,
 //! FreeCS <1% of time in security regions.
@@ -20,14 +22,36 @@ use laminar_apps::freecs::ChatServer;
 use laminar_apps::gradesheet::GradeSheet;
 use std::time::Instant;
 
+/// Runs of each app's workload. One run of FreeCS times a few ms, so
+/// single runs of unchanged code spread by over a percentage point; the
+/// row shows the median run's share and the spread of all of them.
+const RUNS: usize = 5;
+
 struct Row {
     app: &'static str,
     loc_total: usize,
     protected: &'static str,
     loc_added: usize,
-    pct_in_sr: f64,
-    regions_timed: u64,
+    share: Share,
     paper_pct: &'static str,
+}
+
+/// The % of time in security regions over [`RUNS`] runs.
+struct Share {
+    median: f64,
+    min: f64,
+    max: f64,
+    /// The median run's sample size (see the module docs).
+    regions_timed: u64,
+}
+
+/// Runs `run`, which returns one run's % time in SRs and its
+/// `regions_timed`, [`RUNS`] times.
+fn share(mut run: impl FnMut() -> (f64, u64)) -> Share {
+    let mut runs: Vec<(f64, u64)> = (0..RUNS).map(|_| run()).collect();
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (median, regions_timed) = runs[RUNS / 2];
+    Share { median, min: runs[0].0, max: runs[RUNS - 1].0, regions_timed }
 }
 
 /// Counts non-empty, non-comment lines in a source string.
@@ -56,10 +80,7 @@ fn main() {
     let calendar_src = include_str!("../../apps/src/calendar.rs");
     let freecs_src = include_str!("../../apps/src/freecs.rs");
 
-    let mut rows = Vec::new();
-
-    // GradeSheet.
-    {
+    let gradesheet = share(|| {
         let sys = Laminar::boot();
         let gs = GradeSheet::new(&sys, 12, 4).unwrap();
         gs.reset_stats();
@@ -67,19 +88,9 @@ fn main() {
         gs.run_workload(400).unwrap();
         let total_ns = t.elapsed().as_nanos() as u64;
         let stats = gs.stats();
-        rows.push(Row {
-            app: "GradeSheet",
-            loc_total: loc(gradesheet_src),
-            protected: "Student grades",
-            loc_added: loc(gradesheet_src) - baseline_loc(gradesheet_src),
-            pct_in_sr: stats.pct_in_regions(total_ns),
-            regions_timed: stats.regions_timed,
-            paper_pct: "6%",
-        });
-    }
-
-    // Battleship.
-    {
+        (stats.pct_in_regions(total_ns), stats.regions_timed)
+    });
+    let battleship = share(|| {
         let sys = Laminar::boot();
         let game = Battleship::new(&sys, 17, false).unwrap();
         game.reset_stats();
@@ -89,19 +100,9 @@ fn main() {
         }
         let total_ns = t.elapsed().as_nanos() as u64;
         let stats = game.stats();
-        rows.push(Row {
-            app: "Battleship",
-            loc_total: loc(battleship_src),
-            protected: "Ship locations",
-            loc_added: loc(battleship_src) - baseline_loc(battleship_src),
-            pct_in_sr: stats.pct_in_regions(total_ns),
-            regions_timed: stats.regions_timed,
-            paper_pct: "54%",
-        });
-    }
-
-    // Calendar.
-    {
+        (stats.pct_in_regions(total_ns), stats.regions_timed)
+    });
+    let calendar = share(|| {
         let sys = Laminar::boot();
         let cal = CalendarSystem::new(&sys).unwrap();
         cal.reset_stats();
@@ -109,19 +110,9 @@ fn main() {
         cal.run_workload(300).unwrap();
         let total_ns = t.elapsed().as_nanos() as u64;
         let stats = cal.stats();
-        rows.push(Row {
-            app: "Calendar",
-            loc_total: loc(calendar_src),
-            protected: "Schedules",
-            loc_added: loc(calendar_src) - baseline_loc(calendar_src),
-            pct_in_sr: stats.pct_in_regions(total_ns),
-            regions_timed: stats.regions_timed,
-            paper_pct: "1%",
-        });
-    }
-
-    // FreeCS.
-    {
+        (stats.pct_in_regions(total_ns), stats.regions_timed)
+    });
+    let freecs = share(|| {
         let sys = Laminar::boot();
         let srv = ChatServer::new(&sys).unwrap();
         srv.login_user("owner", false).unwrap();
@@ -134,39 +125,49 @@ fn main() {
         srv.run_workload(64, "lobby").unwrap();
         let total_ns = t.elapsed().as_nanos() as u64;
         let stats = srv.stats();
-        rows.push(Row {
-            app: "FreeCS",
-            loc_total: loc(freecs_src),
-            protected: "Membership properties",
-            loc_added: loc(freecs_src) - baseline_loc(freecs_src),
-            pct_in_sr: stats.pct_in_regions(total_ns),
-            regions_timed: stats.regions_timed,
-            paper_pct: "<1%",
-        });
-    }
+        (stats.pct_in_regions(total_ns), stats.regions_timed)
+    });
+
+    let row = |app, src: &str, protected, share, paper_pct| Row {
+        app,
+        loc_total: loc(src),
+        protected,
+        loc_added: loc(src) - baseline_loc(src),
+        share,
+        paper_pct,
+    };
+    let rows = [
+        row("GradeSheet", gradesheet_src, "Student grades", gradesheet, "6%"),
+        row("Battleship", battleship_src, "Ship locations", battleship, "54%"),
+        row("Calendar", calendar_src, "Schedules", calendar, "1%"),
+        row("FreeCS", freecs_src, "Membership properties", freecs, "<1%"),
+    ];
 
     let header = format!(
-        "{:<12} {:>6} {:<24} {:>10} {:>14} {:>8} {:>10}",
+        "{:<12} {:>6} {:<24} {:>10} {:>14} {:>11} {:>8} {:>10}",
         "application",
         "LOC",
         "protected data",
         "LOC added",
         "%time in SRs",
+        "min-max",
         "timed",
         "paper"
     );
     println!("{header}");
     laminar_bench::rule_for(&header);
     for r in rows {
+        let spread = format!("{:.1}-{:.1}%", r.share.min, r.share.max);
         println!(
-            "{:<12} {:>6} {:<24} {:>6} ({:>2.0}%) {:>12.1}% {:>8} {:>10}",
+            "{:<12} {:>6} {:<24} {:>6} ({:>2.0}%) {:>12.1}% {:>11} {:>8} {:>10}",
             r.app,
             r.loc_total,
             r.protected,
             r.loc_added,
             100.0 * r.loc_added as f64 / r.loc_total as f64,
-            r.pct_in_sr,
-            r.regions_timed,
+            r.share.median,
+            spread,
+            r.share.regions_timed,
             r.paper_pct
         );
     }

@@ -53,10 +53,6 @@ impl OsBridge for KernelBridge {
             .map_err(|e| e.to_string())
     }
 
-    fn restore_labels(&mut self, labels: &SecPair) -> Result<(), String> {
-        self.sync_labels(labels)
-    }
-
     fn write_byte(&mut self, path: &str, byte: u8) -> Result<(), String> {
         let fd = match self.task.open(path, OpenMode::Write) {
             Ok(fd) => fd,

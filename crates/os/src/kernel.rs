@@ -50,7 +50,7 @@ pub struct CommitRecord {
     /// Kernel-wide commit ticket (1-based). While the commit log is on
     /// every syscall takes one, so the log's tickets are dense across
     /// all threads; with it off only recorded outcomes take one (see
-    /// [`Kernel::syscall_on`]).
+    /// [`Kernel::last_syscall_seq`]).
     pub seq: u64,
     /// Task the syscall ran as.
     pub task: TaskId,
@@ -645,7 +645,7 @@ impl Kernel {
     fn insert_inode_direct(&self, id: InodeId, kind: InodeKind, labels: SecPair) {
         let mut shard = self.tables.lock(ShardKey::inode(id), ShardMode::Exclusive);
         if let Some(m) = shard.guard.inodes_mut() {
-            m.insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
+            m.insert(id, Inode { id, kind, xattrs: Xattrs { labels } });
             self.inode_ids.inserted(id);
         }
     }
@@ -867,23 +867,26 @@ impl Kernel {
         self.with_pipe(task, fd, PipeBuffer::msg_count)
     }
 
-    /// The `(readers, writers)` counts of the pipe behind `task`'s `fd`,
-    /// for checking that an aborted `close`, `fork` or `exit` restores
-    /// them exactly. **Trusted API**: a subject that saw them would learn
-    /// when a peer closed its end, the cross-label EOF that §5.2's
-    /// nonblocking pipes hide.
+    /// The number of fds, in every process, naming the pipe or socket
+    /// behind `task`'s `fd`, for checking that an aborted `close`, `fork`
+    /// or `exit` restores it exactly. **Trusted API**: a subject that saw
+    /// it would learn when a peer closed its end, the cross-label EOF
+    /// that §5.2's nonblocking pipes hide.
     ///
     /// # Errors
-    /// [`OsError::BadFd`] if `fd` is not a pipe.
+    /// [`OsError::BadFd`] if `fd` is not a pipe or socket.
     ///
     /// # Panics
     /// Panics if `task` belongs to another kernel.
-    pub fn pipe_ends_for_test(
+    pub fn pipe_fds_for_test(
         self: &Arc<Self>,
         task: &TaskHandle,
         fd: Fd,
-    ) -> OsResult<(u32, u32)> {
-        self.with_pipe(task, fd, PipeBuffer::refs)
+    ) -> OsResult<u32> {
+        self.with_inode(task, fd, |kind| match kind {
+            InodeKind::Pipe { fds, .. } | InodeKind::Socket { fds, .. } => Some(*fds),
+            _ => None,
+        })
     }
 
     /// Runs `f` on the pipe buffer behind `task`'s `fd`, bypassing the
@@ -894,13 +897,25 @@ impl Kernel {
         fd: Fd,
         f: impl FnOnce(&PipeBuffer) -> R,
     ) -> OsResult<R> {
+        self.with_inode(task, fd, |kind| match kind {
+            InodeKind::Pipe { buffer, .. } => Some(f(buffer)),
+            _ => None,
+        })
+    }
+
+    /// Runs `f` on the inode behind `task`'s `fd`, as [`Kernel::with_pipe`];
+    /// [`OsError::BadFd`] if `f` finds no answer there.
+    fn with_inode<R>(
+        &self,
+        task: &TaskHandle,
+        fd: Fd,
+        f: impl FnOnce(&InodeKind) -> Option<R>,
+    ) -> OsResult<R> {
         assert!(std::ptr::eq(&*task.kernel, self), "handle from another kernel");
         let ino = task.fd_inode_readonly(fd)?;
         let shard = self.tables.lock(ShardKey::inode(ino), ShardMode::Shared);
-        match shard.guard.inodes().and_then(|m| m.get(&ino)).map(|n| &n.kind) {
-            Some(InodeKind::Pipe { buffer }) => Ok(f(buffer)),
-            _ => Err(OsError::BadFd),
-        }
+        let node = shard.guard.inodes().and_then(|m| m.get(&ino));
+        node.and_then(|n| f(&n.kind)).ok_or(OsError::BadFd)
     }
 
     /// Logs a user in: spawns a fresh process with one task whose
@@ -921,7 +936,7 @@ impl Kernel {
         let tid = TaskId(self.next_task.fetch_add(1, Ordering::Relaxed));
         let mut shard = self.tables.lock(ShardKey::proc(pid), ShardMode::Exclusive);
         let procs = shard.guard.procs_mut().ok_or(OsError::Internal)?;
-        procs.insert(pid, ProcessStruct::fresh(pid, tid, cwd));
+        procs.insert(pid, ProcessStruct::fresh(tid, cwd));
         drop(shard);
         let sec = TaskSec::new(SecPair::unlabeled(), caps);
         let mut shard = self.tables.lock(ShardKey::task(tid), ShardMode::Exclusive);

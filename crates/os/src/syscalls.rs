@@ -495,10 +495,10 @@ impl TaskHandle {
         self.syscall("close", OWN_PROC, |st| {
             let pid = st.task(self.tid)?.process;
             let file = st.fd_remove(pid, fd)?;
-            if let Some(end) = file.pipe_end() {
-                st.pipe_end_closed(file.inode, end)?;
+            if file.end == FdEnd::File {
+                return Ok(());
             }
-            Ok(())
+            st.fd_closed(file.inode)
         })
     }
 
@@ -773,7 +773,6 @@ impl TaskHandle {
                         _ => 0,
                     },
                     labels: inode.labels().clone(),
-                    nlink: inode.nlink,
                 })
             })
         })
@@ -884,7 +883,7 @@ impl TaskHandle {
             let sec = st.task_sec(self.tid)?;
             let capacity = self.kernel.quotas.pipe_capacity;
             let ino = st.alloc_inode(
-                InodeKind::Pipe { buffer: PipeBuffer::new(capacity) },
+                InodeKind::Pipe { buffer: PipeBuffer::new(capacity), fds: 2 },
                 sec.labels.clone(),
             )?;
             let pid = self.pid;
@@ -910,6 +909,7 @@ impl TaskHandle {
                 InodeKind::Socket {
                     ab: PipeBuffer::new(capacity),
                     ba: PipeBuffer::new(capacity),
+                    fds: 2,
                 },
                 sec.labels.clone(),
             )?;
@@ -1017,18 +1017,12 @@ impl TaskHandle {
             let me = st.task(self.tid)?;
             let (user, my_pid) = (me.user, me.process);
             let parent = st.proc(my_pid)?;
-            let (cwd, fds, binary) =
-                (parent.cwd, parent.fds.clone_for_fork(), parent.image.binary.clone());
-            // Duplicated pipe ends gain reader/writer references.
-            let pipe_refs: Vec<(InodeId, PipeEnd)> = fds
-                .iter()
-                .filter_map(|(_, f)| f.pipe_end().map(|e| (f.inode, e)))
-                .collect();
-            for (ino, end) in pipe_refs {
-                st.pipe_end_opened(ino, end)?;
+            let (cwd, fds) = (parent.cwd, parent.fds.clone_for_fork());
+            for ino in fds.counted_inodes() {
+                st.fd_opened(ino)?;
             }
             let child_sec = TaskSec::new(sec.labels.clone(), child_caps);
-            st.spawn_process(user, child_sec, cwd, fds, binary)
+            st.spawn_process(user, child_sec, cwd, fds)
         })?;
         Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid, pid })
     }
@@ -1069,22 +1063,20 @@ impl TaskHandle {
         Ok(TaskHandle { kernel: Arc::clone(&self.kernel), tid, pid: self.pid })
     }
 
-    /// `exec`: replaces the process image with the named binary file.
-    /// Reading the binary is an information flow file → task, so a task
-    /// cannot exec a binary whose integrity it does not accept — this is
-    /// the plugin-vouching pattern of §3.3.
+    /// `exec`: reads the named binary file and replaces the process image
+    /// with a fresh one. Reading the binary is an information flow file →
+    /// task, so a task cannot exec a binary whose integrity it does not
+    /// accept — this is the plugin-vouching pattern of §3.3.
     ///
     /// # Errors
     /// [`OsError::NotFound`]; flow vetoes.
     pub fn exec(&self, path: &str) -> OsResult<()> {
         self.syscall("exec", OWN_PROC, |st| {
             let sec = st.task_sec(self.tid)?;
-            let binary =
-                self.kernel.lookup(st, &sec, self.pid, path, true, |st, found| {
-                    self.kernel.check_inode(st, &sec, found.existing()?, Access::Read)?;
-                    Ok(found.name.to_string())
-                })?;
-            *st.proc_image_mut(self.pid)? = ProcImage::new(binary);
+            self.kernel.lookup(st, &sec, self.pid, path, true, |st, found| {
+                self.kernel.check_inode(st, &sec, found.existing()?, Access::Read)
+            })?;
+            *st.proc_image_mut(self.pid)? = ProcImage::new();
             Ok(())
         })
     }
@@ -1104,15 +1096,10 @@ impl TaskHandle {
             let tasks = st.proc_tasks_mut(pid)?;
             tasks.retain(|&x| x != self.tid);
             if tasks.is_empty() {
-                let pipe_ends: Vec<(InodeId, PipeEnd)> = st
-                    .proc(pid)?
-                    .fds
-                    .iter()
-                    .filter_map(|(_, f)| f.pipe_end().map(|e| (f.inode, e)))
-                    .collect();
+                let counted = st.proc(pid)?.fds.counted_inodes();
                 st.remove_process(pid)?;
-                for (ino, end) in pipe_ends {
-                    st.pipe_end_closed(ino, end)?;
+                for ino in counted {
+                    st.fd_closed(ino)?;
                 }
             }
             Ok(())

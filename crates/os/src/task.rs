@@ -90,7 +90,6 @@ pub struct VmArea {
 /// the pre-image of a task a syscall destroys.
 #[derive(Clone, Debug)]
 pub(crate) struct TaskStruct {
-    #[allow(dead_code)] // kept for parity with task_struct; shown in Debug dumps
     pub id: TaskId,
     pub process: ProcessId,
     pub user: UserId,
@@ -110,21 +109,19 @@ impl TaskStruct {
     }
 }
 
-/// The part of a process that `exec` replaces: its memory maps and the
-/// binary name. The undo journal saves it whole, since it belongs to
-/// the calling process alone.
+/// The part of a process that `exec` replaces: its memory maps. The
+/// undo journal saves it whole, since it belongs to the calling process
+/// alone.
 #[derive(Clone, Debug)]
 pub(crate) struct ProcImage {
     pub vm_areas: Vec<VmArea>,
     pub next_mmap_page: u64,
-    /// Name of the binary last `exec`ed; purely informational.
-    pub binary: String,
 }
 
 impl ProcImage {
-    /// A fresh image running `binary` with no mappings.
-    pub(crate) fn new(binary: String) -> Self {
-        ProcImage { vm_areas: Vec::new(), next_mmap_page: 0x1000, binary }
+    /// A fresh image with no mappings.
+    pub(crate) fn new() -> Self {
+        ProcImage { vm_areas: Vec::new(), next_mmap_page: 0x1000 }
     }
 }
 
@@ -133,8 +130,6 @@ impl ProcImage {
 /// `Clone` exists for the syscall undo journal (see [`TaskStruct`]).
 #[derive(Clone, Debug)]
 pub(crate) struct ProcessStruct {
-    #[allow(dead_code)] // kept for parity with the kernel's process table
-    pub id: ProcessId,
     pub tasks: Vec<TaskId>,
     pub fds: FdTable,
     pub cwd: InodeId,
@@ -146,14 +141,13 @@ pub(crate) struct ProcessStruct {
 
 impl ProcessStruct {
     /// A fresh single-task process with an empty fd table.
-    pub(crate) fn fresh(id: ProcessId, task: TaskId, cwd: InodeId) -> Self {
+    pub(crate) fn fresh(task: TaskId, cwd: InodeId) -> Self {
         ProcessStruct {
-            id,
             tasks: vec![task],
             fds: FdTable::default(),
             cwd,
             trusted_vm: false,
-            image: ProcImage::new(String::from("init")),
+            image: ProcImage::new(),
         }
     }
 }

@@ -69,7 +69,7 @@ use crate::task::{
     ProcImage, ProcessId, ProcessStruct, Signal, TaskId, TaskSec, TaskStruct, UserId,
     VmArea,
 };
-use crate::vfs::file::{Fd, FdTable, OpenFile, PipeEnd};
+use crate::vfs::file::{Fd, FdTable, OpenFile};
 use crate::vfs::inode::{Buf, Inode, InodeId, InodeKind, Xattrs};
 use crate::vfs::pipe::{PipeBuffer, Popped};
 use laminar_difc::{CapSet, Capability, SecPair, Tag};
@@ -248,8 +248,8 @@ enum Undo {
     PipePush(InodeId, Buf),
     /// What one read took off a buffer's head.
     PipePop(InodeId, Buf, Popped),
-    /// A pipe's `(readers, writers)` before an end was opened or closed.
-    PipeRefs(InodeId, (u32, u32)),
+    /// A pipe's or socket's fd count before `fork`, `close` or `exit` changed it.
+    FdCount(InodeId, u32),
     /// An fd installed (it was the fd counter's value before).
     FdInsert(ProcessId, Fd),
     FdRemove(ProcessId, Fd, OpenFile),
@@ -299,7 +299,7 @@ impl Undo {
 }
 
 fn image_heap(image: &ProcImage) -> usize {
-    image.vm_areas.len() * size_of::<VmArea>() + image.binary.len()
+    image.vm_areas.len() * size_of::<VmArea>()
 }
 
 fn inode_heap(kind: &InodeKind) -> usize {
@@ -308,8 +308,8 @@ fn inode_heap(kind: &InodeKind) -> usize {
         InodeKind::Dir { entries } => {
             entries.keys().map(|name| size_of::<(String, InodeId)>() + name.len()).sum()
         }
-        InodeKind::Pipe { buffer } => buffer.heap_bytes(),
-        InodeKind::Socket { ab, ba } => ab.heap_bytes() + ba.heap_bytes(),
+        InodeKind::Pipe { buffer, .. } => buffer.heap_bytes(),
+        InodeKind::Socket { ab, ba, .. } => ab.heap_bytes() + ba.heap_bytes(),
         InodeKind::Symlink { target } => target.len(),
         InodeKind::NullDevice => 0,
     }
@@ -514,7 +514,7 @@ impl<'a> Txn<'a> {
             }
             Undo::PipePush(ino, which) => self.buffer(ino, which)?.unpush(),
             Undo::PipePop(ino, which, popped) => self.buffer(ino, which)?.unpop(popped),
-            Undo::PipeRefs(ino, refs) => self.buffer(ino, Buf::Pipe)?.set_refs(refs),
+            Undo::FdCount(ino, old) => *self.fd_count(ino)? = old,
             Undo::FdInsert(pid, fd) => self.proc_entry(pid)?.fds.uninsert(fd),
             Undo::FdRemove(pid, fd, file) => self.proc_entry(pid)?.fds.unremove(fd, file),
             Undo::FdOffset(pid, fd, off) => {
@@ -717,8 +717,8 @@ impl<'a> Txn<'a> {
         Ok(())
     }
 
-    /// Mutable access to a process's image (maps and binary; saved
-    /// whole, like the thread list).
+    /// Mutable access to a process's image (its maps; saved whole, like
+    /// the thread list).
     pub(crate) fn proc_image_mut(&mut self, pid: ProcessId) -> OsResult<&mut ProcImage> {
         let old = self.proc_entry(pid)?.image.clone();
         self.record(Undo::ProcImage(pid, old));
@@ -814,39 +814,32 @@ impl<'a> Txn<'a> {
         Ok(cap)
     }
 
-    /// Counts one more reference to a pipe end (`fork` duplicates it).
-    pub(crate) fn pipe_end_opened(&mut self, ino: InodeId, end: PipeEnd) -> OsResult<()> {
-        self.update_pipe_refs(ino, |b| match end {
-            PipeEnd::Read => b.add_reader(),
-            PipeEnd::Write => b.add_writer(),
-        })
+    /// The fd count of a pipe or socket; a count asked of any other
+    /// inode is an internal invariant failure.
+    fn fd_count(&mut self, ino: InodeId) -> OsResult<&mut u32> {
+        self.inode_entry(ino)?.kind.fds_mut().ok_or(OsError::Internal)
     }
 
-    /// Counts one reference to a pipe end gone (`close`, `exit`).
-    pub(crate) fn pipe_end_closed(&mut self, ino: InodeId, end: PipeEnd) -> OsResult<()> {
-        self.update_pipe_refs(ino, |b| match end {
-            PipeEnd::Read => b.drop_reader(),
-            PipeEnd::Write => b.drop_writer(),
-        })
+    /// Counts one more fd naming a pipe or socket (`fork` copies it).
+    pub(crate) fn fd_opened(&mut self, ino: InodeId) -> OsResult<()> {
+        let fds = self.fd_count(ino)?;
+        let old = *fds;
+        *fds = old + 1;
+        self.record(Undo::FdCount(ino, old));
+        Ok(())
     }
 
-    /// Applies `f` to a pipe's reference counts. A missing inode is
-    /// tolerated, but lock-order restarts still propagate.
-    fn update_pipe_refs(
-        &mut self,
-        ino: InodeId,
-        f: impl FnOnce(&mut PipeBuffer),
-    ) -> OsResult<()> {
-        let Some(buffer) = self
-            .inodes_mut(ino)?
-            .get_mut(&ino)
-            .and_then(|i| i.kind.buffer_mut(Buf::Pipe))
-        else {
-            return Ok(());
-        };
-        let old = buffer.refs();
-        f(buffer);
-        self.record(Undo::PipeRefs(ino, old));
+    /// Counts one fd naming a pipe or socket gone (`close`, a process's
+    /// last `exit`). The last one destroys the inode, whose pre-image
+    /// keeps the count and the queued messages for rollback.
+    pub(crate) fn fd_closed(&mut self, ino: InodeId) -> OsResult<()> {
+        let fds = self.fd_count(ino)?;
+        let old = *fds;
+        if old <= 1 {
+            return self.remove_inode(ino);
+        }
+        *fds = old - 1;
+        self.record(Undo::FdCount(ino, old));
         Ok(())
     }
 
@@ -893,8 +886,7 @@ impl<'a> Txn<'a> {
         }
         let above = self.guards.last().map(|g| g.key);
         let id = self.ids.inodes.next(|| self.kernel.inode_ids.mint(above));
-        self.inodes_mut(id)?
-            .insert(id, Inode { id, kind, xattrs: Xattrs { labels }, nlink: 1 });
+        self.inodes_mut(id)?.insert(id, Inode { id, kind, xattrs: Xattrs { labels } });
         self.kernel.inode_ids.inserted(id);
         self.record(Undo::Inode(id, None));
         Ok(id)
@@ -1008,23 +1000,21 @@ impl<'a> Txn<'a> {
     }
 
     /// Spawns a fresh single-task process (used by `fork`) running as
-    /// `user` with security context `sec`, the given cwd, fd table and
-    /// binary name. Returns `(task, process)` ids.
+    /// `user` with security context `sec`, the given cwd and fd table.
+    /// Returns `(task, process)` ids.
     pub(crate) fn spawn_process(
         &mut self,
         user: UserId,
         sec: TaskSec,
         cwd: InodeId,
         fds: FdTable,
-        binary: String,
     ) -> OsResult<(TaskId, ProcessId)> {
         let tid = self.fresh_task_id();
         let pid = self.ids.proc(self.kernel);
         // Ascending domains: task shards rank below process shards.
         self.hold(ShardKey::task(tid), ShardMode::Exclusive)?;
-        let mut proc = ProcessStruct::fresh(pid, tid, cwd);
+        let mut proc = ProcessStruct::fresh(tid, cwd);
         proc.fds = fds;
-        proc.image = ProcImage::new(binary);
         self.procs_mut(pid)?.insert(pid, proc);
         self.record(Undo::Proc(pid, None));
         self.tasks_mut(tid)?.insert(tid, TaskStruct::fresh(tid, pid, user, sec));

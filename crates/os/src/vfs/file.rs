@@ -80,14 +80,6 @@ impl OpenFile {
     pub(crate) fn new(inode: InodeId, mode: OpenMode, end: FdEnd) -> Self {
         OpenFile { inode, mode, offset: 0, end }
     }
-
-    /// The pipe end this fd holds, if it is one.
-    pub(crate) fn pipe_end(&self) -> Option<PipeEnd> {
-        match self.end {
-            FdEnd::Pipe(end) => Some(end),
-            _ => None,
-        }
-    }
 }
 
 /// A process's table of open files. Fd numbers are never reused.
@@ -140,8 +132,10 @@ impl FdTable {
         FdTable { files: self.files.clone(), next: self.next }
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Fd, &OpenFile)> {
-        self.files.iter()
+    /// The inode behind each pipe and socket fd, once per fd: the fds
+    /// such an inode counts.
+    pub(crate) fn counted_inodes(&self) -> Vec<InodeId> {
+        self.files.values().filter(|f| f.end != FdEnd::File).map(|f| f.inode).collect()
     }
 
     /// Number of open descriptors (what the per-process fd quota counts).

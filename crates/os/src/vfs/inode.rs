@@ -30,12 +30,14 @@ pub(crate) enum InodeKind {
     File { data: Vec<u8> },
     /// Directory mapping names to child inodes.
     Dir { entries: BTreeMap<String, InodeId> },
-    /// A DIFC pipe (message buffer labeled by its inode).
-    Pipe { buffer: PipeBuffer },
+    /// A DIFC pipe (message buffer labeled by its inode). `fds` counts
+    /// the fds naming it, in every process: the last `close` or `exit`
+    /// destroys the inode.
+    Pipe { buffer: PipeBuffer, fds: u32 },
     /// A bidirectional local socket: two buffers, one per direction
     /// (end A writes `ab` and reads `ba`; end B the opposite). Same
-    /// silent-drop mediation as pipes.
-    Socket { ab: PipeBuffer, ba: PipeBuffer },
+    /// silent-drop mediation and fd count as pipes.
+    Socket { ab: PipeBuffer, ba: PipeBuffer, fds: u32 },
     /// A symbolic link. Following it *reads* the link inode, so a task
     /// that does not accept the link's integrity cannot be tricked
     /// through it — the §5.2 symlink-attack defence.
@@ -81,9 +83,18 @@ impl InodeKind {
     /// The named message buffer, if this inode has it.
     pub(crate) fn buffer_mut(&mut self, which: Buf) -> Option<&mut PipeBuffer> {
         match (self, which) {
-            (InodeKind::Pipe { buffer }, Buf::Pipe) => Some(buffer),
+            (InodeKind::Pipe { buffer, .. }, Buf::Pipe) => Some(buffer),
             (InodeKind::Socket { ab, .. }, Buf::SocketAb) => Some(ab),
             (InodeKind::Socket { ba, .. }, Buf::SocketBa) => Some(ba),
+            _ => None,
+        }
+    }
+
+    /// The fd count of a pipe or socket; `None` for every other kind,
+    /// whose fds the kernel does not count.
+    pub(crate) fn fds_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            InodeKind::Pipe { fds, .. } | InodeKind::Socket { fds, .. } => Some(fds),
             _ => None,
         }
     }
@@ -99,13 +110,9 @@ pub struct Xattrs {
 /// Kernel-side inode state.
 #[derive(Clone, Debug)]
 pub(crate) struct Inode {
-    #[allow(dead_code)] // inode number, shown in Debug dumps
     pub id: InodeId,
     pub kind: InodeKind,
     pub xattrs: Xattrs,
-    /// Link count; inode is reclaimed when it reaches zero and no fd is
-    /// open (we keep reclamation simple: unlink drops the entry).
-    pub nlink: u32,
 }
 
 impl Inode {
@@ -125,8 +132,6 @@ pub struct Metadata {
     pub size: u64,
     /// DIFC labels from the extended attributes.
     pub labels: SecPair,
-    /// Link count.
-    pub nlink: u32,
 }
 
 #[cfg(test)]

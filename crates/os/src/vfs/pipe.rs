@@ -10,6 +10,12 @@
 //! The buffer also carries capability messages for the
 //! `write_capability` syscall (Fig. 3): capability passing is mediated by
 //! the kernel over the same labeled channel.
+//!
+//! Since no reader waits for an EOF, a buffer keeps no reader or writer
+//! counts. The pipe or socket inode that owns it counts the fds naming
+//! it instead, whatever their end (`InodeKind::Pipe::fds`): `fork` adds
+//! one per inherited fd, and the `close` or `exit` that drops the last
+//! one destroys the inode, which returns it to the inode quota.
 
 use laminar_difc::Capability;
 use std::collections::VecDeque;
@@ -67,19 +73,11 @@ pub(crate) struct PipeBuffer {
     msgs: VecDeque<PipeMsg>,
     bytes_queued: usize,
     capacity: usize,
-    readers: u32,
-    writers: u32,
 }
 
 impl PipeBuffer {
     pub(crate) fn new(capacity: usize) -> Self {
-        PipeBuffer {
-            msgs: VecDeque::new(),
-            bytes_queued: 0,
-            capacity,
-            readers: 1,
-            writers: 1,
-        }
+        PipeBuffer { msgs: VecDeque::new(), bytes_queued: 0, capacity }
     }
 
     /// Attempts to enqueue bytes. Returns `true` if the message was
@@ -177,32 +175,9 @@ impl PipeBuffer {
         }
     }
 
-    /// `(readers, writers)` reference counts.
-    pub(crate) fn refs(&self) -> (u32, u32) {
-        (self.readers, self.writers)
-    }
-
-    pub(crate) fn set_refs(&mut self, (readers, writers): (u32, u32)) {
-        self.readers = readers;
-        self.writers = writers;
-    }
-
     /// Heap bytes held by queued messages (undo-size accounting).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.msgs.iter().map(PipeMsg::heap_bytes).sum()
-    }
-
-    pub(crate) fn add_reader(&mut self) {
-        self.readers += 1;
-    }
-    pub(crate) fn add_writer(&mut self) {
-        self.writers += 1;
-    }
-    pub(crate) fn drop_reader(&mut self) {
-        self.readers = self.readers.saturating_sub(1);
-    }
-    pub(crate) fn drop_writer(&mut self) {
-        self.writers = self.writers.saturating_sub(1);
     }
 
     /// Bytes currently queued.
@@ -331,16 +306,5 @@ mod tests {
         p.unpop(Popped::cap(c));
         assert_eq!(p.pop_cap(), Some(c));
         assert_eq!(p.msg_count(), 0);
-    }
-
-    #[test]
-    fn reader_writer_counts() {
-        let mut p = PipeBuffer::new(8);
-        p.add_reader();
-        p.add_writer();
-        p.drop_reader();
-        p.drop_reader();
-        p.drop_reader(); // saturates at zero
-        p.drop_writer();
     }
 }

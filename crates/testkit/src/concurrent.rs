@@ -28,7 +28,9 @@
 //! sequentially it is delta-debugged with the same shrinker the
 //! single-threaded explorer uses ([`crate::shrink_with`]).
 
-use crate::explore::{env_u64, shrink_with, Divergence, ExploreReport};
+use crate::explore::{
+    env_count, env_seeds, shrink_with, write_artifact, Divergence, ExploreReport,
+};
 use crate::oracle::{Oracle, Outcome};
 use crate::replay::KernelReplay;
 use crate::trace::{Op, SETUP_TAGS};
@@ -415,24 +417,11 @@ impl ConcurrentConfig {
     /// `TESTKIT_CONC_OPS` and `TESTKIT_CONC_THREADS` volume knobs.
     #[must_use]
     pub fn from_env() -> Self {
-        let seeds = if let Some(s) = env_u64("TESTKIT_SEED") {
-            vec![s]
-        } else {
-            let base = env_u64("TESTKIT_SEED_BASE").unwrap_or(Self::DEFAULT_SEED_BASE);
-            let n = env_u64("TESTKIT_SEEDS")
-                .map_or(Self::DEFAULT_SEEDS, |n| n as usize)
-                .max(1);
-            (0..n as u64).map(|i| base.wrapping_add(i)).collect()
-        };
         ConcurrentConfig {
-            seeds,
-            traces_per_seed: env_u64("TESTKIT_CONC_TRACES")
-                .map_or(Self::DEFAULT_TRACES, |n| n as usize),
-            ops_per_trace: env_u64("TESTKIT_CONC_OPS")
-                .map_or(Self::DEFAULT_OPS, |n| n as usize),
-            threads: env_u64("TESTKIT_CONC_THREADS")
-                .map_or(Self::DEFAULT_THREADS, |n| n as usize)
-                .max(3),
+            seeds: env_seeds(Self::DEFAULT_SEED_BASE, Self::DEFAULT_SEEDS),
+            traces_per_seed: env_count("TESTKIT_CONC_TRACES", Self::DEFAULT_TRACES),
+            ops_per_trace: env_count("TESTKIT_CONC_OPS", Self::DEFAULT_OPS),
+            threads: env_count("TESTKIT_CONC_THREADS", Self::DEFAULT_THREADS).max(3),
             mix: TraceMix::Full,
         }
     }
@@ -468,7 +457,8 @@ pub fn explore_concurrent(
                     cex.divergence = divergence;
                     cex.deterministic = true;
                 }
-                write_concurrent_artifact(&cex);
+                let file = format!("concurrent_counterexample_{:#018x}.txt", cex.seed);
+                write_artifact(&file, &format!("{cex:#?}\n"));
                 return Err(cex);
             }
             traces_run += 1;
@@ -476,17 +466,6 @@ pub fn explore_concurrent(
         }
     }
     Ok(ExploreReport { traces_run, ops_run })
-}
-
-fn write_concurrent_artifact(cex: &ConcurrentCounterexample) {
-    let Ok(dir) = std::env::var("TESTKIT_ARTIFACT_DIR") else { return };
-    if dir.is_empty() {
-        return;
-    }
-    let _ = std::fs::create_dir_all(&dir);
-    let path = format!("{dir}/concurrent_counterexample_{:#018x}.txt", cex.seed);
-    let _ = std::fs::write(&path, format!("{cex:#?}\n"));
-    eprintln!("testkit: wrote concurrent counterexample to {path}");
 }
 
 /// Runs the environment-configured concurrent exploration and panics

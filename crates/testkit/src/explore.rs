@@ -217,27 +217,33 @@ impl ExploreConfig {
     /// Numbers accept decimal or `0x`-prefixed hex.
     #[must_use]
     pub fn from_env(plan: FaultPlan) -> Self {
-        let seeds = if let Some(s) = env_u64("TESTKIT_SEED") {
-            vec![s]
-        } else {
-            let base = env_u64("TESTKIT_SEED_BASE").unwrap_or(Self::DEFAULT_SEED_BASE);
-            let n = env_u64("TESTKIT_SEEDS")
-                .map_or(Self::DEFAULT_SEEDS, |n| n as usize)
-                .max(1);
-            (0..n as u64).map(|i| base.wrapping_add(i)).collect()
-        };
         ExploreConfig {
-            seeds,
-            traces_per_seed: env_u64("TESTKIT_TRACES")
-                .map_or(Self::DEFAULT_TRACES, |n| n as usize),
-            ops_per_trace: env_u64("TESTKIT_OPS")
-                .map_or(Self::DEFAULT_OPS, |n| n as usize),
+            seeds: env_seeds(Self::DEFAULT_SEED_BASE, Self::DEFAULT_SEEDS),
+            traces_per_seed: env_count("TESTKIT_TRACES", Self::DEFAULT_TRACES),
+            ops_per_trace: env_count("TESTKIT_OPS", Self::DEFAULT_OPS),
             plan,
         }
     }
 }
 
-pub(crate) fn env_u64(name: &str) -> Option<u64> {
+/// The top-level seeds the environment names: `TESTKIT_SEED` alone, or
+/// `TESTKIT_SEEDS` (at least one) consecutive seeds from
+/// `TESTKIT_SEED_BASE`, with the caller's defaults for what is unset.
+pub(crate) fn env_seeds(default_base: u64, default_seeds: usize) -> Vec<u64> {
+    if let Some(s) = env_u64("TESTKIT_SEED") {
+        return vec![s];
+    }
+    let base = env_u64("TESTKIT_SEED_BASE").unwrap_or(default_base);
+    let n = env_count("TESTKIT_SEEDS", default_seeds).max(1);
+    (0..n as u64).map(|i| base.wrapping_add(i)).collect()
+}
+
+/// The count in variable `name`, or `default` if it is unset.
+pub(crate) fn env_count(name: &str, default: usize) -> usize {
+    env_u64(name).map_or(default, |n| n as usize)
+}
+
+fn env_u64(name: &str) -> Option<u64> {
     let v = std::env::var(name).ok()?;
     let v = v.trim();
     let parsed = if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X"))
@@ -279,7 +285,8 @@ pub fn explore(cfg: &ExploreConfig) -> Result<ExploreReport, Box<Counterexample>
             if run_trace(&ops, &cfg.plan).is_err() {
                 let (min_ops, divergence) = shrink(&ops, &cfg.plan);
                 let cex = Counterexample { seed: trace_seed, ops: min_ops, divergence };
-                write_artifact(&cex);
+                let file = format!("counterexample_{:#018x}.rs", cex.seed);
+                write_artifact(&file, &render_regression_test(&cex));
                 return Err(Box::new(cex));
             }
             traces_run += 1;
@@ -289,15 +296,17 @@ pub fn explore(cfg: &ExploreConfig) -> Result<ExploreReport, Box<Counterexample>
     Ok(ExploreReport { traces_run, ops_run })
 }
 
-fn write_artifact(cex: &Counterexample) {
+/// Writes a counterexample to `file` in `TESTKIT_ARTIFACT_DIR`, if that
+/// is set and not empty (nightly CI uploads the directory).
+pub(crate) fn write_artifact(file: &str, contents: &str) {
     let Ok(dir) = std::env::var("TESTKIT_ARTIFACT_DIR") else { return };
     if dir.is_empty() {
         return;
     }
     let _ = std::fs::create_dir_all(&dir);
-    let path = format!("{dir}/counterexample_{:#018x}.rs", cex.seed);
-    let _ = std::fs::write(&path, render_regression_test(cex));
-    eprintln!("testkit: wrote shrunk counterexample to {path}");
+    let path = format!("{dir}/{file}");
+    let _ = std::fs::write(&path, contents);
+    eprintln!("testkit: wrote counterexample to {path}");
 }
 
 /// Replays a committed trace and panics with full detail on divergence

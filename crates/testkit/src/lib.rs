@@ -16,7 +16,7 @@
 //!   trace generator.
 //! * [`replay`] — [`KernelReplay`], the adapter that executes each op
 //!   through the real syscall/VM surface and normalizes the result.
-//! * [`explore`] — the conformance loop: replay both sides in
+//! * [`mod@explore`] — the conformance loop: replay both sides in
 //!   lockstep, diff outcomes and states, shrink failures to minimal
 //!   committed regression tests.
 //! * [`fault`] — periodic lock poisoning, under which every verdict

@@ -171,11 +171,11 @@ fn late_abort_of_a_pipe_end_close_keeps_the_end_open() {
     let (k, alice) = boot();
     let (r, w) = alice.pipe().unwrap();
     abort_late(&k, || alice.close(w));
-    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 2);
     alice.write(w, b"still open").unwrap();
     assert_eq!(alice.read(r, 64).unwrap(), b"still open");
     alice.close(w).unwrap();
-    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 0));
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 1);
 }
 
 #[test]
@@ -183,17 +183,17 @@ fn late_abort_of_fork_and_of_the_last_exit_restores_pipe_references() {
     let (k, alice) = boot();
     let (r, _w) = alice.pipe().unwrap();
     abort_late(&k, || alice.fork(None));
-    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 2);
 
     let child = alice.fork(None).unwrap();
-    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (2, 2));
-    // The child's only task exits: the process and its pipe ends go.
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 4);
+    // The child's only task exits: the process and its pipe fds go.
     abort_late(&k, || child.exit());
-    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (2, 2));
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 4);
     assert!(child.current_labels().is_ok(), "the aborted exit left the child alive");
-    assert_eq!(k.pipe_ends_for_test(&child, r).unwrap(), (2, 2));
+    assert_eq!(k.pipe_fds_for_test(&child, r).unwrap(), 4);
     child.exit().unwrap();
-    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 2);
 }
 
 #[test]
@@ -203,9 +203,89 @@ fn late_abort_of_spawn_thread_leaves_no_phantom_thread() {
     let child = alice.fork(None).unwrap();
     abort_late(&k, || child.spawn_thread(None));
     // Had the aborted thread stayed in the child's thread list, this
-    // exit would not be the last one and the pipe ends would stay.
+    // exit would not be the last one and the child's pipe fds would stay.
     child.exit().unwrap();
-    assert_eq!(k.pipe_ends_for_test(&alice, r).unwrap(), (1, 1));
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 2);
+}
+
+/// A kernel with room for exactly one inode beyond the boot tree and
+/// alice's home, and alice logged in.
+fn boot_with_one_spare_inode() -> (Arc<Kernel>, TaskHandle) {
+    let k = Kernel::boot_with_quotas(
+        LaminarModule,
+        Quotas { max_inodes: 8, ..Quotas::default() },
+    );
+    k.add_user(UserId(1), "alice");
+    let alice = k.login(UserId(1)).unwrap();
+    let (r, w) = alice.pipe().unwrap();
+    let err = alice.pipe().unwrap_err();
+    assert!(matches!(err, OsError::QuotaExceeded("inodes")), "got {err:?}");
+    alice.close(r).unwrap();
+    alice.close(w).unwrap();
+    (k, alice)
+}
+
+#[test]
+fn closing_every_fd_of_a_pipe_or_socket_frees_its_inode() {
+    let (_k, alice) = boot_with_one_spare_inode();
+    for _ in 0..100 {
+        let (r, w) = alice.pipe().unwrap();
+        alice.write(w, b"left unread").unwrap();
+        alice.close(r).unwrap();
+        alice.close(w).unwrap();
+    }
+    for _ in 0..100 {
+        let (a, b) = alice.socketpair().unwrap();
+        alice.close(a).unwrap();
+        alice.close(b).unwrap();
+    }
+    // A forked child's socket fds count too: the inode outlives the
+    // parent's closes and goes with the child's last exit.
+    let (a, b) = alice.socketpair().unwrap();
+    let child = alice.fork(None).unwrap();
+    alice.close(a).unwrap();
+    alice.close(b).unwrap();
+    assert!(matches!(alice.pipe(), Err(OsError::QuotaExceeded("inodes"))));
+    child.write(a, b"ping").unwrap();
+    assert_eq!(child.read(b, 16).unwrap(), b"ping");
+    child.exit().unwrap();
+    let fd = alice.create("/home/alice/after").unwrap();
+    alice.close(fd).unwrap();
+}
+
+#[test]
+fn late_abort_of_the_last_close_keeps_the_pipe_inode() {
+    let (k, alice) = boot_with_one_spare_inode();
+    let (r, w) = alice.pipe().unwrap();
+    alice.write(w, b"queued").unwrap();
+    alice.close(w).unwrap();
+    abort_late(&k, || alice.close(r));
+    assert_eq!(k.pipe_fds_for_test(&alice, r).unwrap(), 1);
+    assert_eq!(alice.pipe_queued_for_test(r).unwrap(), 6);
+    assert!(matches!(alice.pipe(), Err(OsError::QuotaExceeded("inodes"))));
+    alice.close(r).unwrap();
+    let (r, w) = alice.pipe().unwrap();
+    assert_eq!(alice.pipe_queued_for_test(r).unwrap(), 0);
+    alice.close(r).unwrap();
+    alice.close(w).unwrap();
+}
+
+#[test]
+fn late_abort_of_the_last_exit_keeps_the_pipe_inode() {
+    let (k, alice) = boot_with_one_spare_inode();
+    let (r, w) = alice.pipe().unwrap();
+    alice.write(w, b"queued").unwrap();
+    let child = alice.fork(None).unwrap();
+    alice.close(r).unwrap();
+    alice.close(w).unwrap();
+    abort_late(&k, || child.exit());
+    assert_eq!(k.pipe_fds_for_test(&child, r).unwrap(), 2);
+    assert_eq!(child.pipe_queued_for_test(r).unwrap(), 6);
+    assert!(matches!(alice.pipe(), Err(OsError::QuotaExceeded("inodes"))));
+    child.exit().unwrap();
+    let (r, w) = alice.pipe().unwrap();
+    alice.close(r).unwrap();
+    alice.close(w).unwrap();
 }
 
 #[test]

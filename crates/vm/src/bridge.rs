@@ -17,19 +17,14 @@ use std::fmt;
 /// [`crate::VmError::Os`] exceptions; the runtime crate maps real
 /// `OsError`s into them.
 pub trait OsBridge: Send {
-    /// `set_task_label`: push the region's labels to the kernel task.
+    /// `set_task_label`: push the region's labels to the kernel task,
+    /// via the trusted `tcb` path. A region that had synced restores
+    /// the unlabeled state the same way when it exits: the thread itself
+    /// may lack the declassification capabilities (§4.4).
     ///
     /// # Errors
     /// If the kernel rejects the label change.
     fn sync_labels(&mut self, labels: &SecPair) -> Result<(), String>;
-
-    /// Restore the kernel task's labels after a region that had synced
-    /// exits (via the trusted `tcb` path — the thread itself may lack
-    /// the declassification capabilities, §4.4).
-    ///
-    /// # Errors
-    /// If the kernel rejects the restoration.
-    fn restore_labels(&mut self, labels: &SecPair) -> Result<(), String>;
 
     /// Write one byte to the named file (creating it, labeled with the
     /// task's current labels, if absent).
@@ -66,9 +61,6 @@ pub struct NoOs;
 
 impl OsBridge for NoOs {
     fn sync_labels(&mut self, _labels: &SecPair) -> Result<(), String> {
-        Err("no OS attached".into())
-    }
-    fn restore_labels(&mut self, _labels: &SecPair) -> Result<(), String> {
         Err("no OS attached".into())
     }
     fn write_byte(&mut self, _path: &str, _byte: u8) -> Result<(), String> {

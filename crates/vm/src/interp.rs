@@ -563,7 +563,7 @@ impl Vm {
         // next syscall in an outer region will re-sync lazily.
         if self.kernel_labels.as_ref() == Some(&self.labels) {
             if let Some(bridge) = self.bridge.as_mut() {
-                bridge.restore_labels(&SecPair::unlabeled()).map_err(VmError::Os)?;
+                bridge.sync_labels(&SecPair::unlabeled()).map_err(VmError::Os)?;
             }
             self.kernel_labels = None;
         } else if !self.labels.is_unlabeled() {
@@ -584,7 +584,7 @@ impl Vm {
         }
         let bridge = self.bridge.as_mut().ok_or_else(no_bridge)?;
         if self.labels.is_unlabeled() {
-            bridge.restore_labels(&SecPair::unlabeled()).map_err(VmError::Os)?;
+            bridge.sync_labels(&SecPair::unlabeled()).map_err(VmError::Os)?;
             self.kernel_labels = None;
         } else {
             bridge.sync_labels(&self.labels).map_err(VmError::Os)?;
