@@ -70,7 +70,7 @@ impl<T> Labeled<T> {
     ) -> LaminarResult<R> {
         {
             let mut st = guard.state().lock();
-            self.labels.can_flow_to(&st.labels)?;
+            self.labels.can_flow_to(st.regions.labels())?;
             st.stats.labeled_reads += 1;
         }
         Ok(f(&self.cell.read()))
@@ -88,7 +88,7 @@ impl<T> Labeled<T> {
     ) -> LaminarResult<R> {
         {
             let mut st = guard.state().lock();
-            st.labels.can_flow_to(&self.labels)?;
+            st.regions.labels().can_flow_to(&self.labels)?;
             st.stats.labeled_writes += 1;
         }
         Ok(f(&mut self.cell.write()))
@@ -110,7 +110,7 @@ impl<T> Labeled<T> {
                     let mut st = state.lock();
                     st.stats.dynamic_dispatches += 1;
                     st.stats.labeled_reads += 1;
-                    self.labels.can_flow_to(&st.labels)?;
+                    self.labels.can_flow_to(st.regions.labels())?;
                 }
                 Ok(f(&self.cell.read()))
             }
@@ -135,7 +135,7 @@ impl<T> Labeled<T> {
                     let mut st = state.lock();
                     st.stats.dynamic_dispatches += 1;
                     st.stats.labeled_writes += 1;
-                    st.labels.can_flow_to(&self.labels)?;
+                    st.regions.labels().can_flow_to(&self.labels)?;
                 }
                 Ok(f(&mut self.cell.write()))
             }

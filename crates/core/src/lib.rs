@@ -76,7 +76,7 @@ mod vmbridge;
 
 pub use error::{LaminarError, LaminarResult};
 pub use labeled::Labeled;
-pub use principal::{check_region_entry, Principal, RegionGuard, RegionParams};
+pub use principal::{Principal, RegionGuard, RegionParams};
 pub use runtime::Laminar;
 pub use stats::{fault_stats, FaultStats, RuntimeStats};
 pub use vmbridge::KernelBridge;

@@ -2,8 +2,9 @@
 //!
 //! Laminar's principals are kernel threads (§3); in this runtime a
 //! [`Principal`] binds one kernel task to the VM-level state the paper
-//! keeps in the Jikes thread object: the current labels and capabilities,
-//! the region stack, and the lazy kernel-synchronisation flag.
+//! keeps in the Jikes thread object: the current labels and capabilities
+//! and the region stack, one [`laminar_difc::RegionStack`] shared in
+//! kind with the MiniVM.
 //!
 //! [`Principal::secure`] is the `secure(..) {..} catch {..}` construct
 //! (§4.2/§4.3): a lexically scoped closure that runs with the region's
@@ -14,27 +15,14 @@
 use crate::error::{LaminarError, LaminarResult};
 use crate::labeled::Labeled;
 use crate::stats::{RegionSampler, RegionTimer, RuntimeStats};
-use laminar_difc::{CapKind, CapSet, Capability, Label, LabelType, SecPair, Tag};
-use laminar_os::{TaskHandle, UserId};
+use laminar_difc::{
+    CapKind, CapSet, Capability, Label, LabelType, RegionDebt, RegionStack, SecPair, Tag,
+};
+use laminar_os::{OsError, OsResult, TaskHandle, UserId};
 use laminar_util::sync::Mutex;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// One security-region stack frame.
-#[derive(Debug)]
-struct Frame {
-    saved_labels: SecPair,
-    saved_caps: CapSet,
-    /// Kernel capabilities suspended for the scope of this region
-    /// (`drop_capabilities` with the tmp flag; restored at exit).
-    /// Filled in lazily at the first syscall — a region that never
-    /// enters the kernel costs no kernel traffic at all (§4.4's lazy
-    /// `set_task_label` optimization, extended to capability state).
-    suspended: CapSet,
-    /// The region timer, running only in a timed outermost region.
-    timer: Option<RegionTimer>,
-}
 
 /// VM-level thread state (the paper's per-thread label/capability cache,
 /// §5.1 "The JVM then caches a copy of the current capabilities of each
@@ -44,11 +32,9 @@ struct Frame {
 /// exit and every barrier check and count under one lock.
 #[derive(Debug)]
 pub(crate) struct ThreadState {
-    pub(crate) labels: SecPair,
-    pub(crate) caps: CapSet,
-    frames: Vec<Frame>,
-    /// Kernel task currently carries `labels` (lazy sync, §4.4).
-    synced: bool,
+    pub(crate) regions: RegionStack,
+    /// The region timer, running only in a timed outermost region.
+    timer: Option<RegionTimer>,
     pub(crate) stats: RuntimeStats,
     sampler: RegionSampler,
 }
@@ -56,19 +42,52 @@ pub(crate) struct ThreadState {
 impl ThreadState {
     pub(crate) fn new(caps: CapSet) -> Self {
         ThreadState {
-            labels: SecPair::unlabeled(),
-            caps,
-            frames: Vec::new(),
-            synced: false,
+            regions: RegionStack::new(caps),
+            timer: None,
             stats: RuntimeStats::default(),
             sampler: RegionSampler::default(),
         }
     }
+}
 
-    /// Is the thread currently inside any security region?
-    pub(crate) fn in_region(&self) -> bool {
-        !self.frames.is_empty()
+/// Tells `task` the innermost region's context if it does not carry it
+/// yet (§4.4's lazy sync): suspends the capabilities the region did not
+/// keep and pushes its labels through the trusted `tcb` thread `vm_task`.
+/// Returns whether a sync was made.
+pub(crate) fn sync_region(
+    task: &TaskHandle,
+    vm_task: &TaskHandle,
+    regions: &mut RegionStack,
+) -> OsResult<bool> {
+    if !regions.needs_sync() {
+        return Ok(false);
     }
+    let (suspend, labels) = regions.sync(&task.current_caps()?);
+    if !suspend.is_empty() {
+        task.drop_capabilities(&suspend.iter().collect::<Vec<_>>())?;
+    }
+    if let Some(labels) = labels {
+        vm_task.set_task_labels_tcb(task.id(), labels)?;
+    }
+    regions.synced();
+    Ok(true)
+}
+
+/// Pays what an exited region owes `task` through the trusted `tcb`
+/// thread `vm_task`: the thread itself may lack the minus capabilities
+/// (§4.4).
+pub(crate) fn settle_region(
+    task: &TaskHandle,
+    vm_task: &TaskHandle,
+    debt: &RegionDebt,
+) -> OsResult<()> {
+    if debt.drop_labels {
+        vm_task.set_task_labels_tcb(task.id(), SecPair::unlabeled())?;
+    }
+    if !debt.regrant.is_empty() {
+        vm_task.grant_capabilities_tcb(task.id(), &debt.regrant)?;
+    }
+    Ok(())
 }
 
 thread_local! {
@@ -143,30 +162,6 @@ impl RegionParams {
     }
 }
 
-/// Checks the security-region entry rules of §4.3.2
-/// ([`laminar_difc::check_region_entry`]) for a thread with the given
-/// `labels` and `caps` against `params`, without entering.
-/// [`Principal::secure`] runs exactly this check before swapping in the
-/// region's context; it is public so the model-based conformance
-/// testkit can replay region-entry events against its reference oracle.
-///
-/// # Errors
-/// [`LaminarError::RegionEntry`] naming the violated rule.
-pub fn check_region_entry(
-    labels: &SecPair,
-    caps: &CapSet,
-    params: &RegionParams,
-) -> LaminarResult<()> {
-    laminar_difc::check_region_entry(
-        labels,
-        caps,
-        &params.secrecy,
-        &params.integrity,
-        &params.caps,
-    )
-    .map_err(LaminarError::RegionEntry)
-}
-
 /// A kernel-thread principal bound to the Laminar runtime.
 ///
 /// Obtained from [`crate::Laminar::login`] (or
@@ -196,19 +191,19 @@ impl Principal {
     /// Is this principal currently executing inside a security region?
     #[must_use]
     pub fn in_region(&self) -> bool {
-        self.state.lock().in_region()
+        self.state.lock().regions.in_region()
     }
 
     /// The principal's current labels (empty outside security regions).
     #[must_use]
     pub fn current_labels(&self) -> SecPair {
-        self.state.lock().labels.clone()
+        self.state.lock().regions.labels().clone()
     }
 
     /// The principal's current capability set.
     #[must_use]
     pub fn current_caps(&self) -> CapSet {
-        self.state.lock().caps.clone()
+        self.state.lock().regions.caps().clone()
     }
 
     /// The user this principal runs as.
@@ -241,10 +236,8 @@ impl Principal {
     pub fn create_tag(&self) -> LaminarResult<Tag> {
         let tag = self.task.alloc_tag()?;
         let mut st = self.state.lock();
-        st.caps.grant_both(tag);
-        for f in &mut st.frames {
-            f.saved_caps.grant_both(tag);
-        }
+        st.regions.grant(Capability::plus(tag));
+        st.regions.grant(Capability::minus(tag));
         st.stats.caps_created += 1;
         Ok(tag)
     }
@@ -263,11 +256,7 @@ impl Principal {
     ) -> LaminarResult<Option<Capability>> {
         let cap = self.task.read_capability(fd)?;
         if let Some(c) = cap {
-            let mut st = self.state.lock();
-            st.caps.grant(c);
-            for f in &mut st.frames {
-                f.saved_caps.grant(c);
-            }
+            self.state.lock().regions.grant(c);
         }
         Ok(cap)
     }
@@ -283,11 +272,10 @@ impl Principal {
         // current caps may be narrower inside a region, so the subset
         // check against VM caps is done here.
         if let Some(ref c) = caps {
-            let st = self.state.lock();
-            if !c.is_subset_of(&st.caps) {
-                return Err(LaminarError::RegionEntry(
+            if !c.is_subset_of(self.state.lock().regions.caps()) {
+                return Err(LaminarError::Os(OsError::PermissionDenied(
                     "thread capabilities must be a subset of the spawner's",
-                ));
+                )));
             }
         }
         let effective = caps.unwrap_or_else(|| self.current_caps());
@@ -307,97 +295,54 @@ impl Principal {
         // covers entry, body, catch and exit, as Table 3's "% of time in
         // security regions" is accounted. Only outermost regions are
         // timed, so nesting is not double-counted.
-        let timer = if st.in_region() { None } else { st.sampler.start(&st.stats) };
-        check_region_entry(&st.labels, &st.caps, params)?;
-        let saved_labels = std::mem::replace(&mut st.labels, params.pair());
-        let saved_caps = std::mem::replace(&mut st.caps, params.caps.clone());
-        st.frames.push(Frame {
-            saved_labels,
-            saved_caps,
-            suspended: CapSet::new(),
-            timer,
-        });
-        st.synced = false;
+        let outermost = !st.regions.in_region();
+        let timer = if outermost { st.sampler.start(&st.stats) } else { None };
+        st.regions
+            .enter(params.pair(), params.caps.clone())
+            .map_err(LaminarError::RegionEntry)?;
+        if outermost {
+            st.timer = timer;
+        }
         st.stats.regions_entered += 1;
         Ok(())
     }
 
-    /// Leaves the innermost region: restores the outer context, drops
-    /// the region's labels from the kernel task, and adds the exceptions
-    /// the region suppressed and its timed span.
+    /// Leaves the innermost region: restores the outer context, pays the
+    /// kernel task what the region owes it, and adds the exceptions the
+    /// region suppressed and its timed span.
     fn exit_region(&self, suppressed: u64) -> LaminarResult<()> {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         st.stats.exceptions_suppressed += suppressed;
         // An exit with no matching entry is an internal invariant break;
         // surface it fail-closed instead of unwinding with the lock held.
-        let frame =
-            st.frames.pop().ok_or(LaminarError::Internal("region exit without entry"))?;
-        // The outer context comes back before any kernel call that can
-        // fail: a failure then leaves at most the kernel task with the
-        // region's labels, which only restricts it (fail-closed).
-        let region_labels = std::mem::replace(&mut st.labels, frame.saved_labels);
-        st.caps = frame.saved_caps;
-        let synced = std::mem::replace(&mut st.synced, false);
-        if !synced && !region_labels.is_unlabeled() {
+        // The outer context is back before any kernel call that can fail:
+        // a failure then leaves at most the kernel task with the region's
+        // labels.
+        let exit = st
+            .regions
+            .exit()
+            .ok_or(LaminarError::Internal("region exit without entry"))?;
+        if exit.elided {
             st.stats.os_syncs_elided += 1;
         }
-        let restored = self.restore_kernel_task(synced, &frame.suspended);
-        if let Some(timer) = frame.timer {
-            st.stats.stop(timer);
+        let paid = settle_region(&self.task, &self.vm_task, &exit.debt);
+        if !st.regions.in_region() {
+            if let Some(timer) = st.timer.take() {
+                st.stats.stop(timer);
+            }
         }
-        restored.map_err(LaminarError::from)
-    }
-
-    /// Drops the region's labels from the kernel task if it carries
-    /// them, and gives back the capabilities suspended for the region's
-    /// scope. Only the trusted tcb thread can drop the labels — the
-    /// thread itself may lack the minus capabilities (§4.4).
-    fn restore_kernel_task(
-        &self,
-        synced: bool,
-        suspended: &CapSet,
-    ) -> laminar_os::OsResult<()> {
-        if synced {
-            self.vm_task.set_task_labels_tcb(self.task.id(), SecPair::unlabeled())?;
-        }
-        if !suspended.is_empty() {
-            self.vm_task.grant_capabilities_tcb(self.task.id(), suspended)?;
-        }
-        Ok(())
+        paid.map_err(LaminarError::from)
     }
 
     /// Pushes the region's security context to the kernel task if a
-    /// syscall is about to happen: labels (lazy `set_task_label`, §4.4)
-    /// and the suspension of capabilities the region does not retain
-    /// (lazy `drop_capabilities` with the tmp flag). A region that makes
+    /// syscall is about to happen ([`sync_region`]). A region that makes
     /// no syscall costs no kernel traffic at all.
     pub(crate) fn ensure_os_sync(&self) -> LaminarResult<()> {
         let mut st = self.state.lock();
-        if st.synced || st.frames.is_empty() {
-            return Ok(());
+        if sync_region(&self.task, &self.vm_task, &mut st.regions)? {
+            st.stats.os_syncs += 1;
         }
-        // Align the kernel's capability view with the region's: suspend
-        // everything the region did not retain, remember it for restore.
-        let kernel_caps = self.task.current_caps()?;
-        let to_suspend: CapSet =
-            kernel_caps.iter().filter(|c| !st.caps.has(*c)).collect();
-        if !to_suspend.is_empty() {
-            let drops: Vec<Capability> = to_suspend.iter().collect();
-            self.task.drop_capabilities(&drops)?;
-            // Non-empty frames were checked at function entry; treat a
-            // vanished frame as an internal fault rather than unwinding.
-            let frame = st
-                .frames
-                .last_mut()
-                .ok_or(LaminarError::Internal("capability sync outside a region"))?;
-            frame.suspended = frame.suspended.union(&to_suspend);
-        }
-        if !st.labels.is_unlabeled() {
-            self.vm_task.set_task_labels_tcb(self.task.id(), st.labels.clone())?;
-        }
-        st.synced = true;
-        st.stats.os_syncs += 1;
         Ok(())
     }
 
@@ -419,8 +364,7 @@ impl Principal {
     /// drops the region's labels from the kernel task or gives back the
     /// capabilities the region suspended. The principal is then already
     /// outside the region with its outer labels and capabilities, and
-    /// the kernel task may keep the region's labels, which only
-    /// restricts it.
+    /// the kernel task may keep the region's labels.
     ///
     /// # Panics
     ///
@@ -474,19 +418,19 @@ impl RegionGuard<'_> {
     /// label.
     #[must_use]
     pub fn current_label(&self, ty: LabelType) -> Label {
-        self.principal.state.lock().labels.label(ty).clone()
+        self.principal.state.lock().regions.labels().label(ty).clone()
     }
 
     /// Both current labels.
     #[must_use]
     pub fn current_labels(&self) -> SecPair {
-        self.principal.state.lock().labels.clone()
+        self.principal.state.lock().regions.labels().clone()
     }
 
     /// The region's current capability set.
     #[must_use]
     pub fn current_caps(&self) -> CapSet {
-        self.principal.state.lock().caps.clone()
+        self.principal.state.lock().regions.caps().clone()
     }
 
     /// `createAndAddCapability` (Fig. 2): mints a tag and grants both
@@ -500,11 +444,13 @@ impl RegionGuard<'_> {
     }
 
     /// `removeCapability` (Fig. 2): drops a capability. With
-    /// `global = true` the drop is permanent; otherwise it is scoped to
-    /// this security region and restored at exit.
+    /// `global = true` the drop is permanent, in the kernel task too;
+    /// otherwise it is scoped to this security region and restored at
+    /// exit, and the kernel task gives it up at the region's next syscall
+    /// (the sync suspends it).
     ///
     /// # Errors
-    /// Fails if the kernel task has exited.
+    /// Fails if the kernel task has exited (global drops only).
     pub fn remove_capability(
         &self,
         tag: Tag,
@@ -515,20 +461,11 @@ impl RegionGuard<'_> {
             CapKind::Plus => Capability::plus(tag),
             CapKind::Minus => Capability::minus(tag),
         };
-        self.principal.task.drop_capabilities(&[cap])?;
         let mut st = self.principal.state.lock();
-        st.caps.revoke(cap);
         if global {
-            for f in &mut st.frames {
-                f.saved_caps.revoke(cap);
-                f.suspended.revoke(cap);
-            }
-        } else if let Some(top) = st.frames.last_mut() {
-            // Scoped drop: the capability re-appears when this region
-            // exits (it is already recorded in saved_caps; make sure the
-            // kernel re-grant at exit includes it).
-            top.suspended.grant(cap);
+            self.principal.task.drop_capabilities(&[cap])?;
         }
+        st.regions.revoke(cap, global);
         Ok(())
     }
 
@@ -538,7 +475,7 @@ impl RegionGuard<'_> {
     pub fn new_labeled<T>(&self, value: T) -> Labeled<T> {
         let mut st = self.principal.state.lock();
         st.stats.labeled_allocs += 1;
-        let labels = st.labels.clone();
+        let labels = st.regions.labels().clone();
         drop(st);
         Labeled::with_labels_unchecked(value, labels)
     }
@@ -555,7 +492,7 @@ impl RegionGuard<'_> {
         labels: SecPair,
     ) -> LaminarResult<Labeled<T>> {
         let mut st = self.principal.state.lock();
-        st.labels.can_flow_to(&labels)?;
+        st.regions.labels().can_flow_to(&labels)?;
         st.stats.labeled_allocs += 1;
         drop(st);
         Ok(Labeled::with_labels_unchecked(value, labels))
@@ -574,7 +511,7 @@ impl RegionGuard<'_> {
         labels: SecPair,
     ) -> LaminarResult<Labeled<T>> {
         let mut st = self.principal.state.lock();
-        laminar_difc::check_pair_change(source.labels(), &labels, &st.caps)?;
+        laminar_difc::check_pair_change(source.labels(), &labels, st.regions.caps())?;
         st.stats.copies += 1;
         st.stats.labeled_allocs += 1;
         drop(st);

@@ -72,9 +72,10 @@ pub struct RuntimeStats {
     pub dynamic_dispatches: u64,
     /// Exceptions suppressed at region boundaries.
     pub exceptions_suppressed: u64,
-    /// VM→OS label synchronisations performed.
+    /// VM→OS region syncs performed (labels and capability suspension).
     pub os_syncs: u64,
-    /// Label synchronisations elided because the region made no syscall.
+    /// Exits of labeled regions that never synced: the label push the
+    /// lazy sync skipped because the region made no syscall.
     pub os_syncs_elided: u64,
     /// Capabilities created via `create_and_add_capability`.
     pub caps_created: u64,

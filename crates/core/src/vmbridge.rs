@@ -1,14 +1,16 @@
 //! Connects a `laminar-vm` MiniVM thread to a `laminar-os` kernel task:
 //! the concrete [`laminar_vm::OsBridge`] of §4.4's VM–OS interface.
 
+use crate::principal::{settle_region, sync_region};
 use crate::{Laminar, LaminarResult, Principal};
-use laminar_difc::SecPair;
+use laminar_difc::{RegionDebt, RegionStack};
 use laminar_os::{Kernel, OpenMode, OsError, TaskHandle};
 use laminar_vm::OsBridge;
 use std::sync::Arc;
 
 /// Bridge backed by a kernel task plus the process's trusted `tcb` thread,
-/// which pushes labels on the task's behalf (§4.4); the VM's decisions go
+/// which syncs and settles the VM's regions on the task's behalf through
+/// the runtime's own region calls (§4.4); the VM's decisions go
 /// to that kernel's audit log. It carries `tcb` authority, so the installer
 /// builds it ([`Laminar::vm_bridge`]) for the VM, never for subject code:
 ///
@@ -47,10 +49,14 @@ impl Laminar {
 }
 
 impl OsBridge for KernelBridge {
-    fn sync_labels(&mut self, labels: &SecPair) -> Result<(), String> {
-        self.vm_task
-            .set_task_labels_tcb(self.task.id(), labels.clone())
+    fn sync_region(&mut self, regions: &mut RegionStack) -> Result<(), String> {
+        sync_region(&self.task, &self.vm_task, regions)
+            .map(drop)
             .map_err(|e| e.to_string())
+    }
+
+    fn settle_region(&mut self, debt: &RegionDebt) -> Result<(), String> {
+        settle_region(&self.task, &self.vm_task, debt).map_err(|e| e.to_string())
     }
 
     fn write_byte(&mut self, path: &str, byte: u8) -> Result<(), String> {
@@ -113,7 +119,10 @@ mod tests {
 
         // The installer's own bridge still pushes labels for `p`.
         let mut bridge = sys.vm_bridge(&p).unwrap();
-        bridge.sync_labels(&before).unwrap();
+        let caps = p.task().current_caps().unwrap();
+        let mut regions = RegionStack::new(caps.clone());
+        regions.enter(before.clone(), caps).unwrap();
+        bridge.sync_region(&mut regions).unwrap();
         assert_eq!(p.task().current_labels().unwrap(), before);
     }
 }

@@ -20,6 +20,9 @@
 //! explicitly, under the label-change rule checked by
 //! [`check_label_change`].
 //!
+//! [`RegionStack`] is the security-region engine both front ends run:
+//! entry, lazy kernel sync and exit (§4.3–§4.4).
+//!
 //! This crate is pure model: it has no threads, no OS and no runtime.
 //! The [`laminar-os`](https://docs.rs/laminar-os) and `laminar` crates
 //! build the enforcement machinery on top of it.
@@ -71,12 +74,14 @@ mod caps;
 mod error;
 mod label;
 mod pair;
+mod region;
 mod tag;
 
 pub use caps::{CapKind, CapSet, Capability};
 pub use error::{FlowError, LabelChangeError};
 pub use label::{Label, LabelType};
 pub use pair::{check_label_change, check_pair_change, check_region_entry, SecPair};
+pub use region::{RegionDebt, RegionExit, RegionStack};
 pub use tag::{Tag, TagAllocator};
 
 // Benchmark compatibility only. The repository benchmark (`perfbench/`)

@@ -248,7 +248,8 @@ pub fn check_pair_change(
 /// 2. `CR ⊆ CP` — the region's capabilities are a subset of the
 ///    thread's.
 ///
-/// The Laminar runtime and the MiniVM both enter regions through it.
+/// [`crate::RegionStack::enter`] runs it for the Laminar runtime and
+/// the MiniVM alike.
 ///
 /// # Errors
 ///

@@ -11,7 +11,8 @@
 //! equality, hashing and fingerprints to the tag sets they stand for.
 
 use laminar_difc::{
-    check_label_change, CapKind, CapSet, Capability, Label, SecPair, Tag,
+    check_label_change, CapKind, CapSet, Capability, Label, RegionDebt, RegionStack,
+    SecPair, Tag,
 };
 use laminar_util::SplitMix64;
 use std::collections::hash_map::DefaultHasher;
@@ -391,5 +392,188 @@ fn capset_grant_revoke_sequences_match_a_set_model() {
             }
             assert_matches_model(&caps, &model, &mut rng);
         }
+    }
+}
+
+/// The kernel task a region stack syncs to and settles with: its labels
+/// and capabilities.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ModelKernel {
+    labels: SecPair,
+    caps: CapSet,
+}
+
+/// How many of a batch's kernel calls land: all of them, or, for the one
+/// failed batch of a failing run, a random prefix.
+fn calls_that_land(rng: &mut SplitMix64, fail_budget: &mut u32, of: u64) -> u64 {
+    if *fail_budget > 0 && rng.gen_ratio(1, 6) {
+        *fail_budget -= 1;
+        rng.below(of)
+    } else {
+        of
+    }
+}
+
+/// Pays `debt` to `kernel` as the runtime does: the label drop, then
+/// the re-grant. Returns whether both calls landed.
+fn settle(kernel: &mut ModelKernel, debt: &RegionDebt, landed: u64) -> bool {
+    if landed > 0 && debt.drop_labels {
+        kernel.labels = SecPair::unlabeled();
+    }
+    if landed > 1 {
+        kernel.caps = kernel.caps.union(&debt.regrant);
+    }
+    landed == 2
+}
+
+/// Region parameters a thread with `labels` and `caps` may mostly enter:
+/// tags it carries or may add, a subset of its capabilities; one entry in
+/// eight is drawn at random and may be refused.
+fn random_region(
+    rng: &mut SplitMix64,
+    labels: &SecPair,
+    caps: &CapSet,
+) -> (SecPair, CapSet) {
+    if rng.gen_ratio(1, 8) {
+        return (random_pair(rng), random_capset(rng));
+    }
+    let pool: Vec<Tag> = (1..12)
+        .map(Tag::from_raw)
+        .filter(|&t| {
+            caps.can_add(t)
+                || labels.secrecy().contains(t)
+                || labels.integrity().contains(t)
+        })
+        .collect();
+    let pick = |rng: &mut SplitMix64| {
+        Label::from_tags(pool.iter().copied().filter(|_| rng.gen_ratio(1, 3)))
+    };
+    let pair = SecPair::new(pick(rng), pick(rng));
+    (pair, caps.iter().filter(|_| rng.gen_bool()).collect())
+}
+
+/// One seeded run of random enter/sync/exit/grant/revoke steps, nested up
+/// to depth 4, against a model kernel. `model[d]` is the context the
+/// thread must have at depth `d`, kept through grants and revokes. With
+/// `fail_budget` 1, one batch of kernel calls (a sync's or an exit's)
+/// stops part-way.
+fn run_region_sequence(rng: &mut SplitMix64, mut fail_budget: u32) {
+    let base = random_capset(rng);
+    let mut stack = RegionStack::new(base.clone());
+    let mut kernel = ModelKernel { labels: SecPair::unlabeled(), caps: base.clone() };
+    let mut model = vec![(SecPair::unlabeled(), base)];
+    // A failed exit payment may leave the region's labels or suspensions
+    // on the kernel task; only the restored context is checked after it.
+    let mut exit_failed = false;
+    let steps = rng.gen_range(1..40);
+    for step in 0..=steps {
+        let depth = stack.depth();
+        let op = if step == steps { 3 } else { rng.below(11) };
+        match op {
+            // Enter.
+            0..=2 if depth < 4 => {
+                let (pair, caps) = random_region(rng, stack.labels(), stack.caps());
+                match stack.enter(pair.clone(), caps.clone()) {
+                    Ok(()) => model.push((pair, caps)),
+                    Err(_) => assert_eq!(stack.depth(), depth),
+                }
+            }
+            // Exit (and, at the end, every remaining exit).
+            3..=4 => {
+                let exits = if step == steps { depth } else { depth.min(1) };
+                for _ in 0..exits {
+                    let exit = stack.exit().expect("inside a region");
+                    model.pop();
+                    let outer = model.last().expect("the outside context");
+                    assert_eq!((stack.labels(), stack.caps()), (&outer.0, &outer.1));
+                    let landed = calls_that_land(rng, &mut fail_budget, 2);
+                    exit_failed |= !settle(&mut kernel, &exit.debt, landed);
+                }
+            }
+            // Sync before a syscall.
+            5..=7 if depth > 0 => {
+                if stack.needs_sync() {
+                    let (suspend, labels) = stack.sync(&kernel.caps);
+                    let landed = calls_that_land(rng, &mut fail_budget, 2);
+                    if landed > 0 {
+                        for c in suspend.iter() {
+                            kernel.caps.revoke(c);
+                        }
+                    }
+                    if landed < 2 {
+                        continue;
+                    }
+                    if let Some(labels) = labels {
+                        kernel.labels = labels;
+                    }
+                    stack.synced();
+                }
+                if !exit_failed {
+                    assert_eq!(&kernel.labels, stack.labels());
+                    assert!(
+                        kernel.caps.is_subset_of(stack.caps()),
+                        "{kernel:?} {stack:?}"
+                    );
+                }
+            }
+            // Grant: a capability the thread keeps for good.
+            8 => {
+                let c = random_cap(rng);
+                kernel.caps.grant(c);
+                stack.grant(c);
+                for (_, caps) in &mut model {
+                    caps.grant(c);
+                }
+            }
+            // Revoke, for good or for the innermost region's scope.
+            9..=10 if depth > 0 => {
+                let held: Vec<Capability> = stack.caps().iter().collect();
+                let c = rng.choose(&held).copied().unwrap_or_else(|| random_cap(rng));
+                let global = rng.gen_bool();
+                if global {
+                    kernel.caps.revoke(c);
+                }
+                stack.revoke(c, global);
+                let scope = if global { model.len() } else { 1 };
+                for (_, caps) in model.iter_mut().rev().take(scope) {
+                    caps.revoke(c);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(stack.depth(), 0);
+    assert!(!stack.needs_sync());
+    if !exit_failed {
+        let outside =
+            ModelKernel { labels: SecPair::unlabeled(), caps: model[0].1.clone() };
+        assert_eq!(kernel, outside);
+    }
+}
+
+/// The region engine against a model kernel: at each sync the kernel
+/// carries the innermost region's labels and no capability outside its
+/// set; every exit restores the outer context; once every region has
+/// exited and paid, the kernel is as it was outside them (with the
+/// grants and global revokes made since). A syscall-free nested region
+/// inside a synced one is among the sequences, so a stack that forgets
+/// which region's labels the kernel carries fails here.
+#[test]
+fn region_stack_sequences_match_a_model_kernel() {
+    let mut rng = SplitMix64::new(0x5EC0);
+    for _ in 0..5_000 {
+        run_region_sequence(&mut rng, 0);
+    }
+}
+
+/// As above, with one batch of kernel calls stopping part-way. A failed
+/// sync's debt was recorded before its calls, so every property still
+/// holds; after a failed exit payment only the restored context is
+/// checked.
+#[test]
+fn region_stack_sequences_with_one_failed_payment_restore_every_context() {
+    let mut rng = SplitMix64::new(0xFA11);
+    for _ in 0..5_000 {
+        run_region_sequence(&mut rng, 1);
     }
 }

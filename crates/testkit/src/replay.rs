@@ -298,19 +298,23 @@ impl KernelReplay {
                 let t = &self.tasks[task as usize % nt];
                 let labels = t.current_labels().expect("task labels");
                 let caps = t.current_caps().expect("task caps");
-                let mut params = laminar::RegionParams::new()
-                    .secrecy(self.mask_label(s_mask))
-                    .integrity(self.mask_label(i_mask));
                 let (p, m) = (self.norm_mask(plus_mask), self.norm_mask(minus_mask));
+                let mut region_caps = CapSet::new();
                 for (b, &tag) in self.tags.iter().enumerate() {
                     if p & (1 << b) != 0 {
-                        params = params.grant(Capability::plus(tag));
+                        region_caps.grant(Capability::plus(tag));
                     }
                     if m & (1 << b) != 0 {
-                        params = params.grant(Capability::minus(tag));
+                        region_caps.grant(Capability::minus(tag));
                     }
                 }
-                match laminar::check_region_entry(&labels, &caps, &params) {
+                match laminar_difc::check_region_entry(
+                    &labels,
+                    &caps,
+                    &self.mask_label(s_mask),
+                    &self.mask_label(i_mask),
+                    &region_caps,
+                ) {
                     Ok(()) => Outcome::Ok,
                     Err(_) => Outcome::Denied(DenyKind::Permission),
                 }

@@ -390,3 +390,82 @@ fn late_abort_of_a_region_exit_restores_the_runtime_context() {
         "the task lost the region's labels: {write:?}"
     );
 }
+
+/// A bridge that arms a late abort once its region has written: the next
+/// transactional syscall, the exit's label drop, aborts.
+struct AbortAfterWrite {
+    inner: laminar::KernelBridge,
+    kernel: Arc<Kernel>,
+}
+
+impl laminar_vm::OsBridge for AbortAfterWrite {
+    fn sync_region(
+        &mut self,
+        regions: &mut laminar_difc::RegionStack,
+    ) -> Result<(), String> {
+        self.inner.sync_region(regions)
+    }
+    fn settle_region(&mut self, debt: &laminar_difc::RegionDebt) -> Result<(), String> {
+        self.inner.settle_region(debt)
+    }
+    fn write_byte(&mut self, path: &str, byte: u8) -> Result<(), String> {
+        let written = self.inner.write_byte(path, byte);
+        self.kernel.arm_failpoint_for_test(SyscallFailpoint::AbortLate);
+        written
+    }
+    fn read_byte(&mut self, path: &str) -> Result<Option<u8>, String> {
+        self.inner.read_byte(path)
+    }
+}
+
+/// The MiniVM twin of the runtime case above: a bridged VM region syncs
+/// `{S(t)}` to the kernel task and writes, and its exit's label drop
+/// aborts. The VM must still leave the region with unlabeled labels, and
+/// the kernel task may keep only the region's labels.
+#[test]
+fn late_abort_of_a_vm_region_exit_restores_the_vm_context() {
+    use laminar_vm::{BarrierMode, ProgramBuilder, Vm, VmError};
+    let sys = laminar::Laminar::boot();
+    let k = Arc::clone(sys.kernel());
+    sys.add_user(UserId(1), "alice");
+    let p = sys.login(UserId(1)).unwrap();
+    let fd = p.task().create("/tmp/public").unwrap();
+    p.task().close(fd).unwrap();
+    let t = p.create_tag().unwrap();
+    let secret = laminar_difc::SecPair::secrecy_only(Label::singleton(t));
+    let fd = p.task().create_file_labeled("/tmp/secret", secret).unwrap();
+    p.task().close(fd).unwrap();
+
+    let mut pb = ProgramBuilder::new();
+    let out = pb.add_string("/tmp/secret");
+    let body = pb.region("write_secret", 0, 0, |b| {
+        b.push_int(7).os_write_byte(out).ret();
+    });
+    let pair = pb.add_pair_spec(&[0], &[]);
+    let spec = pb.add_region_spec(
+        pair,
+        &[(0, laminar_difc::CapKind::Plus), (0, laminar_difc::CapKind::Minus)],
+        None,
+    );
+    pb.func("main", 0, false, 0, |b| {
+        b.call_secure(body, spec).ret();
+    });
+    let mut vm = Vm::new(pb.finish().unwrap(), vec![t], BarrierMode::Dynamic);
+    vm.set_thread_caps(p.current_caps());
+    let inner = sys.vm_bridge(&p).unwrap();
+    vm.set_bridge(Box::new(AbortAfterWrite { inner, kernel: Arc::clone(&k) }));
+
+    let r = vm.call_by_name("main", &[]);
+    assert!(matches!(r, Err(VmError::Os(_))), "got {r:?}");
+    assert!(k.take_failpoint_fired());
+
+    assert!(vm.current_labels().is_unlabeled(), "{:?}", vm.current_labels());
+    let write = p
+        .task()
+        .open("/tmp/public", OpenMode::Write)
+        .and_then(|fd| p.task().write(fd, b"leak"));
+    assert!(
+        matches!(write, Err(OsError::FlowDenied(_))),
+        "the task lost the region's labels: {write:?}"
+    );
+}

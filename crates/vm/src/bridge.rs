@@ -1,14 +1,11 @@
-//! The VM→OS bridge (§4.4, "VM-OS interface").
-//!
-//! Security regions are invisible to the OS; when code inside a region
-//! performs a syscall, the VM must first push the region's labels onto
-//! the kernel task via `set_task_label` — and, as an optimization, "the
-//! VM omits setting the labels in the kernel thread if the security
-//! region does not perform a system call". The bridge trait is the seam
-//! through which the `laminar` runtime crate connects a [`crate::Vm`]
-//! to a `laminar-os` kernel task; the VM crate itself stays OS-agnostic.
+//! The VM→OS bridge (§4.4, "VM-OS interface"): the seam through which
+//! the `laminar` runtime crate makes a [`crate::Vm`]'s kernel calls, so
+//! the VM crate itself stays OS-agnostic. Security regions are invisible
+//! to the OS; the VM's [`RegionStack`] decides when a region's context
+//! must reach the kernel task (lazily, before its first syscall) and
+//! what each exit owes back.
 
-use laminar_difc::SecPair;
+use laminar_difc::{RegionDebt, RegionStack};
 use std::fmt;
 
 /// Connects a VM thread to its kernel task.
@@ -17,14 +14,20 @@ use std::fmt;
 /// [`crate::VmError::Os`] exceptions; the runtime crate maps real
 /// `OsError`s into them.
 pub trait OsBridge: Send {
-    /// `set_task_label`: push the region's labels to the kernel task,
-    /// via the trusted `tcb` path. A region that had synced restores
-    /// the unlabeled state the same way when it exits: the thread itself
-    /// may lack the declassification capabilities (§4.4).
+    /// Tells the kernel task the innermost region's context:
+    /// [`RegionStack::sync`], its kernel calls (labels through the trusted
+    /// `tcb` path), then [`RegionStack::synced`].
     ///
     /// # Errors
-    /// If the kernel rejects the label change.
-    fn sync_labels(&mut self, labels: &SecPair) -> Result<(), String>;
+    /// If the kernel rejects a call; the debt is paid at exit all the same.
+    fn sync_region(&mut self, regions: &mut RegionStack) -> Result<(), String>;
+
+    /// Pays what an exited region owes the kernel task, through the
+    /// trusted `tcb` path (§4.4).
+    ///
+    /// # Errors
+    /// If the kernel rejects a call.
+    fn settle_region(&mut self, debt: &RegionDebt) -> Result<(), String>;
 
     /// Write one byte to the named file (creating it, labeled with the
     /// task's current labels, if absent).
@@ -60,7 +63,10 @@ impl fmt::Debug for dyn OsBridge {
 pub struct NoOs;
 
 impl OsBridge for NoOs {
-    fn sync_labels(&mut self, _labels: &SecPair) -> Result<(), String> {
+    fn sync_region(&mut self, _regions: &mut RegionStack) -> Result<(), String> {
+        Err("no OS attached".into())
+    }
+    fn settle_region(&mut self, _debt: &RegionDebt) -> Result<(), String> {
         Err("no OS attached".into())
     }
     fn write_byte(&mut self, _path: &str, _byte: u8) -> Result<(), String> {
@@ -78,7 +84,8 @@ mod tests {
     #[test]
     fn no_os_fails_everything() {
         let mut b = NoOs;
-        assert!(b.sync_labels(&SecPair::unlabeled()).is_err());
+        assert!(b.sync_region(&mut RegionStack::new(Default::default())).is_err());
+        assert!(b.settle_region(&RegionDebt::default()).is_err());
         assert!(b.write_byte("x", 0).is_err());
         assert!(b.read_byte("x").is_err());
     }

@@ -15,7 +15,7 @@ use crate::heap::{ClassId, Heap, ObjKind};
 use crate::program::Program;
 use crate::stats::VmStats;
 use crate::value::{ObjRef, Value};
-use laminar_difc::{CapKind, CapSet, Capability, Label, SecPair, Tag};
+use laminar_difc::{CapKind, CapSet, Capability, Label, RegionStack, SecPair, Tag};
 
 use std::sync::Arc;
 
@@ -64,16 +64,6 @@ fn no_bridge() -> VmError {
     VmError::Os("no OS bridge attached".into())
 }
 
-/// One entry of the thread's region stack.
-#[derive(Debug)]
-struct RegionFrame {
-    saved_labels: SecPair,
-    saved_caps: CapSet,
-    /// Length of the region undo log at entry: on abort, everything above
-    /// this mark is rolled back (secure termination, §4.3.3).
-    undo_mark: usize,
-}
-
 /// One journaled labeled write, undoable on region abort.
 #[derive(Debug)]
 enum RegionUndo {
@@ -103,16 +93,17 @@ pub struct Vm {
     /// `Static` mode: the context each function was first compiled for.
     static_choice: Vec<Option<Ctx>>,
     stats: VmStats,
-    labels: SecPair,
-    caps: CapSet,
-    regions: Vec<RegionFrame>,
+    /// The thread's labels, capabilities and entered regions.
+    regions: RegionStack,
     /// Undo log for labeled writes inside security regions. An abnormal
-    /// region exit rolls the log back to the frame's mark; the outermost
+    /// region exit rolls the log back to the region's mark; the outermost
     /// normal exit commits (clears) it.
     region_undo: Vec<RegionUndo>,
+    /// Length of the undo log at each entered region's entry: on abort,
+    /// everything above the innermost mark is rolled back (secure
+    /// termination, §4.3.3).
+    undo_marks: Vec<usize>,
     bridge: Option<Box<dyn OsBridge>>,
-    /// Labels currently pushed to the kernel task (`None` = unlabeled).
-    kernel_labels: Option<SecPair>,
     /// Value and frame stacks, reused from call to call. Taken out of the
     /// `Vm` while a host call runs.
     stack: Stack,
@@ -171,12 +162,10 @@ impl Vm {
             compiled: vec![[None, None, None, None]; nfuncs],
             static_choice: vec![None; nfuncs],
             stats: VmStats::default(),
-            labels: SecPair::unlabeled(),
-            caps: CapSet::new(),
-            regions: Vec::new(),
+            regions: RegionStack::new(CapSet::new()),
             region_undo: Vec::new(),
+            undo_marks: Vec::new(),
             bridge: None,
-            kernel_labels: None,
             stack: Stack::default(),
             invalid,
         }
@@ -185,7 +174,7 @@ impl Vm {
     /// Sets the thread's capability set (normally granted at login or
     /// inherited from the spawning thread).
     pub fn set_thread_caps(&mut self, caps: CapSet) {
-        self.caps = caps;
+        self.regions = RegionStack::new(caps);
     }
 
     /// Toggles redundant-barrier elimination (ablation knob; recompiles
@@ -220,7 +209,7 @@ impl Vm {
     /// The thread's current labels (empty outside security regions).
     #[must_use]
     pub fn current_labels(&self) -> &SecPair {
-        &self.labels
+        self.regions.labels()
     }
 
     /// The heap (for embedder inspection).
@@ -376,7 +365,7 @@ impl Vm {
     // --- compilation ------------------------------------------------------
 
     fn in_region(&self) -> bool {
-        !self.regions.is_empty()
+        self.regions.in_region()
     }
 
     fn ctx_slot(ctx: Ctx) -> usize {
@@ -494,19 +483,8 @@ impl Vm {
                 CapKind::Minus => Capability::minus(tag),
             }
         }));
-        laminar_difc::check_region_entry(
-            &self.labels,
-            &self.caps,
-            pair.secrecy(),
-            pair.integrity(),
-            &rcaps,
-        )
-        .map_err(VmError::RegionEntry)?;
-        self.regions.push(RegionFrame {
-            saved_labels: std::mem::replace(&mut self.labels, pair),
-            saved_caps: std::mem::replace(&mut self.caps, rcaps),
-            undo_mark: self.region_undo.len(),
-        });
+        self.regions.enter(pair, rcaps).map_err(VmError::RegionEntry)?;
+        self.undo_marks.push(self.region_undo.len());
         self.stats.regions_entered += 1;
         Ok(())
     }
@@ -516,8 +494,7 @@ impl Vm {
     /// wrote — the heap half of secure termination (§4.3.3): an aborted
     /// region must leave labeled state as it found it.
     fn abort_region_writes(&mut self) {
-        let Some(frame) = self.regions.last() else { return };
-        let mark = frame.undo_mark;
+        let Some(&mark) = self.undo_marks.last() else { return };
         while self.region_undo.len() > mark {
             match self.region_undo.pop() {
                 Some(RegionUndo::Field(obj, idx, old)) => {
@@ -551,46 +528,38 @@ impl Vm {
         }
     }
 
+    /// Leaves the innermost region. The outer labels and capabilities
+    /// are back before the bridge pays the kernel task what the region
+    /// owes it, so a failed payment leaves the VM's context right and at
+    /// most the region's labels on the kernel task.
     fn exit_region(&mut self) -> VmResult<()> {
-        let frame = self.regions.pop().ok_or(VmError::RegionUnderflow)?;
-        if self.regions.is_empty() {
+        let exit = self.regions.exit().ok_or(VmError::RegionUnderflow)?;
+        self.undo_marks.pop();
+        if !self.in_region() {
             // Outermost exit: the surviving writes are committed; the
             // journal has nothing left to guard.
             self.region_undo.clear();
         }
-        // If the kernel task carries this region's labels, restore it to
-        // the unlabeled state through the trusted tcb path (§4.4); the
-        // next syscall in an outer region will re-sync lazily.
-        if self.kernel_labels.as_ref() == Some(&self.labels) {
-            if let Some(bridge) = self.bridge.as_mut() {
-                bridge.sync_labels(&SecPair::unlabeled()).map_err(VmError::Os)?;
-            }
-            self.kernel_labels = None;
-        } else if !self.labels.is_unlabeled() {
-            // Labeled region that never made a syscall: the lazy
-            // optimization skipped two syscalls.
+        if exit.elided {
             self.stats.os_label_syncs_elided += 1;
         }
-        self.labels = frame.saved_labels;
-        self.caps = frame.saved_caps;
-        Ok(())
+        match self.bridge.as_mut() {
+            Some(bridge) if !exit.debt.is_empty() => {
+                bridge.settle_region(&exit.debt).map_err(VmError::Os)
+            }
+            _ => Ok(()),
+        }
     }
 
+    /// Tells the kernel task the innermost region's context before a
+    /// syscall, once per region (§4.4's lazy sync).
     fn ensure_os_sync(&mut self) -> VmResult<()> {
-        if self.kernel_labels.as_ref() == Some(&self.labels)
-            || (self.kernel_labels.is_none() && self.labels.is_unlabeled())
-        {
+        if !self.regions.needs_sync() {
             return Ok(());
         }
         let bridge = self.bridge.as_mut().ok_or_else(no_bridge)?;
-        if self.labels.is_unlabeled() {
-            bridge.sync_labels(&SecPair::unlabeled()).map_err(VmError::Os)?;
-            self.kernel_labels = None;
-        } else {
-            bridge.sync_labels(&self.labels).map_err(VmError::Os)?;
-            self.kernel_labels = Some(self.labels.clone());
-            self.stats.os_label_syncs += 1;
-        }
+        bridge.sync_region(&mut self.regions).map_err(VmError::Os)?;
+        self.stats.os_label_syncs += 1;
         Ok(())
     }
 
@@ -617,13 +586,17 @@ impl Vm {
     fn barrier_read_in(&mut self, obj: ObjRef) -> VmResult<()> {
         self.stats.read_barriers += 1;
         let pair = self.object_pair(obj)?;
-        crate::conformance::barrier_read_check(&pair, &self.labels, self.audit())
+        crate::conformance::barrier_read_check(&pair, self.regions.labels(), self.audit())
     }
 
     fn barrier_write_in(&mut self, obj: ObjRef) -> VmResult<()> {
         self.stats.write_barriers += 1;
         let pair = self.object_pair(obj)?;
-        crate::conformance::barrier_write_check(&self.labels, &pair, self.audit())
+        crate::conformance::barrier_write_check(
+            self.regions.labels(),
+            &pair,
+            self.audit(),
+        )
     }
 
     fn barrier_out(&mut self, obj: ObjRef, is_read: bool) -> VmResult<()> {
@@ -696,13 +669,13 @@ impl Vm {
                 let pair = self.static_pair_of(instr)?;
                 // For an unlabeled static this is exactly the prototype's
                 // rule: an integrity region may not read it (I_thr ⊄ {}).
-                pair.can_flow_to(&self.labels).map_err(VmError::from)
+                pair.can_flow_to(self.regions.labels()).map_err(VmError::from)
             }
             Barrier::StaticWriteIn => {
                 self.stats.static_barriers += 1;
                 let pair = self.static_pair_of(instr)?;
                 // Unlabeled static: a secrecy region may not write it.
-                self.labels.can_flow_to(pair).map_err(VmError::from)
+                self.regions.labels().can_flow_to(pair).map_err(VmError::from)
             }
             Barrier::StaticReadOut | Barrier::StaticWriteOut => {
                 self.stats.static_barriers += 1;
@@ -755,9 +728,9 @@ impl Vm {
             }
             _ => false,
         };
-        if labeled && !self.labels.is_unlabeled() {
+        if labeled && !self.regions.labels().is_unlabeled() {
             self.stats.alloc_barriers += 1;
-            Some(self.labels.clone())
+            Some(self.regions.labels().clone())
         } else {
             None
         }
@@ -791,7 +764,7 @@ impl Vm {
         }
         if b.is_some() {
             self.stats.alloc_barriers += 1;
-            self.labels.can_flow_to(&pair)?;
+            self.regions.labels().can_flow_to(&pair)?;
         }
         Ok(if pair.is_unlabeled() { None } else { Some(pair) })
     }
@@ -1163,7 +1136,7 @@ impl Vm {
                         let obj = pop!().as_ref()?;
                         let src = self.object_pair(obj)?;
                         let dst = self.pair_from_spec(spec)?;
-                        laminar_difc::check_pair_change(&src, &dst, &self.caps)?;
+                        laminar_difc::check_pair_change(&src, &dst, self.regions.caps())?;
                         let labels = if dst.is_unlabeled() { None } else { Some(dst) };
                         let copy = self.heap.copy_with_labels(obj, labels)?;
                         self.stats.copy_and_label += 1;
@@ -1316,7 +1289,7 @@ impl Vm {
         if sp - ops < nparams {
             return Err(VmError::Malformed("missing call arguments"));
         }
-        if self.regions.len() >= MAX_REGION_DEPTH {
+        if self.regions.depth() >= MAX_REGION_DEPTH {
             return Err(VmError::CallDepthExceeded(MAX_REGION_DEPTH));
         }
         // Entry failures terminate (propagate): §5.1 "the program

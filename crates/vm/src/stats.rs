@@ -53,9 +53,11 @@ pub struct VmStats {
     pub compile_cost: u64,
     /// `copyAndLabel` operations performed.
     pub copy_and_label: u64,
-    /// Lazy VM→OS label synchronisations actually performed.
+    /// Lazy VM→OS region syncs performed (labels and capability
+    /// suspension), counted as the runtime counts `os_syncs`.
     pub os_label_syncs: u64,
-    /// OS label syncs *skipped* because the region made no syscall.
+    /// Exits of labeled regions that never synced: the label push the
+    /// lazy sync skipped because the region made no syscall.
     pub os_label_syncs_elided: u64,
     /// Instructions interpreted.
     pub instructions: u64,

@@ -5,7 +5,7 @@
 
 use laminar::{Labeled, Laminar, LaminarError, Principal, RegionParams, RuntimeStats};
 use laminar_difc::{CapKind, CapSet, Capability, Label, LabelType, SecPair, Tag};
-use laminar_os::{OpenMode, UserId};
+use laminar_os::{OpenMode, OsError, UserId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -302,6 +302,25 @@ fn scoped_capability_drop_is_restored_global_is_not() {
     assert!(p.current_caps().can_add(t));
 }
 
+/// A scoped drop of a capability the region never held gives the kernel
+/// task nothing: its exit re-grants only what a sync suspended.
+#[test]
+fn a_scoped_drop_of_a_capability_never_held_grants_nothing() {
+    let (sys, p) = alice();
+    sys.add_user(UserId(2), "bob");
+    let b = sys.login(UserId(2)).unwrap().create_tag().unwrap();
+    p.secure(
+        &RegionParams::new(),
+        |g| g.remove_capability(b, CapKind::Minus, false),
+        |_| {},
+    )
+    .unwrap()
+    .unwrap();
+    assert!(!p.current_caps().can_remove(b));
+    let kernel_caps = p.task().current_caps().unwrap();
+    assert!(!kernel_caps.can_remove(b), "{kernel_caps:?}");
+}
+
 #[test]
 fn capabilities_gained_in_regions_persist_after_exit() {
     let (_sys, p) = alice();
@@ -352,6 +371,87 @@ fn lazy_label_sync_elides_syscall_free_regions() {
     p.task().close(fd).unwrap();
 }
 
+/// An outer tagged region syncs, then runs a nested tagged region that
+/// makes no syscall. The kernel task still carries the outer region's
+/// labels, so the outer exit must drop them: afterwards the principal
+/// writes an unlabeled file, and the one sync and the one elided nested
+/// sync are counted.
+#[test]
+fn a_syscall_free_nested_region_leaves_the_outer_sync_in_force() {
+    let (_sys, p) = alice();
+    let t = p.create_tag().unwrap();
+    let fd = p.task().create("/tmp/public").unwrap();
+    p.task().close(fd).unwrap();
+    p.reset_stats();
+
+    p.secure(
+        &tagged_params(t),
+        |g| {
+            g.os()?.stat("/tmp")?;
+            g.secure(&tagged_params(t), |_| Ok(()), |_| {})?;
+            // The nested exit left the outer region's labels on the
+            // kernel task (read through the task, which does not sync).
+            let task = p.task();
+            let write = task
+                .open("/tmp/public", OpenMode::Write)
+                .and_then(|fd| task.write(fd, b"x"));
+            assert!(matches!(write, Err(OsError::FlowDenied(_))), "{write:?}");
+            Ok(())
+        },
+        |_| {},
+    )
+    .unwrap()
+    .unwrap();
+
+    assert!(p.task().current_labels().unwrap().is_unlabeled());
+    let fd = p.task().open("/tmp/public", OpenMode::Write).unwrap();
+    p.task().write(fd, b"ok").unwrap();
+    p.task().close(fd).unwrap();
+    let stats = p.stats();
+    assert_eq!((stats.os_syncs, stats.os_syncs_elided), (1, 1));
+}
+
+/// A nested region with empty labels inside a synced `{I(i)}` region
+/// syncs too: its syscalls run without the outer region's integrity, so
+/// it cannot write an `{I(i)}` file.
+#[test]
+fn an_unlabeled_nested_region_syscalls_without_the_outer_labels() {
+    let (sys, p) = alice();
+    let i = p.create_tag().unwrap();
+    // Strict Biba traversal: an {I(i)} thread reaches an {I(i)} tree only
+    // from inside it, so the installer makes one and the task moves in.
+    let endorsed = SecPair::integrity_only(Label::singleton(i));
+    sys.kernel().install_dir("/endorsed", endorsed.clone()).unwrap();
+    sys.kernel().install_file("/endorsed/f", endorsed, b"").unwrap();
+    p.task().chdir("/endorsed").unwrap();
+    let outer = RegionParams::new()
+        .integrity(Label::singleton(i))
+        .grant(Capability::plus(i))
+        .grant(Capability::minus(i));
+
+    p.secure(
+        &outer,
+        |g| {
+            let os = g.os()?;
+            os.open("f", OpenMode::Write).and_then(|fd| os.write(fd, b"i"))?;
+            let inner = g.secure(
+                &RegionParams::new(),
+                |g| {
+                    let os = g.os()?;
+                    Ok(os.open("f", OpenMode::Write).and_then(|fd| os.write(fd, b"x")))
+                },
+                |_| {},
+            )?;
+            assert!(matches!(inner, Some(Err(OsError::FlowDenied(_)))), "{inner:?}");
+            Ok(())
+        },
+        |_| {},
+    )
+    .unwrap()
+    .unwrap();
+    assert!(p.task().current_labels().unwrap().is_unlabeled());
+}
+
 #[test]
 fn heterogeneous_thread_labels_in_one_process() {
     // The workload OS-granularity DIFC cannot express: two threads of
@@ -365,6 +465,13 @@ fn heterogeneous_thread_labels_in_one_process() {
     caps_b.grant_both(b);
     let pa = p.spawn_thread(Some(caps_a)).unwrap();
     let pb = p.spawn_thread(Some(caps_b)).unwrap();
+    // A thread gets no capability its spawner lacks; the kernel's own
+    // check reports the same kind.
+    let beyond = CapSet::from_caps([Capability::plus(b)]);
+    assert!(matches!(
+        pa.spawn_thread(Some(beyond)),
+        Err(LaminarError::Os(OsError::PermissionDenied(_)))
+    ));
 
     let cell_a = pa
         .secure(&tagged_params(a), |g| Ok(Arc::new(g.new_labeled(1))), |_| {})

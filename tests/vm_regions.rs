@@ -3,9 +3,12 @@
 //! kernel bridge, statics restrictions and `copyAndLabel`.
 
 use laminar::Laminar;
-use laminar_difc::{CapKind, CapSet, Capability, Label, SecPair, Tag};
-use laminar_os::{OpenMode, UserId};
-use laminar_vm::{BarrierMode, ClassId, ProgramBuilder, Value, Vm, VmError};
+use laminar_difc::{
+    CapKind, CapSet, Capability, Label, RegionDebt, RegionStack, SecPair, Tag,
+};
+use laminar_os::{OpenMode, TaskHandle, UserId};
+use laminar_vm::{BarrierMode, ClassId, OsBridge, ProgramBuilder, Value, Vm, VmError};
+use std::sync::{Arc, Mutex};
 
 fn fresh_tag(n: u64) -> Tag {
     Tag::from_raw(n)
@@ -425,6 +428,70 @@ fn lazy_label_sync_through_kernel_bridge() {
     task.close(fd).unwrap();
 
     // After the regions, the kernel task is unlabeled again.
+    assert!(task.current_labels().unwrap().is_unlabeled());
+}
+
+/// A bridge that notes the kernel task's capabilities at each write.
+struct CapsAtWrite {
+    inner: laminar::KernelBridge,
+    task: TaskHandle,
+    seen: Arc<Mutex<Vec<CapSet>>>,
+}
+
+impl OsBridge for CapsAtWrite {
+    fn sync_region(&mut self, regions: &mut RegionStack) -> Result<(), String> {
+        self.inner.sync_region(regions)
+    }
+    fn settle_region(&mut self, debt: &RegionDebt) -> Result<(), String> {
+        self.inner.settle_region(debt)
+    }
+    fn write_byte(&mut self, path: &str, byte: u8) -> Result<(), String> {
+        self.seen.lock().unwrap().push(self.task.current_caps().unwrap());
+        self.inner.write_byte(path, byte)
+    }
+    fn read_byte(&mut self, path: &str) -> Result<Option<u8>, String> {
+        self.inner.read_byte(path)
+    }
+}
+
+/// §4.4 for the MiniVM: a region that keeps only `a+` syscalls while
+/// the kernel task holds no `a-`, and the task holds `a±` again after
+/// the region exits.
+#[test]
+fn a_vm_region_syscalls_without_the_capabilities_it_dropped() {
+    let system = Laminar::boot();
+    system.add_user(UserId(1), "vmuser");
+    let principal = system.login(UserId(1)).unwrap();
+    let task = principal.task().clone();
+    let a = principal.create_tag().unwrap();
+    let sa = SecPair::secrecy_only(Label::singleton(a));
+    let fd = task.create_file_labeled("secret.out", sa).unwrap();
+    task.close(fd).unwrap();
+
+    let mut pb = ProgramBuilder::new();
+    let secret_path = pb.add_string("secret.out");
+    let write = pb.region("write_secret", 0, 0, |b| {
+        b.push_int(42).os_write_byte(secret_path).ret();
+    });
+    let pair_a = pb.add_pair_spec(&[0], &[]);
+    let spec = pb.add_region_spec(pair_a, &[(0, CapKind::Plus)], None);
+    pb.func("main", 0, false, 0, |b| {
+        b.call_secure(write, spec).ret();
+    });
+    let mut vm = Vm::new(pb.finish().unwrap(), vec![a], BarrierMode::Dynamic);
+    vm.set_thread_caps(principal.current_caps());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let inner = system.vm_bridge(&principal).unwrap();
+    let probe = CapsAtWrite { inner, task: task.clone(), seen: Arc::clone(&seen) };
+    vm.set_bridge(Box::new(probe));
+
+    vm.call_by_name("main", &[]).unwrap();
+    assert_eq!(vm.stats().exceptions_suppressed, 0);
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 1);
+    assert!(seen[0].can_add(a) && !seen[0].can_remove(a), "{:?}", seen[0]);
+    let after = task.current_caps().unwrap();
+    assert!(after.can_add(a) && after.can_remove(a), "{after:?}");
     assert!(task.current_labels().unwrap().is_unlabeled());
 }
 
